@@ -8,10 +8,9 @@ reuse cached normal-matrix factorizations (``hybrid_solve``).
 """
 
 from .cg import CgOutcome, generalized_condition_probe, pcg_solve
-from .cholesky import CholeskyFactor, cholesky_factorize, factor_solve, minimum_degree_ordering
+from .cholesky import CholeskyFactor, cholesky_factorize, minimum_degree_ordering
 from .errors import (
     FactorizationFailed,
-    InexactDirectionWarning,
     InsufficientData,
     InteriorityViolation,
     ModelError,
@@ -27,21 +26,23 @@ from .primal import (
     DELAYED_SCALING,
     EXACT,
     FROZEN_PRECOND,
+    NormalSolver,
     PreconditionerCache,
     PrimalConfig,
     feasibility_repair,
     infeasible_primal_step,
-    primal_direction,
     primal_solve,
+    projected_direction,
     ratio_test,
     refresh_cache,
-    surrogate_direction,
 )
 from .problem import (
     IterateState,
     RecoveryMap,
     StandardLp,
     SymmetricLp,
+    barrier_gradient,
+    complementarity,
     convergence_metrics,
     dualize,
     residuals,
@@ -51,9 +52,7 @@ from .problem import (
 )
 from .results import SolveResult, SolveStatus
 from .scaling import (
-    PartitionLS,
     Proximity,
-    ScalingVector,
     bound_scaling_diag,
     delayed_scaling_point,
     proximity,

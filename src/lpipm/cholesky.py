@@ -173,8 +173,3 @@ def cholesky_factorize(M: SparseMatrix, min_pivot: float = 0.0) -> CholeskyFacto
         f"no acceptable pivots after {_MAX_REG_RETRIES} regularization retries "
         f"(last sigma {sigma:.3e})"
     )
-
-
-def factor_solve(factor: CholeskyFactor, rhs) -> np.ndarray:
-    """Solve ``M v = rhs`` through the factorization of ``M``."""
-    return factor.solve(rhs)

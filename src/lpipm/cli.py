@@ -53,7 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--switch-dist", type=float, default=1e-1)
     solve.add_argument("--switch-ratio", type=float, default=30.0)
     solve.add_argument("--trace", default=None, help="write per-iteration CSV here")
-    solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--dualize", action="store_true",
                        help="solve the symmetric-form dual instead")
     solve.add_argument("--quiet", action="store_true")

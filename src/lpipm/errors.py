@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the solver."""
+"""Exception types shared across the solver."""
 
 
 class SolverError(Exception):
@@ -37,12 +37,3 @@ class InteriorityViolation(ValueError):
 
 class InsufficientData(ValueError):
     """Not enough trace records to run the requested analysis."""
-
-
-class InexactDirectionWarning(RuntimeWarning):
-    """PCG stopped at max_iter without meeting its tolerance; the
-    achieved relative residual is attached as ``residual``."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual

@@ -135,10 +135,12 @@ def hybrid_solve(
     phase_stats["primal_factorizations"] = phase2.factorizations + 1
     phase_stats["primal_wall_s"] = phase2.wall_s
 
+    iterations = phase1.iterations + phase2.iterations
+    factorizations = phase1.factorizations + 1 + phase2.factorizations
+    cg_iterations = phase2.cg_iterations
     if phase2.status == SolveStatus.NUMERICAL_FAILURE:
+        # the failed primal phase stays in the trace and in the totals
         phase_stats["fallback"] = True
-        final_cg = phase2.cg_iterations
-        failed_iters = phase2.iterations
         resume_cfg = dataclasses.replace(
             pd_cfg, max_iter=max(pd_cfg.max_iter - phase1.iterations, 1)
         )
@@ -149,11 +151,10 @@ def hybrid_solve(
             start=start,
             collect_iterates=collect_iterates,
             time_ratio_override=time_ratio_override,
-            iter_offset=phase1.iterations + failed_iters,
+            iter_offset=iterations,
         )
-        phase_stats["primal_factorizations"] += phase2.factorizations
-    else:
-        final_cg = phase2.cg_iterations
+        iterations += phase2.iterations
+        factorizations += phase2.factorizations
 
     result = SolveResult(
         status=phase2.status,
@@ -164,9 +165,9 @@ def hybrid_solve(
         e_p=phase2.e_p,
         e_d=phase2.e_d,
         e_g=phase2.e_g,
-        iterations=phase1.iterations + phase2.iterations,
-        factorizations=phase1.factorizations + 1 + phase2.factorizations,
-        cg_iterations=final_cg,
+        iterations=iterations,
+        factorizations=factorizations,
+        cg_iterations=cg_iterations,
         trace=list(trace_log) if trace_log is not None else [],
         wall_s=time.perf_counter() - t_start,
         mu=phase2.mu,

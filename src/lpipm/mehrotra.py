@@ -19,7 +19,7 @@ import numpy as np
 
 from .cholesky import CholeskyFactor, cholesky_factorize
 from .errors import FactorizationFailed, NumericalBreakdown
-from .problem import IterateState, StandardLp, convergence_metrics
+from .problem import IterateState, StandardLp, complementarity, convergence_metrics
 from .results import SolveResult, SolveStatus
 from .scaling import thresholded_distance
 from .sparse import form_normal_matrix
@@ -92,12 +92,9 @@ def pd_starting_point(p: StandardLp, mode: str = "least_squares") -> IterateStat
         v = np.zeros(n)
         v[finite] = mu_est / w[finite]
 
-    mu = float(x @ s)
-    count = n
-    if w is not None:
-        mu += float(w @ v)
-        count += int(np.isfinite(p.u).sum())
-    return IterateState(x=x, y=y_tilde, s=s, mu=mu / count, w=w, v=v)
+    st = IterateState(x=x, y=y_tilde, s=s, mu=0.0, w=w, v=v)
+    st.mu = complementarity(p, st)
+    return st
 
 
 
@@ -155,9 +152,7 @@ def mehrotra_step(
         vw = 0.0
     d2 = 1.0 / (s / x + vw)
 
-    mu_terms = float(x @ s) + (float(w[finite] @ v[finite]) if bounded else 0.0)
-    denom = n + (int(finite.sum()) if bounded else 0)
-    mu = mu_terms / denom
+    mu = complementarity(p, st)
 
     def solve_directions(rhs_xs, rhs_wv):
         rhs_combined = rhs_xs / x + r_d
@@ -183,10 +178,11 @@ def mehrotra_step(
     if bounded:
         ap = min(ap, _step_limit(w, dw_a, finite))
         ad = min(ad, _step_limit(v, dv_a, finite))
-    mu_aff = float((x + ap * dx_a) @ (s + ad * ds_a))
-    if bounded:
-        mu_aff += float((w + ap * dw_a)[finite] @ (v + ad * dv_a)[finite])
-    mu_aff /= denom
+    mu_aff = complementarity(p, IterateState(
+        x=x + ap * dx_a, y=y, s=s + ad * ds_a, mu=mu,
+        w=w + ap * dw_a if bounded else None,
+        v=v + ad * dv_a if bounded else None,
+    ))
     sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, _SIGMA_MIN, _SIGMA_MAX))
 
     # corrector with second-order term
@@ -243,7 +239,7 @@ def pd_solve(
     t_start = time.perf_counter()
     st = (start or pd_starting_point(p, cfg.starting_point)).copy()
     finite = np.isfinite(p.u)
-    st.mu = _complementarity(p, st)
+    st.mu = complementarity(p, st)
 
     factorizations = 0
     iterations = 0
@@ -291,7 +287,7 @@ def pd_solve(
                 break
             if np.any(st.x <= 0.0) or np.any(st.s <= 0.0):
                 raise NumericalBreakdown("iterate lost strict interiority")
-            st.mu = _complementarity(p, st)
+            st.mu = complementarity(p, st)
             if st.mu > mu_prev * (1.0 + 1e-12):
                 warnings.warn(
                     f"complementarity increased at iteration {k} "
@@ -373,13 +369,3 @@ def pd_solve(
         iterates=iterates,
         message=message,
     )
-
-
-def _complementarity(p: StandardLp, st: IterateState) -> float:
-    total = float(st.x @ st.s)
-    count = p.ncols
-    if st.w is not None:
-        finite = np.isfinite(p.u)
-        total += float(st.w[finite] @ st.v[finite])
-        count += int(finite.sum())
-    return total / max(count, 1)

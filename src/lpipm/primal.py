@@ -1,40 +1,52 @@
 """Primal barrier engine.
 
-Three modes share one loop:
+Every mode runs the same iteration:
 
-* ``exact`` factorizes the scaled normal matrix every iteration and takes
-  the projected Newton direction (or its infeasible-start variant).
-* ``frozen_precond`` keeps a cached factorization as PCG preconditioner
-  and refreshes it when the iterate moves a Euclidean distance ``theta``
-  from the cache point.
+1. the :class:`NormalSolver` refreshes its factorization of the scaled
+   normal matrix on schedule;
+2. the search direction is computed through that solver:
+   :func:`projected_direction` on a feasible iterate,
+   :func:`infeasible_primal_step` otherwise;
+3. after an inexact (PCG) solve a least-norm feasibility repair puts the
+   step back in the null space of A (or restores ``-r_p`` exactly on
+   infeasible-start steps).
+
+The modes differ only inside the solver and in the scaling point of the
+feasible direction:
+
+* ``exact`` factorizes the normal matrix every iteration and scales at x.
+* ``frozen_precond`` keeps a cached factorization as PCG preconditioner,
+  refreshes it when the iterate moves a Euclidean distance ``theta`` from
+  the cache point, and scales at x.
 * ``delayed_scaling`` refreshes on the nu-thresholded scaled distance
-  instead and evaluates the search direction at the delayed scaling
-  point, which keeps the cached factorization useful far longer.
+  instead and scales at the delayed scaling point, which keeps the cached
+  factorization useful far longer.
 
-Inexact (PCG) directions are followed by a least-norm feasibility repair
-so the step stays in the null space of A (or restores ``-r_p`` exactly on
-infeasible-start steps).
+A PCG miss refreshes the cache at x and retries once, unless the cache
+is already fresh; then the miss is the attainable residual floor and the
+repair keeps the step usable.
 """
 
 from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cg import CgOutcome, pcg_solve
+from .cg import pcg_solve
 from .cholesky import CholeskyFactor, cholesky_factorize
-from .errors import (
-    FactorizationFailed,
-    InexactDirectionWarning,
-    InteriorityViolation,
-    NumericalBreakdown,
+from .errors import FactorizationFailed, InteriorityViolation, NumericalBreakdown
+from .problem import (
+    IterateState,
+    StandardLp,
+    barrier_gradient,
+    complementarity,
+    convergence_metrics,
+    residuals,
 )
-from .problem import IterateState, StandardLp, convergence_metrics, residuals
 from .results import SolveResult, SolveStatus
 from .scaling import (
     bound_scaling_diag,
@@ -64,7 +76,6 @@ class PrimalConfig:
     max_iter: int = 100
     mode: str = EXACT
     tol: float = 1e-10
-    adaptive_cg_tol: bool = False  # mu-proportional PCG tolerance schedule
 
     def __post_init__(self):
         if self.tau is not None and not 0.0 < self.tau < 1.0:
@@ -86,12 +97,10 @@ class PreconditionerCache:
 
     z: np.ndarray
     factor: CholeskyFactor
-    factorization_count: int = 0
-    cg_iteration_total: int = 0
 
 
-def refresh_cache(p: StandardLp, z, cache: PreconditionerCache | None = None) -> PreconditionerCache:
-    """(Re)factorize the normal matrix at z and verify the factor with one
+def refresh_cache(p: StandardLp, z) -> PreconditionerCache:
+    """Factorize the normal matrix at z and verify the factor with one
     random matvec probe against the matrix-free operator."""
     z = np.asarray(z, dtype=np.float64).copy()
     d = bound_scaling_diag(z, p.u)
@@ -106,12 +115,106 @@ def refresh_cache(p: StandardLp, z, cache: PreconditionerCache | None = None) ->
     # separates the two by many orders of magnitude
     if err > 1e-8:
         raise NumericalBreakdown(f"preconditioner probe failed (relative error {err:.2e})")
-    if cache is None:
-        return PreconditionerCache(z=z, factor=factor, factorization_count=1)
-    cache.z = z
-    cache.factor = factor
-    cache.factorization_count += 1
-    return cache
+    return PreconditionerCache(z=z, factor=factor)
+
+
+class NormalSolver:
+    """Solves the normal equations ``A D_w^2 A^T t = r`` of one primal
+    solve and owns its refresh policy.
+
+    In ``exact`` mode it factorizes ``A D_x^2 A^T`` every iteration.  In
+    the other modes it keeps a :class:`PreconditionerCache` and solves by
+    PCG preconditioned with the cached factor.  The cache is refreshed on
+    the distance trigger (Euclidean in ``frozen_precond``, thresholded in
+    ``delayed_scaling``) and once after a PCG miss.  ``factorizations``
+    and ``cg_iterations`` count all the work it did.
+    """
+
+    def __init__(self, p: StandardLp, cfg: PrimalConfig, cache: PreconditionerCache | None = None):
+        self.p = p
+        self.cfg = cfg
+        self.cache = cache
+        self.factor = None  # exact mode: the factor at the current iterate
+        self.factorizations = 0
+        self.cg_iterations = 0
+        self.converged = True  # every PCG run since the last reset converged
+        self._aat = None
+
+    def update(self, x) -> None:
+        """Factorize on schedule: every iteration in exact mode, else when
+        there is no cache yet or x has moved ``theta`` from its point."""
+        if self.cfg.mode == EXACT:
+            d = bound_scaling_diag(x, self.p.u)
+            self.factor = cholesky_factorize(form_normal_matrix(self.p.A, d))
+            self.factorizations += 1
+        elif self.cache is None or self._distance(x) >= self.cfg.theta:
+            self._refresh(x)
+
+    def _distance(self, x) -> float:
+        if self.cfg.mode == FROZEN_PRECOND:
+            return float(np.linalg.norm(x - self.cache.z))
+        return thresholded_distance(x, self.cache.z, x, self.cfg.nu)
+
+    def _refresh(self, x) -> None:
+        self.cache = refresh_cache(self.p, x)
+        self.factorizations += 1
+
+    def _cache_is_fresh(self, x) -> bool:
+        """A refresh can only help when the cache point has actually moved;
+        otherwise a PCG miss means the attainable residual floor was hit."""
+        return thresholded_distance(x, self.cache.z, x, self.cfg.nu) <= 0.1 * self.cfg.theta
+
+    def scaling_point(self, x) -> np.ndarray:
+        """x itself, or in delayed mode the delayed scaling point: cached
+        values on the large coordinates, current ones on the small."""
+        if self.cfg.mode == DELAYED_SCALING:
+            return delayed_scaling_point(x, self.cache.z, self.cfg.nu)
+        return x
+
+    def at(self, w) -> Callable[[np.ndarray], np.ndarray]:
+        """``rhs -> (A D_w^2 A^T)^{-1} rhs``: the exact factor's solve, or
+        PCG on the matrix-free operator preconditioned with the cache."""
+        if self.cfg.mode == EXACT:
+            return self.factor.solve
+        A = self.p.A
+        d = bound_scaling_diag(w, self.p.u)
+        d_sq = d * d
+
+        def apply_M(vec):
+            return A.matvec(d_sq * A.rmatvec(vec))
+
+        def solve(rhs):
+            outcome = pcg_solve(
+                apply_M, self.cache.factor, rhs, self.cfg.cg_tol, self.cfg.cg_max_iter
+            )
+            self.cg_iterations += outcome.iterations
+            self.converged = self.converged and outcome.converged
+            return outcome.solution
+
+        return solve
+
+    def direction(self, x, step, at_scaling_point: bool):
+        """Return ``step(w, self.at(w))`` with w the scaling point of x, or
+        x itself.  After a PCG miss the cache is refreshed at x and the
+        step recomputed, unless the cache is already fresh; right after a
+        refresh it is, so this retries at most once."""
+        while True:
+            self.converged = True
+            w = self.scaling_point(x) if at_scaling_point else x
+            out = step(w, self.at(w))
+            if self.converged or self._cache_is_fresh(x):
+                return out
+            self._refresh(x)
+
+    def repair(self, dx, r_p=None) -> np.ndarray:
+        """Feasibility repair of a step from an inexact solve, restoring
+        ``A dx = -r_p`` (0 when ``r_p`` is None); exact steps pass through."""
+        if self.cfg.mode == EXACT:
+            return dx
+        if self._aat is None:
+            self._aat = cholesky_factorize(form_normal_matrix(self.p.A, np.ones(self.p.ncols)))
+        zeta = None if r_p is None else self.p.A.matvec(dx) + r_p
+        return feasibility_repair(self.p, dx, zeta, aat_factor=self._aat)
 
 
 # ---------------------------------------------------------------------------
@@ -149,105 +252,45 @@ def feasibility_repair(p: StandardLp, dx_raw, zeta=None, aat_factor: CholeskyFac
     return dx_raw - p.A.rmatvec(aat_factor.solve(zeta))
 
 
-def primal_direction(
-    p: StandardLp,
-    x,
-    mu: float,
-    solver: Callable[[np.ndarray], np.ndarray],
-    aat_factor: CholeskyFactor = None,
-) -> np.ndarray:
-    """Projected Newton direction ``-D P_{AD}((1/mu) D c - D grad)``.
-
-    With an exact factor behind ``solver`` the result already satisfies
-    ``A dx = 0``; pass ``aat_factor`` when the solve is inexact so the
-    feasibility repair can restore it.
-    """
-    pr_delta, y, _ = proximity(p, x, mu, solver)
-    del pr_delta
-    x = np.asarray(x, dtype=np.float64)
-    d = bound_scaling_diag(x, p.u)
-    grad = 1.0 / x
-    if p.has_finite_bounds:
-        finite = np.isfinite(p.u)
-        grad[finite] -= 1.0 / (p.u[finite] - x[finite])
-    v = d * (p.c / mu - grad)
-    pvec = v - d * p.A.rmatvec(y / mu)
-    dx = -d * pvec
-    if aat_factor is not None:
-        dx = feasibility_repair(p, dx, aat_factor=aat_factor)
-    return dx
-
-
-@dataclass
-class SurrogateDirection:
+class Direction(NamedTuple):
     dx: np.ndarray
     y: np.ndarray
     s: np.ndarray
-    cg: CgOutcome
+    delta: float | None
 
 
-def surrogate_direction(
+def projected_direction(
     p: StandardLp,
-    x,
-    w,
+    x: np.ndarray,
+    w: np.ndarray,
     mu: float,
-    cache: PreconditionerCache,
-    cg_tol: float,
-    cg_max_iter: int = 200,
-    aat_factor: CholeskyFactor = None,
-    y_hint=None,
-) -> SurrogateDirection:
-    """Search direction evaluated at the delayed scaling point ``w``:
-    ``-D_w P_{A D_w} D_x^{-1} D_w v`` with the inner normal solve done by
-    PCG preconditioned with the cached factorization, followed by the
-    feasibility repair.
+    y: np.ndarray,
+    solve: Callable[[np.ndarray], np.ndarray],
+) -> Direction:
+    """Projected Newton direction at x with the normal matrix scaled at w:
+    ``-D_w P_{A D_w} D_x^{-1} D_w v`` with ``v = D_x ((c - A^T y)/mu - grad)``,
+    where ``solve`` applies the inverse of ``A D_w^2 A^T``.
 
-    When a dual estimate ``y_hint`` with small ``A^T y + s - c`` is
-    available, the ``(1/mu) A^T y`` part of ``v`` is split off and solved
-    for exactly, so the PCG right-hand side stays bounded as mu shrinks
-    (otherwise cancellation costs roughly ``log10(1/mu)`` digits).
-
-    Non-convergence of PCG raises an :class:`InexactDirectionWarning`
-    (carrying the achieved residual) but still returns the direction; the
-    caller decides whether to refresh the cache.
+    At ``w = x`` this is the projected Newton direction ``-D P_{AD} v``;
+    at the delayed scaling point it is the surrogate that keeps a cached
+    factorization useful.  With a dual estimate ``y`` whose ``A^T y + s - c``
+    is small, ``v`` stays bounded as mu shrinks (with ``c/mu`` instead,
+    cancellation costs roughly ``log10(1/mu)`` digits); ``y = 0`` gives
+    the plain direction.  The returned dual pair satisfies
+    ``A^T y + s = c`` exactly.  ``delta`` is the proximity ``||P_{AD} v||``
+    when ``w`` is ``x`` itself, else None.  The step is not repaired.
     """
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
+    at_x = w is x
     d_x = bound_scaling_diag(x, p.u)
-    d_w = bound_scaling_diag(w, p.u)
-    grad = 1.0 / x
-    if p.has_finite_bounds:
-        finite = np.isfinite(p.u)
-        grad[finite] -= 1.0 / (p.u[finite] - x[finite])
-    if y_hint is None:
-        v = d_x * (p.c / mu - grad)
-        y_base = np.zeros(p.nrows)
-    else:
-        v = d_x * ((p.c - p.A.rmatvec(y_hint)) / mu - grad)
-        y_base = np.asarray(y_hint, dtype=np.float64)
+    d_w = d_x if at_x else bound_scaling_diag(w, p.u)
+    v = d_x * ((p.c - p.A.rmatvec(y)) / mu - barrier_gradient(p, x))
     g = (d_w / d_x) * v
-    rhs = p.A.matvec(d_w * g)
-    dw_sq = d_w * d_w
-
-    def apply_Mw(vec):
-        return p.A.matvec(dw_sq * p.A.rmatvec(vec))
-
-    outcome = pcg_solve(apply_Mw, cache.factor, rhs, cg_tol, cg_max_iter)
-    cache.cg_iteration_total += outcome.iterations
-    if not outcome.converged:
-        warnings.warn(
-            InexactDirectionWarning(
-                f"surrogate PCG stopped at residual {outcome.relative_residual:.2e}",
-                residual=outcome.relative_residual,
-            ),
-            stacklevel=2,
-        )
-    t = outcome.solution
-    dx_raw = -d_w * g + dw_sq * p.A.rmatvec(t)
-    dx = feasibility_repair(p, dx_raw, aat_factor=aat_factor)
-    y = y_base + mu * t
-    s = p.c - p.A.rmatvec(y)
-    return SurrogateDirection(dx=dx, y=y, s=s, cg=outcome)
+    t = solve(p.A.matvec(d_w * g))
+    At = p.A.rmatvec(t)
+    dx = -d_w * g + (d_w * d_w) * At
+    delta = float(np.linalg.norm(g - d_w * At)) if at_x else None
+    y_new = y + mu * t
+    return Direction(dx, y_new, p.c - p.A.rmatvec(y_new), delta)
 
 
 def infeasible_primal_step(
@@ -283,22 +326,12 @@ def infeasible_primal_step(
 # ---------------------------------------------------------------------------
 
 
-def complementarity_mu(p: StandardLp, st: IterateState) -> float:
-    total = float(st.x @ st.s)
-    count = p.ncols
-    if st.w is not None and st.v is not None:
-        total += float(st.w @ st.v)
-        count += int(np.isfinite(p.u).sum())
-    return total / max(count, 1)
-
-
-def _split_composite_dual(p: StandardLp, x, s_composite, mu):
+def _split_composite_dual(p: StandardLp, x, s_composite):
     """Split c - A^T y into s >= 0 and an upper-bound multiplier v >= 0.
 
     The positive-part split is the gap-minimizing choice of v subject to
     both signs, and it converges to the exact active-bound multipliers
     (v = mu/(u-x) would keep oscillating with the barrier schedule)."""
-    del mu
     if not p.has_finite_bounds:
         return s_composite, None, None
     finite = np.isfinite(p.u)
@@ -323,34 +356,25 @@ def primal_solve(
     t_start = time.perf_counter()
     A = p.A
     n = p.ncols
+    finite = np.isfinite(p.u)
     tau = cfg.effective_tau(n)
     st = start.copy()
     if np.any(st.x <= 0.0):
         raise ValueError("starting point must satisfy x > 0")
-    if p.has_finite_bounds and np.any(st.x[np.isfinite(p.u)] >= p.u[np.isfinite(p.u)]):
+    if np.any(st.x[finite] >= p.u[finite]):
         raise ValueError("starting point must satisfy x < u")
 
-    mu = cfg.mu0 if cfg.mu0 is not None else complementarity_mu(p, st)
+    mu = cfg.mu0 if cfg.mu0 is not None else complementarity(p, st)
     if mu <= 0.0:
         mu = 1.0
     st.mu = mu
     if p.has_finite_bounds and st.w is None:
         # interpret the incoming reduced cost as composite and split it
-        st.s, st.v, st.w = _split_composite_dual(p, st.x, st.s, mu)
+        st.s, st.v, st.w = _split_composite_dual(p, st.x, st.s)
 
     norm_b = float(np.linalg.norm(p.b))
     norm_c = float(np.linalg.norm(p.c))
-    aat_factor_holder = {}
-
-    def get_aat() -> CholeskyFactor:
-        if "f" not in aat_factor_holder:
-            aat_factor_holder["f"] = cholesky_factorize(
-                form_normal_matrix(A, np.ones(n))
-            )
-        return aat_factor_holder["f"]
-
-    factorizations = 0
-    cg_total = 0
+    solver = NormalSolver(p, cfg, cache)
     iterations = 0
     status = SolveStatus.ITERATION_LIMIT
     message = ""
@@ -366,150 +390,66 @@ def primal_solve(
 
             t0 = time.perf_counter()
             x = st.x
-            d = bound_scaling_diag(x, p.u)
-            r_p, r_d, r_mu = residuals(p, st)
+            factorizations_before = solver.factorizations
+            cg_before = solver.cg_iterations
+            solver.update(x)
+            t_factor = time.perf_counter() - t0
+
+            t1 = time.perf_counter()
+            r_p, r_d, _ = residuals(p, st)
             feasible = (
                 np.linalg.norm(r_p) <= _FEASIBLE_PATH_TOL * (1.0 + norm_b)
                 and np.linalg.norm(r_d) <= _FEASIBLE_PATH_TOL * (1.0 + norm_c)
             )
-            cg_tol_k = cfg.cg_tol
-            if cfg.adaptive_cg_tol:
-                cg_tol_k = min(cfg.cg_tol, max(mu * 1e-2, 1e-14))
-
-            factorized = False
-            factor = None
-            if cfg.mode == EXACT:
-                factor = cholesky_factorize(form_normal_matrix(A, d))
-                factorizations += 1
-                factorized = True
-            else:
-                needs = cache is None
-                if not needs:
-                    if cfg.mode == FROZEN_PRECOND:
-                        needs = float(np.linalg.norm(x - cache.z)) >= cfg.theta
-                    else:
-                        needs = thresholded_distance(x, cache.z, x, cfg.nu) >= cfg.theta
-                if needs:
-                    cache = refresh_cache(p, x, cache)
-                    factorizations += 1
-                    factorized = True
-            t_factor = time.perf_counter() - t0
-
-            t1 = time.perf_counter()
-            d_sq = d * d
-
-            def apply_Md(vec, d_sq=d_sq):
-                return A.matvec(d_sq * A.rmatvec(vec))
-
-            cg_iters = 0
-            delta = None
             if feasible:
-                if cfg.mode == DELAYED_SCALING:
-                    w_point = delayed_scaling_point(x, cache.z, cfg.nu)
-                    res = _surrogate_with_refresh(
-                        p, x, w_point, mu, cache, cg_tol_k, cfg, get_aat(), st.y
-                    )
-                    if res.refreshed:
-                        factorizations += 1
-                        factorized = True
-                    cg_iters += res.direction.cg.iterations
-                    dx = res.direction.dx
-                    y_new = res.direction.y
-                    s_comp = res.direction.s
-                else:
-                    grad = 1.0 / x
-                    if p.has_finite_bounds:
-                        fin = np.isfinite(p.u)
-                        grad[fin] -= 1.0 / (p.u[fin] - x[fin])
-                    # r_d is at noise level here, so (c - A^T y)/mu stays
-                    # bounded while c/mu does not; solve for the correction
-                    # to y/mu to dodge the 1/mu cancellation
-                    s_est = p.c - A.rmatvec(st.y)
-                    v_vec = d * (s_est / mu - grad)
-                    rhs = A.matvec(d * v_vec)
-                    if cfg.mode == EXACT:
-                        t_sol = factor.solve(rhs)
-                    else:
-                        outcome = pcg_solve(
-                            apply_Md, cache.factor, rhs, cg_tol_k, cfg.cg_max_iter
-                        )
-                        cache.cg_iteration_total += outcome.iterations
-                        cg_iters += outcome.iterations
-                        if not outcome.converged and not _cache_is_fresh(p, cache, x, cfg):
-                            cache = refresh_cache(p, x, cache)
-                            factorizations += 1
-                            factorized = True
-                            outcome = pcg_solve(
-                                apply_Md, cache.factor, rhs, cg_tol_k, cfg.cg_max_iter
-                            )
-                            cg_iters += outcome.iterations
-                        t_sol = outcome.solution
-                    pvec = v_vec - d * A.rmatvec(t_sol)
-                    delta = float(np.linalg.norm(pvec))
-                    dx = -d * pvec
-                    if cfg.mode != EXACT:
-                        dx = feasibility_repair(p, dx, aat_factor=get_aat())
-                    y_new = st.y + mu * t_sol
-                    s_comp = p.c - A.rmatvec(y_new)
+                # r_d is at noise level here, so (c - A^T y)/mu stays
+                # bounded while c/mu does not
+                direction = solver.direction(
+                    x,
+                    lambda w, solve: projected_direction(p, x, w, mu, st.y, solve),
+                    at_scaling_point=True,
+                )
+                dx = solver.repair(direction.dx)
+                delta = direction.delta
                 alpha = ratio_test(x, dx, cfg.step_fraction, p.u)
                 st.x = x + alpha * dx
-                st.y = y_new
-                st.s, st.v, st.w = _split_composite_dual(p, st.x, s_comp, mu)
+                st.y = direction.y
+                st.s, st.v, st.w = _split_composite_dual(p, st.x, direction.s)
             else:
+                dx, dy, ds_comp = solver.direction(
+                    x,
+                    lambda w, solve: infeasible_primal_step(p, st, solve),
+                    at_scaling_point=False,
+                )
+                dx = solver.repair(dx, r_p)
+                delta = None
                 if cfg.mode == EXACT:
-                    solver = factor.solve
-                else:
-                    solver = _PcgSolver(
-                        apply_Md, cache, cg_tol_k, cfg.cg_max_iter
-                    )
-                dx, dy, ds_comp = infeasible_primal_step(p, st, solver)
-                if cfg.mode != EXACT:
-                    cg_iters += solver.last_iterations
-                    if not solver.last_converged and not _cache_is_fresh(p, cache, x, cfg):
-                        # refresh once; past that the achieved residual is
-                        # the attainable floor and the repair keeps the
-                        # step usable
-                        cache = refresh_cache(p, x, cache)
-                        factorizations += 1
-                        factorized = True
-                        dx, dy, ds_comp = infeasible_primal_step(p, st, solver)
-                        cg_iters += solver.last_iterations
-                    zeta = A.matvec(dx) + r_p
-                    dx = feasibility_repair(p, dx, zeta=zeta, aat_factor=get_aat())
-                if cfg.mode == EXACT:
-                    pr = proximity(p, x, mu, factor.solve, d=d)
-                    delta = pr.delta
+                    delta = proximity(p, x, mu, solver.factor.solve).delta
                 alpha = ratio_test(x, dx, cfg.step_fraction, p.u)
                 st.x = x + alpha * dx
                 st.y = st.y + alpha * dy
                 if p.has_finite_bounds:
-                    fin = np.isfinite(p.u)
-                    gap = np.where(fin, p.u - x, 1.0)
-                    r_v = (st.v if st.v is not None else np.zeros(n)) - np.where(
-                        fin, mu / gap, 0.0
-                    )
-                    dv = -r_v + np.where(fin, mu / (gap * gap), 0.0) * dx
-                    dv[~fin] = 0.0
-                    st.v = (st.v if st.v is not None else np.zeros(n)) + alpha * dv
+                    gap = np.where(finite, p.u - x, 1.0)
+                    v = st.v if st.v is not None else np.zeros(n)
+                    r_v = v - np.where(finite, mu / gap, 0.0)
+                    dv = -r_v + np.where(finite, mu / (gap * gap), 0.0) * dx
+                    dv[~finite] = 0.0
+                    st.v = v + alpha * dv
                     st.s = st.s + alpha * (ds_comp + dv)
-                    st.w = np.where(fin, p.u - st.x, 0.0)
+                    st.w = np.where(finite, p.u - st.x, 0.0)
                 else:
                     st.s = st.s + alpha * ds_comp
 
             if np.any(st.x <= 0.0):
                 raise NumericalBreakdown("iterate left the positive orthant")
-            if p.has_finite_bounds:
-                fin = np.isfinite(p.u)
-                if np.any(st.x[fin] >= p.u[fin]):
-                    raise NumericalBreakdown("iterate crossed an upper bound")
+            if np.any(st.x[finite] >= p.u[finite]):
+                raise NumericalBreakdown("iterate crossed an upper bound")
 
-            step = st.x - x
-            step_norm = float(np.linalg.norm(step))
+            step_norm = float(np.linalg.norm(st.x - x))
             thresh_step = thresholded_distance(st.x, x, st.x, 1.0)
             mu_used = mu
             mu = (1.0 - tau) * mu
             st.mu = mu
-            cg_total += cg_iters
             iterations = k
             t_solve = time.perf_counter() - t1
             if trace_log is not None:
@@ -525,8 +465,8 @@ def primal_solve(
                         thresholded_step=thresh_step,
                         delta=delta,
                         alpha=alpha,
-                        factorized=factorized,
-                        cg_iters=cg_iters,
+                        factorized=solver.factorizations > factorizations_before,
+                        cg_iters=solver.cg_iterations - cg_before,
                         wall_factor_ms=t_factor * 1e3,
                         wall_solve_ms=t_solve * 1e3,
                         wall_other_ms=0.0,
@@ -557,64 +497,11 @@ def primal_solve(
         e_d=e_d,
         e_g=e_g,
         iterations=iterations,
-        factorizations=factorizations,
-        cg_iterations=cg_total,
+        factorizations=solver.factorizations,
+        cg_iterations=solver.cg_iterations,
         trace=list(trace_log) if trace_log is not None else [],
         wall_s=time.perf_counter() - t_start,
         mu=st.mu,
         iterates=iterates,
         message=message,
     )
-
-
-@dataclass
-class _SurrogateOutcome:
-    direction: SurrogateDirection
-    refreshed: bool
-
-
-def _cache_is_fresh(p, cache, x, cfg) -> bool:
-    """A refresh can only help when the cache point has actually moved;
-    otherwise a PCG miss means the attainable residual floor was hit."""
-    return thresholded_distance(x, cache.z, x, cfg.nu) <= 0.1 * cfg.theta
-
-
-def _surrogate_with_refresh(p, x, w_point, mu, cache, cg_tol, cfg, aat_factor, y_hint):
-    """Delayed-scaling direction; on PCG non-convergence refresh the cache
-    at the current point (the delayed point collapses to x) and retry."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", InexactDirectionWarning)
-        res = surrogate_direction(
-            p, x, w_point, mu, cache, cg_tol, cfg.cg_max_iter, aat_factor, y_hint
-        )
-    if res.cg.converged or _cache_is_fresh(p, cache, x, cfg):
-        return _SurrogateOutcome(res, False)
-    refresh_cache(p, x, cache)
-    with warnings.catch_warnings():
-        # after a fresh factorization the achieved residual is the
-        # attainable floor; accept the direction, the repair keeps it safe
-        warnings.simplefilter("ignore", InexactDirectionWarning)
-        res = surrogate_direction(
-            p, x, x.copy(), mu, cache, cg_tol, cfg.cg_max_iter, aat_factor, y_hint
-        )
-    return _SurrogateOutcome(res, True)
-
-
-class _PcgSolver:
-    """Callable normal-equation solver backed by PCG; remembers the
-    iteration count and convergence of the last solve."""
-
-    def __init__(self, apply_M, cache, tol, max_iter):
-        self.apply_M = apply_M
-        self.cache = cache
-        self.tol = tol
-        self.max_iter = max_iter
-        self.last_iterations = 0
-        self.last_converged = True
-
-    def __call__(self, rhs):
-        outcome = pcg_solve(self.apply_M, self.cache.factor, rhs, self.tol, self.max_iter)
-        self.cache.cg_iteration_total += outcome.iterations
-        self.last_iterations = outcome.iterations
-        self.last_converged = outcome.converged
-        return outcome.solution

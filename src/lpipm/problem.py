@@ -384,16 +384,34 @@ def residuals(p: StandardLp, st: IterateState):
     x = np.asarray(st.x, dtype=np.float64)
     r_p = p.A.matvec(x) - p.b
     r_d = p.A.rmatvec(st.y) + st.s - p.c
-    grad = 1.0 / x
-    if p.has_finite_bounds:
-        if st.v is not None:
-            r_d = r_d - st.v
-        finite = np.isfinite(p.u)
-        grad[finite] -= 1.0 / (p.u[finite] - x[finite])
-    r_mu = st.s - st.mu * grad
+    if p.has_finite_bounds and st.v is not None:
+        r_d = r_d - st.v
+    r_mu = st.s - st.mu * barrier_gradient(p, x)
     if st.v is not None:
         r_mu = r_mu - st.v
     return r_p, r_d, r_mu
+
+
+def barrier_gradient(p: StandardLp, x: np.ndarray) -> np.ndarray:
+    """Gradient of the negated log barrier divided by mu: X^{-1}e, with
+    the upper-bound term subtracted on bounded variables."""
+    grad = 1.0 / x
+    if p.has_finite_bounds:
+        finite = np.isfinite(p.u)
+        grad[finite] -= 1.0 / (p.u[finite] - x[finite])
+    return grad
+
+
+def complementarity(p: StandardLp, st: IterateState) -> float:
+    """Average complementarity ``(<x, s> + <w, v>) / (n + #bounded)``;
+    the bound pair enters only on the coordinates with finite u."""
+    total = float(st.x @ st.s)
+    count = p.ncols
+    if st.w is not None:
+        finite = np.isfinite(p.u)
+        total += float(st.w[finite] @ st.v[finite])
+        count += int(finite.sum())
+    return total / max(count, 1)
 
 
 def dual_objective(p: StandardLp, st: IterateState) -> float:

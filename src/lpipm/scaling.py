@@ -2,62 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import InteriorityViolation
-from .problem import StandardLp
-
-PRIMAL = "primal"
-BOUNDED_PRIMAL = "bounded-primal"
-PRIMAL_DUAL = "primal-dual"
-
-
-@dataclass(frozen=True)
-class ScalingVector:
-    """Diagonal of a scaling matrix, tagged by which linearization of the
-    complementarity condition produced it."""
-
-    d: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        d = np.ascontiguousarray(self.d, dtype=np.float64)
-        if np.any(d <= 0.0) or not np.all(np.isfinite(d)):
-            raise InteriorityViolation("scaling entries must be positive and finite")
-        d.flags.writeable = False
-        object.__setattr__(self, "d", d)
-
-    @staticmethod
-    def primal(x) -> "ScalingVector":
-        return ScalingVector(np.asarray(x, dtype=np.float64).copy(), PRIMAL)
-
-    @staticmethod
-    def bounded_primal(x, u) -> "ScalingVector":
-        return ScalingVector(bound_scaling_diag(x, u), BOUNDED_PRIMAL)
-
-    @staticmethod
-    def primal_dual(x, s) -> "ScalingVector":
-        x = np.asarray(x, dtype=np.float64)
-        s = np.asarray(s, dtype=np.float64)
-        return ScalingVector(np.sqrt(x / s), PRIMAL_DUAL)
-
-
-@dataclass(frozen=True)
-class PartitionLS:
-    """Index partition of {0..n-1} into large (x_j >= nu) and small."""
-
-    large: np.ndarray
-    small: np.ndarray
-    nu: float
-
-    @staticmethod
-    def from_point(x, nu) -> "PartitionLS":
-        x = np.asarray(x, dtype=np.float64)
-        mask = x >= nu
-        return PartitionLS(np.flatnonzero(mask), np.flatnonzero(~mask), float(nu))
+from .problem import StandardLp, barrier_gradient
 
 
 class Proximity(NamedTuple):
@@ -88,23 +38,13 @@ def proximity(
         raise InteriorityViolation("proximity needs x > 0")
     if d is None:
         d = bound_scaling_diag(x, p.u)
-    grad = _barrier_gradient(p, x)
+    grad = barrier_gradient(p, x)
     v = d * (p.c / mu - grad)
     t = solver(p.A.matvec(d * v))
     pvec = v - d * p.A.rmatvec(t)
     y = mu * t
     s = p.c - p.A.rmatvec(y)
     return Proximity(float(np.linalg.norm(pvec)), y, s)
-
-
-def _barrier_gradient(p: StandardLp, x: np.ndarray) -> np.ndarray:
-    """Gradient of the negated log barrier divided by mu: X^{-1}e, with
-    the upper-bound term subtracted on bounded variables."""
-    grad = 1.0 / x
-    if p.has_finite_bounds:
-        finite = np.isfinite(p.u)
-        grad[finite] -= 1.0 / (p.u[finite] - x[finite])
-    return grad
 
 
 def thresholded_distance(y, z, x, nu: float) -> float:

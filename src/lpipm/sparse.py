@@ -125,13 +125,6 @@ class SparseMatrix:
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix.from_scipy(self._csc.T)
 
-    def scale_columns(self, d) -> "SparseMatrix":
-        d = np.asarray(d, dtype=np.float64)
-        if d.shape != (self.ncols,):
-            raise ValueError("column scaling length mismatch")
-        scaled = self._csc.multiply(d[np.newaxis, :]).tocsc()
-        return SparseMatrix.from_scipy(scaled)
-
 
 def form_normal_matrix(A: SparseMatrix, d, shift=None) -> SparseMatrix:
     """Assemble ``A @ diag(d**2) @ A.T`` plus an optional diagonal shift.

@@ -6,7 +6,6 @@ from lpipm import (
     FactorizationFailed,
     SparseMatrix,
     cholesky_factorize,
-    factor_solve,
     form_normal_matrix,
     minimum_degree_ordering,
 )
@@ -35,7 +34,7 @@ class TestFactorize:
         M = SparseMatrix.from_dense([[1.0, 1.0], [1.0, 1.0]])
         f = cholesky_factorize(M)
         assert f.diag_regularization > 0.0
-        v = factor_solve(f, np.array([1.0, 1.0]))
+        v = f.solve(np.array([1.0, 1.0]))
         assert np.all(np.isfinite(v))
         perm = f.permutation
         Mp = M.to_dense()[np.ix_(perm, perm)]
@@ -80,20 +79,20 @@ class TestFactorize:
 class TestFactorSolve:
     def test_identity_solve(self):
         f = cholesky_factorize(SparseMatrix.identity(3))
-        assert_array_equal(factor_solve(f, np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
+        assert_array_equal(f.solve(np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
 
     def test_two_by_two_solve(self):
         f = cholesky_factorize(SparseMatrix.from_dense([[4.0, 2.0], [2.0, 3.0]]))
-        assert_allclose(factor_solve(f, np.array([6.0, 5.0])), [1.0, 1.0], rtol=1e-14)
+        assert_allclose(f.solve(np.array([6.0, 5.0])), [1.0, 1.0], rtol=1e-14)
 
     def test_zero_rhs(self):
         f = cholesky_factorize(SparseMatrix.from_dense([[2.0]]))
-        assert_array_equal(factor_solve(f, np.array([0.0])), [0.0])
+        assert_array_equal(f.solve(np.array([0.0])), [0.0])
 
     def test_dimension_mismatch(self):
         f = cholesky_factorize(SparseMatrix.identity(3))
         with pytest.raises(ValueError):
-            factor_solve(f, np.ones(4))
+            f.solve(np.ones(4))
 
     def test_solve_identity_map_well_conditioned(self):
         rng = np.random.default_rng(5)
@@ -104,7 +103,7 @@ class TestFactorSolve:
             f = cholesky_factorize(M)
             v = rng.standard_normal(8)
             rhs = M.to_dense() @ v
-            assert_allclose(factor_solve(f, rhs), v, rtol=1e-10, atol=1e-12)
+            assert_allclose(f.solve(rhs), v, rtol=1e-10, atol=1e-12)
 
 
 class TestOrdering:

@@ -149,19 +149,33 @@ class TestHybridSolve:
         real_primal = hy.primal_solve
 
         def failing_primal(p, cfg, start, **kw):
+            # the primal phase runs for real and keeps its counts
             res = real_primal(p, cfg, start, **kw)
             res.status = SolveStatus.NUMERICAL_FAILURE
-            res.iterations = 0
             return res
 
         monkeypatch.setattr(hy, "primal_solve", failing_primal)
+        trace = TraceLog()
         res = hy.hybrid_solve(
             std, PdConfig(), PrimalConfig(tau=0.28, cg_tol=1e-12),
-            SwitchPolicy(), time_ratio_override=100.0,
+            SwitchPolicy(), trace_log=trace, time_ratio_override=100.0,
         )
-        assert res.phase_stats["fallback"] is True
+        stats = res.phase_stats
+        assert stats["fallback"] is True
         assert res.status == SolveStatus.OPTIMAL  # pd finishes the job
         assert res.max_metric <= 1e-10
+        primal_rows = [r for r in trace if r.phase == "primal"]
+        resumed_rows = [r for r in trace if r.iter > primal_rows[-1].iter]
+        assert len(primal_rows) == stats["primal_iterations"] > 0
+        assert res.iterations == len(trace)
+        # seed factorization + flagged refreshes, without the resumed pd
+        assert stats["primal_factorizations"] == 1 + sum(r.factorized for r in primal_rows)
+        resumed_factorizations = sum(r.factorized for r in resumed_rows)
+        assert resumed_factorizations == len(resumed_rows) > 0
+        assert res.factorizations == (
+            stats["pd_factorizations"] + stats["primal_factorizations"]
+            + resumed_factorizations
+        )
 
     def test_exit_code_mapping(self):
         from lpipm.results import SolveResult

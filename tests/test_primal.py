@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,8 +6,8 @@ from lpipm import (
     DELAYED_SCALING,
     EXACT,
     FROZEN_PRECOND,
-    InexactDirectionWarning,
     IterateState,
+    NormalSolver,
     PrimalConfig,
     SolveStatus,
     TraceLog,
@@ -18,12 +16,11 @@ from lpipm import (
     form_normal_matrix,
     infeasible_primal_step,
     pd_starting_point,
-    primal_direction,
     primal_solve,
+    projected_direction,
     proximity,
     ratio_test,
     refresh_cache,
-    surrogate_direction,
     thresholded_distance,
 )
 from conftest import (
@@ -40,24 +37,41 @@ def _exact_solver(p, x):
     return cholesky_factorize(form_normal_matrix(p.A, x)).solve
 
 
+def direction_at_x(p, x, mu, solve):
+    """Projected Newton direction scaled at x itself, without a dual
+    estimate: ``-D P_{AD}((1/mu) D c - D grad)``."""
+    return projected_direction(p, x, x, mu, np.zeros(p.nrows), solve)
+
+
+def pcg_direction(p, x, w, mu, cache, cg_tol, cg_max_iter=200):
+    """Direction scaled at w through the engine's PCG solver on the
+    given cache, repaired as the engine repairs it; returns the step and
+    the solver (for its convergence flag and counts)."""
+    cfg = PrimalConfig(mode=DELAYED_SCALING, cg_tol=cg_tol, cg_max_iter=cg_max_iter)
+    solver = NormalSolver(p, cfg, cache)
+    d = projected_direction(p, x, w, mu, np.zeros(p.nrows), solver.at(w))
+    return solver.repair(d.dx), solver
+
+
 class TestPrimalDirection:
     def test_zero_on_central_path(self, tiny_lp):
         mu = 1.0
         x1 = tiny_central_x1(mu)
         x = np.array([x1, 2 - x1])
-        dx = primal_direction(tiny_lp, x, mu, _exact_solver(tiny_lp, x))
-        assert np.linalg.norm(dx) <= 1e-9
+        d = direction_at_x(tiny_lp, x, mu, _exact_solver(tiny_lp, x))
+        assert np.linalg.norm(d.dx) <= 1e-9
+        assert d.delta <= 1e-9
 
     def test_hand_value(self, tiny_lp):
         x = np.array([1.0, 1.0])
-        dx = primal_direction(tiny_lp, x, 1.0, _exact_solver(tiny_lp, x))
-        assert_allclose(dx, [-0.5, 0.5], rtol=1e-12)
+        d = direction_at_x(tiny_lp, x, 1.0, _exact_solver(tiny_lp, x))
+        assert_allclose(d.dx, [-0.5, 0.5], rtol=1e-12)
 
     def test_joint_scaling_invariance(self, tiny_lp):
         x = np.array([1.3, 0.7])
-        dx1 = primal_direction(tiny_lp, x, 1.0, _exact_solver(tiny_lp, x))
+        dx1 = direction_at_x(tiny_lp, x, 1.0, _exact_solver(tiny_lp, x)).dx
         p2 = standard_lp_from_dense([[1.0, 1.0]], [2.0], 2.0 * tiny_lp.c)
-        dx2 = primal_direction(p2, x, 2.0, _exact_solver(p2, x))
+        dx2 = direction_at_x(p2, x, 2.0, _exact_solver(p2, x)).dx
         assert_allclose(dx1, dx2, rtol=1e-12)
 
     def test_matches_dense_oracle(self):
@@ -68,9 +82,20 @@ class TestPrimalDirection:
             p = standard_lp_from_dense(A, rng.standard_normal(m), rng.standard_normal(n))
             x = rng.uniform(0.2, 3.0, n)
             mu = rng.uniform(0.2, 2.0)
-            dx = primal_direction(p, x, mu, _exact_solver(p, x))
+            d = direction_at_x(p, x, mu, _exact_solver(p, x))
             ref = dense_primal_direction(A, x, p.c, mu)
-            assert np.linalg.norm(dx - ref) <= 1e-9 * (1.0 + np.linalg.norm(ref))
+            assert np.linalg.norm(d.dx - ref) <= 1e-9 * (1.0 + np.linalg.norm(ref))
+            assert d.delta == proximity(p, x, mu, _exact_solver(p, x)).delta
+
+    def test_dual_estimate_leaves_direction_unchanged(self):
+        # y only moves the split between the rhs and the solve
+        rng = np.random.default_rng(29)
+        p, st = feasible_instance(rng, 5, 12)
+        plain = direction_at_x(p, st.x, 0.3, _exact_solver(p, st.x))
+        hinted = projected_direction(p, st.x, st.x, 0.3, st.y, _exact_solver(p, st.x))
+        assert_allclose(hinted.dx, plain.dx, rtol=1e-9, atol=1e-12)
+        assert_allclose(hinted.y, plain.y, rtol=1e-9, atol=1e-12)
+        assert_allclose(p.A.rmatvec(hinted.y) + hinted.s, p.c, rtol=1e-12, atol=1e-12)
 
 
 class TestFeasibilityRepair:
@@ -118,7 +143,7 @@ class TestInfeasibleStep:
         p, st = feasible_instance(rng, 3, 6)
         st.mu = 0.6
         dx_inf, _, _ = infeasible_primal_step(p, st, _exact_solver(p, st.x))
-        dx_dir = primal_direction(p, st.x, 0.6, _exact_solver(p, st.x))
+        dx_dir = direction_at_x(p, st.x, 0.6, _exact_solver(p, st.x)).dx
         assert np.linalg.norm(dx_inf - dx_dir) <= 1e-9 * (1 + np.linalg.norm(dx_dir))
 
     def test_two_variable_dense_kkt_oracle(self, tiny_lp):
@@ -211,35 +236,26 @@ class TestSurrogateDirection:
         p, st = feasible_instance(rng, 4, 9)
         mu = 0.4
         cache = refresh_cache(p, st.x)
-        res = surrogate_direction(p, st.x, st.x.copy(), mu, cache, 1e-13)
-        ref = primal_direction(p, st.x, mu, _exact_solver(p, st.x))
-        assert np.linalg.norm(res.dx - ref) <= 1e-9 * (1 + np.linalg.norm(ref))
+        dx, _ = pcg_direction(p, st.x, st.x.copy(), mu, cache, 1e-13)
+        ref = direction_at_x(p, st.x, mu, _exact_solver(p, st.x)).dx
+        assert np.linalg.norm(dx - ref) <= 1e-9 * (1 + np.linalg.norm(ref))
 
     def test_zero_at_central_point(self, tiny_lp):
         mu = 0.7
         x1 = tiny_central_x1(mu)
         x = np.array([x1, 2 - x1])
         cache = refresh_cache(tiny_lp, x)
-        res = surrogate_direction(tiny_lp, x, x.copy(), mu, cache, 1e-13)
-        assert np.linalg.norm(res.dx) <= 1e-9
-
-    def test_nonconvergence_warns_with_residual(self):
-        rng = np.random.default_rng(37)
-        p, st = feasible_instance(rng, 6, 14)
-        cache = refresh_cache(p, st.x)
-        far = st.x * rng.uniform(5.0, 50.0, 14)  # terrible preconditioner
-        with pytest.warns(InexactDirectionWarning) as rec:
-            surrogate_direction(p, far, far.copy(), 0.5, cache, 1e-15, cg_max_iter=1)
-        assert rec[0].message.residual is not None
+        dx, _ = pcg_direction(tiny_lp, x, x.copy(), mu, cache, 1e-13)
+        assert np.linalg.norm(dx) <= 1e-9
 
     def test_feasibility_repaired(self):
         rng = np.random.default_rng(38)
         p, st = feasible_instance(rng, 5, 12)
         cache = refresh_cache(p, st.x)
         w = st.x * rng.uniform(0.95, 1.05, 12)
-        res = surrogate_direction(p, st.x, w, 0.5, cache, 1e-4)
+        dx, _ = pcg_direction(p, st.x, w, 0.5, cache, 1e-4)
         tol = 1e-10 * (1.0 + np.abs(p.b).max())
-        assert np.linalg.norm(p.A.matvec(res.dx)) <= tol
+        assert np.linalg.norm(p.A.matvec(dx)) <= tol
 
     def test_mixed_magnitude_geometry_converges_fast(self):
         # delayed point on the mixed-magnitude pair keeps the cached
@@ -252,9 +268,69 @@ class TestSurrogateDirection:
         w = delayed_scaling_point(x, z, 1.0)
         assert np.array_equal(w, [1e10, 1e-10])
         cache = refresh_cache(p, z)
-        res = surrogate_direction(p, x, w, 1.0, cache, 1e-12, cg_max_iter=40)
-        assert res.cg.converged
-        assert res.cg.iterations <= 40
+        _, solver = pcg_direction(p, x, w, 1.0, cache, 1e-12, cg_max_iter=40)
+        assert solver.converged
+        assert solver.cg_iterations <= 40
+
+
+class TestNormalSolver:
+    def test_miss_refreshes_once_and_counts_both_runs(self, monkeypatch):
+        import lpipm.primal as primal
+
+        runs = []
+        real_pcg = primal.pcg_solve
+
+        def counting_pcg(*args, **kwargs):
+            out = real_pcg(*args, **kwargs)
+            runs.append(out)
+            return out
+
+        monkeypatch.setattr(primal, "pcg_solve", counting_pcg)
+        rng = np.random.default_rng(37)
+        p, st = feasible_instance(rng, 6, 14)
+        far = st.x * rng.uniform(5.0, 50.0, 14)  # terrible preconditioner
+        for mode in (FROZEN_PRECOND, DELAYED_SCALING):
+            runs.clear()
+            # nu above every coordinate: the delayed point is far itself
+            cfg = PrimalConfig(mode=mode, nu=1e3, cg_tol=1e-15, cg_max_iter=1)
+            solver = NormalSolver(p, cfg, refresh_cache(p, st.x))
+            solver.direction(
+                far,
+                lambda w, solve: projected_direction(p, far, w, 0.5, st.y, solve),
+                at_scaling_point=True,
+            )
+            assert not runs[0].converged
+            assert len(runs) == 2  # one refresh, one retry, then accepted
+            assert solver.factorizations == 1
+            assert np.array_equal(solver.cache.z, far)
+            assert solver.cg_iterations == sum(r.iterations for r in runs)
+
+    @pytest.mark.parametrize("mode", [EXACT, FROZEN_PRECOND, DELAYED_SCALING])
+    @pytest.mark.parametrize("pd_start", [False, True], ids=["feasible", "pd_start"])
+    def test_reported_counts_match_observed_work(self, monkeypatch, mode, pd_start):
+        import lpipm.primal as primal
+
+        observed = []
+        real_pcg = primal.pcg_solve
+
+        def counting_pcg(*args, **kwargs):
+            out = real_pcg(*args, **kwargs)
+            observed.append(out.iterations)
+            return out
+
+        monkeypatch.setattr(primal, "pcg_solve", counting_pcg)
+        p, start = feasible_instance(np.random.default_rng(1), 40, 90)
+        if pd_start:
+            start = pd_starting_point(p)
+        # a tolerance at the attainable floor makes PCG miss and refresh
+        cfg = PrimalConfig(tau=0.28, mode=mode, cg_tol=1e-14, cg_max_iter=30)
+        trace = TraceLog()
+        res = primal_solve(p, cfg, start, trace_log=trace)
+        assert res.status == SolveStatus.OPTIMAL
+        assert sum(observed) == res.cg_iterations == sum(r.cg_iters for r in trace)
+        assert sum(r.factorized for r in trace) == res.factorizations
+        if mode != EXACT:
+            assert len(observed) > res.iterations  # some iteration retried
 
 
 def _delayed_bound_setup(rng, m, n):
@@ -295,11 +371,11 @@ class TestDelayedScalingBound:
 
             w = delayed_scaling_point(x, z, 1.0)
             cache = refresh_cache(p, z)
-            res = surrogate_direction(p, x, w, mu, cache, 1e-13, cg_max_iter=500)
-            assert res.cg.converged
+            dx, solver = pcg_direction(p, x, w, mu, cache, 1e-13, cg_max_iter=500)
+            assert solver.converged
             delta = proximity(p, x, mu, _exact_solver(p, x)).delta
             ref = dense_primal_direction(p.A.to_dense(), x, p.c, mu)
-            err = np.linalg.norm((res.dx - ref) / x)
+            err = np.linalg.norm((dx - ref) / x)
             assert err <= 6.0 * delta * dist + 1e-9
 
 

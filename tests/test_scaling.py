@@ -5,8 +5,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from lpipm import (
     InteriorityViolation,
-    PartitionLS,
-    ScalingVector,
     SparseMatrix,
     bound_scaling_diag,
     cholesky_factorize,
@@ -167,23 +165,6 @@ class TestBoundScalingDiag:
             bound_scaling_diag(np.array([-1.0]), np.array([2.0]))
         with pytest.raises(InteriorityViolation):
             bound_scaling_diag(np.array([2.0]), np.array([2.0]))
-
-
-class TestTypes:
-    def test_scaling_vector_kinds(self):
-        x = np.array([1.0, 4.0])
-        s = np.array([4.0, 1.0])
-        assert_array_equal(ScalingVector.primal(x).d, x)
-        assert_allclose(ScalingVector.primal_dual(x, s).d, [0.5, 2.0])
-        sv = ScalingVector.bounded_primal(x, np.array([np.inf, 8.0]))
-        assert sv.kind == "bounded-primal"
-        with pytest.raises(InteriorityViolation):
-            ScalingVector(np.array([1.0, 0.0]), "primal")
-
-    def test_partition(self):
-        part = PartitionLS.from_point(np.array([2.0, 0.5, 1.0]), 1.0)
-        assert_array_equal(part.large, [0, 2])
-        assert_array_equal(part.small, [1])
 
 
 class TestShiftedScalingLemma:
