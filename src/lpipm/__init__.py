@@ -58,7 +58,7 @@ from .scaling import (
     proximity,
     thresholded_distance,
 )
-from .sparse import SparseMatrix, form_normal_matrix
+from .sparse import NormalMatrix, SparseMatrix, form_normal_matrix
 from .spectra import SpectraRow, probe_spectra, spectra_csv
 from .trace import (
     TraceLog,

@@ -9,7 +9,7 @@ import scipy.linalg as sla
 
 from .cholesky import CholeskyFactor
 from .errors import NumericalBreakdown
-from .sparse import SparseMatrix
+from .sparse import NormalMatrix, SparseMatrix
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def pcg_solve(apply_M, precond: CholeskyFactor, rhs, rel_tol, max_iter) -> CgOut
 
 
 def generalized_condition_probe(
-    M1: SparseMatrix, M2_factor: CholeskyFactor, iters: int = 30
+    M1: NormalMatrix | SparseMatrix, M2_factor: CholeskyFactor, iters: int = 30
 ) -> float:
     """Estimate the generalized condition number kappa(M2^{-1/2} M1 M2^{-1/2}).
 

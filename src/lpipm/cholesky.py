@@ -1,19 +1,23 @@
-"""Sparse Cholesky factorization with a cached fill-reducing ordering.
+"""Dense LAPACK Cholesky factorization of the normal matrices.
 
-IPM normal matrices share one sparsity pattern across iterations, so the
-minimum-degree ordering is computed once per pattern and memoized.  The
-numeric factorization runs on the permuted matrix and the factor is
-stored both as a canonical sparse lower triangle and as a dense array
-used by the triangular solves.
+:func:`cholesky_factorize` factors ``M + sigma I = L L^T`` in the natural
+order of ``M`` with LAPACK, escalating the diagonal shift ``sigma`` when
+``M`` is not numerically positive definite.  The factor is dense, so a
+fill-reducing ordering cannot lower its flops and none is applied; the
+solves are plain triangular solves with ``L``.
+
+:func:`minimum_degree_ordering` computes a symmetric minimum-degree
+ordering of a sparse pattern.  The factorization does not use it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.blas import dtrsv
 
 from .errors import FactorizationFailed
-from .sparse import SparseMatrix
+from .sparse import NormalMatrix, SparseMatrix
 
 _REG_BASE_SCALE = 1e-12
 _MAX_REG_RETRIES = 10
@@ -28,6 +32,7 @@ def minimum_degree_ordering(M: SparseMatrix) -> np.ndarray:
     Ties break toward the lowest index so the ordering is deterministic.
     Once the remaining elimination graph is complete the order of the
     surviving nodes is irrelevant and they are appended in index order.
+    The result is memoized per pattern.
     """
     n = M.nrows
     key = (n, M.col_ptr.tobytes(), M.row_idx.tobytes())
@@ -76,99 +81,68 @@ def minimum_degree_ordering(M: SparseMatrix) -> np.ndarray:
 
 
 class CholeskyFactor:
-    """Factor ``P M P^T + sigma*I = L L^T`` with P the row permutation
-    ``(Pv)_i = v[permutation[i]]``.
+    """Factor ``M + sigma*I = L L^T`` with ``L`` dense, lower triangular
+    and read-only, and ``sigma`` the applied ``diag_regularization``.
 
-    The sparse view of L is materialized lazily; the triangular solves
-    run on the dense factor.
+    ``L`` is LAPACK's column-major output, which the BLAS triangular
+    solves read in place.
     """
 
-    __slots__ = ("permutation", "diag_regularization", "_dense_L",
-                 "_inverse_perm", "_sparse_L")
+    __slots__ = ("L", "diag_regularization")
 
-    def __init__(self, permutation, diag_regularization, dense_L, inverse_perm):
-        self.permutation = permutation
+    def __init__(self, L: np.ndarray, diag_regularization: float):
+        self.L = L
         self.diag_regularization = diag_regularization
-        self._dense_L = dense_L
-        self._inverse_perm = inverse_perm
-        self._sparse_L = None
-
-    @property
-    def L(self) -> SparseMatrix:
-        if self._sparse_L is None:
-            self._sparse_L = SparseMatrix.from_dense(self._dense_L)
-        return self._sparse_L
 
     @property
     def dimension(self) -> int:
-        return self._dense_L.shape[0]
+        return self.L.shape[0]
 
     def solve(self, rhs) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=np.float64)
         if rhs.shape != (self.dimension,):
             raise ValueError(f"rhs has length {rhs.size}, expected {self.dimension}")
-        y = rhs[self.permutation]
-        z = sla.solve_triangular(self._dense_L, y, lower=True, check_finite=False)
-        w = sla.solve_triangular(self._dense_L.T, z, lower=False, check_finite=False)
-        return w[self._inverse_perm]
+        z = dtrsv(self.L, rhs, lower=1)
+        return dtrsv(self.L, z, overwrite_x=1, lower=1, trans=1)
 
     def half_solve(self, rhs) -> np.ndarray:
-        """Solve ``L z = P rhs`` (used to symmetrize preconditioned operators)."""
-        rhs = np.asarray(rhs, dtype=np.float64)
-        return sla.solve_triangular(
-            self._dense_L, rhs[self.permutation], lower=True, check_finite=False
-        )
+        """Solve ``L z = rhs`` (used to symmetrize preconditioned operators)."""
+        return dtrsv(self.L, np.asarray(rhs, dtype=np.float64), lower=1)
 
     def half_solve_transpose(self, rhs) -> np.ndarray:
-        """Solve ``L^T w = rhs`` and undo the permutation."""
-        w = sla.solve_triangular(
-            self._dense_L.T, np.asarray(rhs, dtype=np.float64),
-            lower=False, check_finite=False,
-        )
-        return w[self._inverse_perm]
+        """Solve ``L^T w = rhs``."""
+        return dtrsv(self.L, np.asarray(rhs, dtype=np.float64), lower=1, trans=1)
 
 
-def cholesky_factorize(M: SparseMatrix, min_pivot: float = 0.0) -> CholeskyFactor:
+def cholesky_factorize(M: NormalMatrix | SparseMatrix) -> CholeskyFactor:
     """Factorize a symmetric matrix, escalating a diagonal shift on failure.
 
-    The first attempt uses sigma = 0.  If a pivot falls below
-    ``min_pivot`` (or the matrix is not positive definite) sigma starts
-    at ``1e-12 * max|M_ii|`` and grows by a decade per retry, up to 10
-    retries; the applied sigma is recorded on the factor.
+    The first attempt uses sigma = 0.  If the matrix is not numerically
+    positive definite, sigma starts at ``1e-12 * max|M_ii|`` and grows
+    by a decade per retry, up to 10 retries; the applied sigma is
+    recorded on the factor.  A :class:`NormalMatrix` is symmetric by
+    construction; any other input is checked for symmetry first.
     """
     if M.nrows != M.ncols:
         raise ValueError("matrix must be square")
-    perm = minimum_degree_ordering(M)
     dense = M.to_dense()
-    sym_err = np.abs(dense - dense.T).max() if dense.size else 0.0
-    scale = np.abs(dense).max() if dense.size else 0.0
-    if sym_err > 1e-12 * max(scale, 1.0):
-        raise ValueError("matrix is not symmetric")
-    permuted = dense[np.ix_(perm, perm)]
+    if not isinstance(M, NormalMatrix) and dense.size:
+        sym_err = np.abs(dense - dense.T).max()
+        if sym_err > 1e-12 * max(np.abs(dense).max(), 1.0):
+            raise ValueError("matrix is not symmetric")
 
     diag = np.abs(np.diagonal(dense))
     base = _REG_BASE_SCALE * (diag.max() if diag.size and diag.max() > 0 else 1.0)
     sigma = 0.0
-    for attempt in range(_MAX_REG_RETRIES + 1):
+    for _ in range(_MAX_REG_RETRIES + 1):
+        shifted = dense if sigma == 0.0 else dense + sigma * np.eye(M.nrows)
         try:
-            L = np.linalg.cholesky(
-                permuted if sigma == 0.0 else permuted + sigma * np.eye(M.nrows)
-            )
+            L = sla.cholesky(shifted, lower=True, check_finite=False)
         except np.linalg.LinAlgError:
-            L = None
-        if L is not None:
-            pivots = np.diagonal(L) ** 2
-            if min_pivot <= 0.0 or pivots.min() >= min_pivot:
-                inv_perm = np.argsort(perm)
-                for arr in (L, inv_perm):
-                    arr.flags.writeable = False
-                return CholeskyFactor(
-                    permutation=perm,
-                    diag_regularization=sigma,
-                    dense_L=L,
-                    inverse_perm=inv_perm,
-                )
-        sigma = base if sigma == 0.0 else sigma * 10.0
+            sigma = base if sigma == 0.0 else sigma * 10.0
+            continue
+        L.flags.writeable = False
+        return CholeskyFactor(L, sigma)
     raise FactorizationFailed(
         f"no acceptable pivots after {_MAX_REG_RETRIES} regularization retries "
         f"(last sigma {sigma:.3e})"

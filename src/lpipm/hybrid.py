@@ -138,13 +138,15 @@ def hybrid_solve(
     iterations = phase1.iterations + phase2.iterations
     factorizations = phase1.factorizations + 1 + phase2.factorizations
     cg_iterations = phase2.cg_iterations
+    iterates = phase1.iterates + phase2.iterates
+    final = phase2
     if phase2.status == SolveStatus.NUMERICAL_FAILURE:
         # the failed primal phase stays in the trace and in the totals
         phase_stats["fallback"] = True
         resume_cfg = dataclasses.replace(
             pd_cfg, max_iter=max(pd_cfg.max_iter - phase1.iterations, 1)
         )
-        phase2 = pd_solve(
+        final = pd_solve(
             p,
             resume_cfg,
             trace_log=trace_log,
@@ -153,26 +155,27 @@ def hybrid_solve(
             time_ratio_override=time_ratio_override,
             iter_offset=iterations,
         )
-        iterations += phase2.iterations
-        factorizations += phase2.factorizations
+        iterations += final.iterations
+        factorizations += final.factorizations
+        iterates += final.iterates
 
     result = SolveResult(
-        status=phase2.status,
-        x=phase2.x,
-        y=phase2.y,
-        s=phase2.s,
-        objective=phase2.objective,
-        e_p=phase2.e_p,
-        e_d=phase2.e_d,
-        e_g=phase2.e_g,
+        status=final.status,
+        x=final.x,
+        y=final.y,
+        s=final.s,
+        objective=final.objective,
+        e_p=final.e_p,
+        e_d=final.e_d,
+        e_g=final.e_g,
         iterations=iterations,
         factorizations=factorizations,
         cg_iterations=cg_iterations,
         trace=list(trace_log) if trace_log is not None else [],
         wall_s=time.perf_counter() - t_start,
-        mu=phase2.mu,
+        mu=final.mu,
         phase_stats=phase_stats,
-        iterates=(phase1.iterates + phase2.iterates) if collect_iterates else [],
-        message=phase2.message,
+        iterates=iterates,
+        message=final.message,
     )
     return result

@@ -1,11 +1,30 @@
-"""Compressed sparse column storage and normal-matrix assembly."""
+"""Constraint-matrix storage and dense assembly of ``A D^2 A^T``.
+
+:class:`SparseMatrix` stores ``A`` in canonical CSC form.  When ``A`` is
+filled to at least :data:`DENSE_FILL`, it also keeps one read-only dense
+copy of itself, built on first use, and its products and the normal
+matrix run on that copy through BLAS.  Below the threshold they run
+through scipy's sparse kernels.
+
+:func:`form_normal_matrix` returns ``A D^2 A^T`` (plus an optional
+diagonal shift) as a small dense :class:`NormalMatrix`, the input of
+the dense LAPACK factorization in :mod:`lpipm.cholesky`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sps
+
+# Fill nnz / (m n) from which A keeps a dense copy.  Per iteration an
+# engine assembles once and applies A and A^T a few (pd) to a few dozen
+# (primal PCG) times; with one BLAS thread, one assembly plus 10 to 30
+# product pairs is cheaper dense from a fill of about 0.05 (m = 1500,
+# n = 3300) or 0.03 (m = 280, n = 630) upward.  0.1 leaves a margin.
+DENSE_FILL = 0.1
 
 
 @dataclass(frozen=True)
@@ -115,24 +134,74 @@ class SparseMatrix:
     def to_dense(self) -> np.ndarray:
         return self._csc.toarray()
 
+    @cached_property
+    def _dense(self) -> np.ndarray | None:
+        """The read-only dense copy when the fill reaches DENSE_FILL, else
+        None; computed once per matrix."""
+        if self.nnz < DENSE_FILL * self.nrows * self.ncols:
+            return None
+        dense = self._csc.toarray()
+        dense.flags.writeable = False
+        return dense
+
     def matvec(self, v) -> np.ndarray:
-        return self._csc.dot(np.asarray(v, dtype=np.float64))
+        v = np.asarray(v, dtype=np.float64)
+        dense = self._dense
+        return self._csc.dot(v) if dense is None else dense @ v
 
     def rmatvec(self, v) -> np.ndarray:
         """Transpose product ``A.T @ v``."""
-        return self._csc_T.dot(np.asarray(v, dtype=np.float64))
+        v = np.asarray(v, dtype=np.float64)
+        dense = self._dense
+        return self._csc_T.dot(v) if dense is None else dense.T @ v
 
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix.from_scipy(self._csc.T)
 
 
-def form_normal_matrix(A: SparseMatrix, d, shift=None) -> SparseMatrix:
+class NormalMatrix:
+    """Dense symmetric ``A D^2 A^T`` (plus a diagonal shift).
+
+    Both triangles are stored and are bitwise equal, so the factorization
+    needs no symmetry check.  The array is read-only and ``to_dense``
+    returns it without a copy.
+    """
+
+    __slots__ = ("_array",)
+
+    def __init__(self, array: np.ndarray):
+        array.flags.writeable = False
+        self._array = array
+
+    @property
+    def nrows(self) -> int:
+        return self._array.shape[0]
+
+    @property
+    def ncols(self) -> int:
+        return self._array.shape[1]
+
+    @property
+    def nnz(self) -> int:
+        """Entries that are not zero (structural fill of ``A D^2 A^T``)."""
+        return int(np.count_nonzero(self._array))
+
+    def to_dense(self) -> np.ndarray:
+        return self._array
+
+    def matvec(self, v) -> np.ndarray:
+        return self._array @ np.asarray(v, dtype=np.float64)
+
+
+def form_normal_matrix(A: SparseMatrix, d, shift=None) -> NormalMatrix:
     """Assemble ``A @ diag(d**2) @ A.T`` plus an optional diagonal shift.
 
-    Both triangles are stored and are bitwise identical: each entry pair
-    is replaced by ``(m_ij + m_ji) * 0.5``, which IEEE addition makes
-    exactly equal on both sides (and exactly ``m_ij`` where the matmul
-    already agreed).
+    With ``B = A diag(d)``, a dense ``A`` gives ``B B^T`` in one BLAS
+    product; numpy computes a matrix times its own transpose with SYRK
+    and mirrors the computed triangle, so both triangles are bitwise
+    equal.  A sparse ``A`` goes through scipy's sparse product; there
+    each entry pair is replaced by ``(m_ij + m_ji) * 0.5``, which IEEE
+    addition makes exactly equal on both sides, before densifying.
     """
     d = np.asarray(d, dtype=np.float64)
     if d.shape != (A.ncols,):
@@ -144,16 +213,19 @@ def form_normal_matrix(A: SparseMatrix, d, shift=None) -> SparseMatrix:
         if shift.shape != (A.nrows,):
             raise ValueError(f"shift has length {shift.size}, expected {A.nrows}")
 
-    # column scaling on the raw CSC arrays avoids sparse-object churn
-    csc = A.to_scipy()
-    col_of_entry = np.repeat(np.arange(A.ncols), np.diff(A.col_ptr))
-    B = sps.csc_matrix(
-        (A.values * d[col_of_entry], A.row_idx, A.col_ptr),
-        shape=A.shape, copy=False,
-    )
-    del csc
-    M = (B @ B.T).tocsc()
-    sym = ((M + M.T) * 0.5).tocsc()
+    dense = A._dense
+    if dense is not None:
+        B = dense * d
+        M = B @ B.T
+    else:
+        # column scaling on the raw CSC arrays avoids sparse-object churn
+        col_of_entry = np.repeat(np.arange(A.ncols), np.diff(A.col_ptr))
+        B = sps.csc_matrix(
+            (A.values * d[col_of_entry], A.row_idx, A.col_ptr),
+            shape=A.shape, copy=False,
+        )
+        S = B @ B.T
+        M = ((S + S.T) * 0.5).toarray()
     if shift is not None:
-        sym = (sym + sps.diags(shift, format="csc")).tocsc()
-    return SparseMatrix._from_owned_csc(sym)
+        M.flat[:: A.nrows + 1] += shift
+    return NormalMatrix(M)

@@ -159,6 +159,7 @@ class TestHybridSolve:
         res = hy.hybrid_solve(
             std, PdConfig(), PrimalConfig(tau=0.28, cg_tol=1e-12),
             SwitchPolicy(), trace_log=trace, time_ratio_override=100.0,
+            collect_iterates=True,
         )
         stats = res.phase_stats
         assert stats["fallback"] is True
@@ -168,6 +169,8 @@ class TestHybridSolve:
         resumed_rows = [r for r in trace if r.iter > primal_rows[-1].iter]
         assert len(primal_rows) == stats["primal_iterations"] > 0
         assert res.iterations == len(trace)
+        # all three phases keep their iterates
+        assert len(res.iterates) == res.iterations
         # seed factorization + flagged refreshes, without the resumed pd
         assert stats["primal_factorizations"] == 1 + sum(r.factorized for r in primal_rows)
         resumed_factorizations = sum(r.factorized for r in resumed_rows)

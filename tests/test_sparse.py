@@ -3,6 +3,19 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from lpipm import SparseMatrix, form_normal_matrix
+from lpipm.sparse import DENSE_FILL
+
+# one fill on each side of DENSE_FILL, so both product kernels run
+BOTH_KERNELS = pytest.mark.parametrize(
+    "fill", [DENSE_FILL / 3, 1.0], ids=["sparse", "dense"]
+)
+
+
+def _with_fill(rng, m, n, fill):
+    A = rng.standard_normal((m, n))
+    A[rng.random((m, n)) >= fill] = 0.0
+    assert (np.count_nonzero(A) >= DENSE_FILL * A.size) == (fill >= DENSE_FILL)
+    return A
 
 
 class TestSparseMatrix:
@@ -48,6 +61,15 @@ class TestSparseMatrix:
         assert_allclose(S.rmatvec(w), A.T @ w)
         assert_array_equal(S.transpose().to_dense(), A.T)
 
+    @BOTH_KERNELS
+    def test_products_match_to_dense(self, fill):
+        rng = np.random.default_rng(7)
+        S = SparseMatrix.from_dense(_with_fill(rng, 20, 45, fill))
+        v = rng.standard_normal(45)
+        w = rng.standard_normal(20)
+        assert_allclose(S.matvec(v), S.to_dense() @ v, rtol=1e-13, atol=1e-13)
+        assert_allclose(S.rmatvec(w), S.to_dense().T @ w, rtol=1e-13, atol=1e-13)
+
     def test_arrays_read_only(self):
         S = SparseMatrix.identity(3)
         with pytest.raises(ValueError):
@@ -70,21 +92,26 @@ class TestFormNormalMatrix:
         M = form_normal_matrix(A, np.array([1.0, 1.0]), shift=np.array([3.0]))
         assert_array_equal(M.to_dense(), [[5.0]])
 
-    def test_matches_dense_formula(self):
+    @BOTH_KERNELS
+    def test_matches_dense_formula(self, fill):
         rng = np.random.default_rng(2)
-        A = rng.standard_normal((5, 9))
-        d = rng.uniform(0.1, 3.0, 9)
-        shift = rng.uniform(0.0, 1.0, 5)
+        A = _with_fill(rng, 20, 45, fill)
+        d = rng.uniform(0.1, 3.0, 45)
+        shift = rng.uniform(0.0, 1.0, 20)
         M = form_normal_matrix(SparseMatrix.from_dense(A), d, shift)
-        assert_allclose(M.to_dense(), A @ np.diag(d**2) @ A.T + np.diag(shift),
-                        rtol=1e-13, atol=1e-13)
+        expected = A @ np.diag(d**2) @ A.T + np.diag(shift)
+        assert_allclose(M.to_dense(), expected, rtol=1e-13, atol=1e-13)
+        v = rng.standard_normal(20)
+        assert_allclose(M.matvec(v), expected @ v, rtol=1e-12, atol=1e-12)
+        assert M.nnz == np.count_nonzero(M.to_dense())
+        assert not M.to_dense().flags.writeable
 
-    def test_bitwise_symmetric_storage(self):
+    @BOTH_KERNELS
+    def test_bitwise_symmetric_storage(self, fill):
         rng = np.random.default_rng(3)
         for trial in range(20):
-            A = rng.standard_normal((8, 15))
-            A[rng.random((8, 15)) > 0.5] = 0.0
-            d = rng.uniform(0.01, 100.0, 15)
+            A = _with_fill(rng, 20, 45, fill)
+            d = rng.uniform(0.01, 100.0, 45)
             M = form_normal_matrix(SparseMatrix.from_dense(A), d)
             D = M.to_dense()
             # not just close: the two triangles must be identical bitwise
