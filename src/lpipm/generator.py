@@ -17,6 +17,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .mps import LpProblem, write_mps
+from .sparse import SparseMatrix
 
 _RANK_RETRIES = 5
 
@@ -103,22 +104,18 @@ def generate_instance(
     c = A.T @ y_star + s_star
     objective = float(c @ x_star)
 
-    prob = LpProblem(name=f"PLANT{seed}")
-    prob.objective_name = "COST"
-    for i in range(m):
-        rname = f"R{i + 1}"
-        prob.row_names.append(rname)
-        prob.row_types[rname] = "E"
-        if b[i] != 0.0:
-            prob.rhs[rname] = float(b[i])
-    for j in range(n):
-        cname = f"X{j + 1}"
-        prob.col_names.append(cname)
-        prob.entries[cname] = [
-            (f"R{i + 1}", float(A[i, j])) for i in range(m) if A[i, j] != 0.0
-        ]
-        if c[j] != 0.0:
-            prob.objective[cname] = float(c[j])
+    rows = [f"R{i + 1}" for i in range(m)]
+    cols = [f"X{j + 1}" for j in range(n)]
+    prob = LpProblem(
+        name=f"PLANT{seed}",
+        row_names=rows,
+        row_types=dict.fromkeys(rows, "E"),
+        objective_name="COST",
+        col_names=cols,
+        A=SparseMatrix.from_dense(A),
+        objective={name: v for name, v in zip(cols, c.tolist()) if v != 0.0},
+        rhs={name: v for name, v in zip(rows, b.tolist()) if v != 0.0},
+    )
 
     cert = Certificate(
         objective=objective,

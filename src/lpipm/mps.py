@@ -2,32 +2,60 @@
 
 Both fixed-format and whitespace-delimited free-format files are
 accepted: section headers start in column 1, data lines are indented,
-comment lines start with ``*``.  Duplicate COLUMNS/RHS entries are
-summed.  Integer markers are skipped, so MIP files parse as their LP
-relaxations.
+comment lines start with ``*``.  Integer markers are skipped, so MIP
+files parse as their LP relaxations.
+
+The constraint coefficients are kept as one :class:`SparseMatrix`,
+``LpProblem.A``, with rows in ``row_names`` order and columns in
+``col_names`` order; duplicate COLUMNS entries are summed, and so are
+duplicate RHS and RANGES entries.  The COLUMNS section, one line per
+nonzero, is read in bulk: a few thousand lines at a time, with one
+split of their text and array operations over the tokens, and no
+Python object per line or entry.  Coefficients, right-hand sides and
+ranges must be finite numbers; bounds may be infinite but not NaN.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from itertools import count, repeat
 
 import numpy as np
 
 from .errors import ParseError
+from .sparse import SparseMatrix
 
 _SECTIONS = {"NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA"}
 _ROW_TYPES = {"N", "L", "G", "E"}
 # bound keys with a numeric value, and those without
 _VALUE_BOUNDS = {"UP", "LO", "FX", "UI", "LI"}
 _FLAG_BOUNDS = {"FR", "MI", "PL", "BV"}
+_MARKER = "'MARKER'"
+
+# codes of the row names in COLUMNS; constraint rows are 0..m-1
+_OBJECTIVE_ROW = -1
+_FREE_ROW = -2
+_UNKNOWN_ROW = -3
+
+# lines of COLUMNS read per split: bounds the token strings alive at once
+_CHUNK_LINES = 1 << 12
+# a line that is not indented: a header, or a comment or blank line
+_NEW_LINE_NOT_INDENTED = re.compile(r"\n[^ \t\n]")
+
+
+def _empty_matrix() -> SparseMatrix:
+    return SparseMatrix.from_coo(0, 0, [], [], [])
 
 
 @dataclass
 class LpProblem:
     """Row/column form of an LP as read from MPS.
 
-    ``entries`` maps column name to a list of ``(row_name, coefficient)``
-    pairs; the objective row is kept separately in ``objective``.
+    ``A`` holds the constraint coefficients, rows in ``row_names`` order
+    and columns in ``col_names`` order.  The objective row is kept
+    separately in ``objective``; entries on free rows other than the
+    objective are dropped.
     """
 
     name: str = ""
@@ -36,7 +64,7 @@ class LpProblem:
     row_types: dict = field(default_factory=dict)
     objective_name: str = ""
     col_names: list = field(default_factory=list)
-    entries: dict = field(default_factory=dict)
+    A: SparseMatrix = field(default_factory=_empty_matrix)
     objective: dict = field(default_factory=dict)
     rhs: dict = field(default_factory=dict)
     ranges: dict = field(default_factory=dict)
@@ -56,34 +84,42 @@ class LpProblem:
         return self.lower.get(col, 0.0), self.upper.get(col, np.inf)
 
 
-def _to_float(token, lineno):
+def _to_float(token, lineno, allow_inf=False):
     try:
-        return float(token)
+        val = float(token)
     except ValueError:
         raise ParseError(f"expected a number, got {token!r}", lineno) from None
+    if val != val or (not allow_inf and val in (np.inf, -np.inf)):
+        raise ParseError(f"expected a finite number, got {token!r}", lineno)
+    return val
 
 
 def parse_mps(source) -> LpProblem:
     """Parse MPS text given as str, bytes, or a line iterable."""
     if isinstance(source, bytes):
         source = source.decode("utf-8", errors="replace")
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = [
-            ln.decode("utf-8", errors="replace") if isinstance(ln, bytes) else ln
+    if not isinstance(source, str):
+        source = "\n".join(
+            (ln.decode("utf-8", errors="replace") if isinstance(ln, bytes) else ln)
+            .rstrip("\r\n")
             for ln in source
-        ]
+        )
+    lines = source.splitlines()
 
     prob = LpProblem()
     section = None
     seen_endata = False
     seen_objective = False
     known_rows = set()
-    known_cols = set()
+    columns = _ColumnsReader(prob, known_rows)
     explicit_lower = set()
+    bound_line = {}
 
-    for lineno, raw in enumerate(lines, start=1):
+    i = 0
+    while i < len(lines):
+        raw = lines[i]
+        i += 1
+        lineno = i
         if not raw.strip() or raw.lstrip().startswith("*"):
             continue
         indented = raw[0] in (" ", "\t")
@@ -101,6 +137,8 @@ def parse_mps(source) -> LpProblem:
                 break
             else:
                 section = head
+            if head == "COLUMNS":
+                i = columns.read(lines, i)
             continue
 
         if section is None:
@@ -135,28 +173,6 @@ def parse_mps(source) -> LpProblem:
                 prob.row_types[rname] = rtype
                 known_rows.add(rname)
 
-        elif section == "COLUMNS":
-            if len(tokens) >= 3 and tokens[1].upper() == "'MARKER'":
-                continue
-            col = tokens[0]
-            pairs = tokens[1:]
-            if not pairs or len(pairs) % 2:
-                raise ParseError("COLUMNS line needs (row, value) pairs", lineno)
-            if col not in known_cols:
-                known_cols.add(col)
-                prob.col_names.append(col)
-                prob.entries[col] = []
-            for rname, vtok in zip(pairs[::2], pairs[1::2]):
-                val = _to_float(vtok, lineno)
-                if rname == prob.objective_name:
-                    prob.objective[col] = prob.objective.get(col, 0.0) + val
-                elif rname in prob.row_types:
-                    prob.entries[col].append((rname, val))
-                elif rname in known_rows:
-                    continue  # entry on a non-objective free row
-                else:
-                    raise ParseError(f"reference to undeclared row {rname!r}", lineno)
-
         elif section in ("RHS", "RANGES"):
             pairs = tokens if len(tokens) % 2 == 0 else tokens[1:]
             if not pairs or len(pairs) % 2:
@@ -180,15 +196,16 @@ def parse_mps(source) -> LpProblem:
             if key in _VALUE_BOUNDS:
                 if len(tokens) != 4:
                     raise ParseError(f"{key} bound needs '<key> <set> <col> <value>'", lineno)
-                col, val = tokens[2], _to_float(tokens[3], lineno)
+                col, val = tokens[2], _to_float(tokens[3], lineno, allow_inf=True)
             elif key in _FLAG_BOUNDS:
                 if len(tokens) not in (3, 4):
                     raise ParseError(f"{key} bound needs '<key> <set> <col>'", lineno)
                 col, val = tokens[2], None
             else:
                 raise ParseError(f"unknown bound key {tokens[0]!r}", lineno)
-            if col not in known_cols:
+            if col not in columns.col_index:
                 raise ParseError(f"bound on undeclared column {col!r}", lineno)
+            bound_line[col] = lineno
             if key in ("UP", "UI"):
                 prob.upper[col] = val
                 if val < 0 and col not in explicit_lower:
@@ -222,12 +239,160 @@ def parse_mps(source) -> LpProblem:
     for col, lo in prob.lower.items():
         up = prob.upper.get(col, np.inf)
         if lo > up:
-            raise ParseError(f"column {col!r} has lower bound above upper bound")
+            raise ParseError(
+                f"column {col!r} has lower bound above upper bound", bound_line[col]
+            )
+    prob.A = columns.matrix()
     return prob
+
+
+class _ColumnsReader:
+    """Reads the COLUMNS sections of one file in bulk.
+
+    A section is read in chunks of at most ``_CHUNK_LINES`` lines, each
+    with one split of its text and array operations over the tokens, so
+    the strings of only one chunk are alive at a time.  A line is a
+    comment when its first token starts with ``*``, a marker when it has
+    at least three tokens and the second reads ``'MARKER'``; every other
+    non-blank line is ``<column> <row> <value> [<row> <value>]``.  New
+    columns are appended to ``prob.col_names``, objective entries are
+    summed into ``prob.objective`` and free-row entries are dropped.
+    """
+
+    def __init__(self, prob: LpProblem, known_rows: set):
+        self.prob = prob
+        self.known_rows = known_rows
+        self.col_index = {}
+        self.entries = []  # (rows, cols, values) per chunk
+
+    def read(self, lines, start) -> int:
+        """Read the section whose first body line is ``lines[start]``;
+        return the index of the next header line."""
+        prob = self.prob
+        row_code = {name: i for i, name in enumerate(prob.row_names)}
+        row_code.update({name: _FREE_ROW for name in self.known_rows if name not in row_code})
+        row_code[prob.objective_name] = _OBJECTIVE_ROW
+        while True:
+            stop = min(start + _CHUNK_LINES, len(lines))
+            end = self._read_chunk(lines, start, stop, row_code)
+            if end < stop or stop == len(lines):
+                return end
+            start = stop
+
+    def matrix(self) -> SparseMatrix:
+        rows = cols = vals = []
+        if self.entries:
+            rows, cols, vals = map(np.concatenate, zip(*self.entries))
+        return SparseMatrix.from_coo(self.prob.nrows, self.prob.ncols, rows, cols, vals)
+
+    def _read_chunk(self, lines, start, stop, row_code) -> int:
+        """Read ``lines[start:stop]`` up to the first header line; return
+        the index of that header, or ``stop``."""
+        # a header is a line that is neither indented, blank nor a
+        # comment; lines hold no "\n", so newlines count them
+        text = "\n".join(lines[start - 1:stop])  # the line before, then the chunk
+        end, cut = stop, len(text)
+        k, pos = start - 1, 0
+        for match in _NEW_LINE_NOT_INDENTED.finditer(text):
+            k += text.count("\n", pos, match.end())
+            pos = match.end()
+            if lines[k].strip() and not lines[k].lstrip().startswith("*"):
+                end, cut = k, match.start()
+                break
+
+        tokens = np.array(text[len(lines[start - 1]):cut].split(), dtype=object)
+        del text
+        counts = np.fromiter(map(len, map(str.split, lines[start:end])), np.int64, end - start)
+        first = np.cumsum(counts) - counts  # token index of each line's first token
+        line_of = np.repeat(np.arange(counts.size), counts)
+        place = np.arange(tokens.size) - first[line_of]  # position within the line
+
+        # lines by their first token: comments, then columns in order of appearance
+        filled = np.flatnonzero(counts)
+        heads = tokens[first[filled]]
+        head_names = list(dict.fromkeys(heads))
+        head_of = np.full(counts.size, -1)
+        head_of[filled] = np.fromiter(
+            map(dict(zip(head_names, count())).__getitem__, heads), np.int64, filled.size
+        )
+        comment = np.zeros(counts.size, dtype=bool)
+        comment[filled] = np.array([h.startswith("*") for h in head_names], dtype=bool)[
+            head_of[filled]
+        ]
+
+        # every token in a row position; a marker line has an unknown row
+        # (or a row named like a marker) in the first one
+        odd = np.flatnonzero(place & 1)
+        codes = np.fromiter(
+            map(row_code.get, tokens[odd], repeat(_UNKNOWN_ROW)), np.int64, odd.size
+        )
+        marker_like = [c for name, c in row_code.items() if name.upper() == _MARKER]
+        suspect = odd[((codes == _UNKNOWN_ROW) | np.isin(codes, marker_like)) & (place[odd] == 1)]
+        suspect = suspect[counts[line_of[suspect]] >= 3]
+        marker = np.zeros(counts.size, dtype=bool)
+        marker[line_of[suspect]] = [t.upper() == _MARKER for t in tokens[suspect]]
+
+        data = (counts > 0) & ~comment & ~marker
+        malformed = np.flatnonzero(data & ((counts < 3) | (counts % 2 == 0)))
+        if malformed.size:
+            data[malformed[0]:] = False  # an earlier error is reported first
+
+        # pairs of the data lines: row token at an odd place, value after it
+        in_data = data[line_of[odd]]
+        row_at, codes = odd[in_data], codes[in_data]
+        value_tokens = tokens[row_at + 1]
+        unknown = np.flatnonzero(codes == _UNKNOWN_ROW)
+        try:
+            values = np.array(value_tokens, dtype=np.float64)
+            valid = bool(np.isfinite(values).all())
+        except ValueError:
+            valid = False
+        if not valid or unknown.size:
+            # report the first bad pair; per pair the value is read first
+            last = int(unknown[0]) if unknown.size else codes.size - 1
+            lineno = start + 1 + line_of[row_at]
+            for p in range(last + 1):
+                _to_float(value_tokens[p], int(lineno[p]))
+            raise ParseError(
+                f"reference to undeclared row {tokens[row_at[last]]!r}", int(lineno[last])
+            )
+        if malformed.size:
+            raise ParseError(
+                "COLUMNS line needs (row, value) pairs", start + 1 + int(malformed[0])
+            )
+
+        # columns, numbered in order of first appearance on a data line
+        prob = self.prob
+        seen, at = np.unique(head_of[data], return_index=True)
+        col_of_head = np.full(len(head_names), -1)
+        for h in seen[np.argsort(at)].tolist():
+            name = head_names[h]
+            if name not in self.col_index:
+                self.col_index[name] = len(prob.col_names)
+                prob.col_names.append(name)
+            col_of_head[h] = self.col_index[name]
+        cols = col_of_head[head_of[line_of[row_at]]]
+
+        on_objective = codes == _OBJECTIVE_ROW
+        obj_cols = cols[on_objective]
+        sums = np.bincount(obj_cols, weights=values[on_objective], minlength=prob.ncols)
+        for j in np.unique(obj_cols).tolist():
+            name = prob.col_names[j]
+            prob.objective[name] = prob.objective.get(name, 0.0) + float(sums[j])
+
+        keep = codes >= 0
+        self.entries.append((codes[keep], cols[keep], values[keep]))
+        return end
 
 
 def write_mps(prob: LpProblem) -> str:
     """Serialize back to free-format MPS with round-trip exact floats."""
+    A = prob.A
+    if A.shape != (prob.nrows, prob.ncols):
+        raise ValueError(
+            f"coefficient matrix is {A.nrows}x{A.ncols}, expected "
+            f"{prob.nrows}x{prob.ncols}"
+        )
     out = [f"NAME          {prob.name}".rstrip()]
     if prob.sense == "max":
         out.append("OBJSENSE")
@@ -238,11 +403,17 @@ def write_mps(prob: LpProblem) -> str:
         out.append(f" {prob.row_types[rname]}  {rname}")
     out.append("COLUMNS")
     obj_name = prob.objective_name or "COST"
-    for col in prob.col_names:
+    col_ptr = A.col_ptr.tolist()
+    row_names = [prob.row_names[r] for r in A.row_idx.tolist()]
+    values = A.values.tolist()
+    for j, col in enumerate(prob.col_names):
         if col in prob.objective and prob.objective[col] != 0.0:
             out.append(f"    {col}  {obj_name}  {prob.objective[col]:.17g}")
-        for rname, val in prob.entries[col]:
-            out.append(f"    {col}  {rname}  {val:.17g}")
+        lo, hi = col_ptr[j], col_ptr[j + 1]
+        out.extend(
+            f"    {col}  {rname}  {val:.17g}"
+            for rname, val in zip(row_names[lo:hi], values[lo:hi])
+        )
     out.append("RHS")
     for rname in prob.row_names:
         val = prob.rhs.get(rname, 0.0)

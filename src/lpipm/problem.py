@@ -130,136 +130,120 @@ def to_standard_form(p: LpProblem) -> StandardLp:
     are eliminated.  Column order is deterministic: original columns,
     then split negative parts, then slacks in row order.
     """
+    m_orig, n_orig = p.nrows, p.ncols
+    if p.A.shape != (m_orig, n_orig):
+        raise ModelError(
+            f"coefficient matrix is {p.A.nrows}x{p.A.ncols}, expected {m_orig}x{n_orig}"
+        )
     sign = 1.0 if p.sense == "min" else -1.0
     row_index = {name: i for i, name in enumerate(p.row_names)}
-    m_orig = len(p.row_names)
-
     b = np.zeros(m_orig)
     for name, val in p.rhs.items():
         b[row_index[name]] = val
 
-    const_min = sign * p.objective_constant
-
     # per-original-column data in the minimization convention
-    cols = []
-    for name in p.col_names:
-        entries = [(row_index[r], v) for r, v in p.entries[name]]
-        cmin = sign * p.objective.get(name, 0.0)
-        lo, up = p.bounds_of(name)
-        if lo > up:
-            raise ModelError(f"column {name!r} has lower bound {lo} above upper {up}")
-        cols.append((name, entries, cmin, lo, up))
+    cmin = sign * np.array([p.objective.get(name, 0.0) for name in p.col_names])
+    bounds = np.array([p.bounds_of(name) for name in p.col_names], dtype=np.float64)
+    lo, up = bounds.reshape(n_orig, 2).T
+    crossed = np.flatnonzero(lo > up)
+    if crossed.size:
+        j = crossed[0]
+        raise ModelError(
+            f"column {p.col_names[j]!r} has lower bound {lo[j]} above upper {up[j]}"
+        )
 
-    std_cols = []  # (name, entries, c, u)
-    rules = [None] * len(cols)
-    split_queue = []
+    # column kinds, in the order the rules are tried
+    empty = np.diff(p.A.col_ptr) == 0
+    fixed = ~empty & (lo == up)
+    kept = ~empty & ~fixed
+    lower = kept & np.isfinite(lo)
+    mirror = kept & ~lower & np.isfinite(up)
+    free = kept & ~lower & ~mirror
 
-    def _fix_column(i, entries, cval, value):
-        nonlocal const_min
-        for r, a in entries:
-            b[r] -= a * value
-        const_min += cval * value
-        rules[i] = ("const", value)
-
-    for i, (name, entries, cval, lo, up) in enumerate(cols):
-        if not entries:
-            # empty column: pin it at its best bound or reject
-            if cval > 0 or (cval == 0 and np.isfinite(lo)):
-                if not np.isfinite(lo):
-                    raise ModelError(f"empty column {name!r} is unbounded below")
-                _fix_column(i, entries, cval, lo)
-            elif cval < 0:
-                if not np.isfinite(up):
-                    raise ModelError(f"empty column {name!r} makes the problem unbounded")
-                _fix_column(i, entries, cval, up)
-            else:
-                _fix_column(i, entries, cval, up if np.isfinite(up) else 0.0)
-            continue
-        if lo == up:
-            _fix_column(i, entries, cval, lo)
-        elif np.isfinite(lo):
-            for r, a in entries:
-                b[r] -= a * lo
-            const_min += cval * lo
-            idx = len(std_cols)
-            std_cols.append((name, entries, cval, up - lo))
-            rules[i] = ("affine", lo, ((1.0, idx),))
-        elif np.isfinite(up):
-            # only an upper bound: mirror through it
-            for r, a in entries:
-                b[r] -= a * up
-            const_min += cval * up
-            idx = len(std_cols)
-            std_cols.append((name + "-", [(r, -a) for r, a in entries], -cval, np.inf))
-            rules[i] = ("affine", up, ((-1.0, idx),))
+    # the value each column is shifted by (fixed columns: their value)
+    shift = np.where(lower | fixed, lo, 0.0)
+    shift[mirror] = up[mirror]
+    for j in np.flatnonzero(empty).tolist():
+        # empty column: pin it at its best bound or reject
+        name, cval = p.col_names[j], cmin[j]
+        if cval > 0 or (cval == 0 and np.isfinite(lo[j])):
+            if not np.isfinite(lo[j]):
+                raise ModelError(f"empty column {name!r} is unbounded below")
+            shift[j] = lo[j]
+        elif cval < 0:
+            if not np.isfinite(up[j]):
+                raise ModelError(f"empty column {name!r} makes the problem unbounded")
+            shift[j] = up[j]
         else:
-            idx = len(std_cols)
-            std_cols.append((name + "+", entries, cval, np.inf))
-            split_queue.append((i, name, entries, cval, idx))
-            rules[i] = None  # completed after the split column is placed
+            shift[j] = up[j] if np.isfinite(up[j]) else 0.0
+    shifted = np.flatnonzero(shift)
+    if shifted.size:
+        b -= p.A.to_scipy()[:, shifted] @ shift[shifted]
+    const_min = sign * p.objective_constant + float(cmin[shifted] @ shift[shifted])
 
-    for i, name, entries, cval, idx_plus in split_queue:
-        idx_minus = len(std_cols)
-        std_cols.append((name + "-", [(r, -a) for r, a in entries], -cval, np.inf))
-        rules[i] = ("affine", 0.0, ((1.0, idx_plus), (-1.0, idx_minus)))
+    # standard columns: kept originals (mirrored ones negated), then the
+    # negative halves of the free ones
+    first = np.flatnonzero(kept)
+    split = np.flatnonzero(free)
+    source = np.concatenate([first, split])
+    col_sign = np.concatenate([np.where(mirror[first], -1.0, 1.0), -np.ones(split.size)])
+    std_index = np.cumsum(kept) - 1
+    minus_index = first.size + np.cumsum(free) - 1
+    rules, names, minus_names = [], [], []
+    for j, name in enumerate(p.col_names):
+        idx = int(std_index[j])
+        if not kept[j]:
+            rules.append(("const", float(shift[j])))
+        elif lower[j]:
+            rules.append(("affine", float(lo[j]), ((1.0, idx),)))
+            names.append(name)
+        elif mirror[j]:
+            rules.append(("affine", float(up[j]), ((-1.0, idx),)))
+            names.append(name + "-")
+        else:
+            rules.append(("affine", 0.0, ((1.0, idx), (-1.0, int(minus_index[j])))))
+            names.append(name + "+")
+            minus_names.append(name + "-")
+    names += minus_names
+    B = p.A.to_scipy()[:, source]
+    B.data *= np.repeat(col_sign, np.diff(B.indptr))
 
     # rows: slack columns for inequalities, RANGES as slack upper bounds
-    nonempty = np.zeros(m_orig, dtype=bool)
-    for _, entries, _, _ in std_cols:
-        for r, _ in entries:
-            nonempty[r] = True
-
+    nonempty = np.bincount(B.indices, minlength=m_orig) > 0
     b_scale = 1.0 + (np.abs(b).max() if b.size else 0.0)
-    keep, slack_specs = [], []
-    for name in p.row_names:
-        r = row_index[name]
-        rtype = p.row_types[name]
-        rng = p.ranges.get(name, 0.0)
-        if not nonempty[r]:
-            lo_r, hi_r = _row_interval(rtype, b[r], rng)
-            if lo_r <= _EMPTY_ROW_TOL * b_scale and hi_r >= -_EMPTY_ROW_TOL * b_scale:
-                warnings.warn(f"dropping empty row {name!r}", stacklevel=2)
-                continue
-            raise ModelError(f"empty row {name!r} is infeasible (rhs {b[r]})")
-        keep.append(r)
-        rng_given = name in p.ranges
-        if rng_given and rng == 0.0:
-            continue  # zero range pins the row to equality
-        if rtype == "L":
-            slack_specs.append((r, name, 1.0, abs(rng) if rng_given else np.inf))
-        elif rtype == "G":
-            slack_specs.append((r, name, -1.0, abs(rng) if rng_given else np.inf))
-        elif rng_given:  # ranged equality
-            if rng > 0:
-                slack_specs.append((r, name, -1.0, rng))
-            else:
-                slack_specs.append((r, name, 1.0, -rng))
+    for r in np.flatnonzero(~nonempty).tolist():
+        name = p.row_names[r]
+        lo_r, hi_r = _row_interval(p.row_types[name], b[r], p.ranges.get(name, 0.0))
+        if lo_r <= _EMPTY_ROW_TOL * b_scale and hi_r >= -_EMPTY_ROW_TOL * b_scale:
+            warnings.warn(f"dropping empty row {name!r}", stacklevel=2)
+            continue
+        raise ModelError(f"empty row {name!r} is infeasible (rhs {b[r]})")
+    keep = np.flatnonzero(nonempty)
+    m = keep.size
 
-    new_row = {r: i for i, r in enumerate(keep)}
-    for r, name, coef, ub in slack_specs:
-        if ub != np.inf and ub <= 0.0:
-            raise ModelError(f"range on row {name!r} leaves no slack room")
-        std_cols.append((name + ".slack", [(r, coef)], 0.0, ub))
+    rtype = np.array([p.row_types[name] for name in p.row_names], dtype="<U1")
+    ranged = np.array([name in p.ranges for name in p.row_names], dtype=bool)
+    rng = np.array([p.ranges.get(name, 0.0) for name in p.row_names], dtype=np.float64)
+    # a zero range pins the row to equality; an E row with a range
+    # reaches above its rhs for a positive range, below it otherwise
+    slacked = nonempty & ~(ranged & (rng == 0.0)) & ((rtype != "E") | ranged)
+    slack_rows = np.flatnonzero(slacked)
+    slack_coef = np.where(
+        (rtype == "G") | ((rtype == "E") & (rng > 0)), -1.0, 1.0
+    )[slack_rows]
+    slack_u = np.where(ranged, np.abs(rng), np.inf)[slack_rows]
+    names += [p.row_names[r] + ".slack" for r in slack_rows.tolist()]
+    slacks = sps.csc_matrix(
+        (slack_coef, (slack_rows, np.arange(slack_rows.size))),
+        shape=(m_orig, slack_rows.size),
+    )
 
-    m = len(keep)
-    n = len(std_cols)
+    n = source.size + slack_rows.size
     if m > n:
         raise ModelError(f"conversion left more rows ({m}) than columns ({n})")
-
-    rows_acc, cols_acc, vals_acc = [], [], []
-    c = np.zeros(n)
-    u = np.full(n, np.inf)
-    names = []
-    for j, (name, entries, cval, ub) in enumerate(std_cols):
-        names.append(name)
-        c[j] = cval
-        u[j] = ub
-        for r, a in entries:
-            if r in new_row:
-                rows_acc.append(new_row[r])
-                cols_acc.append(j)
-                vals_acc.append(a)
-    A = SparseMatrix.from_coo(m, n, rows_acc, cols_acc, vals_acc)
+    A = SparseMatrix.from_scipy(sps.hstack([B, slacks], format="csc")[keep])
+    c = np.concatenate([cmin[source] * col_sign, np.zeros(slack_rows.size)])
+    u = np.concatenate([np.where(lower, up - lo, np.inf)[source], slack_u])
 
     recovery = RecoveryMap(tuple(rules), const_min, p.sense)
     return StandardLp(
@@ -268,7 +252,7 @@ def to_standard_form(p: LpProblem) -> StandardLp:
         c=c,
         u=u,
         recovery=recovery,
-        row_names=tuple(p.row_names[r] for r in keep),
+        row_names=tuple(p.row_names[r] for r in keep.tolist()),
         col_names=tuple(names),
     )
 

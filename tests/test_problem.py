@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from lpipm import (
     IterateState,
+    LpProblem,
     ModelError,
     SparseMatrix,
     SymmetricLp,
@@ -113,6 +114,13 @@ class TestToStandardForm:
         assert std.ncols == 2
         assert std.u[1] == 1.0  # slack range
 
+    def test_zero_range_pins_row_without_slack(self):
+        p = build(" L  R1\n", "    X1  COST  1.0  R1  1.0\n", "    RHS  R1  3.0\n",
+                  "RANGES\n    RNG  R1  0.0\n")
+        std = to_standard_form(p)
+        assert std.col_names == ("X1",)
+        assert_array_equal(std.b, [3.0])
+
     def test_round_trip_feasibility(self):
         rng = np.random.default_rng(13)
         for trial in range(10):
@@ -145,6 +153,100 @@ class TestToStandardForm:
                   "    RHS  R1  1.0\n    RHS  R2  1.0\n")
         with pytest.raises(ModelError):
             to_standard_form(p)
+
+
+def _random_lp(seed):
+    """A small LP over every row type, signed RANGES and every kind of
+    column bound, feasible at a random point inside its bounds."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(2, 5)), int(rng.integers(4, 8))
+    A = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.7)
+    A[rng.integers(m, size=n), np.arange(n)] += 1.0  # no empty column
+    A[np.arange(m), rng.integers(n, size=m)] += 1.0  # no empty row
+    lower, upper, x0 = {}, {}, np.empty(n)
+    cols = [f"X{j}" for j in range(n)]
+    for j, name in enumerate(cols):
+        kind = rng.choice(["plain", "lower", "box", "fixed", "free", "upper_only"])
+        lo, up = {
+            "plain": (0.0, np.inf), "lower": (-1.5, np.inf), "box": (-1.0, 2.0),
+            "fixed": (0.5, 0.5), "free": (-np.inf, np.inf), "upper_only": (-np.inf, 1.5),
+        }[kind]
+        lower[name], upper[name] = lo, up
+        x0[j] = lo if lo == up else np.clip(rng.uniform(-1.0, 1.0), lo, up)
+    rows = [f"R{i}" for i in range(m)]
+    types = {name: str(rng.choice(["E", "L", "G"])) for name in rows}
+    activity = A @ x0
+    rhs, ranges = {}, {}
+    for i, name in enumerate(rows):
+        width = float(rng.choice([0.0, 0.0, 1.0, -1.0, 0.0])) * rng.uniform(0.5, 2.0)
+        if width != 0.0 or rng.random() < 0.2:
+            ranges[name] = width
+        slack = rng.uniform(0.0, 0.5) * abs(width) if width else rng.uniform(0.0, 0.5)
+        rhs[name] = float({
+            # activity inside the row's interval (MPS RANGES semantics)
+            "E": activity[i] - np.sign(width) * slack if width else activity[i],
+            "L": activity[i] + slack,
+            "G": activity[i] - slack,
+        }[types[name]])
+    objective = {name: float(v) for name, v in zip(cols, rng.standard_normal(n))}
+    return LpProblem(
+        name="R", sense=str(rng.choice(["min", "max"])), row_names=rows, row_types=types,
+        objective_name="COST", col_names=cols, A=SparseMatrix.from_dense(A),
+        objective=objective, rhs=rhs, ranges=ranges, lower=lower, upper=upper,
+        objective_constant=float(rng.standard_normal()),
+    )
+
+
+def _row_bounds(p):
+    """Row activity intervals of an LpProblem, from the MPS definition
+    of RANGES: |R| widens an L or G row away from its rhs, the sign of R
+    picks the side for an E row."""
+    lo, hi = [], []
+    for name in p.row_names:
+        b, r, t = p.rhs.get(name, 0.0), p.ranges.get(name, 0.0), p.row_types[name]
+        if t == "E":
+            lo.append(b + min(r, 0.0)), hi.append(b + max(r, 0.0))
+        elif t == "L":
+            lo.append(b - abs(r) if name in p.ranges else -np.inf), hi.append(b)
+        else:
+            lo.append(b), hi.append(b + abs(r) if name in p.ranges else np.inf)
+    return np.array(lo), np.array(hi)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_standard_form_keeps_optimum_and_feasibility(seed):
+    """HiGHS on the original LP and on its standard form must agree on
+    status and objective, and the recovered point must be feasible."""
+    from scipy.optimize import linprog
+
+    p = _random_lp(seed)
+    A = p.A.to_dense()
+    sign = 1.0 if p.sense == "min" else -1.0
+    c = sign * np.array([p.objective[name] for name in p.col_names])
+    lo, hi = _row_bounds(p)
+    bounded_above, bounded_below = np.isfinite(hi), np.isfinite(lo)
+    ref = linprog(
+        c,
+        A_ub=np.vstack([A[bounded_above], -A[bounded_below]]),
+        b_ub=np.concatenate([hi[bounded_above], -lo[bounded_below]]),
+        bounds=[p.bounds_of(name) for name in p.col_names],
+        method="highs",
+    )
+    std = to_standard_form(p)
+    got = linprog(
+        std.c, A_eq=std.A.to_dense(), b_eq=std.b,
+        bounds=[(0.0, None if np.isinf(u) else u) for u in std.u], method="highs",
+    )
+    assert got.status == ref.status
+    if ref.status != 0:
+        return
+    expected = sign * ref.fun + p.objective_constant
+    assert std.original_objective(got.x) == pytest.approx(expected, rel=1e-7, abs=1e-7)
+    x = std.recovery.apply(got.x)
+    tol = 1e-7 * (1.0 + np.abs(A).sum(axis=1) * np.abs(x).max())
+    assert np.all(A @ x >= lo - tol) and np.all(A @ x <= hi + tol)
+    bounds = np.array([p.bounds_of(name) for name in p.col_names])
+    assert np.all(x >= bounds[:, 0] - 1e-7) and np.all(x <= bounds[:, 1] + 1e-7)
 
 
 def _feasible_point(std, rng):
