@@ -74,19 +74,19 @@ def generate_instance(
     """
     if m >= n:
         raise ValueError("need m < n")
-    A = None
     for attempt in range(_RANK_RETRIES):
         rng = np.random.default_rng((seed, attempt))
-        cand = _sample_sparse(rng, m, n, density)
-        if np.linalg.matrix_rank(cand) == m:
-            A = cand
+        A = _sample_sparse(rng, m, n, density)
+        # one pivoted QR gives the rank (|diag R| is non-increasing; the
+        # cut is matrix_rank's, with |R_00| for the largest singular
+        # value) and the independent columns for the planted support
+        R, piv = sla.qr(A, pivoting=True, mode="r")
+        if abs(R[m - 1, m - 1]) > abs(R[0, 0]) * n * np.finfo(np.float64).eps:
             break
-    if A is None:
+    else:
         raise ValueError(f"could not draw a full-row-rank {m}x{n} matrix in "
                          f"{_RANK_RETRIES} attempts")
 
-    # independent columns for the planted support, via pivoted QR
-    _, _, piv = sla.qr(A, pivoting=True)
     support_size = m if not degenerate else m - max(1, m // 5)
     basis = np.sort(piv[:support_size])
     nonbasis = np.setdiff1d(np.arange(n), basis)

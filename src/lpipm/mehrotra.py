@@ -1,7 +1,7 @@
 """Infeasible primal-dual IPM with Mehrotra predictor-corrector.
 
 Normal-equations form: one factorization of ``A D^2 A^T`` per iteration
-(``d^2 = 1/(s/x + v/w)``, which is ``x/s`` without upper bounds) shared
+(``d^2 = 1/(s/x + v/w)``, which is ``x/s`` off the bounded coordinates) shared
 by the affine predictor and the corrector solve.  The wall time spent in
 factorization versus forward/backward substitution is measured per
 iteration and exponentially averaged; the hybrid controller's switch
@@ -10,6 +10,7 @@ rule consumes that ratio.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 import warnings
 from dataclasses import dataclass
@@ -29,39 +30,27 @@ _SIGMA_MIN = 1e-8
 _SIGMA_MAX = 1.0 - 1e-8
 _RATIO_EMA = 0.3  # weight of the newest factor/solve time ratio
 _DIVERGENCE_LIMIT = 1e150  # iterates beyond this signal an infeasible LP
+_STEP_FRACTION = 0.9995  # share of the distance to the boundary taken
 
 
 @dataclass
 class PdConfig:
     max_iter: int = 100
     tol: float = 1e-10
-    step_fraction: float = 0.9995
-    starting_point: str = "least_squares"  # or 'uniform'
 
     def __post_init__(self):
         if self.tol <= 0.0:
             raise ValueError("tol must be positive")
-        if not 0.0 < self.step_fraction < 1.0:
-            raise ValueError("step_fraction must lie in (0, 1)")
-        if self.starting_point not in ("least_squares", "uniform"):
-            raise ValueError("starting_point must be 'least_squares' or 'uniform'")
 
 
-def pd_starting_point(p: StandardLp, mode: str = "least_squares") -> IterateState:
+def pd_starting_point(p: StandardLp) -> IterateState:
     """Mehrotra's least-squares starting point, shifted to strict
-    positivity (and strictly inside the bound box when u is finite).
-    ``mode='uniform'`` skips the least-squares solves and starts from the
-    all-ones point instead."""
-    n = p.ncols
+    positivity and strictly inside the bound box."""
     if p.nrows == 0:
         raise ValueError("problem has no rows")
-    if mode == "uniform":
-        x_tilde = np.ones(n)
-        y_tilde = np.zeros(p.nrows)
-    else:
-        aat = cholesky_factorize(form_normal_matrix(p.A, np.ones(n)))
-        x_tilde = p.A.rmatvec(aat.solve(p.b))
-        y_tilde = aat.solve(p.A.matvec(p.c))
+    aat = cholesky_factorize(form_normal_matrix(p.A, np.ones(p.ncols)))
+    x_tilde = p.A.rmatvec(aat.solve(p.b))
+    y_tilde = aat.solve(p.A.matvec(p.c))
     s_tilde = p.c - p.A.rmatvec(y_tilde)
 
     dx = max(-1.5 * float(x_tilde.min(initial=0.0)), 0.0)
@@ -80,45 +69,51 @@ def pd_starting_point(p: StandardLp, mode: str = "least_squares") -> IterateStat
     if float(s.min(initial=1.0)) <= 0.0:
         s = s + (1.0 - float(s.min()))
 
-    w = v = None
-    if p.has_finite_bounds:
-        finite = np.isfinite(p.u)
-        uf = p.u[finite]
-        x = x.copy()
-        x[finite] = np.clip(x[finite], 0.01 * np.minimum(uf, 1.0), 0.99 * uf)
-        w = np.zeros(n)
-        w[finite] = uf - x[finite]
-        mu_est = max(float(x @ s) / n, 1e-2)
-        v = np.zeros(n)
-        v[finite] = mu_est / w[finite]
-
-    st = IterateState(x=x, y=y_tilde, s=s, mu=0.0, w=w, v=v)
+    fi = np.flatnonzero(np.isfinite(p.u))
+    uf = p.u[fi]
+    x = x.copy()
+    x[fi] = np.clip(x[fi], 0.01 * np.minimum(uf, 1.0), 0.99 * uf)
+    st = _with_bound_pair(p, IterateState(x=x, y=y_tilde, s=s, mu=0.0))
     st.mu = complementarity(p, st)
     return st
 
 
+def _with_bound_pair(p: StandardLp, st: IterateState) -> IterateState:
+    """``st`` itself when it carries ``(w, v)``; otherwise a copy with
+    the slack ``w = u - x`` and ``v = max(<x, s>/n, 1e-2) / w`` on the
+    bounded coordinates and zeros elsewhere."""
+    if st.w is not None:
+        return st
+    fi = np.flatnonzero(np.isfinite(p.u))
+    n = p.ncols
+    w = np.zeros(n)
+    w[fi] = p.u[fi] - st.x[fi]
+    v = np.zeros(n)
+    v[fi] = max(float(st.x @ st.s) / n, 1e-2) / w[fi]
+    return dataclasses.replace(st, w=w, v=v)
 
-def _masked_div(num, den, mask):
-    out = np.zeros_like(num)
-    out[mask] = num[mask] / den[mask]
-    return out
+
+def _scaling_sq(st: IterateState, fi) -> np.ndarray:
+    """``d^2 = 1 / (s/x + v/w)``, the bound term on the coordinates fi."""
+    sx = st.s / st.x
+    sx[fi] += st.v[fi] / st.w[fi]
+    return 1.0 / sx
+
 
 @dataclass
 class MehrotraStep:
     dx: np.ndarray
     dy: np.ndarray
     ds: np.ndarray
-    dw: np.ndarray | None
-    dv: np.ndarray | None
+    dw: np.ndarray
+    dv: np.ndarray
     alpha_p: float
     alpha_d: float
     sigma: float
     mu_aff: float
 
 
-def _step_limit(z, dz, mask=None) -> float:
-    if mask is not None:
-        z, dz = z[mask], dz[mask]
+def _step_limit(z, dz) -> float:
     neg = dz < 0.0
     if not neg.any():
         return np.inf
@@ -129,73 +124,60 @@ def mehrotra_step(
     p: StandardLp,
     st: IterateState,
     factor: CholeskyFactor,
-    step_fraction: float = 0.9995,
+    step_fraction: float = _STEP_FRACTION,
 ) -> MehrotraStep:
     """One predictor-corrector step from a strictly interior state, using
-    the supplied factorization of ``A D^2 A^T``."""
-    x, y, s = st.x, st.y, st.s
+    the supplied factorization of ``A D^2 A^T``.
+
+    The bound pair ``(w, v)`` of the state (filled in when it is None)
+    is zero off the bounded coordinates ``fi``, and so are the returned
+    full-length ``dw`` and ``dv``; all bound arithmetic runs on ``fi``,
+    which is empty on an unbounded problem."""
+    st = _with_bound_pair(p, st)
+    x, y, s, w, v = st.x, st.y, st.s, st.w, st.v
     n = p.ncols
-    finite = np.isfinite(p.u)
-    bounded = bool(finite.any())
-    w = st.w if bounded else None
-    v = st.v if bounded else None
+    fi = np.flatnonzero(np.isfinite(p.u))
+    wf, vf = w[fi], v[fi]
 
     r_p = p.A.matvec(x) - p.b
-    r_d = p.A.rmatvec(y) + s - p.c
-    if bounded:
-        r_d = r_d - v
-        r_u = np.zeros(n)
-        r_u[finite] = x[finite] + w[finite] - p.u[finite]
-        vw = _masked_div(v, w, finite)
-    else:
-        r_u = None
-        vw = 0.0
-    d2 = 1.0 / (s / x + vw)
+    r_d = p.A.rmatvec(y) + s - p.c - v
+    r_u = x[fi] + wf - p.u[fi]
+    vw = vf / wf
+    d2 = _scaling_sq(st, fi)
 
     mu = complementarity(p, st)
 
     def solve_directions(rhs_xs, rhs_wv):
         rhs_combined = rhs_xs / x + r_d
-        if bounded:
-            rhs_combined = rhs_combined - _masked_div(rhs_wv, w, finite) - vw * r_u
+        rhs_combined[fi] = rhs_combined[fi] - rhs_wv / wf - vw * r_u
         dy = factor.solve(-r_p - p.A.matvec(d2 * rhs_combined))
         dx = d2 * (rhs_combined + p.A.rmatvec(dy))
-        if bounded:
-            dw = np.where(finite, -r_u - dx, 0.0)
-            dv = _masked_div(rhs_wv - v * dw, w, finite)
-        else:
-            dw = dv = None
-        ds = -r_d - p.A.rmatvec(dy) + (dv if bounded else 0.0)
+        dw = np.zeros(n)
+        dw[fi] = -r_u - dx[fi]
+        dv = np.zeros(n)
+        dv[fi] = (rhs_wv - vf * dw[fi]) / wf
+        ds = -r_d - p.A.rmatvec(dy) + dv
         return dx, dy, ds, dw, dv
 
     # affine predictor
-    rhs_xs = -x * s
-    rhs_wv = -(w * v) if bounded else None
-    dx_a, dy_a, ds_a, dw_a, dv_a = solve_directions(rhs_xs, rhs_wv)
+    dx_a, dy_a, ds_a, dw_a, dv_a = solve_directions(-x * s, -(wf * vf))
 
-    ap = min(1.0, _step_limit(x, dx_a))
-    ad = min(1.0, _step_limit(s, ds_a))
-    if bounded:
-        ap = min(ap, _step_limit(w, dw_a, finite))
-        ad = min(ad, _step_limit(v, dv_a, finite))
+    ap = min(1.0, _step_limit(x, dx_a), _step_limit(w, dw_a))
+    ad = min(1.0, _step_limit(s, ds_a), _step_limit(v, dv_a))
     mu_aff = complementarity(p, IterateState(
         x=x + ap * dx_a, y=y, s=s + ad * ds_a, mu=mu,
-        w=w + ap * dw_a if bounded else None,
-        v=v + ad * dv_a if bounded else None,
+        w=w + ap * dw_a, v=v + ad * dv_a,
     ))
     sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, _SIGMA_MIN, _SIGMA_MAX))
 
     # corrector with second-order term
-    rhs_xs = sigma * mu - x * s - dx_a * ds_a
-    if bounded:
-        rhs_wv = np.where(finite, sigma * mu - w * v - dw_a * dv_a, 0.0)
-    dx, dy, ds, dw, dv = solve_directions(rhs_xs, rhs_wv)
+    dx, dy, ds, dw, dv = solve_directions(
+        sigma * mu - x * s - dx_a * ds_a,
+        sigma * mu - wf * vf - dw_a[fi] * dv_a[fi],
+    )
 
-    limit_p = _step_limit(x, dx)
-    limit_d = _step_limit(s, ds)
-    if bounded:
-        limit_p = min(limit_p, _step_limit(w, dw, finite))
-        limit_d = min(limit_d, _step_limit(v, dv, finite))
+    limit_p = min(_step_limit(x, dx), _step_limit(w, dw))
+    limit_d = min(_step_limit(s, ds), _step_limit(v, dv))
     alpha_p = min(1.0, step_fraction * limit_p)
     alpha_d = min(1.0, step_fraction * limit_d)
     return MehrotraStep(
@@ -237,8 +219,8 @@ def pd_solve(
     runs are reproducible in tests.
     """
     t_start = time.perf_counter()
-    st = (start or pd_starting_point(p, cfg.starting_point)).copy()
-    finite = np.isfinite(p.u)
+    st = _with_bound_pair(p, (start or pd_starting_point(p)).copy())
+    fi = np.flatnonzero(np.isfinite(p.u))
     st.mu = complementarity(p, st)
 
     factorizations = 0
@@ -247,18 +229,16 @@ def pd_solve(
     message = ""
     ema_ratio = None
     iterates = []
-    e_p = e_d = e_g = float("inf")
+    e_p, e_d, e_g = convergence_metrics(p, st)
 
     try:
         for k in range(1, cfg.max_iter + 1):
-            e_p, e_d, e_g = convergence_metrics(p, st)
             if max(e_p, e_d, e_g) <= cfg.tol:
                 status = SolveStatus.OPTIMAL
                 break
 
             t0 = time.perf_counter()
-            vw = _masked_div(st.v, st.w, finite) if st.w is not None else 0.0
-            d2 = 1.0 / (st.s / st.x + vw)
+            d2 = _scaling_sq(st, fi)
             if np.any(d2 <= 0.0) or not np.all(np.isfinite(d2)):
                 raise NumericalBreakdown("primal-dual scaling left positivity")
             factor = cholesky_factorize(form_normal_matrix(p.A, np.sqrt(d2)))
@@ -266,7 +246,7 @@ def pd_solve(
             t_factor = time.perf_counter() - t0
 
             t1 = time.perf_counter()
-            step = mehrotra_step(p, st, factor, cfg.step_fraction)
+            step = mehrotra_step(p, st, factor)
             ap, ad = step.alpha_p, step.alpha_d
             saved = st.copy()
             x_prev = saved.x
@@ -274,13 +254,13 @@ def pd_solve(
             st.x = st.x + ap * step.dx
             st.y = st.y + ad * step.dy
             st.s = st.s + ad * step.ds
-            if st.w is not None:
-                st.w = st.w + ap * step.dw
-                st.v = st.v + ad * step.dv
+            st.w = st.w + ap * step.dw
+            st.v = st.v + ad * step.dv
             scale = max(np.abs(st.x).max(), np.abs(st.s).max(), np.abs(st.y).max())
             if not np.isfinite(scale) or scale > _DIVERGENCE_LIMIT:
                 # runaway iterates: the problem is primal or dual
-                # infeasible; keep the last sane state and stop
+                # infeasible; keep the last sane state, whose metrics
+                # are the ones in hand, and stop
                 st = saved
                 iterations = k
                 message = "iterates diverged (problem likely infeasible)"
@@ -327,7 +307,6 @@ def pd_solve(
                         cg_iters=0,
                         wall_factor_ms=t_factor * 1e3,
                         wall_solve_ms=t_solve * 1e3,
-                        wall_other_ms=0.0,
                     )
                 )
             if collect_iterates:
@@ -343,7 +322,6 @@ def pd_solve(
                 status = SolveStatus.HALTED
                 break
         else:
-            e_p, e_d, e_g = convergence_metrics(p, st)
             if max(e_p, e_d, e_g) <= cfg.tol:
                 status = SolveStatus.OPTIMAL
     except (FactorizationFailed, NumericalBreakdown) as exc:

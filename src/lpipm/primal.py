@@ -25,6 +25,11 @@ feasible direction:
 A PCG miss refreshes the cache at x and retries once, unless the cache
 is already fresh; then the miss is the attainable residual floor and the
 repair keeps the step usable.
+
+The state always carries the bound pair ``(w, v)``, zero off the bounded
+coordinates, so an unbounded problem runs the same code with an empty
+bounded set.  A start without the pair has its reduced cost split into
+``s`` and ``v`` once, at entry.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ FROZEN_PRECOND = "frozen_precond"
 DELAYED_SCALING = "delayed_scaling"
 
 _FEASIBLE_PATH_TOL = 1e-12
+_STEP_FRACTION = 0.9995  # share of the distance to the boundary taken
 
 
 @dataclass
@@ -70,7 +76,6 @@ class PrimalConfig:
     tau: float | None = None  # None: 1 / (10 sqrt(n))
     theta: float = 1e-1
     nu: float = 1.0
-    step_fraction: float = 0.9995
     cg_tol: float = 1e-10
     cg_max_iter: int = 200
     max_iter: int = 100
@@ -82,8 +87,6 @@ class PrimalConfig:
             raise ValueError("tau must lie in (0, 1)")
         if self.theta <= 0.0 or self.nu <= 0.0 or self.tol <= 0.0:
             raise ValueError("theta, nu, tol must be positive")
-        if not 0.0 < self.step_fraction < 1.0:
-            raise ValueError("step_fraction must lie in (0, 1)")
         if self.mode not in (EXACT, FROZEN_PRECOND, DELAYED_SCALING):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -331,14 +334,13 @@ def _split_composite_dual(p: StandardLp, x, s_composite):
 
     The positive-part split is the gap-minimizing choice of v subject to
     both signs, and it converges to the exact active-bound multipliers
-    (v = mu/(u-x) would keep oscillating with the barrier schedule)."""
-    if not p.has_finite_bounds:
-        return s_composite, None, None
-    finite = np.isfinite(p.u)
+    (v = mu/(u-x) would keep oscillating with the barrier schedule).
+    Both are zero off the bounded coordinates."""
+    fi = np.flatnonzero(np.isfinite(p.u))
     v = np.zeros_like(s_composite)
-    v[finite] = np.maximum(-s_composite[finite], 0.0)
+    v[fi] = np.maximum(-s_composite[fi], 0.0)
     w = np.zeros_like(s_composite)
-    w[finite] = p.u[finite] - x[finite]
+    w[fi] = p.u[fi] - x[fi]
     return s_composite + v, v, w
 
 
@@ -356,19 +358,19 @@ def primal_solve(
     t_start = time.perf_counter()
     A = p.A
     n = p.ncols
-    finite = np.isfinite(p.u)
+    fi = np.flatnonzero(np.isfinite(p.u))
     tau = cfg.effective_tau(n)
     st = start.copy()
     if np.any(st.x <= 0.0):
         raise ValueError("starting point must satisfy x > 0")
-    if np.any(st.x[finite] >= p.u[finite]):
+    if np.any(st.x[fi] >= p.u[fi]):
         raise ValueError("starting point must satisfy x < u")
 
     mu = cfg.mu0 if cfg.mu0 is not None else complementarity(p, st)
     if mu <= 0.0:
         mu = 1.0
     st.mu = mu
-    if p.has_finite_bounds and st.w is None:
+    if st.w is None:
         # interpret the incoming reduced cost as composite and split it
         st.s, st.v, st.w = _split_composite_dual(p, st.x, st.s)
 
@@ -411,7 +413,7 @@ def primal_solve(
                 )
                 dx = solver.repair(direction.dx)
                 delta = direction.delta
-                alpha = ratio_test(x, dx, cfg.step_fraction, p.u)
+                alpha = ratio_test(x, dx, _STEP_FRACTION, p.u)
                 st.x = x + alpha * dx
                 st.y = direction.y
                 st.s, st.v, st.w = _split_composite_dual(p, st.x, direction.s)
@@ -425,24 +427,21 @@ def primal_solve(
                 delta = None
                 if cfg.mode == EXACT:
                     delta = proximity(p, x, mu, solver.factor.solve).delta
-                alpha = ratio_test(x, dx, cfg.step_fraction, p.u)
+                alpha = ratio_test(x, dx, _STEP_FRACTION, p.u)
                 st.x = x + alpha * dx
                 st.y = st.y + alpha * dy
-                if p.has_finite_bounds:
-                    gap = np.where(finite, p.u - x, 1.0)
-                    v = st.v if st.v is not None else np.zeros(n)
-                    r_v = v - np.where(finite, mu / gap, 0.0)
-                    dv = -r_v + np.where(finite, mu / (gap * gap), 0.0) * dx
-                    dv[~finite] = 0.0
-                    st.v = v + alpha * dv
-                    st.s = st.s + alpha * (ds_comp + dv)
-                    st.w = np.where(finite, p.u - st.x, 0.0)
-                else:
-                    st.s = st.s + alpha * ds_comp
+                # Newton step of v (u - x) = mu on the bounded coordinates
+                gap = p.u[fi] - x[fi]
+                dv = np.zeros(n)
+                dv[fi] = -(st.v[fi] - mu / gap) + mu / (gap * gap) * dx[fi]
+                st.v = st.v + alpha * dv
+                st.s = st.s + alpha * (ds_comp + dv)
+                st.w = np.zeros(n)
+                st.w[fi] = p.u[fi] - st.x[fi]
 
             if np.any(st.x <= 0.0):
                 raise NumericalBreakdown("iterate left the positive orthant")
-            if np.any(st.x[finite] >= p.u[finite]):
+            if np.any(st.x[fi] >= p.u[fi]):
                 raise NumericalBreakdown("iterate crossed an upper bound")
 
             step_norm = float(np.linalg.norm(st.x - x))
@@ -469,7 +468,6 @@ def primal_solve(
                         cg_iters=solver.cg_iterations - cg_before,
                         wall_factor_ms=t_factor * 1e3,
                         wall_solve_ms=t_solve * 1e3,
-                        wall_other_ms=0.0,
                     )
                 )
             if collect_iterates:

@@ -75,10 +75,6 @@ class StandardLp:
     def ncols(self) -> int:
         return self.A.ncols
 
-    @property
-    def has_finite_bounds(self) -> bool:
-        return bool(np.any(np.isfinite(self.u)))
-
     def objective_value(self, x) -> float:
         return float(self.c @ np.asarray(x, dtype=np.float64))
 
@@ -90,9 +86,12 @@ class StandardLp:
 class IterateState:
     """Current primal-dual point of any engine.
 
-    ``s`` is the reduced cost; for upper-bounded variables the bound
-    slack ``w = u - x`` and its multiplier ``v`` are carried too, and the
-    dual residual uses ``A^T y + s - v - c``.
+    ``s`` is the reduced cost, and the dual residual is
+    ``A^T y + s - v - c``.  The bound slack ``w = u - x`` and its
+    multiplier ``v`` are length-n arrays, zero where u is infinite; an
+    engine state always carries them, so an unbounded problem runs the
+    bounded path with an empty bounded set.  A caller's state may leave
+    them None, and the engines fill them in once, at entry.
     """
 
     x: np.ndarray
@@ -101,9 +100,6 @@ class IterateState:
     mu: float
     w: np.ndarray | None = None
     v: np.ndarray | None = None
-    r_p: np.ndarray | None = None
-    r_d: np.ndarray | None = None
-    r_mu: np.ndarray | None = None
 
     def copy(self) -> "IterateState":
         return IterateState(
@@ -361,18 +357,16 @@ def symmetric_to_standard(p: SymmetricLp) -> StandardLp:
 def residuals(p: StandardLp, st: IterateState):
     """Primal, dual, and complementarity residuals.
 
-    ``r_p = Ax - b``, ``r_d = A^T y + s - v - c`` (the ``v`` term only on
-    upper-bounded variables), ``r_mu = s - mu * (X^{-1} - (U-X)^{-1}) e``
-    which reduces to ``s - mu X^{-1} e`` without bounds.
+    ``r_p = Ax - b``, ``r_d = A^T y + s - v - c`` and
+    ``r_mu = s - mu * (X^{-1} - (U-X)^{-1}) e - v``, with the ``(U-X)^{-1}``
+    term on the bounded coordinates only and ``v = 0`` when the state
+    carries none.
     """
     x = np.asarray(st.x, dtype=np.float64)
+    v = 0.0 if st.v is None else st.v
     r_p = p.A.matvec(x) - p.b
-    r_d = p.A.rmatvec(st.y) + st.s - p.c
-    if p.has_finite_bounds and st.v is not None:
-        r_d = r_d - st.v
-    r_mu = st.s - st.mu * barrier_gradient(p, x)
-    if st.v is not None:
-        r_mu = r_mu - st.v
+    r_d = p.A.rmatvec(st.y) + st.s - p.c - v
+    r_mu = st.s - st.mu * barrier_gradient(p, x) - v
     return r_p, r_d, r_mu
 
 
@@ -380,9 +374,8 @@ def barrier_gradient(p: StandardLp, x: np.ndarray) -> np.ndarray:
     """Gradient of the negated log barrier divided by mu: X^{-1}e, with
     the upper-bound term subtracted on bounded variables."""
     grad = 1.0 / x
-    if p.has_finite_bounds:
-        finite = np.isfinite(p.u)
-        grad[finite] -= 1.0 / (p.u[finite] - x[finite])
+    fi = np.flatnonzero(np.isfinite(p.u))
+    grad[fi] -= 1.0 / (p.u[fi] - x[fi])
     return grad
 
 

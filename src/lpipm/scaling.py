@@ -81,13 +81,11 @@ def bound_scaling_diag(x, u) -> np.ndarray:
         raise ValueError("bound_scaling_diag needs matching lengths")
     if np.any(x <= 0.0):
         raise InteriorityViolation("bound_scaling_diag needs x > 0")
-    finite = np.isfinite(u)
-    if not finite.any():
-        return x.copy()
-    if np.any(x[finite] >= u[finite]):
+    fi = np.flatnonzero(np.isfinite(u))
+    xf = x[fi]
+    gap = u[fi] - xf
+    if np.any(gap <= 0.0):
         raise InteriorityViolation("bound_scaling_diag needs x < u")
     d = x.copy()
-    xf = x[finite]
-    gap = u[finite] - xf
-    d[finite] = xf * gap / np.sqrt(xf * xf + gap * gap)
+    d[fi] = xf * gap / np.sqrt(xf * xf + gap * gap)
     return d

@@ -37,7 +37,6 @@ class TraceRecord:
     cg_iters: int
     wall_factor_ms: float
     wall_solve_ms: float
-    wall_other_ms: float
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(TraceRecord))
@@ -118,7 +117,6 @@ def parse_csv(text) -> list:
                 cg_iters=int(vals["cg_iters"]),
                 wall_factor_ms=float(vals["wall_factor_ms"]),
                 wall_solve_ms=float(vals["wall_solve_ms"]),
-                wall_other_ms=float(vals["wall_other_ms"]),
             )
         )
     return out

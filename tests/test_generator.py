@@ -66,6 +66,12 @@ class TestGenerator:
         with pytest.raises(ValueError):
             generate_instance(5, 5, seed=0)
 
+    def test_rank_deficient_draws_raise(self):
+        # one entry per column: 11 columns rarely reach all 10 rows, so
+        # every one of the 5 draws of this seed lacks full row rank
+        with pytest.raises(ValueError, match="could not draw"):
+            generate_instance(10, 11, seed=0, density=0.0)
+
     def test_dense_and_spread_options(self):
         inst = generate_instance(10, 24, seed=3, density=1.0, spread=3.0)
         assert np.count_nonzero(inst.A) == 240  # fully dense

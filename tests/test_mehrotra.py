@@ -33,13 +33,6 @@ class TestStartingPoint:
         assert np.all(st.x > 0) and np.all(st.s > 0)
         assert st.x[0] == st.x[1]  # uniform shift
 
-    def test_uniform_mode(self):
-        p = standard_lp_from_dense(np.eye(3), np.ones(3), np.ones(3))
-        st = pd_starting_point(p, mode="uniform")
-        assert np.all(st.x > 0) and np.all(st.s > 0)
-        res = pd_solve(p, PdConfig(starting_point="uniform"))
-        assert res.status == SolveStatus.OPTIMAL
-
     def test_always_strictly_interior(self):
         rng = np.random.default_rng(50)
         for _ in range(20):
@@ -200,6 +193,39 @@ class TestPdSolve:
         assert res.status == SolveStatus.OPTIMAL
         assert_allclose(res.x, [1.0, 1.0, 1.0], atol=1e-7)
         assert res.objective == pytest.approx(-2.0, abs=1e-8)
+
+    def test_unbounded_problem_runs_the_bounded_path(self):
+        # an unbounded problem carries a zero bound pair, and the step
+        # from it is the step from the same point without one, bit for bit
+        inst = generate_instance(25, 60, seed=1)
+        p = to_standard_form(parse_mps(inst.mps_text))
+        st = pd_starting_point(p)
+        assert st.w.tobytes() == np.zeros(p.ncols).tobytes()
+        assert st.v.tobytes() == np.zeros(p.ncols).tobytes()
+        factor = cholesky_factorize(form_normal_matrix(p.A, np.sqrt(st.x / st.s)))
+        carried = mehrotra_step(p, st, factor)
+        bare = mehrotra_step(
+            p, IterateState(x=st.x, y=st.y, s=st.s, mu=st.mu), factor
+        )
+        for name in ("dx", "dy", "ds", "dw", "dv"):
+            assert getattr(carried, name).tobytes() == getattr(bare, name).tobytes()
+        for name in ("alpha_p", "alpha_d", "sigma", "mu_aff"):
+            assert getattr(carried, name) == getattr(bare, name)
+
+    def test_bounded_start_without_bound_pair_is_filled(self):
+        # the fill at entry gives a bare start the pair the starting
+        # point itself carries, so both runs match bit for bit
+        p = standard_lp_from_dense(
+            [[1.0, 1.0, 1.0]], [3.0], [-1.0, -1.0, 0.0],
+            u=[1.5, 1.5, np.inf],
+        )
+        st = pd_starting_point(p)
+        bare = IterateState(x=st.x, y=st.y, s=st.s, mu=st.mu)
+        filled = pd_solve(p, PdConfig(), start=bare)
+        res = pd_solve(p, PdConfig())
+        assert filled.status == res.status == SolveStatus.OPTIMAL
+        assert filled.iterations == res.iterations
+        assert filled.x.tobytes() == res.x.tobytes()
 
     def test_bounded_step_matches_dense_oracle(self):
         # one bounded Mehrotra iteration against a dense implementation

@@ -18,7 +18,7 @@ def _record(k, step, delta=None, phase="pd", mu=1.0):
         iter=k, phase=phase, mu=mu, e_p=1e-8 / k, e_d=2e-9, e_g=3e-7 / k,
         step_norm=step, thresholded_step=step / 2.0, delta=delta,
         alpha=0.9995, factorized=(k % 2 == 0), cg_iters=k,
-        wall_factor_ms=1.25, wall_solve_ms=0.5, wall_other_ms=0.0,
+        wall_factor_ms=1.25, wall_solve_ms=0.5,
     )
 
 
@@ -62,7 +62,7 @@ class TestEmit:
             for field in (
                 "iter", "phase", "mu", "e_p", "e_d", "e_g", "step_norm",
                 "thresholded_step", "delta", "alpha", "factorized",
-                "cg_iters", "wall_factor_ms", "wall_solve_ms", "wall_other_ms",
+                "cg_iters", "wall_factor_ms", "wall_solve_ms",
             ):
                 assert getattr(a, field) == getattr(b, field)
 
