@@ -27,7 +27,10 @@ def pcg_solve(apply_M, precond: CholeskyFactor, rhs, rel_tol, max_iter) -> CgOut
     residual is always recomputed from scratch so the reported value is
     immune to recurrence drift; when the recurrence claims convergence
     but the true residual disagrees, the iteration continues from the
-    refreshed residual.
+    refreshed residual, recomputed every iteration from then on.  When a
+    true residual is no smaller than the one before, the attainable floor
+    of the solve lies above ``rel_tol``: the run stops there and reports
+    no convergence.
     """
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
@@ -42,6 +45,7 @@ def pcg_solve(apply_M, precond: CholeskyFactor, rhs, rel_tol, max_iter) -> CgOut
     p = z.copy()
     rz = float(r @ z)
     iterations = 0
+    last_true = np.inf
     for _ in range(max_iter):
         iterations += 1
         Mp = apply_M(p)
@@ -53,10 +57,12 @@ def pcg_solve(apply_M, precond: CholeskyFactor, rhs, rel_tol, max_iter) -> CgOut
         alpha = rz / pMp
         x += alpha * p
         r -= alpha * Mp
-        if np.linalg.norm(r) / denom <= rel_tol:
+        if last_true < np.inf or np.linalg.norm(r) / denom <= rel_tol:
             r = rhs - apply_M(x)
-            if np.linalg.norm(r) / denom <= rel_tol:
-                return CgOutcome(x, iterations, float(np.linalg.norm(r)) / denom, True)
+            true_rel = float(np.linalg.norm(r)) / denom
+            if true_rel <= rel_tol or true_rel >= last_true:
+                return CgOutcome(x, iterations, true_rel, true_rel <= rel_tol)
+            last_true = true_rel
         z = precond.solve(r)
         if not np.all(np.isfinite(z)):
             raise NumericalBreakdown("non-finite value in PCG preconditioner solve")

@@ -45,7 +45,10 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--tol", type=float, default=1e-10)
     solve.add_argument("--max-iter", type=int, default=100)
     solve.add_argument("--tau", type=float, default=None,
-                       help="barrier reduction rate (default 1/(10 sqrt(n)))")
+                       help="barrier cut of one full primal step, applied to "
+                       "the measured complementarity; a damped step of "
+                       "length alpha cuts by 1 - tau*alpha "
+                       "(default 1/(10 sqrt(n)))")
     solve.add_argument("--nu", type=float, default=1.0,
                        help="threshold of the scaled distance")
     solve.add_argument("--theta", type=float, default=1e-1,

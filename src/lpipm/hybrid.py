@@ -14,6 +14,7 @@ import dataclasses
 import time
 from dataclasses import dataclass
 
+from .errors import FactorizationFailed, NumericalBreakdown
 from .mehrotra import PdConfig, PdIterationInfo, pd_solve
 from .primal import DELAYED_SCALING, PrimalConfig, primal_solve, refresh_cache
 from .problem import StandardLp
@@ -120,17 +121,26 @@ def hybrid_solve(
     phase_stats["switch_time_ratio"] = decision.time_ratio
 
     start = switch_state["state"]
-    cache = refresh_cache(p, start.x)  # the seed factorization, counted below
     cfg2 = dataclasses.replace(primal_cfg, mode=DELAYED_SCALING, nu=policy.nu)
-    phase2 = primal_solve(
-        p,
-        cfg2,
-        start,
-        trace_log=trace_log,
-        cache=cache,
-        collect_iterates=collect_iterates,
-        iter_offset=phase1.iterations,
-    )
+    try:
+        cache = refresh_cache(p, start.x)  # the seed factorization, counted below
+    except (FactorizationFailed, NumericalBreakdown) as exc:
+        # a seed that fails is a primal phase that failed before its first step
+        phase2 = SolveResult(
+            SolveStatus.NUMERICAL_FAILURE, start.x, start.y, start.s,
+            p.objective_value(start.x), phase1.e_p, phase1.e_d, phase1.e_g,
+            iterations=0, factorizations=0, cg_iterations=0, message=str(exc),
+        )
+    else:
+        phase2 = primal_solve(
+            p,
+            cfg2,
+            start,
+            trace_log=trace_log,
+            cache=cache,
+            collect_iterates=collect_iterates,
+            iter_offset=phase1.iterations,
+        )
     phase_stats["primal_iterations"] = phase2.iterations
     phase_stats["primal_factorizations"] = phase2.factorizations + 1
     phase_stats["primal_wall_s"] = phase2.wall_s

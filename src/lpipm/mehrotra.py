@@ -73,15 +73,14 @@ def pd_starting_point(p: StandardLp) -> IterateState:
     uf = p.u[fi]
     x = x.copy()
     x[fi] = np.clip(x[fi], 0.01 * np.minimum(uf, 1.0), 0.99 * uf)
-    st = _with_bound_pair(p, IterateState(x=x, y=y_tilde, s=s, mu=0.0))
-    st.mu = complementarity(p, st)
-    return st
+    return _with_bound_pair(p, IterateState(x=x, y=y_tilde, s=s, mu=0.0))
 
 
 def _with_bound_pair(p: StandardLp, st: IterateState) -> IterateState:
     """``st`` itself when it carries ``(w, v)``; otherwise a copy with
     the slack ``w = u - x`` and ``v = max(<x, s>/n, 1e-2) / w`` on the
-    bounded coordinates and zeros elsewhere."""
+    bounded coordinates and zeros elsewhere, and ``mu`` its
+    complementarity."""
     if st.w is not None:
         return st
     fi = np.flatnonzero(np.isfinite(p.u))
@@ -90,7 +89,9 @@ def _with_bound_pair(p: StandardLp, st: IterateState) -> IterateState:
     w[fi] = p.u[fi] - st.x[fi]
     v = np.zeros(n)
     v[fi] = max(float(st.x @ st.s) / n, 1e-2) / w[fi]
-    return dataclasses.replace(st, w=w, v=v)
+    filled = dataclasses.replace(st, w=w, v=v)
+    filled.mu = complementarity(p, filled)
+    return filled
 
 
 def _scaling_sq(st: IterateState, fi) -> np.ndarray:
@@ -125,14 +126,17 @@ def mehrotra_step(
     st: IterateState,
     factor: CholeskyFactor,
     step_fraction: float = _STEP_FRACTION,
+    d2: np.ndarray | None = None,
 ) -> MehrotraStep:
     """One predictor-corrector step from a strictly interior state, using
-    the supplied factorization of ``A D^2 A^T``.
+    the supplied factorization of ``A D^2 A^T``; ``d2`` is the ``D^2``
+    the factor was built from, computed from the state when None.
 
     The bound pair ``(w, v)`` of the state (filled in when it is None)
     is zero off the bounded coordinates ``fi``, and so are the returned
     full-length ``dw`` and ``dv``; all bound arithmetic runs on ``fi``,
-    which is empty on an unbounded problem."""
+    which is empty on an unbounded problem.  ``st.mu`` is taken as the
+    state's complementarity, which a filled-in state gets with its pair."""
     st = _with_bound_pair(p, st)
     x, y, s, w, v = st.x, st.y, st.s, st.w, st.v
     n = p.ncols
@@ -143,9 +147,9 @@ def mehrotra_step(
     r_d = p.A.rmatvec(y) + s - p.c - v
     r_u = x[fi] + wf - p.u[fi]
     vw = vf / wf
-    d2 = _scaling_sq(st, fi)
-
-    mu = complementarity(p, st)
+    if d2 is None:
+        d2 = _scaling_sq(st, fi)
+    mu = st.mu
 
     def solve_directions(rhs_xs, rhs_wv):
         rhs_combined = rhs_xs / x + r_d
@@ -246,7 +250,7 @@ def pd_solve(
             t_factor = time.perf_counter() - t0
 
             t1 = time.perf_counter()
-            step = mehrotra_step(p, st, factor)
+            step = mehrotra_step(p, st, factor, d2=d2)
             ap, ad = step.alpha_p, step.alpha_d
             saved = st.copy()
             x_prev = saved.x

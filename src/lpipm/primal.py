@@ -9,7 +9,9 @@ Every mode runs the same iteration:
    :func:`infeasible_primal_step` otherwise;
 3. after an inexact (PCG) solve a least-norm feasibility repair puts the
    step back in the null space of A (or restores ``-r_p`` exactly on
-   infeasible-start steps).
+   infeasible-start steps);
+4. the next barrier target is chosen from the step just taken: its
+   length and the complementarity it reached (see :func:`primal_solve`).
 
 The modes differ only inside the solver and in the scaling point of the
 feasible direction:
@@ -50,6 +52,7 @@ from .problem import (
     barrier_gradient,
     complementarity,
     convergence_metrics,
+    feasibility_residuals,
     residuals,
 )
 from .results import SolveResult, SolveStatus
@@ -68,10 +71,19 @@ DELAYED_SCALING = "delayed_scaling"
 
 _FEASIBLE_PATH_TOL = 1e-12
 _STEP_FRACTION = 0.9995  # share of the distance to the boundary taken
+_POWER_STEPS = 3  # estimate of ||M|| in the preconditioner probe
+# a step this short leaves x and mu where they were; this many in a row
+# end the solve as stalled
+_STALL_ALPHA = 1e-3
+_STALL_STEPS = 4
 
 
 @dataclass
 class PrimalConfig:
+    """Settings of :func:`primal_solve`.  ``tau`` is the barrier cut of
+    one full step, applied to the complementarity measured after the
+    step; the schedule is documented on :func:`primal_solve`."""
+
     mu0: float | None = None  # None: <x0, s0> / n
     tau: float | None = None  # None: 1 / (10 sqrt(n))
     theta: float = 1e-1
@@ -104,20 +116,31 @@ class PreconditionerCache:
 
 def refresh_cache(p: StandardLp, z) -> PreconditionerCache:
     """Factorize the normal matrix at z and verify the factor with one
-    random matvec probe against the matrix-free operator."""
+    random probe of its backward error against the matrix-free operator:
+    ``||L L^T v - M v|| / (||M|| ||v||)``, with ``M`` including the
+    factor's diagonal shift and ``||M||`` taken from a few power steps."""
     z = np.asarray(z, dtype=np.float64).copy()
     d = bound_scaling_diag(z, p.u)
     M = form_normal_matrix(p.A, d)
     factor = cholesky_factorize(M)
+    d_sq = d * d
+
+    def apply_M(vec):
+        return p.A.matvec(d_sq * p.A.rmatvec(vec)) + factor.diag_regularization * vec
+
     probe_rng = np.random.default_rng(0xCACE)
     v = probe_rng.standard_normal(p.nrows)
-    applied = p.A.matvec(d * d * p.A.rmatvec(v)) + factor.diag_regularization * v
-    err = np.linalg.norm(factor.solve(applied) - v) / max(np.linalg.norm(v), 1.0)
-    # a stale factor errs at the size of the z-change (>= theta); the
-    # roundtrip of a correct factor is kappa-limited, so 1e-8 still
-    # separates the two by many orders of magnitude
+    Mv = apply_M(v)
+    q = Mv
+    for _ in range(_POWER_STEPS):
+        q = apply_M(q / np.linalg.norm(q))
+    L = factor.L
+    err = np.linalg.norm(L @ (L.T @ v) - Mv) / (np.linalg.norm(q) * np.linalg.norm(v))
+    # a stale factor errs at the size of the scaling change (>= theta); a
+    # correct one at rounding level, whatever the condition number, so
+    # 1e-8 separates the two by many orders of magnitude
     if err > 1e-8:
-        raise NumericalBreakdown(f"preconditioner probe failed (relative error {err:.2e})")
+        raise NumericalBreakdown(f"preconditioner probe failed (backward error {err:.2e})")
     return PreconditionerCache(z=z, factor=factor)
 
 
@@ -354,7 +377,28 @@ def primal_solve(
     phase: str = "primal",
     iter_offset: int = 0,
 ) -> SolveResult:
-    """Run the primal barrier iteration in the configured mode."""
+    """Run the primal barrier iteration in the configured mode.
+
+    The barrier target follows the step just taken.  With ``mu`` the
+    target of that step, ``alpha`` its length from :func:`ratio_test` and
+    ``mu_meas`` the complementarity measured at the new iterate:
+
+    * a full step (``alpha = 1``) on the feasible path sets
+      ``mu+ = min((1 - tau) mu, max((1 - tau) mu_meas, mu / 2))``: the cut
+      follows the iterate, is never smaller than the fixed cut and never
+      more than 2x below it;
+    * a damped step (``alpha < 1``), feasible or not, sets
+      ``mu+ = (1 - tau alpha) mu``: the target falls only as far as the
+      iterate moved;
+    * a full infeasible step sets ``mu+ = (1 - tau) mu``.
+
+    The ``mu / 2`` bound is derived, not tuned: a Newton step toward
+    ``mu+`` scales a centered coordinate by ``2 - mu / mu+``, which is
+    at most 0 once ``mu+ <= mu / 2``, so no full step can take a larger
+    cut.  ``_STALL_STEPS`` steps in a row shorter than ``_STALL_ALPHA``
+    end the solve with ``NumericalFailure`` and a "stalled" message
+    (the hybrid then falls back to primal-dual).
+    """
     t_start = time.perf_counter()
     A = p.A
     n = p.ncols
@@ -382,6 +426,7 @@ def primal_solve(
     message = ""
     iterates = []
     e_p = e_d = e_g = float("inf")
+    short_steps = 0  # consecutive steps shorter than _STALL_ALPHA
 
     try:
         for k in range(1, cfg.max_iter + 1):
@@ -389,6 +434,11 @@ def primal_solve(
             if max(e_p, e_d, e_g) <= cfg.tol:
                 status = SolveStatus.OPTIMAL
                 break
+            if short_steps == _STALL_STEPS:
+                raise NumericalBreakdown(
+                    f"stalled: step length below {_STALL_ALPHA:g} "
+                    f"for {_STALL_STEPS} iterations"
+                )
 
             t0 = time.perf_counter()
             x = st.x
@@ -398,7 +448,7 @@ def primal_solve(
             t_factor = time.perf_counter() - t0
 
             t1 = time.perf_counter()
-            r_p, r_d, _ = residuals(p, st)
+            r_p, r_d = feasibility_residuals(p, st)
             feasible = (
                 np.linalg.norm(r_p) <= _FEASIBLE_PATH_TOL * (1.0 + norm_b)
                 and np.linalg.norm(r_d) <= _FEASIBLE_PATH_TOL * (1.0 + norm_c)
@@ -447,8 +497,16 @@ def primal_solve(
             step_norm = float(np.linalg.norm(st.x - x))
             thresh_step = thresholded_distance(st.x, x, st.x, 1.0)
             mu_used = mu
-            mu = (1.0 - tau) * mu
+            if alpha < 1.0:
+                # the target falls only as far as the iterate moved
+                mu = (1.0 - tau * alpha) * mu
+            elif feasible:
+                measured = complementarity(p, st)
+                mu = min((1.0 - tau) * mu, max((1.0 - tau) * measured, 0.5 * mu))
+            else:
+                mu = (1.0 - tau) * mu
             st.mu = mu
+            short_steps = short_steps + 1 if alpha < _STALL_ALPHA else 0
             iterations = k
             t_solve = time.perf_counter() - t1
             if trace_log is not None:

@@ -357,17 +357,24 @@ def symmetric_to_standard(p: SymmetricLp) -> StandardLp:
 def residuals(p: StandardLp, st: IterateState):
     """Primal, dual, and complementarity residuals.
 
-    ``r_p = Ax - b``, ``r_d = A^T y + s - v - c`` and
+    ``r_p`` and ``r_d`` are those of :func:`feasibility_residuals`, and
     ``r_mu = s - mu * (X^{-1} - (U-X)^{-1}) e - v``, with the ``(U-X)^{-1}``
     term on the bounded coordinates only and ``v = 0`` when the state
     carries none.
     """
-    x = np.asarray(st.x, dtype=np.float64)
+    r_p, r_d = feasibility_residuals(p, st)
     v = 0.0 if st.v is None else st.v
-    r_p = p.A.matvec(x) - p.b
-    r_d = p.A.rmatvec(st.y) + st.s - p.c - v
-    r_mu = st.s - st.mu * barrier_gradient(p, x) - v
+    r_mu = st.s - st.mu * barrier_gradient(p, np.asarray(st.x, dtype=np.float64)) - v
     return r_p, r_d, r_mu
+
+
+def feasibility_residuals(p: StandardLp, st: IterateState):
+    """``r_p = Ax - b`` and ``r_d = A^T y + s - v - c``, with ``v = 0``
+    when the state carries none."""
+    v = 0.0 if st.v is None else st.v
+    r_p = p.A.matvec(np.asarray(st.x, dtype=np.float64)) - p.b
+    r_d = p.A.rmatvec(st.y) + st.s - p.c - v
+    return r_p, r_d
 
 
 def barrier_gradient(p: StandardLp, x: np.ndarray) -> np.ndarray:
@@ -401,7 +408,7 @@ def dual_objective(p: StandardLp, st: IterateState) -> float:
 
 def convergence_metrics(p: StandardLp, st: IterateState):
     """Scale-normalized primal/dual infeasibility and duality gap."""
-    r_p, r_d, _ = residuals(p, st)
+    r_p, r_d = feasibility_residuals(p, st)
     e_p = float(np.linalg.norm(r_p)) / (1.0 + float(np.linalg.norm(p.b)))
     e_d = float(np.linalg.norm(r_d)) / (1.0 + float(np.linalg.norm(p.c)))
     primal = float(p.c @ st.x)

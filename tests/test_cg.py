@@ -84,6 +84,20 @@ class TestPcg:
         assert not out.converged
         assert out.iterations == 2
 
+    def test_stops_at_the_attainable_floor(self):
+        # a tolerance below rounding: once the true residual stops
+        # falling, the run ends unconverged instead of spending max_iter
+        rng = np.random.default_rng(10)
+        B = rng.standard_normal((30, 30))
+        M = B @ B.T + 30 * np.eye(30)
+        f = cholesky_factorize(SparseMatrix.identity(30))
+        rhs = rng.standard_normal(30)
+        out = pcg_solve(lambda v: M @ v, f, rhs, 1e-18, 200)
+        assert not out.converged
+        assert out.iterations < 60
+        true_rel = np.linalg.norm(M @ out.solution - rhs) / max(np.linalg.norm(rhs), 1)
+        assert out.relative_residual == true_rel <= 1e-14
+
     def test_nonfinite_raises(self):
         f = cholesky_factorize(SparseMatrix.identity(2))
         with pytest.raises(NumericalBreakdown):

@@ -3,6 +3,7 @@ import pytest
 
 from lpipm import (
     IterateState,
+    NumericalBreakdown,
     PdConfig,
     PrimalConfig,
     SolveStatus,
@@ -179,6 +180,56 @@ class TestHybridSolve:
             stats["pd_factorizations"] + stats["primal_factorizations"]
             + resumed_factorizations
         )
+
+    def test_failed_seed_refresh_falls_back_to_pd(self, monkeypatch):
+        import lpipm.hybrid as hy
+
+        def failing_refresh(p, z):
+            raise NumericalBreakdown("preconditioner probe failed")
+
+        monkeypatch.setattr(hy, "refresh_cache", failing_refresh)
+        _, std = _planted(seed=17)
+        trace = TraceLog()
+        res = hy.hybrid_solve(
+            std, PdConfig(), PrimalConfig(tau=0.28, cg_tol=1e-12),
+            SwitchPolicy(), trace_log=trace, time_ratio_override=100.0,
+        )
+        stats = res.phase_stats
+        assert res.status == SolveStatus.OPTIMAL
+        assert stats["fallback"] is True
+        assert stats["primal_iterations"] == 0
+        assert all(r.phase == "pd" for r in trace)
+        assert res.iterations == len(trace)
+        assert res.factorizations == len(trace) + 1  # the failed seed counts
+
+    def test_degenerate_switch_seeds_and_solves(self):
+        # the seed factor at a degenerate switch point is correct but
+        # ill-conditioned; it used to fail its probe and raise
+        inst = generate_instance(30, 70, 7, degenerate=True, density=1.0, spread=3.0)
+        std = to_standard_form(parse_mps(inst.mps_text))
+        res = hybrid_solve(
+            std, PdConfig(), PrimalConfig(tau=0.28, mode="delayed_scaling"),
+            SwitchPolicy(), time_ratio_override=100.0,
+        )
+        assert res.phase_stats["switch_iteration"] is not None
+        assert res.phase_stats["primal_iterations"] > 0
+        assert res.status == SolveStatus.OPTIMAL
+        ref = inst.certificate.objective
+        value = std.recovery.original_objective(res.objective)
+        assert abs(value - ref) <= 1e-8 * (1 + abs(ref))
+
+    def test_stalled_primal_phase_falls_back_to_pd(self, monkeypatch):
+        import lpipm.primal as primal
+
+        monkeypatch.setattr(primal, "ratio_test", lambda *args: 1e-5)
+        _, std = _planted(seed=17)
+        res = hybrid_solve(
+            std, PdConfig(), PrimalConfig(tau=0.28, cg_tol=1e-12),
+            SwitchPolicy(), time_ratio_override=100.0,
+        )
+        assert res.status == SolveStatus.OPTIMAL
+        assert res.phase_stats["fallback"] is True
+        assert res.phase_stats["primal_iterations"] == primal._STALL_STEPS
 
     def test_exit_code_mapping(self):
         from lpipm.results import SolveResult

@@ -10,11 +10,16 @@ from lpipm import (
     NormalSolver,
     PrimalConfig,
     SolveStatus,
+    NormalMatrix,
+    NumericalBreakdown,
     TraceLog,
     cholesky_factorize,
+    complementarity,
     feasibility_repair,
     form_normal_matrix,
+    generate_instance,
     infeasible_primal_step,
+    parse_mps,
     pd_starting_point,
     primal_solve,
     projected_direction,
@@ -22,6 +27,7 @@ from lpipm import (
     ratio_test,
     refresh_cache,
     thresholded_distance,
+    to_standard_form,
 )
 from conftest import (
     dense_primal_direction,
@@ -41,6 +47,16 @@ def direction_at_x(p, x, mu, solve):
     """Projected Newton direction scaled at x itself, without a dual
     estimate: ``-D P_{AD}((1/mu) D c - D grad)``."""
     return projected_direction(p, x, x, mu, np.zeros(p.nrows), solve)
+
+
+def next_mu_on_feasible_path(mu, tau, alpha, measured):
+    """The barrier schedule of a feasible path: a damped step (alpha < 1)
+    cuts mu by ``1 - tau alpha``; a full step cuts it to ``1 - tau`` times
+    the complementarity measured after the step, but to no more than
+    ``(1 - tau) mu`` and no less than ``mu / 2``."""
+    if alpha < 1.0:
+        return (1.0 - tau * alpha) * mu
+    return min((1.0 - tau) * mu, max((1.0 - tau) * measured, 0.5 * mu))
 
 
 def pcg_direction(p, x, w, mu, cache, cg_tol, cg_max_iter=200):
@@ -273,6 +289,36 @@ class TestSurrogateDirection:
         assert solver.cg_iterations <= 40
 
 
+class TestRefreshCache:
+    def _near_singular(self):
+        # 19 large coordinates against 20 rows: A Z^2 A^T is correct to
+        # rounding but has kappa ~ 1e14, as at a degenerate optimum
+        rng = np.random.default_rng(0)
+        A = random_full_rank(rng, 20, 50)
+        p = standard_lp_from_dense(A, A @ np.ones(50), np.ones(50))
+        z = np.concatenate([np.full(19, 1.0), np.full(31, 1e-7)])
+        return p, z
+
+    def test_correct_factor_of_ill_conditioned_matrix_passes(self):
+        p, z = self._near_singular()
+        cache = refresh_cache(p, z)
+        M = form_normal_matrix(p.A, z).to_dense()
+        L = cache.factor.L
+        assert np.linalg.norm(L @ L.T - M) <= 1e-12 * np.linalg.norm(M)
+
+    def test_slightly_wrong_factor_fails(self, monkeypatch):
+        import lpipm.primal as primal
+
+        real = primal.cholesky_factorize
+        monkeypatch.setattr(
+            primal, "cholesky_factorize",
+            lambda M: real(NormalMatrix(M.to_dense() * (1.0 + 1e-6))),
+        )
+        p, z = self._near_singular()
+        with pytest.raises(NumericalBreakdown, match="probe failed"):
+            refresh_cache(p, z)
+
+
 class TestNormalSolver:
     def test_miss_refreshes_once_and_counts_both_runs(self, monkeypatch):
         import lpipm.primal as primal
@@ -331,6 +377,25 @@ class TestNormalSolver:
         assert sum(r.factorized for r in trace) == res.factorizations
         if mode != EXACT:
             assert len(observed) > res.iterations  # some iteration retried
+
+
+    def test_no_pcg_run_spends_its_budget_at_the_floor(self, monkeypatch):
+        import lpipm.primal as primal
+
+        observed = []
+        real_pcg = primal.pcg_solve
+
+        def counting_pcg(*args, **kwargs):
+            out = real_pcg(*args, **kwargs)
+            observed.append(out.iterations)
+            return out
+
+        monkeypatch.setattr(primal, "pcg_solve", counting_pcg)
+        p, start = feasible_instance(np.random.default_rng(1), 40, 90)
+        cfg = PrimalConfig(tau=0.28, mode=FROZEN_PRECOND, cg_tol=1e-14, cg_max_iter=30)
+        res = primal_solve(p, cfg, start)
+        assert res.status == SolveStatus.OPTIMAL
+        assert max(observed) < cfg.cg_max_iter
 
 
 def _delayed_bound_setup(rng, m, n):
@@ -449,14 +514,14 @@ class TestPrimalSolve:
         )
         cfg = PrimalConfig(mu0=mu0, tau=0.05, max_iter=600, mode=EXACT, tol=1e-10)
         trace = TraceLog()
-        res = primal_solve(tiny_lp, cfg, start, trace_log=trace)
+        res = primal_solve(tiny_lp, cfg, start, trace_log=trace, collect_iterates=True)
         assert res.status == SolveStatus.OPTIMAL
         assert abs(res.objective) <= 1e-9
         mu = mu0
-        for rec in trace:
+        for rec, it in zip(trace, res.iterates, strict=True):
             assert rec.delta is not None and rec.delta <= 0.5
-            assert rec.mu == pytest.approx(mu, rel=1e-12)
-            mu *= 1.0 - 0.05
+            assert rec.mu == mu
+            mu = next_mu_on_feasible_path(mu, 0.05, rec.alpha, complementarity(tiny_lp, it))
 
     def test_square_invertible_fast(self):
         # the feasible set is one point, the projection is identically
@@ -488,11 +553,33 @@ class TestPrimalSolve:
         p, start = feasible_instance(rng, 4, 9)
         cfg = PrimalConfig(mu0=1.0, tau=0.125, max_iter=30, mode=EXACT, tol=1e-14)
         trace = TraceLog()
-        primal_solve(p, cfg, start, trace_log=trace)
+        res = primal_solve(p, cfg, start, trace_log=trace, collect_iterates=True)
         mu = 1.0
-        for rec in trace:
-            assert rec.mu == mu  # bitwise: mu_{k+1} = (1 - tau) mu_k
-            mu = (1.0 - 0.125) * mu
+        for rec, it in zip(trace, res.iterates, strict=True):
+            assert rec.mu == mu  # bitwise: the schedule of the feasible path
+            mu = next_mu_on_feasible_path(mu, 0.125, rec.alpha, complementarity(p, it))
+
+    @pytest.mark.parametrize("tau", [0.7, 0.85])
+    def test_large_tau_reaches_optimal(self, tau):
+        # a fixed cut this large used to stall at the iteration limit
+        inst = generate_instance(40, 90, 7, density=1.0, spread=3.0)
+        p = to_standard_form(parse_mps(inst.mps_text))
+        cfg = PrimalConfig(tau=tau, cg_tol=1e-12, mode=DELAYED_SCALING)
+        res = primal_solve(p, cfg, pd_starting_point(p))
+        assert res.status == SolveStatus.OPTIMAL
+        ref = inst.certificate.objective
+        assert abs(p.recovery.original_objective(res.objective) - ref) <= 1e-8 * (1 + abs(ref))
+
+    def test_short_steps_end_the_solve_as_stalled(self, monkeypatch):
+        import lpipm.primal as primal
+
+        monkeypatch.setattr(primal, "ratio_test", lambda *args: 1e-5)
+        p, start = feasible_instance(np.random.default_rng(46), 5, 12)
+        trace = TraceLog()
+        res = primal_solve(p, PrimalConfig(tau=0.2, mode=EXACT), start, trace_log=trace)
+        assert res.status == SolveStatus.NUMERICAL_FAILURE
+        assert res.message.startswith("stalled")
+        assert res.iterations == len(trace) == primal._STALL_STEPS
 
     def test_feasible_start_stays_feasible(self):
         rng = np.random.default_rng(44)
