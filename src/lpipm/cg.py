@@ -12,6 +12,11 @@ from .errors import NumericalBreakdown
 from .sparse import NormalMatrix, SparseMatrix
 
 
+# a true residual this close to the tolerance that stops falling is at
+# the attainable floor
+_FLOOR_FACTOR = 10.0
+
+
 @dataclass(frozen=True)
 class CgOutcome:
     solution: np.ndarray
@@ -27,10 +32,13 @@ def pcg_solve(apply_M, precond: CholeskyFactor, rhs, rel_tol, max_iter) -> CgOut
     residual is always recomputed from scratch so the reported value is
     immune to recurrence drift; when the recurrence claims convergence
     but the true residual disagrees, the iteration continues from the
-    refreshed residual, recomputed every iteration from then on.  When a
-    true residual is no smaller than the one before, the attainable floor
-    of the solve lies above ``rel_tol``: the run stops there and reports
-    no convergence.
+    refreshed residual, recomputed every iteration from then on.  PCG
+    minimizes the error in the M-norm, so the 2-norm of the residual may
+    rise for an iteration; only when the true residual fails to fall
+    below its smallest value on two checks in a row, or on one check
+    once it lies within ``_FLOOR_FACTOR * rel_tol``, does the attainable
+    floor of the solve lie above ``rel_tol``: the run stops there and
+    reports no convergence.
     """
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
@@ -45,7 +53,8 @@ def pcg_solve(apply_M, precond: CholeskyFactor, rhs, rel_tol, max_iter) -> CgOut
     p = z.copy()
     rz = float(r @ z)
     iterations = 0
-    last_true = np.inf
+    best_true = np.inf  # smallest true residual so far, once checked
+    misses = 0  # consecutive checks that did not fall below best_true
     for _ in range(max_iter):
         iterations += 1
         Mp = apply_M(p)
@@ -57,12 +66,15 @@ def pcg_solve(apply_M, precond: CholeskyFactor, rhs, rel_tol, max_iter) -> CgOut
         alpha = rz / pMp
         x += alpha * p
         r -= alpha * Mp
-        if last_true < np.inf or np.linalg.norm(r) / denom <= rel_tol:
+        if best_true < np.inf or np.linalg.norm(r) / denom <= rel_tol:
             r = rhs - apply_M(x)
             true_rel = float(np.linalg.norm(r)) / denom
-            if true_rel <= rel_tol or true_rel >= last_true:
-                return CgOutcome(x, iterations, true_rel, true_rel <= rel_tol)
-            last_true = true_rel
+            if true_rel <= rel_tol:
+                return CgOutcome(x, iterations, true_rel, True)
+            misses = misses + 1 if true_rel >= best_true else 0
+            if misses == 2 or (misses == 1 and true_rel <= _FLOOR_FACTOR * rel_tol):
+                return CgOutcome(x, iterations, true_rel, False)
+            best_true = min(best_true, true_rel)
         z = precond.solve(r)
         if not np.all(np.isfinite(z)):
             raise NumericalBreakdown("non-finite value in PCG preconditioner solve")

@@ -73,14 +73,15 @@ def pd_starting_point(p: StandardLp) -> IterateState:
     uf = p.u[fi]
     x = x.copy()
     x[fi] = np.clip(x[fi], 0.01 * np.minimum(uf, 1.0), 0.99 * uf)
-    return _with_bound_pair(p, IterateState(x=x, y=y_tilde, s=s, mu=0.0))
+    st = _with_bound_pair(p, IterateState(x=x, y=y_tilde, s=s, mu=0.0))
+    st.mu = complementarity(p, st)
+    return st
 
 
 def _with_bound_pair(p: StandardLp, st: IterateState) -> IterateState:
     """``st`` itself when it carries ``(w, v)``; otherwise a copy with
     the slack ``w = u - x`` and ``v = max(<x, s>/n, 1e-2) / w`` on the
-    bounded coordinates and zeros elsewhere, and ``mu`` its
-    complementarity."""
+    bounded coordinates and zeros elsewhere."""
     if st.w is not None:
         return st
     fi = np.flatnonzero(np.isfinite(p.u))
@@ -89,9 +90,7 @@ def _with_bound_pair(p: StandardLp, st: IterateState) -> IterateState:
     w[fi] = p.u[fi] - st.x[fi]
     v = np.zeros(n)
     v[fi] = max(float(st.x @ st.s) / n, 1e-2) / w[fi]
-    filled = dataclasses.replace(st, w=w, v=v)
-    filled.mu = complementarity(p, filled)
-    return filled
+    return dataclasses.replace(st, w=w, v=v)
 
 
 def _scaling_sq(st: IterateState, fi) -> np.ndarray:
@@ -135,8 +134,7 @@ def mehrotra_step(
     The bound pair ``(w, v)`` of the state (filled in when it is None)
     is zero off the bounded coordinates ``fi``, and so are the returned
     full-length ``dw`` and ``dv``; all bound arithmetic runs on ``fi``,
-    which is empty on an unbounded problem.  ``st.mu`` is taken as the
-    state's complementarity, which a filled-in state gets with its pair."""
+    which is empty on an unbounded problem."""
     st = _with_bound_pair(p, st)
     x, y, s, w, v = st.x, st.y, st.s, st.w, st.v
     n = p.ncols
@@ -149,7 +147,8 @@ def mehrotra_step(
     vw = vf / wf
     if d2 is None:
         d2 = _scaling_sq(st, fi)
-    mu = st.mu
+
+    mu = complementarity(p, st)
 
     def solve_directions(rhs_xs, rhs_wv):
         rhs_combined = rhs_xs / x + r_d

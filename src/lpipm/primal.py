@@ -7,9 +7,9 @@ Every mode runs the same iteration:
 2. the search direction is computed through that solver:
    :func:`projected_direction` on a feasible iterate,
    :func:`infeasible_primal_step` otherwise;
-3. after an inexact (PCG) solve a least-norm feasibility repair puts the
-   step back in the null space of A (or restores ``-r_p`` exactly on
-   infeasible-start steps);
+3. after an inexact (PCG) solve a feasibility repair, scaled by the
+   cache point, puts the step back in the null space of A (or restores
+   ``-r_p`` on infeasible-start steps);
 4. the next barrier target is chosen from the step just taken: its
    length and the complementarity it reached (see :func:`primal_solve`).
 
@@ -164,7 +164,6 @@ class NormalSolver:
         self.factorizations = 0
         self.cg_iterations = 0
         self.converged = True  # every PCG run since the last reset converged
-        self._aat = None
 
     def update(self, x) -> None:
         """Factorize on schedule: every iteration in exact mode, else when
@@ -234,13 +233,23 @@ class NormalSolver:
 
     def repair(self, dx, r_p=None) -> np.ndarray:
         """Feasibility repair of a step from an inexact solve, restoring
-        ``A dx = -r_p`` (0 when ``r_p`` is None); exact steps pass through."""
+        ``A dx = -r_p`` (0 when ``r_p`` is None) to the accuracy of one
+        solve with the cached factor; exact steps pass through.
+
+        The error ``zeta = A dx + r_p`` is removed in the metric of the
+        cache point: ``dx - D_z^2 A^T F^{-1} zeta``, with ``F`` the cached
+        factor of ``A D_z^2 A^T``.  That correction moves each coordinate
+        in proportion to its squared scale, so it cannot push a coordinate
+        near a bound across it.  The least-norm :func:`feasibility_repair`
+        spreads it evenly instead, and on degenerate LPs, where
+        coordinates sit near 1e-10, that cuts full steps short until the
+        solve stalls."""
         if self.cfg.mode == EXACT:
             return dx
-        if self._aat is None:
-            self._aat = cholesky_factorize(form_normal_matrix(self.p.A, np.ones(self.p.ncols)))
-        zeta = None if r_p is None else self.p.A.matvec(dx) + r_p
-        return feasibility_repair(self.p, dx, zeta, aat_factor=self._aat)
+        A = self.p.A
+        zeta = A.matvec(dx) if r_p is None else A.matvec(dx) + r_p
+        d = bound_scaling_diag(self.cache.z, self.p.u)
+        return dx - d * d * A.rmatvec(self.cache.factor.solve(zeta))
 
 
 # ---------------------------------------------------------------------------

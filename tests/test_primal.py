@@ -320,6 +320,26 @@ class TestRefreshCache:
 
 
 class TestNormalSolver:
+    def test_repair_leaves_small_coordinates_in_place(self):
+        # the correction is scaled by the cache point: on a coordinate at
+        # 1e-10 it is 1e-20 times the error, below rounding, where a
+        # least-norm one is of the order of the error itself
+        rng = np.random.default_rng(47)
+        p, st = feasible_instance(rng, 6, 14)
+        z = st.x.copy()
+        z[:3] = 1e-10
+        cfg = PrimalConfig(mode=DELAYED_SCALING)
+        solver = NormalSolver(p, cfg, refresh_cache(p, z))
+        dx = 1e-6 * rng.standard_normal(14)
+        r_p = 1e-6 * rng.standard_normal(6)
+        for target in (None, r_p):
+            fixed = solver.repair(dx, target)
+            zero = np.zeros(6) if target is None else -target
+            assert np.linalg.norm(p.A.matvec(fixed) - zero) <= 1e-18
+            assert np.abs(fixed - dx)[:3].max() <= 1e-18
+        plain = feasibility_repair(p, dx)
+        assert np.abs(plain - dx)[:3].max() >= 1e-9
+
     def test_miss_refreshes_once_and_counts_both_runs(self, monkeypatch):
         import lpipm.primal as primal
 
@@ -565,6 +585,21 @@ class TestPrimalSolve:
         inst = generate_instance(40, 90, 7, density=1.0, spread=3.0)
         p = to_standard_form(parse_mps(inst.mps_text))
         cfg = PrimalConfig(tau=tau, cg_tol=1e-12, mode=DELAYED_SCALING)
+        res = primal_solve(p, cfg, pd_starting_point(p))
+        assert res.status == SolveStatus.OPTIMAL
+        ref = inst.certificate.objective
+        assert abs(p.recovery.original_objective(res.objective) - ref) <= 1e-8 * (1 + abs(ref))
+
+    @pytest.mark.parametrize("mode", [FROZEN_PRECOND, DELAYED_SCALING])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7])
+    def test_degenerate_lp_reaches_optimal(self, mode, seed):
+        # a degenerate optimum puts coordinates near 1e-10 next to a nearly
+        # singular normal matrix; a repair of the PCG error that ignores
+        # the scaling used to cut full steps short there until the solve
+        # stalled
+        inst = generate_instance(30, 70, seed, degenerate=True, density=1.0, spread=3.0)
+        p = to_standard_form(parse_mps(inst.mps_text))
+        cfg = PrimalConfig(tau=0.28, cg_tol=1e-12, mode=mode)
         res = primal_solve(p, cfg, pd_starting_point(p))
         assert res.status == SolveStatus.OPTIMAL
         ref = inst.certificate.objective
