@@ -50,7 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        "length alpha cuts by 1 - tau*alpha "
                        "(default 1/(10 sqrt(n)))")
     solve.add_argument("--nu", type=float, default=1.0,
-                       help="threshold of the scaled distance")
+                       help="threshold of the scaled distance: the primal "
+                       "engine's refresh trigger and delayed scaling point, "
+                       "and the hybrid's switch distance")
     solve.add_argument("--theta", type=float, default=1e-1,
                        help="factorization refresh tolerance")
     solve.add_argument("--switch-dist", type=float, default=1e-1)
@@ -118,7 +120,6 @@ def _solve(args) -> SolveResult:
         policy = SwitchPolicy(
             dist_threshold=args.switch_dist,
             time_ratio_threshold=args.switch_ratio,
-            nu=args.nu,
         )
         result = hybrid_solve(problem, pd_cfg, primal_cfg, policy,
                               trace_log=trace_log)

@@ -1,11 +1,15 @@
 """Hybrid controller: primal-dual until the iterates stabilize, then the
 delayed-scaling primal engine reusing cached factorizations.
 
-The switch fires once the thresholded step distance drops below
-``dist_threshold`` while the measured factorization/substitution time
-ratio exceeds ``time_ratio_threshold`` (both from the switch policy).
-Timing is wall-clock and therefore nondeterministic; tests inject a
-fixed ratio, which makes the full iterate sequence reproducible.
+The switch rule lives here whole.  After each primal-dual iteration the
+hook averages the measured factorization/step time ratio (weight
+``_RATIO_EMA`` on the newest) and measures the step's nu-thresholded
+distance, with the primal engine's ``PrimalConfig.nu``.  The switch
+fires after ``_WARMUP_ITERS`` iterations, once the distance drops below
+``dist_threshold`` while the ratio exceeds ``time_ratio_threshold``
+(both from the switch policy).  Timing is wall-clock and therefore
+nondeterministic; ``time_ratio_override`` pins the ratio, which makes
+the full iterate sequence reproducible.
 """
 
 from __future__ import annotations
@@ -21,19 +25,18 @@ from .problem import StandardLp
 from .results import SolveResult, SolveStatus
 from .scaling import thresholded_distance
 
+_RATIO_EMA = 0.3  # weight of the newest factor/solve time ratio
+_WARMUP_ITERS = 3  # primal-dual iterations before the switch may fire
+
 
 @dataclass
 class SwitchPolicy:
     dist_threshold: float = 1e-1
     time_ratio_threshold: float = 30.0
-    nu: float = 1.0
-    min_pd_iters: int = 3
 
     def __post_init__(self):
-        if min(self.dist_threshold, self.time_ratio_threshold, self.nu) <= 0:
+        if min(self.dist_threshold, self.time_ratio_threshold) <= 0:
             raise ValueError("switch policy thresholds must be positive")
-        if self.min_pd_iters <= 0:
-            raise ValueError("min_pd_iters must be positive")
 
 
 @dataclass(frozen=True)
@@ -44,11 +47,10 @@ class SwitchDecision:
     reason: str
 
 
-def should_switch(info: PdIterationInfo, policy: SwitchPolicy) -> SwitchDecision:
-    """Evaluate the switch rule on the most recent primal-dual iteration."""
-    distance = thresholded_distance(info.state.x, info.x_prev, info.state.x, policy.nu)
-    ratio = info.time_ratio
-    if info.k < policy.min_pd_iters:
+def should_switch(k: int, distance: float, ratio: float, policy: SwitchPolicy) -> SwitchDecision:
+    """Evaluate the switch rule after primal-dual iteration ``k``, whose
+    step had the thresholded ``distance``, at the time ``ratio``."""
+    if k < _WARMUP_ITERS:
         return SwitchDecision(False, distance, ratio, "warming up")
     if distance > policy.dist_threshold:
         return SwitchDecision(
@@ -79,17 +81,26 @@ def hybrid_solve(
     hand (x, y, s, mu = <x,s>/n) to the delayed-scaling primal engine
     seeded with a fresh factorization at the last primal-dual iterate.
     A primal-phase numerical failure falls back to resuming primal-dual
-    once."""
+    once.  ``primal_cfg.nu`` sets the threshold of the switch distance
+    as well as the primal engine's; ``time_ratio_override``, when given,
+    replaces the measured time ratio."""
     t_start = time.perf_counter()
-    last_decision: dict = {}
-    switch_state: dict = {}
+    last: dict = {}  # the averaged ratio; on a switch, its decision and state
 
     def hook(info: PdIterationInfo) -> bool:
-        decision = should_switch(info, policy)
-        last_decision["d"] = decision
-        last_decision["k"] = info.k
+        ratio = info.t_factor / max(info.t_solve, 1e-9)
+        if "ratio" in last:
+            ratio = (1.0 - _RATIO_EMA) * last["ratio"] + _RATIO_EMA * ratio
+        last["ratio"] = ratio
+        x = info.state.x
+        decision = should_switch(
+            info.k,
+            thresholded_distance(x, info.x_prev, x, primal_cfg.nu),
+            ratio if time_ratio_override is None else time_ratio_override,
+            policy,
+        )
         if decision.switch:
-            switch_state["state"] = info.state.copy()
+            last["decision"], last["state"] = decision, info.state.copy()
         return decision.switch
 
     phase1 = pd_solve(
@@ -98,7 +109,6 @@ def hybrid_solve(
         trace_log=trace_log,
         hook=hook,
         collect_iterates=collect_iterates,
-        time_ratio_override=time_ratio_override,
     )
     phase_stats = {
         "pd_iterations": phase1.iterations,
@@ -115,13 +125,13 @@ def hybrid_solve(
         phase1.wall_s = time.perf_counter() - t_start
         return phase1
 
-    decision = last_decision["d"]
-    phase_stats["switch_iteration"] = last_decision["k"]
+    decision = last["decision"]
+    phase_stats["switch_iteration"] = phase1.iterations
     phase_stats["switch_distance"] = decision.distance
     phase_stats["switch_time_ratio"] = decision.time_ratio
 
-    start = switch_state["state"]
-    cfg2 = dataclasses.replace(primal_cfg, mode=DELAYED_SCALING, nu=policy.nu)
+    start = last["state"]
+    cfg2 = dataclasses.replace(primal_cfg, mode=DELAYED_SCALING)
     try:
         cache = refresh_cache(p, start.x)  # the seed factorization, counted below
     except (FactorizationFailed, NumericalBreakdown) as exc:
@@ -139,7 +149,6 @@ def hybrid_solve(
             trace_log=trace_log,
             cache=cache,
             collect_iterates=collect_iterates,
-            iter_offset=phase1.iterations,
         )
     phase_stats["primal_iterations"] = phase2.iterations
     phase_stats["primal_factorizations"] = phase2.factorizations + 1
@@ -162,8 +171,6 @@ def hybrid_solve(
             trace_log=trace_log,
             start=start,
             collect_iterates=collect_iterates,
-            time_ratio_override=time_ratio_override,
-            iter_offset=iterations,
         )
         iterations += final.iterations
         factorizations += final.factorizations

@@ -2,10 +2,9 @@
 
 Normal-equations form: one factorization of ``A D^2 A^T`` per iteration
 (``d^2 = 1/(s/x + v/w)``, which is ``x/s`` off the bounded coordinates) shared
-by the affine predictor and the corrector solve.  The wall time spent in
-factorization versus forward/backward substitution is measured per
-iteration and exponentially averaged; the hybrid controller's switch
-rule consumes that ratio.
+by the affine predictor and the corrector solve.  The wall time of the
+factorization and of the step is measured per iteration and handed to
+the driver hook; the hybrid controller's switch rule averages it.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .trace import TraceRecord
 
 _SIGMA_MIN = 1e-8
 _SIGMA_MAX = 1.0 - 1e-8
-_RATIO_EMA = 0.3  # weight of the newest factor/solve time ratio
 _DIVERGENCE_LIMIT = 1e150  # iterates beyond this signal an infeasible LP
 _STEP_FRACTION = 0.9995  # share of the distance to the boundary taken
 
@@ -124,7 +122,6 @@ def mehrotra_step(
     p: StandardLp,
     st: IterateState,
     factor: CholeskyFactor,
-    step_fraction: float = _STEP_FRACTION,
     d2: np.ndarray | None = None,
 ) -> MehrotraStep:
     """One predictor-corrector step from a strictly interior state, using
@@ -181,8 +178,8 @@ def mehrotra_step(
 
     limit_p = min(_step_limit(x, dx), _step_limit(w, dw))
     limit_d = min(_step_limit(s, ds), _step_limit(v, dv))
-    alpha_p = min(1.0, step_fraction * limit_p)
-    alpha_d = min(1.0, step_fraction * limit_d)
+    alpha_p = min(1.0, _STEP_FRACTION * limit_p)
+    alpha_d = min(1.0, _STEP_FRACTION * limit_d)
     return MehrotraStep(
         dx=dx, dy=dy, ds=ds, dw=dw, dv=dv,
         alpha_p=alpha_p, alpha_d=alpha_d, sigma=sigma, mu_aff=mu_aff,
@@ -191,15 +188,15 @@ def mehrotra_step(
 
 @dataclass
 class PdIterationInfo:
-    """Snapshot handed to a driver hook after each accepted iteration."""
+    """Snapshot handed to a driver hook after each accepted iteration:
+    ``t_factor`` and ``t_solve`` are the measured seconds of its
+    factorization and of the rest of the step."""
 
     k: int
     x_prev: np.ndarray
     state: IterateState
-    time_ratio: float
-    e_p: float
-    e_d: float
-    e_g: float
+    t_factor: float
+    t_solve: float
 
 
 def pd_solve(
@@ -209,17 +206,13 @@ def pd_solve(
     start: IterateState | None = None,
     hook: Callable[[PdIterationInfo], bool] | None = None,
     collect_iterates: bool = False,
-    time_ratio_override: float | None = None,
-    phase: str = "pd",
-    iter_offset: int = 0,
 ) -> SolveResult:
     """Iterate Mehrotra steps to the termination criteria.
 
     ``hook`` is called after each iteration with a
     :class:`PdIterationInfo`; returning True halts the loop with status
-    ``Halted`` (the hybrid controller switches engines this way).
-    ``time_ratio_override`` pins the measured factor/solve time ratio so
-    runs are reproducible in tests.
+    ``Halted`` (the hybrid controller switches engines this way).  Trace
+    rows are numbered on from the rows already in ``trace_log``.
     """
     t_start = time.perf_counter()
     st = _with_bound_pair(p, (start or pd_starting_point(p)).copy())
@@ -230,7 +223,6 @@ def pd_solve(
     iterations = 0
     status = SolveStatus.ITERATION_LIMIT
     message = ""
-    ema_ratio = None
     iterates = []
     e_p, e_d, e_g = convergence_metrics(p, st)
 
@@ -244,8 +236,8 @@ def pd_solve(
             d2 = _scaling_sq(st, fi)
             if np.any(d2 <= 0.0) or not np.all(np.isfinite(d2)):
                 raise NumericalBreakdown("primal-dual scaling left positivity")
+            factorizations += 1  # counted whether or not it succeeds
             factor = cholesky_factorize(form_normal_matrix(p.A, np.sqrt(d2)))
-            factorizations += 1
             t_factor = time.perf_counter() - t0
 
             t1 = time.perf_counter()
@@ -279,16 +271,6 @@ def pd_solve(
                 )
             t_solve = time.perf_counter() - t1
 
-            ratio = t_factor / max(t_solve, 1e-9)
-            ema_ratio = (
-                ratio
-                if ema_ratio is None
-                else (1.0 - _RATIO_EMA) * ema_ratio + _RATIO_EMA * ratio
-            )
-            reported_ratio = (
-                time_ratio_override if time_ratio_override is not None else ema_ratio
-            )
-
             iterations = k
             e_p, e_d, e_g = convergence_metrics(p, st)
             step_norm = float(np.linalg.norm(st.x - x_prev))
@@ -296,8 +278,8 @@ def pd_solve(
             if trace_log is not None:
                 trace_log.add(
                     TraceRecord(
-                        iter=k + iter_offset,
-                        phase=phase,
+                        iter=len(trace_log) + 1,
+                        phase="pd",
                         mu=st.mu,
                         e_p=e_p,
                         e_d=e_d,
@@ -318,8 +300,7 @@ def pd_solve(
                 )
             if hook is not None and hook(
                 PdIterationInfo(
-                    k=k, x_prev=x_prev, state=st, time_ratio=reported_ratio,
-                    e_p=e_p, e_d=e_d, e_g=e_g,
+                    k=k, x_prev=x_prev, state=st, t_factor=t_factor, t_solve=t_solve,
                 )
             ):
                 status = SolveStatus.HALTED

@@ -153,7 +153,8 @@ class NormalSolver:
     PCG preconditioned with the cached factor.  The cache is refreshed on
     the distance trigger (Euclidean in ``frozen_precond``, thresholded in
     ``delayed_scaling``) and once after a PCG miss.  ``factorizations``
-    and ``cg_iterations`` count all the work it did.
+    and ``cg_iterations`` count all the work it did; a factorization
+    counts when it is requested, also when it raises or fails its probe.
     """
 
     def __init__(self, p: StandardLp, cfg: PrimalConfig, cache: PreconditionerCache | None = None):
@@ -170,8 +171,8 @@ class NormalSolver:
         there is no cache yet or x has moved ``theta`` from its point."""
         if self.cfg.mode == EXACT:
             d = bound_scaling_diag(x, self.p.u)
-            self.factor = cholesky_factorize(form_normal_matrix(self.p.A, d))
             self.factorizations += 1
+            self.factor = cholesky_factorize(form_normal_matrix(self.p.A, d))
         elif self.cache is None or self._distance(x) >= self.cfg.theta:
             self._refresh(x)
 
@@ -181,8 +182,8 @@ class NormalSolver:
         return thresholded_distance(x, self.cache.z, x, self.cfg.nu)
 
     def _refresh(self, x) -> None:
-        self.cache = refresh_cache(self.p, x)
         self.factorizations += 1
+        self.cache = refresh_cache(self.p, x)
 
     def _cache_is_fresh(self, x) -> bool:
         """A refresh can only help when the cache point has actually moved;
@@ -332,25 +333,19 @@ def infeasible_primal_step(
     p: StandardLp,
     st: IterateState,
     solver: Callable[[np.ndarray], np.ndarray],
-    stabilized: bool = True,
 ):
     """Infeasible-start Newton step recovered from the normal equations.
 
-    The stabilized form solves for ``dy / mu`` (the complementarity term
-    divided by mu stays bounded near the central path); the direct form
-    exists for the algebraic-equivalence check only.
+    It solves for ``dy / mu``: the complementarity term divided by mu
+    stays bounded near the central path.
     """
     x = np.asarray(st.x, dtype=np.float64)
     mu = st.mu
     d = bound_scaling_diag(x, p.u)
     d_sq = d * d
     r_p, r_d, r_mu = residuals(p, st)
-    if stabilized:
-        rhs = -r_p + p.A.matvec(d_sq * (r_mu - r_d)) / mu
-        dy = mu * solver(rhs)
-    else:
-        rhs = -mu * r_p + p.A.matvec(d_sq * (r_mu - r_d))
-        dy = solver(rhs)
+    rhs = -r_p + p.A.matvec(d_sq * (r_mu - r_d)) / mu
+    dy = mu * solver(rhs)
     ds = -r_d - p.A.rmatvec(dy)
     dx = -(d_sq / mu) * (r_mu + ds)
     return dx, dy, ds
@@ -383,10 +378,9 @@ def primal_solve(
     trace_log=None,
     cache: PreconditionerCache | None = None,
     collect_iterates: bool = False,
-    phase: str = "primal",
-    iter_offset: int = 0,
 ) -> SolveResult:
-    """Run the primal barrier iteration in the configured mode.
+    """Run the primal barrier iteration in the configured mode.  Trace
+    rows are numbered on from the rows already in ``trace_log``.
 
     The barrier target follows the step just taken.  With ``mu`` the
     target of that step, ``alpha`` its length from :func:`ratio_test` and
@@ -521,8 +515,8 @@ def primal_solve(
             if trace_log is not None:
                 trace_log.add(
                     TraceRecord(
-                        iter=k + iter_offset,
-                        phase=phase,
+                        iter=len(trace_log) + 1,
+                        phase="primal",
                         mu=mu_used,
                         e_p=e_p,
                         e_d=e_d,

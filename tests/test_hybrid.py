@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from lpipm import (
-    IterateState,
     NumericalBreakdown,
     PdConfig,
     PrimalConfig,
@@ -16,42 +15,32 @@ from lpipm import (
     should_switch,
     to_standard_form,
 )
-from lpipm.mehrotra import PdIterationInfo
-
-
-def _info(k, dist_scale, ratio):
-    """Build an iteration snapshot whose thresholded step distance is
-    exactly dist_scale (x has all entries above the nu=1 threshold)."""
-    x = np.full(4, 2.0)
-    x_prev = x.copy()
-    x_prev[0] = x[0] - 2.0 * dist_scale  # |dx|/x = dist_scale
-    state = IterateState(x=x, y=np.zeros(1), s=np.ones(4), mu=1e-6)
-    return PdIterationInfo(
-        k=k, x_prev=x_prev, state=state, time_ratio=ratio,
-        e_p=0.0, e_d=0.0, e_g=1e-6,
-    )
 
 
 class TestShouldSwitch:
     def test_both_gates_pass(self):
-        d = should_switch(_info(5, 0.05, 40.0), SwitchPolicy())
+        d = should_switch(5, 0.05, 40.0, SwitchPolicy())
         assert d.switch
-        assert d.distance == pytest.approx(0.05)
+        assert d.distance == 0.05
         assert d.time_ratio == 40.0
 
     def test_ratio_gate_fails(self):
-        d = should_switch(_info(5, 0.05, 10.0), SwitchPolicy())
+        d = should_switch(5, 0.05, 10.0, SwitchPolicy())
         assert not d.switch
         assert "ratio" in d.reason
 
     def test_distance_gate_fails(self):
-        d = should_switch(_info(5, 0.5, 100.0), SwitchPolicy())
+        d = should_switch(5, 0.5, 100.0, SwitchPolicy())
         assert not d.switch
         assert "distance" in d.reason
 
     def test_min_iters_gate(self):
-        d = should_switch(_info(2, 0.01, 100.0), SwitchPolicy(min_pd_iters=3))
+        import lpipm.hybrid as hy
+
+        d = should_switch(hy._WARMUP_ITERS - 1, 0.01, 100.0, SwitchPolicy())
         assert not d.switch
+        assert d.reason == "warming up"
+        assert should_switch(hy._WARMUP_ITERS, 0.01, 100.0, SwitchPolicy()).switch
 
 
 def _planted(m=40, n=100, seed=11, **kw):
@@ -93,6 +82,20 @@ class TestHybridSolve:
         assert stats["primal_factorizations"] < stats["primal_iterations"]
         ref = inst.certificate.objective
         assert abs(res.objective - ref) <= 1e-8 * (1 + abs(ref))
+
+    def test_switch_distance_uses_the_primal_nu(self):
+        # nu above every coordinate: the thresholded distance is Euclidean
+        _, std = _planted()
+        trace = TraceLog()
+        res = hybrid_solve(
+            std, PdConfig(), PrimalConfig(tau=0.28, cg_tol=1e-12, nu=1e3),
+            SwitchPolicy(), trace_log=trace, time_ratio_override=100.0,
+        )
+        stats = res.phase_stats
+        row = trace.records[stats["switch_iteration"] - 1]
+        assert row.phase == "pd"
+        assert stats["switch_distance"] == row.step_norm
+        assert stats["switch_distance"] == pytest.approx(3.30e-4, rel=1e-3)
 
     def test_phase_rows_only_factorize_on_refresh(self):
         _, std = _planted(seed=12)

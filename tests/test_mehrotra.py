@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lpipm import (
+    FactorizationFailed,
     IterateState,
     PdConfig,
     SolveStatus,
@@ -171,6 +172,26 @@ class TestPdSolve:
                 )
             assert rec.wall_factor_ms >= 0.0 and rec.wall_solve_ms >= 0.0
             prev = it.x
+
+    def test_failed_factorization_is_counted(self, monkeypatch):
+        import lpipm.mehrotra as mehrotra
+
+        real = mehrotra.cholesky_factorize
+        calls = []
+
+        def third_fails(M):
+            calls.append(real(M))
+            if len(calls) == 3:
+                raise FactorizationFailed("third factorization failed")
+            return calls[-1]
+
+        inst = generate_instance(30, 70, 1, density=1.0, spread=3.0)
+        std = to_standard_form(parse_mps(inst.mps_text))
+        start = pd_starting_point(std)  # its A A^T factor is not counted
+        monkeypatch.setattr(mehrotra, "cholesky_factorize", third_fails)
+        res = pd_solve(std, PdConfig(), start=start)
+        assert res.status == SolveStatus.NUMERICAL_FAILURE
+        assert len(calls) == res.factorizations == 3
 
     def test_early_return_when_start_optimal(self):
         # an instance whose Mehrotra starting point is already optimal:

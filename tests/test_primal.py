@@ -6,6 +6,7 @@ from lpipm import (
     DELAYED_SCALING,
     EXACT,
     FROZEN_PRECOND,
+    FactorizationFailed,
     IterateState,
     NormalSolver,
     PrimalConfig,
@@ -212,9 +213,17 @@ class TestInfeasibleStep:
         p, st = feasible_instance(rng, 4, 8)
         st.x *= rng.uniform(0.9, 1.1, 8)  # slightly infeasible
         st.mu = 0.3
-        d1 = infeasible_primal_step(p, st, _exact_solver(p, st.x), stabilized=True)
-        d2 = infeasible_primal_step(p, st, _exact_solver(p, st.x), stabilized=False)
-        for a, b in zip(d1, d2):
+        d1 = infeasible_primal_step(p, st, _exact_solver(p, st.x))
+        # the direct form, dense: A D^2 A^T dy = -mu r_p + A D^2 (r_mu - r_d)
+        A = p.A.to_dense()
+        d_sq = st.x**2
+        r_p = A @ st.x - p.b
+        r_d = A.T @ st.y + st.s - p.c
+        r_mu = st.s - st.mu / st.x
+        dy = np.linalg.solve((A * d_sq) @ A.T, -st.mu * r_p + A @ (d_sq * (r_mu - r_d)))
+        ds = -r_d - A.T @ dy
+        dx = -(d_sq / st.mu) * (r_mu + ds)
+        for a, b in zip(d1, (dx, dy, ds)):
             assert_allclose(a, b, rtol=1e-9, atol=1e-11)
 
 
@@ -398,6 +407,32 @@ class TestNormalSolver:
         if mode != EXACT:
             assert len(observed) > res.iterations  # some iteration retried
 
+
+    @pytest.mark.parametrize("mode", [EXACT, FROZEN_PRECOND, DELAYED_SCALING])
+    def test_failed_factorization_is_counted(self, monkeypatch, mode):
+        import lpipm.primal as primal
+
+        # the third factorization runs and then fails: in the cache modes
+        # its probe, in exact mode the factorization itself
+        name = "cholesky_factorize" if mode == EXACT else "refresh_cache"
+        error = FactorizationFailed if mode == EXACT else NumericalBreakdown
+        real = getattr(primal, name)
+        calls = []
+
+        def third_fails(*args):
+            calls.append(real(*args))
+            if len(calls) == 3:
+                raise error("third factorization failed")
+            return calls[-1]
+
+        inst = generate_instance(30, 70, 1, density=1.0, spread=3.0)
+        std = to_standard_form(parse_mps(inst.mps_text))
+        start = pd_starting_point(std)
+        monkeypatch.setattr(primal, name, third_fails)
+        cfg = PrimalConfig(tau=0.28, cg_tol=1e-12, mode=mode)
+        res = primal_solve(std, cfg, start)
+        assert res.status == SolveStatus.NUMERICAL_FAILURE
+        assert len(calls) == res.factorizations == 3
 
     def test_no_pcg_run_spends_its_budget_at_the_floor(self, monkeypatch):
         import lpipm.primal as primal
