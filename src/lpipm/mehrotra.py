@@ -273,8 +273,6 @@ def pd_solve(
 
             iterations = k
             e_p, e_d, e_g = convergence_metrics(p, st)
-            step_norm = float(np.linalg.norm(st.x - x_prev))
-            thresh = thresholded_distance(st.x, x_prev, st.x, 1.0)
             if trace_log is not None:
                 trace_log.add(
                     TraceRecord(
@@ -284,8 +282,8 @@ def pd_solve(
                         e_p=e_p,
                         e_d=e_d,
                         e_g=e_g,
-                        step_norm=step_norm,
-                        thresholded_step=thresh,
+                        step_norm=float(np.linalg.norm(st.x - x_prev)),
+                        thresholded_step=thresholded_distance(st.x, x_prev, st.x, 1.0),
                         delta=None,
                         alpha=ap,
                         factorized=True,
@@ -325,9 +323,7 @@ def pd_solve(
         iterations=iterations,
         factorizations=factorizations,
         cg_iterations=0,
-        trace=list(trace_log) if trace_log is not None else [],
         wall_s=time.perf_counter() - t_start,
-        mu=st.mu,
         iterates=iterates,
         message=message,
     )

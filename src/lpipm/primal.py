@@ -376,11 +376,14 @@ def primal_solve(
     cfg: PrimalConfig,
     start: IterateState,
     trace_log=None,
-    cache: PreconditionerCache | None = None,
     collect_iterates: bool = False,
 ) -> SolveResult:
     """Run the primal barrier iteration in the configured mode.  Trace
-    rows are numbered on from the rows already in ``trace_log``.
+    rows are numbered on from the rows already in ``trace_log``.  The
+    solve starts without a cache: in the cached modes the first
+    iteration factors at the start point, and its trace row says so.
+    The step lengths of a row, and in ``exact`` mode the proximity of an
+    infeasible step, are computed only when there is a trace to write.
 
     The barrier target follows the step just taken.  With ``mu`` the
     target of that step, ``alpha`` its length from :func:`ratio_test` and
@@ -423,7 +426,7 @@ def primal_solve(
 
     norm_b = float(np.linalg.norm(p.b))
     norm_c = float(np.linalg.norm(p.c))
-    solver = NormalSolver(p, cfg, cache)
+    solver = NormalSolver(p, cfg)
     iterations = 0
     status = SolveStatus.ITERATION_LIMIT
     message = ""
@@ -478,7 +481,7 @@ def primal_solve(
                 )
                 dx = solver.repair(dx, r_p)
                 delta = None
-                if cfg.mode == EXACT:
+                if cfg.mode == EXACT and trace_log is not None:
                     delta = proximity(p, x, mu, solver.factor.solve).delta
                 alpha = ratio_test(x, dx, _STEP_FRACTION, p.u)
                 st.x = x + alpha * dx
@@ -497,8 +500,6 @@ def primal_solve(
             if np.any(st.x[fi] >= p.u[fi]):
                 raise NumericalBreakdown("iterate crossed an upper bound")
 
-            step_norm = float(np.linalg.norm(st.x - x))
-            thresh_step = thresholded_distance(st.x, x, st.x, 1.0)
             mu_used = mu
             if alpha < 1.0:
                 # the target falls only as far as the iterate moved
@@ -521,8 +522,8 @@ def primal_solve(
                         e_p=e_p,
                         e_d=e_d,
                         e_g=e_g,
-                        step_norm=step_norm,
-                        thresholded_step=thresh_step,
+                        step_norm=float(np.linalg.norm(st.x - x)),
+                        thresholded_step=thresholded_distance(st.x, x, st.x, 1.0),
                         delta=delta,
                         alpha=alpha,
                         factorized=solver.factorizations > factorizations_before,
@@ -558,9 +559,7 @@ def primal_solve(
         iterations=iterations,
         factorizations=solver.factorizations,
         cg_iterations=solver.cg_iterations,
-        trace=list(trace_log) if trace_log is not None else [],
         wall_s=time.perf_counter() - t_start,
-        mu=st.mu,
         iterates=iterates,
         message=message,
     )

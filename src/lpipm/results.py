@@ -31,16 +31,10 @@ class SolveResult:
     iterations: int
     factorizations: int
     cg_iterations: int
-    trace: list = field(default_factory=list)
     wall_s: float = 0.0
-    mu: float = 0.0
     phase_stats: dict = field(default_factory=dict)
     iterates: list = field(default_factory=list)
     message: str = ""
-
-    @property
-    def max_metric(self) -> float:
-        return max(self.e_p, self.e_d, self.e_g)
 
     def exit_code(self) -> int:
         return {

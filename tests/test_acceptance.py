@@ -49,7 +49,7 @@ def test_criterion_01_closed_form_central_path():
     trace = L.TraceLog()
     res = L.primal_solve(p, cfg, start, trace_log=trace, collect_iterates=True)
     ok = res.status == SolveStatus.OPTIMAL
-    ok &= res.max_metric <= 1e-10
+    ok &= max(res.e_p, res.e_d, res.e_g) <= 1e-10
     ok &= abs(res.objective) <= 1e-9
     deltas = []
     for rec, it in zip(trace, res.iterates):
@@ -251,13 +251,13 @@ def test_criterion_08_end_to_end_parity():
                 good = (
                     res.status == SolveStatus.OPTIMAL
                     and res.iterations <= 100
-                    and res.max_metric <= 1e-10
+                    and max(res.e_p, res.e_d, res.e_g) <= 1e-10
                     and abs(res.objective - ref) <= 1e-8 * (1 + abs(ref))
                 )
                 if not good:
                     lines.append(
                         f"{name} {m}x{n} s{seed}: status={res.status} "
-                        f"it={res.iterations} met={res.max_metric:.1e}"
+                        f"it={res.iterations} met={max(res.e_p, res.e_d, res.e_g):.1e}"
                     )
                 ok &= good
     wall = time.perf_counter() - t0

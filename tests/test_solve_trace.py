@@ -1,0 +1,113 @@
+"""What the engines write into a trace, and what they skip without one."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import lpipm.mehrotra
+import lpipm.primal
+from lpipm import (
+    DELAYED_SCALING,
+    EXACT,
+    FROZEN_PRECOND,
+    PdConfig,
+    PrimalConfig,
+    SolveStatus,
+    SwitchPolicy,
+    TraceLog,
+    generate_instance,
+    hybrid_solve,
+    parse_mps,
+    pd_solve,
+    pd_starting_point,
+    primal_solve,
+    to_standard_form,
+)
+
+_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _planted():
+    return to_standard_form(parse_mps(generate_instance(40, 100, seed=11).mps_text))
+
+
+def _boxed_ranged():
+    """Instance 0 of the benchmark's boxed_ranged family at ``--smoke
+    --seed 1``: a planted 20x50 LP with upper bounds and RANGES."""
+    spec = importlib.util.spec_from_file_location("workloads", _WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules["workloads"] = workloads  # its dataclasses look the module up there
+    spec.loader.exec_module(workloads)
+    text = workloads.build("boxed_ranged", 1, smoke=True)[0].mps_text
+    return to_standard_form(parse_mps(text))
+
+
+_PRIMAL = dict(tau=0.28, cg_tol=1e-12)
+
+
+def _primal(mode):
+    def run(p, trace):
+        cfg = PrimalConfig(mode=mode, **_PRIMAL)
+        return primal_solve(p, cfg, pd_starting_point(p), trace_log=trace)
+
+    return run
+
+
+def _hybrid(override, tau=0.28, **policy):
+    def run(p, trace):
+        return hybrid_solve(
+            p, PdConfig(), PrimalConfig(tau=tau, cg_tol=1e-12), SwitchPolicy(**policy),
+            trace_log=trace, time_ratio_override=override,
+        )
+
+    return run
+
+
+_SOLVES = {
+    "pd": lambda p, trace: pd_solve(p, PdConfig(), trace_log=trace),
+    "primal-exact": _primal(EXACT),
+    "primal-frozen": _primal(FROZEN_PRECOND),
+    "primal-delayed": _primal(DELAYED_SCALING),
+    "hybrid-override-1": _hybrid(1.0),
+    "hybrid-override-100": _hybrid(100.0),
+    "hybrid-early-switch": _hybrid(100.0, tau=0.5, dist_threshold=10.0),
+    "hybrid-stalled-fallback": _hybrid(100.0),
+}
+_SWITCHING = {"hybrid-override-100", "hybrid-early-switch", "hybrid-stalled-fallback"}
+
+
+@pytest.mark.parametrize("solve", sorted(_SOLVES))
+@pytest.mark.parametrize("instance", [_planted, _boxed_ranged], ids=["planted", "boxed_ranged"])
+def test_factorized_rows_equal_reported_factorizations(instance, solve, monkeypatch):
+    p = instance()
+    if solve == "hybrid-stalled-fallback":
+        monkeypatch.setattr(lpipm.primal, "ratio_test", lambda *args: 1e-5)
+    trace = TraceLog()
+    res = _SOLVES[solve](p, trace)
+    assert res.factorizations > 0
+    assert sum(r.factorized for r in trace) == res.factorizations
+    if solve.startswith("hybrid"):
+        primal_rows = [r for r in trace if r.phase == "primal"]
+        assert res.phase_stats["primal_factorizations"] == sum(
+            r.factorized for r in primal_rows
+        )
+        assert (res.phase_stats["switch_iteration"] is not None) == (solve in _SWITCHING)
+        assert res.phase_stats["fallback"] == (solve == "hybrid-stalled-fallback")
+
+
+def test_untraced_solves_skip_trace_only_values(monkeypatch):
+    """The step lengths and the proximity of exact infeasible steps are
+    read by the trace row only; an untraced solve never computes them."""
+
+    def unused(*args, **kwargs):
+        raise AssertionError("trace-only value computed without a trace")
+
+    monkeypatch.setattr(lpipm.mehrotra, "thresholded_distance", unused)
+    monkeypatch.setattr(lpipm.primal, "thresholded_distance", unused)
+    monkeypatch.setattr(lpipm.primal, "proximity", unused)
+    p = _planted()
+    assert pd_solve(p, PdConfig()).status == SolveStatus.OPTIMAL
+    cfg = PrimalConfig(mode=EXACT, **_PRIMAL)
+    assert primal_solve(p, cfg, pd_starting_point(p)).status == SolveStatus.OPTIMAL
