@@ -152,15 +152,18 @@ def hybrid_solve(
             resume_cfg = dataclasses.replace(
                 pd_cfg, max_iter=max(pd_cfg.max_iter - phase1.iterations, 1)
             )
-            phases.append(
-                pd_solve(
-                    p,
-                    resume_cfg,
-                    trace_log=trace_log,
-                    start=start,
-                    collect_iterates=collect_iterates,
-                )
+            resumed = pd_solve(
+                p,
+                resume_cfg,
+                trace_log=trace_log,
+                start=start,
+                collect_iterates=collect_iterates,
             )
+            phases.append(resumed)
+            # the resumed phase is pd work: pd_* + primal_* add up to the totals
+            phase_stats["pd_iterations"] += resumed.iterations
+            phase_stats["pd_factorizations"] += resumed.factorizations
+            phase_stats["pd_wall_s"] += resumed.wall_s
 
     # the last phase's outcome, with the work of all phases
     return dataclasses.replace(

@@ -2,15 +2,19 @@
 
 Every mode runs the same iteration:
 
-1. the :class:`NormalSolver` refreshes its factorization of the scaled
-   normal matrix on schedule;
-2. the search direction is computed through that solver:
+1. in the cached modes, on a feasible iterate, a tangent predictor:
+   :func:`affine_direction` is solved on the standing cache, repaired,
+   and followed for 0.9 of its step to the boundary, which also lowers
+   the barrier target (see :func:`primal_solve`);
+2. the :class:`NormalSolver` refreshes its factorization of the scaled
+   normal matrix on schedule, at the predicted point;
+3. the Newton direction is computed through that solver:
    :func:`projected_direction` on a feasible iterate,
    :func:`infeasible_primal_step` otherwise;
-3. after an inexact (PCG) solve a feasibility repair, scaled by the
+4. after an inexact (PCG) solve a feasibility repair, scaled by the
    cache point, puts the step back in the null space of A (or restores
    ``-r_p`` on infeasible-start steps);
-4. the next barrier target is chosen from the step just taken: its
+5. the next barrier target is chosen from the step just taken: its
    length and the complementarity it reached (see :func:`primal_solve`).
 
 The modes differ only inside the solver and in the scaling point of the
@@ -42,6 +46,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.linalg.blas import dtrmv
 
 from .cg import pcg_solve
 from .cholesky import CholeskyFactor, cholesky_factorize
@@ -76,6 +81,10 @@ _POWER_STEPS = 3  # estimate of ||M|| in the preconditioner probe
 # end the solve as stalled
 _STALL_ALPHA = 1e-3
 _STALL_STEPS = 4
+# the tangent predictor takes this share of its step to the boundary, and
+# its PCG budget is cg_max_iter divided by _PREDICTOR_BUDGET_DIVISOR
+_PREDICTOR_FRACTION = 0.9
+_PREDICTOR_BUDGET_DIVISOR = 2
 
 
 @dataclass
@@ -135,7 +144,8 @@ def refresh_cache(p: StandardLp, z) -> PreconditionerCache:
     for _ in range(_POWER_STEPS):
         q = apply_M(q / np.linalg.norm(q))
     L = factor.L
-    err = np.linalg.norm(L @ (L.T @ v) - Mv) / (np.linalg.norm(q) * np.linalg.norm(v))
+    LLv = dtrmv(L, dtrmv(L, v, lower=1, trans=1), lower=1, overwrite_x=1)
+    err = np.linalg.norm(LLv - Mv) / (np.linalg.norm(q) * np.linalg.norm(v))
     # a stale factor errs at the size of the scaling change (>= theta); a
     # correct one at rounding level, whatever the condition number, so
     # 1e-8 separates the two by many orders of magnitude
@@ -197,22 +207,22 @@ class NormalSolver:
             return delayed_scaling_point(x, self.cache.z, self.cfg.nu)
         return x
 
-    def at(self, w) -> Callable[[np.ndarray], np.ndarray]:
+    def at(self, w, max_iter: int | None = None) -> Callable[[np.ndarray], np.ndarray]:
         """``rhs -> (A D_w^2 A^T)^{-1} rhs``: the exact factor's solve, or
-        PCG on the matrix-free operator preconditioned with the cache."""
+        PCG on the matrix-free operator preconditioned with the cache, with
+        at most ``max_iter`` iterations (default ``cg_max_iter``)."""
         if self.cfg.mode == EXACT:
             return self.factor.solve
         A = self.p.A
         d = bound_scaling_diag(w, self.p.u)
         d_sq = d * d
+        budget = self.cfg.cg_max_iter if max_iter is None else max_iter
 
         def apply_M(vec):
             return A.matvec(d_sq * A.rmatvec(vec))
 
         def solve(rhs):
-            outcome = pcg_solve(
-                apply_M, self.cache.factor, rhs, self.cfg.cg_tol, self.cfg.cg_max_iter
-            )
+            outcome = pcg_solve(apply_M, self.cache.factor, rhs, self.cfg.cg_tol, budget)
             self.cg_iterations += outcome.iterations
             self.converged = self.converged and outcome.converged
             return outcome.solution
@@ -231,6 +241,15 @@ class NormalSolver:
             if self.converged or self._cache_is_fresh(x):
                 return out
             self._refresh(x)
+
+    def predictor(self, x, step):
+        """``step(w, solve)`` at the scaling point w of x on the standing
+        cache, never refreshed, with a PCG budget of ``cg_max_iter //
+        _PREDICTOR_BUDGET_DIVISOR``; None after a PCG miss."""
+        self.converged = True
+        w = self.scaling_point(x)
+        out = step(w, self.at(w, self.cfg.cg_max_iter // _PREDICTOR_BUDGET_DIVISOR))
+        return out if self.converged else None
 
     def repair(self, dx, r_p=None) -> np.ndarray:
         """Feasibility repair of a step from an inexact solve, restoring
@@ -321,12 +340,35 @@ def projected_direction(
     d_w = d_x if at_x else bound_scaling_diag(w, p.u)
     v = d_x * ((p.c - p.A.rmatvec(y)) / mu - barrier_gradient(p, x))
     g = (d_w / d_x) * v
-    t = solve(p.A.matvec(d_w * g))
-    At = p.A.rmatvec(t)
-    dx = -d_w * g + (d_w * d_w) * At
+    dx, t, At = _project(p, d_w, g, solve)
     delta = float(np.linalg.norm(g - d_w * At)) if at_x else None
     y_new = y + mu * t
     return Direction(dx, y_new, p.c - p.A.rmatvec(y_new), delta)
+
+
+def affine_direction(
+    p: StandardLp,
+    w: np.ndarray,
+    mu: float,
+    y: np.ndarray,
+    solve: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """The projected direction without its barrier term,
+    ``-D_w P_{A D_w} D_w (c - A^T y) / mu``.  On the central path at mu,
+    where ``c - A^T y`` is ``-mu`` times the barrier gradient, it is the
+    tangent ``-mu dx/dmu`` at ``w = x``, so a step ``gamma`` along it
+    predicts the path point at ``(1 - gamma) mu``.  The step is not
+    repaired."""
+    d_w = bound_scaling_diag(w, p.u)
+    return _project(p, d_w, d_w * ((p.c - p.A.rmatvec(y)) / mu), solve)[0]
+
+
+def _project(p: StandardLp, d_w, g, solve):
+    """``(-D_w P_{A D_w} g, t, A^T t)``, with ``t`` the solution of
+    ``A D_w^2 A^T t = A D_w g`` by ``solve``, so that ``P g = g - D_w A^T t``."""
+    t = solve(p.A.matvec(d_w * g))
+    At = p.A.rmatvec(t)
+    return -d_w * g + (d_w * d_w) * At, t, At
 
 
 def infeasible_primal_step(
@@ -385,9 +427,24 @@ def primal_solve(
     The step lengths of a row, and in ``exact`` mode the proximity of an
     infeasible step, are computed only when there is a trace to write.
 
-    The barrier target follows the step just taken.  With ``mu`` the
-    target of that step, ``alpha`` its length from :func:`ratio_test` and
-    ``mu_meas`` the complementarity measured at the new iterate:
+    The barrier target of an iteration's Newton step is the scheduled
+    target ``mu``, lowered by the tangent predictor.  In the cached
+    modes, on the feasible path and once a cache stands, the predictor
+    solves :func:`affine_direction` with ``mu_c``, the target of the
+    previous step, on that cache without refreshing it and with half the
+    PCG budget.  It takes ``gamma = 0.9 min(1, step to the boundary)``
+    along the repaired direction and targets ``min(mu, (1 - gamma)
+    mu_c)``.  A PCG miss skips it (``gamma = 0``); ``exact`` mode and
+    infeasible steps take none.  ``mu_c`` is a target, never the
+    measured complementarity, which the split dual estimate can drive
+    below zero on boxed problems.  The trace row's ``predictor_step``
+    is ``gamma``; its step lengths run from the iterate at the start of
+    the iteration.
+
+    The next scheduled target follows the Newton step just taken.  With
+    ``mu`` the target of that step, ``alpha`` its length from
+    :func:`ratio_test` and ``mu_meas`` the complementarity measured at
+    the new iterate:
 
     * a full step (``alpha = 1``) on the feasible path sets
       ``mu+ = min((1 - tau) mu, max((1 - tau) mu_meas, mu / 2))``: the cut
@@ -420,6 +477,7 @@ def primal_solve(
     if mu <= 0.0:
         mu = 1.0
     st.mu = mu
+    mu_used = mu  # the target of the last step taken: the predictor's mu_c
     if st.w is None:
         # interpret the incoming reduced cost as composite and split it
         st.s, st.v, st.w = _split_composite_dual(p, st.x, st.s)
@@ -447,18 +505,31 @@ def primal_solve(
                 )
 
             t0 = time.perf_counter()
-            x = st.x
+            x = x_start = st.x
             factorizations_before = solver.factorizations
             cg_before = solver.cg_iterations
-            solver.update(x)
-            t_factor = time.perf_counter() - t0
-
-            t1 = time.perf_counter()
             r_p, r_d = feasibility_residuals(p, st)
             feasible = (
                 np.linalg.norm(r_p) <= _FEASIBLE_PATH_TOL * (1.0 + norm_b)
                 and np.linalg.norm(r_d) <= _FEASIBLE_PATH_TOL * (1.0 + norm_c)
             )
+            gamma = 0.0
+            if feasible and solver.cache is not None:
+                # tangent predictor on the standing cache (exact mode
+                # keeps none), normalized by the target of the last step
+                dx_aff = solver.predictor(
+                    x, lambda w, solve: affine_direction(p, w, mu_used, st.y, solve)
+                )
+                if dx_aff is not None:
+                    dx_aff = solver.repair(dx_aff)
+                    gamma = _PREDICTOR_FRACTION * ratio_test(x, dx_aff, 1.0, p.u)
+                    x = x + gamma * dx_aff
+                    mu = min(mu, (1.0 - gamma) * mu_used)
+
+            t1 = time.perf_counter()
+            solver.update(x)
+            t_factor = time.perf_counter() - t1
+
             if feasible:
                 # r_d is at noise level here, so (c - A^T y)/mu stays
                 # bounded while c/mu does not
@@ -512,7 +583,7 @@ def primal_solve(
             st.mu = mu
             short_steps = short_steps + 1 if alpha < _STALL_ALPHA else 0
             iterations = k
-            t_solve = time.perf_counter() - t1
+            t_solve = time.perf_counter() - t0 - t_factor
             if trace_log is not None:
                 trace_log.add(
                     TraceRecord(
@@ -522,14 +593,15 @@ def primal_solve(
                         e_p=e_p,
                         e_d=e_d,
                         e_g=e_g,
-                        step_norm=float(np.linalg.norm(st.x - x)),
-                        thresholded_step=thresholded_distance(st.x, x, st.x, 1.0),
+                        step_norm=float(np.linalg.norm(st.x - x_start)),
+                        thresholded_step=thresholded_distance(st.x, x_start, st.x, 1.0),
                         delta=delta,
                         alpha=alpha,
                         factorized=solver.factorizations > factorizations_before,
                         cg_iters=solver.cg_iterations - cg_before,
                         wall_factor_ms=t_factor * 1e3,
                         wall_solve_ms=t_solve * 1e3,
+                        predictor_step=gamma,
                     )
                 )
             if collect_iterates:

@@ -37,6 +37,7 @@ class TraceRecord:
     cg_iters: int
     wall_factor_ms: float
     wall_solve_ms: float
+    predictor_step: float = 0.0  # primal tangent predictor's step; 0: none
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(TraceRecord))
@@ -117,6 +118,7 @@ def parse_csv(text) -> list:
                 cg_iters=int(vals["cg_iters"]),
                 wall_factor_ms=float(vals["wall_factor_ms"]),
                 wall_solve_ms=float(vals["wall_solve_ms"]),
+                predictor_step=float(vals["predictor_step"]),
             )
         )
     return out

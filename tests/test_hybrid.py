@@ -180,9 +180,12 @@ class TestHybridSolve:
         assert stats["primal_factorizations"] == sum(r.factorized for r in primal_rows)
         resumed_factorizations = sum(r.factorized for r in resumed_rows)
         assert resumed_factorizations == len(resumed_rows) > 0
+        # the resumed phase counts as pd work, so the phases add up
+        pd_rows = [r for r in trace if r.phase == "pd"]
+        assert stats["pd_iterations"] == len(pd_rows)
+        assert stats["pd_factorizations"] == sum(r.factorized for r in pd_rows)
         assert res.factorizations == (
             stats["pd_factorizations"] + stats["primal_factorizations"]
-            + resumed_factorizations
         )
 
     def test_failed_seed_refresh_falls_back_to_pd(self, monkeypatch):

@@ -719,3 +719,82 @@ class TestPrimalSolve:
             ref = tiny_central_x1(it.mu)
             tol = 10.0 * 0.5 * max(ref, it.mu) + 1e-6
             assert abs(it.x[0] - ref) <= tol
+
+
+def _planted_40x100():
+    return to_standard_form(parse_mps(generate_instance(40, 100, seed=11).mps_text))
+
+
+class TestTangentPredictor:
+    def test_affine_direction_is_the_central_path_tangent(self, tiny_lp):
+        # x1(mu) = 1 + mu - sqrt(1 + mu^2), x2 = 2 - x1, y(mu) = -mu / x2:
+        # the direction is -mu dx/dmu
+        from lpipm.primal import affine_direction
+
+        mu = 0.3
+        x1 = tiny_central_x1(mu)
+        x = np.array([x1, 2.0 - x1])
+        y = np.array([-mu / x[1]])
+        h = 1e-6
+        dx1 = (tiny_central_x1(mu + h) - tiny_central_x1(mu - h)) / (2.0 * h)
+        dx = affine_direction(tiny_lp, x, mu, y, _exact_solver(tiny_lp, x))
+        assert_allclose(dx, -mu * np.array([dx1, -dx1]), rtol=1e-7)
+
+    @pytest.mark.parametrize("mode,factorizations", [(DELAYED_SCALING, 12), (FROZEN_PRECOND, 11)])
+    def test_cached_modes_take_half_the_iterations(self, mode, factorizations):
+        # one Newton step per iteration took 68 iterations and 20
+        # factorizations here in both modes
+        p = _planted_40x100()
+        trace = TraceLog()
+        cfg = PrimalConfig(tau=0.28, cg_tol=1e-12, mode=mode)
+        res = primal_solve(p, cfg, pd_starting_point(p), trace_log=trace)
+        assert res.status == SolveStatus.OPTIMAL
+        assert res.iterations <= 68 // 2
+        assert res.factorizations == factorizations <= 20
+        # the first iteration factors at the start and has no cache to
+        # predict on; later ones predict, never longer than the fraction
+        gammas = [r.predictor_step for r in trace]
+        assert gammas[0] == 0.0 and max(gammas) > 0.0
+        assert all(0.0 <= g <= 0.9 for g in gammas)
+
+    def test_exact_mode_takes_no_predictor(self):
+        p = _planted_40x100()
+        trace = TraceLog()
+        cfg = PrimalConfig(tau=0.28, cg_tol=1e-12, mode=EXACT)
+        res = primal_solve(p, cfg, pd_starting_point(p), trace_log=trace)
+        assert res.status == SolveStatus.OPTIMAL
+        assert res.iterations == res.factorizations == 68
+        assert all(r.predictor_step == 0.0 for r in trace)
+
+    def test_forced_hybrid_primal_phase_halves(self):
+        from lpipm import PdConfig, SwitchPolicy, hybrid_solve
+
+        # one Newton step per iteration took 17 primal-phase iterations
+        p = _planted_40x100()
+        res = hybrid_solve(
+            p, PdConfig(), PrimalConfig(tau=0.28, cg_tol=1e-12), SwitchPolicy(),
+            time_ratio_override=100.0,
+        )
+        assert res.status == SolveStatus.OPTIMAL
+        assert res.phase_stats["switch_iteration"] is not None
+        assert res.phase_stats["primal_iterations"] <= 17 // 2
+        assert res.factorizations == 9
+
+    def test_predictor_miss_is_skipped(self, monkeypatch):
+        # a predictor whose PCG run misses leaves x and the target alone
+        import lpipm.primal as primal
+
+        real_predictor = primal.NormalSolver.predictor
+
+        def missing_predictor(self, x, step):
+            real_predictor(self, x, step)
+            return None
+
+        monkeypatch.setattr(primal.NormalSolver, "predictor", missing_predictor)
+        p = _planted_40x100()
+        trace = TraceLog()
+        cfg = PrimalConfig(tau=0.28, cg_tol=1e-12, mode=DELAYED_SCALING)
+        res = primal_solve(p, cfg, pd_starting_point(p), trace_log=trace)
+        assert res.status == SolveStatus.OPTIMAL
+        assert all(r.predictor_step == 0.0 for r in trace)
+        assert res.iterations == 68

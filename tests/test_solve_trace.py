@@ -33,14 +33,14 @@ def _planted():
     return to_standard_form(parse_mps(generate_instance(40, 100, seed=11).mps_text))
 
 
-def _boxed_ranged():
+def _boxed_ranged(seed=1):
     """Instance 0 of the benchmark's boxed_ranged family at ``--smoke
-    --seed 1``: a planted 20x50 LP with upper bounds and RANGES."""
+    --seed <seed>``: a planted 20x50 LP with upper bounds and RANGES."""
     spec = importlib.util.spec_from_file_location("workloads", _WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     sys.modules["workloads"] = workloads  # its dataclasses look the module up there
     spec.loader.exec_module(workloads)
-    text = workloads.build("boxed_ranged", 1, smoke=True)[0].mps_text
+    text = workloads.build("boxed_ranged", seed, smoke=True)[0].mps_text
     return to_standard_form(parse_mps(text))
 
 
@@ -90,11 +90,13 @@ def test_factorized_rows_equal_reported_factorizations(instance, solve, monkeypa
     assert sum(r.factorized for r in trace) == res.factorizations
     if solve.startswith("hybrid"):
         primal_rows = [r for r in trace if r.phase == "primal"]
-        assert res.phase_stats["primal_factorizations"] == sum(
-            r.factorized for r in primal_rows
-        )
-        assert (res.phase_stats["switch_iteration"] is not None) == (solve in _SWITCHING)
-        assert res.phase_stats["fallback"] == (solve == "hybrid-stalled-fallback")
+        stats = res.phase_stats
+        assert stats["primal_factorizations"] == sum(r.factorized for r in primal_rows)
+        # the phases, a resumed pd phase included, add up to the totals
+        for total in ("iterations", "factorizations"):
+            assert stats[f"pd_{total}"] + stats[f"primal_{total}"] == getattr(res, total)
+        assert (stats["switch_iteration"] is not None) == (solve in _SWITCHING)
+        assert stats["fallback"] == (solve == "hybrid-stalled-fallback")
 
 
 def test_untraced_solves_skip_trace_only_values(monkeypatch):
@@ -111,3 +113,17 @@ def test_untraced_solves_skip_trace_only_values(monkeypatch):
     assert pd_solve(p, PdConfig()).status == SolveStatus.OPTIMAL
     cfg = PrimalConfig(mode=EXACT, **_PRIMAL)
     assert primal_solve(p, cfg, pd_starting_point(p)).status == SolveStatus.OPTIMAL
+
+
+@pytest.mark.parametrize("solve", ["primal-frozen", "primal-delayed", "hybrid-override-100"])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_primal_targets_stay_positive(seed, solve):
+    """The predictor cuts the target from the previous target, never from
+    the measured complementarity, which the split dual estimate can drive
+    negative on boxed instances."""
+    trace = TraceLog()
+    res = _SOLVES[solve](_boxed_ranged(seed), trace)
+    assert res.status == SolveStatus.OPTIMAL
+    primal_rows = [r for r in trace if r.phase == "primal"]
+    assert primal_rows and all(r.mu > 0.0 for r in primal_rows)
+    assert any(r.predictor_step > 0.0 for r in primal_rows)

@@ -18,7 +18,7 @@ def _record(k, step, delta=None, phase="pd", mu=1.0):
         iter=k, phase=phase, mu=mu, e_p=1e-8 / k, e_d=2e-9, e_g=3e-7 / k,
         step_norm=step, thresholded_step=step / 2.0, delta=delta,
         alpha=0.9995, factorized=(k % 2 == 0), cg_iters=k,
-        wall_factor_ms=1.25, wall_solve_ms=0.5,
+        wall_factor_ms=1.25, wall_solve_ms=0.5, predictor_step=0.9 / k,
     )
 
 
@@ -62,9 +62,24 @@ class TestEmit:
             for field in (
                 "iter", "phase", "mu", "e_p", "e_d", "e_g", "step_norm",
                 "thresholded_step", "delta", "alpha", "factorized",
-                "cg_iters", "wall_factor_ms", "wall_solve_ms",
+                "cg_iters", "wall_factor_ms", "wall_solve_ms", "predictor_step",
             ):
                 assert getattr(a, field) == getattr(b, field)
+
+    def test_predictor_step_is_the_last_column(self):
+        buf = io.BytesIO()
+        emit_csv([_record(1, 0.5)], buf)
+        header, row = buf.getvalue().decode().splitlines()
+        assert header.endswith(",wall_solve_ms,predictor_step")
+        assert row.endswith(",0.90000000000000002")
+
+    def test_predictor_step_defaults_to_zero(self):
+        record = TraceRecord(
+            iter=1, phase="pd", mu=1.0, e_p=0.0, e_d=0.0, e_g=0.0, step_norm=0.0,
+            thresholded_step=0.0, delta=None, alpha=1.0, factorized=True,
+            cg_iters=0, wall_factor_ms=0.0, wall_solve_ms=0.0,
+        )
+        assert record.predictor_step == 0.0
 
     def test_write_to_path(self, tmp_path):
         path = tmp_path / "trace.csv"
