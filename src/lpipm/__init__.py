@@ -29,10 +29,12 @@ from .primal import (
     NormalSolver,
     PreconditionerCache,
     PrimalConfig,
+    Proximity,
     feasibility_repair,
     infeasible_primal_step,
     primal_solve,
     projected_direction,
+    proximity,
     ratio_test,
     refresh_cache,
 )
@@ -51,13 +53,7 @@ from .problem import (
     to_symmetric_form,
 )
 from .results import SolveResult, SolveStatus
-from .scaling import (
-    Proximity,
-    bound_scaling_diag,
-    delayed_scaling_point,
-    proximity,
-    thresholded_distance,
-)
+from .scaling import bound_scaling_diag, delayed_scaling_point, thresholded_distance
 from .sparse import NormalMatrix, SparseMatrix, form_normal_matrix
 from .spectra import SpectraRow, probe_spectra, spectra_csv
 from .trace import (

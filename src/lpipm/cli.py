@@ -53,8 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="threshold of the scaled distance: the primal "
                        "engine's refresh trigger and delayed scaling point, "
                        "and the hybrid's switch distance")
-    solve.add_argument("--theta", type=float, default=1e-1,
-                       help="factorization refresh tolerance")
     solve.add_argument("--switch-dist", type=float, default=1e-1)
     solve.add_argument("--switch-ratio", type=float, default=30.0)
     solve.add_argument("--trace", default=None, help="write per-iteration CSV here")
@@ -106,17 +104,13 @@ def _solve(args) -> SolveResult:
         result = pd_solve(problem, pd_cfg, trace_log=trace_log)
     elif args.algorithm in ("primal", "primal-exact"):
         mode = DELAYED_SCALING if args.algorithm == "primal" else EXACT
-        cfg = PrimalConfig(
-            tau=args.tau, nu=args.nu, theta=args.theta,
-            max_iter=args.max_iter, tol=args.tol, mode=mode,
-        )
+        cfg = PrimalConfig(tau=args.tau, nu=args.nu, max_iter=args.max_iter,
+                           tol=args.tol, mode=mode)
         result = primal_solve(problem, cfg, pd_starting_point(problem),
                               trace_log=trace_log)
     else:
-        primal_cfg = PrimalConfig(
-            tau=args.tau, nu=args.nu, theta=args.theta,
-            max_iter=args.max_iter, tol=args.tol, mode=DELAYED_SCALING,
-        )
+        primal_cfg = PrimalConfig(tau=args.tau, nu=args.nu, max_iter=args.max_iter,
+                                  tol=args.tol, mode=DELAYED_SCALING)
         policy = SwitchPolicy(
             dist_threshold=args.switch_dist,
             time_ratio_threshold=args.switch_ratio,
@@ -178,6 +172,8 @@ def run_cli(argv=None) -> int:
             return 0
 
         # probe
+        if args.window < 1:
+            raise ValueError(f"--window must be at least 1, got {args.window}")
         std = _load_standard(args.input)
         mode = DELAYED_SCALING if args.algorithm == "primal" else EXACT
         cfg = PrimalConfig(tau=args.tau, max_iter=args.max_iter,

@@ -39,6 +39,8 @@ class PdConfig:
     def __post_init__(self):
         if self.tol <= 0.0:
             raise ValueError("tol must be positive")
+        if self.max_iter < 0:
+            raise ValueError("max_iter must not be negative")
 
 
 def pd_starting_point(p: StandardLp) -> IterateState:
@@ -67,7 +69,7 @@ def pd_starting_point(p: StandardLp) -> IterateState:
     if float(s.min(initial=1.0)) <= 0.0:
         s = s + (1.0 - float(s.min()))
 
-    fi = np.flatnonzero(np.isfinite(p.u))
+    fi = p.bounded
     uf = p.u[fi]
     x = x.copy()
     x[fi] = np.clip(x[fi], 0.01 * np.minimum(uf, 1.0), 0.99 * uf)
@@ -82,7 +84,7 @@ def _with_bound_pair(p: StandardLp, st: IterateState) -> IterateState:
     bounded coordinates and zeros elsewhere."""
     if st.w is not None:
         return st
-    fi = np.flatnonzero(np.isfinite(p.u))
+    fi = p.bounded
     n = p.ncols
     w = np.zeros(n)
     w[fi] = p.u[fi] - st.x[fi]
@@ -135,7 +137,7 @@ def mehrotra_step(
     st = _with_bound_pair(p, st)
     x, y, s, w, v = st.x, st.y, st.s, st.w, st.v
     n = p.ncols
-    fi = np.flatnonzero(np.isfinite(p.u))
+    fi = p.bounded
     wf, vf = w[fi], v[fi]
 
     r_p = p.A.matvec(x) - p.b
@@ -216,7 +218,6 @@ def pd_solve(
     """
     t_start = time.perf_counter()
     st = _with_bound_pair(p, (start or pd_starting_point(p)).copy())
-    fi = np.flatnonzero(np.isfinite(p.u))
     st.mu = complementarity(p, st)
 
     factorizations = 0
@@ -233,7 +234,7 @@ def pd_solve(
                 break
 
             t0 = time.perf_counter()
-            d2 = _scaling_sq(st, fi)
+            d2 = _scaling_sq(st, p.bounded)
             if np.any(d2 <= 0.0) or not np.all(np.isfinite(d2)):
                 raise NumericalBreakdown("primal-dual scaling left positivity")
             factorizations += 1  # counted whether or not it succeeds

@@ -20,9 +20,10 @@ Every mode runs the same iteration:
 The modes differ only inside the solver and in the scaling point of the
 feasible direction:
 
-* ``exact`` factorizes the normal matrix every iteration and scales at x.
-* ``frozen_precond`` keeps a cached factorization as PCG preconditioner,
-  refreshes it when the iterate moves a Euclidean distance ``theta`` from
+* ``exact`` refreshes the cache at x every iteration, solves with its
+  factor directly and scales at x.
+* ``frozen_precond`` keeps the cached factorization as PCG preconditioner,
+  refreshes it when the iterate moves a Euclidean distance ``_THETA`` from
   the cache point, and scales at x.
 * ``delayed_scaling`` refreshes on the nu-thresholded scaled distance
   instead and scales at the delayed scaling point, which keeps the cached
@@ -57,16 +58,10 @@ from .problem import (
     barrier_gradient,
     complementarity,
     convergence_metrics,
-    feasibility_residuals,
     residuals,
 )
 from .results import SolveResult, SolveStatus
-from .scaling import (
-    bound_scaling_diag,
-    delayed_scaling_point,
-    proximity,
-    thresholded_distance,
-)
+from .scaling import bound_scaling_diag, delayed_scaling_point, thresholded_distance
 from .sparse import form_normal_matrix
 from .trace import TraceRecord
 
@@ -75,6 +70,7 @@ FROZEN_PRECOND = "frozen_precond"
 DELAYED_SCALING = "delayed_scaling"
 
 _FEASIBLE_PATH_TOL = 1e-12
+_THETA = 0.1  # distance from the cache point that triggers a refresh
 _STEP_FRACTION = 0.9995  # share of the distance to the boundary taken
 _POWER_STEPS = 3  # estimate of ||M|| in the preconditioner probe
 # a step this short leaves x and mu where they were; this many in a row
@@ -95,7 +91,6 @@ class PrimalConfig:
 
     mu0: float | None = None  # None: <x0, s0> / n
     tau: float | None = None  # None: 1 / (10 sqrt(n))
-    theta: float = 1e-1
     nu: float = 1.0
     cg_tol: float = 1e-10
     cg_max_iter: int = 200
@@ -106,8 +101,10 @@ class PrimalConfig:
     def __post_init__(self):
         if self.tau is not None and not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
-        if self.theta <= 0.0 or self.nu <= 0.0 or self.tol <= 0.0:
-            raise ValueError("theta, nu, tol must be positive")
+        if self.nu <= 0.0 or self.tol <= 0.0 or self.cg_tol <= 0.0:
+            raise ValueError("nu, tol, cg_tol must be positive")
+        if self.max_iter < 0 or self.cg_max_iter < 1:
+            raise ValueError("max_iter must be >= 0 and cg_max_iter >= 1")
         if self.mode not in (EXACT, FROZEN_PRECOND, DELAYED_SCALING):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -117,10 +114,12 @@ class PrimalConfig:
 
 @dataclass
 class PreconditionerCache:
-    """Snapshot point z and the factorization of its normal matrix."""
+    """Snapshot point z, the squared scaling ``d_sq`` at z and the
+    factorization of its normal matrix ``A D_z^2 A^T``."""
 
     z: np.ndarray
     factor: CholeskyFactor
+    d_sq: np.ndarray
 
 
 def refresh_cache(p: StandardLp, z) -> PreconditionerCache:
@@ -146,44 +145,41 @@ def refresh_cache(p: StandardLp, z) -> PreconditionerCache:
     L = factor.L
     LLv = dtrmv(L, dtrmv(L, v, lower=1, trans=1), lower=1, overwrite_x=1)
     err = np.linalg.norm(LLv - Mv) / (np.linalg.norm(q) * np.linalg.norm(v))
-    # a stale factor errs at the size of the scaling change (>= theta); a
+    # a stale factor errs at the size of the scaling change (>= _THETA); a
     # correct one at rounding level, whatever the condition number, so
     # 1e-8 separates the two by many orders of magnitude
     if err > 1e-8:
         raise NumericalBreakdown(f"preconditioner probe failed (backward error {err:.2e})")
-    return PreconditionerCache(z=z, factor=factor)
+    return PreconditionerCache(z=z, factor=factor, d_sq=d_sq)
 
 
 class NormalSolver:
     """Solves the normal equations ``A D_w^2 A^T t = r`` of one primal
     solve and owns its refresh policy.
 
-    In ``exact`` mode it factorizes ``A D_x^2 A^T`` every iteration.  In
-    the other modes it keeps a :class:`PreconditionerCache` and solves by
-    PCG preconditioned with the cached factor.  The cache is refreshed on
-    the distance trigger (Euclidean in ``frozen_precond``, thresholded in
-    ``delayed_scaling``) and once after a PCG miss.  ``factorizations``
-    and ``cg_iterations`` count all the work it did; a factorization
-    counts when it is requested, also when it raises or fails its probe.
+    Its one factor is that of its :class:`PreconditionerCache`.  In
+    ``exact`` mode the cache is refreshed at x every iteration and its
+    factor solves directly.  In the other modes it preconditions PCG,
+    and the cache is refreshed on the distance trigger ``_THETA``
+    (Euclidean in ``frozen_precond``, thresholded in ``delayed_scaling``)
+    and once after a PCG miss.  ``factorizations`` and ``cg_iterations``
+    count all the work it did; a factorization counts when it is
+    requested, also when it raises or fails its probe.
     """
 
     def __init__(self, p: StandardLp, cfg: PrimalConfig, cache: PreconditionerCache | None = None):
         self.p = p
         self.cfg = cfg
         self.cache = cache
-        self.factor = None  # exact mode: the factor at the current iterate
         self.factorizations = 0
         self.cg_iterations = 0
         self.converged = True  # every PCG run since the last reset converged
 
     def update(self, x) -> None:
-        """Factorize on schedule: every iteration in exact mode, else when
-        there is no cache yet or x has moved ``theta`` from its point."""
-        if self.cfg.mode == EXACT:
-            d = bound_scaling_diag(x, self.p.u)
-            self.factorizations += 1
-            self.factor = cholesky_factorize(form_normal_matrix(self.p.A, d))
-        elif self.cache is None or self._distance(x) >= self.cfg.theta:
+        """Refresh the cache on schedule: every iteration in exact mode,
+        else when there is no cache yet or x has moved ``_THETA`` from its
+        point."""
+        if self.cfg.mode == EXACT or self.cache is None or self._distance(x) >= _THETA:
             self._refresh(x)
 
     def _distance(self, x) -> float:
@@ -198,7 +194,7 @@ class NormalSolver:
     def _cache_is_fresh(self, x) -> bool:
         """A refresh can only help when the cache point has actually moved;
         otherwise a PCG miss means the attainable residual floor was hit."""
-        return thresholded_distance(x, self.cache.z, x, self.cfg.nu) <= 0.1 * self.cfg.theta
+        return thresholded_distance(x, self.cache.z, x, self.cfg.nu) <= 0.1 * _THETA
 
     def scaling_point(self, x) -> np.ndarray:
         """x itself, or in delayed mode the delayed scaling point: cached
@@ -208,11 +204,12 @@ class NormalSolver:
         return x
 
     def at(self, w, max_iter: int | None = None) -> Callable[[np.ndarray], np.ndarray]:
-        """``rhs -> (A D_w^2 A^T)^{-1} rhs``: the exact factor's solve, or
-        PCG on the matrix-free operator preconditioned with the cache, with
-        at most ``max_iter`` iterations (default ``cg_max_iter``)."""
+        """``rhs -> (A D_w^2 A^T)^{-1} rhs``: in exact mode the cached
+        factor's solve (the cache is at w), else PCG on the matrix-free
+        operator preconditioned with the cache, with at most ``max_iter``
+        iterations (default ``cg_max_iter``)."""
         if self.cfg.mode == EXACT:
-            return self.factor.solve
+            return self.cache.factor.solve
         A = self.p.A
         d = bound_scaling_diag(w, self.p.u)
         d_sq = d * d
@@ -268,8 +265,7 @@ class NormalSolver:
             return dx
         A = self.p.A
         zeta = A.matvec(dx) if r_p is None else A.matvec(dx) + r_p
-        d = bound_scaling_diag(self.cache.z, self.p.u)
-        return dx - d * d * A.rmatvec(self.cache.factor.solve(zeta))
+        return dx - self.cache.d_sq * A.rmatvec(self.cache.factor.solve(zeta))
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +342,22 @@ def projected_direction(
     return Direction(dx, y_new, p.c - p.A.rmatvec(y_new), delta)
 
 
+class Proximity(NamedTuple):
+    delta: float
+    y: np.ndarray
+    s: np.ndarray
+
+
+def proximity(p: StandardLp, x, mu: float, solve: Callable[[np.ndarray], np.ndarray]) -> Proximity:
+    """Centrality proximity ``delta = ||P_{AD} ((1/mu) D c - D grad)||`` of x
+    with respect to mu, and its minimizing dual pair ``(y, s)`` with
+    ``A^T y + s = c``: :func:`projected_direction` at ``w = x`` with no
+    dual estimate, ``solve`` applying the inverse of ``A D^2 A^T``."""
+    x = np.asarray(x, dtype=np.float64)
+    d = projected_direction(p, x, x, mu, np.zeros(p.nrows), solve)
+    return Proximity(d.delta, d.y, d.s)
+
+
 def affine_direction(
     p: StandardLp,
     w: np.ndarray,
@@ -405,7 +417,7 @@ def _split_composite_dual(p: StandardLp, x, s_composite):
     both signs, and it converges to the exact active-bound multipliers
     (v = mu/(u-x) would keep oscillating with the barrier schedule).
     Both are zero off the bounded coordinates."""
-    fi = np.flatnonzero(np.isfinite(p.u))
+    fi = p.bounded
     v = np.zeros_like(s_composite)
     v[fi] = np.maximum(-s_composite[fi], 0.0)
     w = np.zeros_like(s_composite)
@@ -465,7 +477,7 @@ def primal_solve(
     t_start = time.perf_counter()
     A = p.A
     n = p.ncols
-    fi = np.flatnonzero(np.isfinite(p.u))
+    fi = p.bounded
     tau = cfg.effective_tau(n)
     st = start.copy()
     if np.any(st.x <= 0.0):
@@ -482,8 +494,6 @@ def primal_solve(
         # interpret the incoming reduced cost as composite and split it
         st.s, st.v, st.w = _split_composite_dual(p, st.x, st.s)
 
-    norm_b = float(np.linalg.norm(p.b))
-    norm_c = float(np.linalg.norm(p.c))
     solver = NormalSolver(p, cfg)
     iterations = 0
     status = SolveStatus.ITERATION_LIMIT
@@ -508,15 +518,11 @@ def primal_solve(
             x = x_start = st.x
             factorizations_before = solver.factorizations
             cg_before = solver.cg_iterations
-            r_p, r_d = feasibility_residuals(p, st)
-            feasible = (
-                np.linalg.norm(r_p) <= _FEASIBLE_PATH_TOL * (1.0 + norm_b)
-                and np.linalg.norm(r_d) <= _FEASIBLE_PATH_TOL * (1.0 + norm_c)
-            )
+            feasible = max(e_p, e_d) <= _FEASIBLE_PATH_TOL
             gamma = 0.0
-            if feasible and solver.cache is not None:
-                # tangent predictor on the standing cache (exact mode
-                # keeps none), normalized by the target of the last step
+            if feasible and cfg.mode != EXACT and solver.cache is not None:
+                # tangent predictor on the standing cache, normalized by
+                # the target of the last step
                 dx_aff = solver.predictor(
                     x, lambda w, solve: affine_direction(p, w, mu_used, st.y, solve)
                 )
@@ -550,10 +556,10 @@ def primal_solve(
                     lambda w, solve: infeasible_primal_step(p, st, solve),
                     at_scaling_point=False,
                 )
-                dx = solver.repair(dx, r_p)
+                dx = solver.repair(dx, A.matvec(x) - p.b)
                 delta = None
                 if cfg.mode == EXACT and trace_log is not None:
-                    delta = proximity(p, x, mu, solver.factor.solve).delta
+                    delta = proximity(p, x, mu, solver.at(x)).delta
                 alpha = ratio_test(x, dx, _STEP_FRACTION, p.u)
                 st.x = x + alpha * dx
                 st.y = st.y + alpha * dy

@@ -48,7 +48,8 @@ class RecoveryMap:
 
 @dataclass(frozen=True)
 class StandardLp:
-    """``min <c, x>  s.t.  A x = b,  0 <= x <= u`` with u possibly infinite."""
+    """``min <c, x>  s.t.  A x = b,  0 <= x <= u`` with u possibly infinite;
+    ``bounded`` holds the indices of the finite entries of u, read-only."""
 
     A: SparseMatrix
     b: np.ndarray
@@ -57,6 +58,7 @@ class StandardLp:
     recovery: RecoveryMap
     row_names: tuple = ()
     col_names: tuple = ()
+    bounded: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
         for name in ("b", "c", "u"):
@@ -66,6 +68,9 @@ class StandardLp:
         m, n = self.A.shape
         if self.b.shape != (m,) or self.c.shape != (n,) or self.u.shape != (n,):
             raise ValueError("inconsistent standard-form dimensions")
+        bounded = np.flatnonzero(np.isfinite(self.u))
+        bounded.flags.writeable = False
+        object.__setattr__(self, "bounded", bounded)
 
     @property
     def nrows(self) -> int:
@@ -310,7 +315,7 @@ def to_symmetric_form(std: StandardLp) -> SymmetricLp:
     A = std.A.to_scipy()
     blocks = [A, -A]
     rhs = [std.b, -std.b]
-    finite = np.flatnonzero(np.isfinite(std.u))
+    finite = std.bounded
     if finite.size:
         E = sps.coo_matrix(
             (-np.ones(finite.size), (np.arange(finite.size), finite)),
@@ -381,7 +386,7 @@ def barrier_gradient(p: StandardLp, x: np.ndarray) -> np.ndarray:
     """Gradient of the negated log barrier divided by mu: X^{-1}e, with
     the upper-bound term subtracted on bounded variables."""
     grad = 1.0 / x
-    fi = np.flatnonzero(np.isfinite(p.u))
+    fi = p.bounded
     grad[fi] -= 1.0 / (p.u[fi] - x[fi])
     return grad
 
@@ -392,17 +397,15 @@ def complementarity(p: StandardLp, st: IterateState) -> float:
     total = float(st.x @ st.s)
     count = p.ncols
     if st.w is not None:
-        finite = np.isfinite(p.u)
-        total += float(st.w[finite] @ st.v[finite])
-        count += int(finite.sum())
+        total += float(st.w[p.bounded] @ st.v[p.bounded])
+        count += p.bounded.size
     return total / max(count, 1)
 
 
 def dual_objective(p: StandardLp, st: IterateState) -> float:
     val = float(p.b @ st.y)
     if st.v is not None:
-        finite = np.isfinite(p.u)
-        val -= float(p.u[finite] @ st.v[finite])
+        val -= float(p.u[p.bounded] @ st.v[p.bounded])
     return val
 
 

@@ -1,50 +1,12 @@
-"""Central-path proximity and the distance machinery behind delayed scaling."""
+"""The distance machinery behind delayed scaling, and the barrier-Hessian
+scaling diagonal.  The central-path proximity is computed by the primal
+engine's projection (``lpipm.primal.proximity``)."""
 
 from __future__ import annotations
-
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import InteriorityViolation
-from .problem import StandardLp, barrier_gradient
-
-
-class Proximity(NamedTuple):
-    delta: float
-    y: np.ndarray
-    s: np.ndarray
-
-
-def proximity(
-    p: StandardLp,
-    x,
-    mu: float,
-    solver: Callable[[np.ndarray], np.ndarray],
-    d=None,
-) -> Proximity:
-    """Centrality proximity of ``x`` with respect to ``mu``.
-
-    Computes ``delta = || P_{AD} v ||`` with ``v = (1/mu) D c - D grad``
-    through one normal-equation solve supplied by ``solver`` (a direct
-    factor's solve or a PCG closure on ``A D^2 A^T``), where D is the
-    primal scaling (bound-aware when the problem carries finite upper
-    bounds, plain X otherwise, in which case v = (1/mu) X c - e).  The
-    minimizing dual pair ``(y, s)`` falls out of the same solve and
-    satisfies ``A^T y + s = c`` exactly.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(x <= 0.0):
-        raise InteriorityViolation("proximity needs x > 0")
-    if d is None:
-        d = bound_scaling_diag(x, p.u)
-    grad = barrier_gradient(p, x)
-    v = d * (p.c / mu - grad)
-    t = solver(p.A.matvec(d * v))
-    pvec = v - d * p.A.rmatvec(t)
-    y = mu * t
-    s = p.c - p.A.rmatvec(y)
-    return Proximity(float(np.linalg.norm(pvec)), y, s)
 
 
 def thresholded_distance(y, z, x, nu: float) -> float:

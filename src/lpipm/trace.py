@@ -41,6 +41,15 @@ class TraceRecord:
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(TraceRecord))
+# the inverse of _fmt for each annotated field type (annotations are strings)
+_PARSERS = {
+    "int": int,
+    "str": str,
+    "float": float,
+    "float | None": lambda text: None if text == "" else float(text),
+    "bool": lambda text: text == "1",
+}
+_COLUMN_PARSERS = tuple(_PARSERS[f.type] for f in fields(TraceRecord))
 
 
 class TraceLog:
@@ -93,34 +102,18 @@ def emit_csv(records, destination) -> int:
 
 
 def parse_csv(text) -> list:
-    """Inverse of :func:`emit_csv`; numeric fields round-trip bit-exactly."""
+    """Inverse of :func:`emit_csv`; numeric fields round-trip bit-exactly.
+    Each column is parsed by the annotated type of its field."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or tuple(rows[0]) != CSV_COLUMNS:
         raise ValueError("unrecognized trace CSV header")
     out = []
-    for row in rows[1:]:
-        vals = dict(zip(CSV_COLUMNS, row))
-        out.append(
-            TraceRecord(
-                iter=int(vals["iter"]),
-                phase=vals["phase"],
-                mu=float(vals["mu"]),
-                e_p=float(vals["e_p"]),
-                e_d=float(vals["e_d"]),
-                e_g=float(vals["e_g"]),
-                step_norm=float(vals["step_norm"]),
-                thresholded_step=float(vals["thresholded_step"]),
-                delta=None if vals["delta"] == "" else float(vals["delta"]),
-                alpha=float(vals["alpha"]),
-                factorized=vals["factorized"] == "1",
-                cg_iters=int(vals["cg_iters"]),
-                wall_factor_ms=float(vals["wall_factor_ms"]),
-                wall_solve_ms=float(vals["wall_solve_ms"]),
-                predictor_step=float(vals["predictor_step"]),
-            )
-        )
+    for k, row in enumerate(rows[1:], start=1):
+        if len(row) != len(CSV_COLUMNS):
+            raise ValueError(f"trace CSV row {k} has {len(row)} fields, not {len(CSV_COLUMNS)}")
+        out.append(TraceRecord(*(parse(value) for parse, value in zip(_COLUMN_PARSERS, row))))
     return out
 
 

@@ -70,6 +70,15 @@ class TestSolve:
         assert code == 2
         assert "IterationLimit" in out
 
+    @pytest.mark.parametrize("algorithm", ["pd", "primal", "primal-exact", "hybrid"])
+    def test_negative_max_iter_is_usage_error(self, planted, capsys, algorithm):
+        _, path = planted
+        code, out, err = _run(
+            capsys, ["solve", path, "--algorithm", algorithm, "--max-iter", "-3"]
+        )
+        assert code == 1
+        assert out == "" and "max_iter" in err
+
     def test_disabled_switch_matches_pd_trace(self, planted, tmp_path, capsys):
         _, path = planted
         t1 = tmp_path / "pd.csv"
@@ -163,3 +172,13 @@ class TestProbe:
         for line in lines[1:]:
             kappa = float(line.split(",")[1])
             assert kappa >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize("argv", [
+        ["--window", "0"], ["--window", "-2"], ["--max-iter", "-1"],
+    ])
+    def test_out_of_range_count_is_usage_error(self, planted, capsys, argv):
+        # --window 0 used to probe every iterate, --window -2 to drop two
+        _, path = planted
+        code, out, err = _run(capsys, ["probe", path, "--tau", "0.28", *argv])
+        assert code == 1
+        assert out == "" and "error" in err

@@ -127,6 +127,11 @@ class TestMehrotraStep:
 
 
 class TestPdSolve:
+    def test_config_rejects_negative_max_iter(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            PdConfig(max_iter=-1)
+        assert PdConfig(max_iter=0).max_iter == 0
+
     def test_two_variable_instance(self, tiny_lp):
         res = pd_solve(tiny_lp, PdConfig())
         assert res.status == SolveStatus.OPTIMAL

@@ -349,6 +349,21 @@ class TestNormalSolver:
         plain = feasibility_repair(p, dx)
         assert np.abs(plain - dx)[:3].max() >= 1e-9
 
+    def test_exact_mode_solves_with_a_cache_refreshed_at_each_iterate(self):
+        # exact mode holds one factor, its cache's: every update refreshes
+        # the cache at x, counted, and the solve is that factor's
+        rng = np.random.default_rng(43)
+        p, st = feasible_instance(rng, 6, 14)
+        solver = NormalSolver(p, PrimalConfig(mode=EXACT))
+        A = p.A.to_dense()
+        rhs = rng.standard_normal(6)
+        for k, x in enumerate((st.x, 1.5 * st.x, 1.5 * st.x), start=1):
+            solver.update(x)
+            assert np.array_equal(solver.cache.z, x)
+            assert solver.factorizations == k
+            assert_allclose(A @ (x**2 * (A.T @ solver.at(x)(rhs))), rhs, rtol=1e-10)
+        assert not hasattr(solver, "factor")
+
     def test_miss_refreshes_once_and_counts_both_runs(self, monkeypatch):
         import lpipm.primal as primal
 
@@ -561,6 +576,14 @@ class TestMonitoredInvariants:
 
 
 class TestPrimalSolve:
+    @pytest.mark.parametrize("field, value", [
+        ("max_iter", -1), ("cg_tol", 0.0), ("cg_tol", -1e-10), ("cg_max_iter", 0),
+    ])
+    def test_config_rejects_out_of_range_values(self, field, value):
+        # PrimalConfig(cg_tol=0) used to fail only at the first PCG solve
+        with pytest.raises(ValueError, match=field):
+            PrimalConfig(**{field: value})
+
     def test_tracks_closed_form_central_path(self, tiny_lp):
         mu0 = 1.0
         x1 = tiny_central_x1(mu0)

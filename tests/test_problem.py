@@ -114,6 +114,24 @@ class TestToStandardForm:
         assert std.ncols == 2
         assert std.u[1] == 1.0  # slack range
 
+    def test_bounded_set_is_computed_once_and_read_only(self):
+        # an upper-bounded column, a free one and a ranged row's slack
+        p = build(" L  R1\n", "    X1  COST  1.0  R1  1.0\n    X2  R1  1.0\n",
+                  "    RHS  R1  3.0\n",
+                  "RANGES\n    RNG  R1  1.0\nBOUNDS\n UP BND  X1  4.0\n FR BND  X2\n")
+        std = to_standard_form(p)
+        assert_array_equal(std.bounded, np.flatnonzero(np.isfinite(std.u)))
+        assert std.bounded.size == 2
+        assert not std.bounded.flags.writeable
+        with pytest.raises(ValueError):
+            std.bounded[0] = 0
+
+    def test_unbounded_problem_has_empty_bounded_set(self):
+        std = standard_lp_from_dense([[1.0, 1.0]], [2.0], [1.0, 0.0])
+        assert std.bounded.size == 0
+        assert_array_equal(std.bounded, np.flatnonzero(np.isfinite(std.u)))
+        assert not std.bounded.flags.writeable
+
     def test_zero_range_pins_row_without_slack(self):
         p = build(" L  R1\n", "    X1  COST  1.0  R1  1.0\n", "    RHS  R1  3.0\n",
                   "RANGES\n    RNG  R1  0.0\n")
