@@ -29,12 +29,9 @@ from .primal import (
     NormalSolver,
     PreconditionerCache,
     PrimalConfig,
-    Proximity,
     feasibility_repair,
-    infeasible_primal_step,
     primal_solve,
     projected_direction,
-    proximity,
     ratio_test,
     refresh_cache,
 )
@@ -47,7 +44,6 @@ from .problem import (
     complementarity,
     convergence_metrics,
     dualize,
-    residuals,
     symmetric_to_standard,
     to_standard_form,
     to_symmetric_form,

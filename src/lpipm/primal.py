@@ -8,17 +8,17 @@ Every mode runs the same iteration:
    the barrier target (see :func:`primal_solve`);
 2. the :class:`NormalSolver` refreshes its factorization of the scaled
    normal matrix on schedule, at the predicted point;
-3. the Newton direction is computed through that solver:
-   :func:`projected_direction` on a feasible iterate,
-   :func:`infeasible_primal_step` otherwise;
+3. the Newton direction is :func:`projected_direction`, computed through
+   that solver at the scaling point; off the feasible path its solve
+   carries ``-r_p``, which makes it the infeasible-start Newton step
+   with ``A dx = -r_p``;
 4. after an inexact (PCG) solve a feasibility repair, scaled by the
-   cache point, puts the step back in the null space of A (or restores
-   ``-r_p`` on infeasible-start steps);
+   cache point, restores ``A dx = -r_p`` (0 on the feasible path);
 5. the next barrier target is chosen from the step just taken: its
    length and the complementarity it reached (see :func:`primal_solve`).
 
 The modes differ only inside the solver and in the scaling point of the
-feasible direction:
+direction:
 
 * ``exact`` refreshes the cache at x every iteration, solves with its
   factor directly and scales at x.
@@ -58,7 +58,6 @@ from .problem import (
     barrier_gradient,
     complementarity,
     convergence_metrics,
-    residuals,
 )
 from .results import SolveResult, SolveStatus
 from .scaling import bound_scaling_diag, delayed_scaling_point, thresholded_distance
@@ -226,14 +225,14 @@ class NormalSolver:
 
         return solve
 
-    def direction(self, x, step, at_scaling_point: bool):
-        """Return ``step(w, self.at(w))`` with w the scaling point of x, or
-        x itself.  After a PCG miss the cache is refreshed at x and the
-        step recomputed, unless the cache is already fresh; right after a
+    def direction(self, x, step):
+        """Return ``step(w, self.at(w))`` with w the scaling point of x.
+        After a PCG miss the cache is refreshed at x and the step
+        recomputed, unless the cache is already fresh; right after a
         refresh it is, so this retries at most once."""
         while True:
             self.converged = True
-            w = self.scaling_point(x) if at_scaling_point else x
+            w = self.scaling_point(x)
             out = step(w, self.at(w))
             if self.converged or self._cache_is_fresh(x):
                 return out
@@ -317,6 +316,7 @@ def projected_direction(
     mu: float,
     y: np.ndarray,
     solve: Callable[[np.ndarray], np.ndarray],
+    r_p: np.ndarray | None = None,
 ) -> Direction:
     """Projected Newton direction at x with the normal matrix scaled at w:
     ``-D_w P_{A D_w} D_x^{-1} D_w v`` with ``v = D_x ((c - A^T y)/mu - grad)``,
@@ -324,38 +324,27 @@ def projected_direction(
 
     At ``w = x`` this is the projected Newton direction ``-D P_{AD} v``;
     at the delayed scaling point it is the surrogate that keeps a cached
-    factorization useful.  With a dual estimate ``y`` whose ``A^T y + s - c``
+    factorization useful.  With a primal residual ``r_p = A x - b`` the
+    solve's right-hand side gains ``-r_p``, and the step, which then
+    satisfies ``A dx = -r_p``, is the infeasible-start Newton step of
+    the barrier problem.  With a dual estimate ``y`` whose ``A^T y + s - c``
     is small, ``v`` stays bounded as mu shrinks (with ``c/mu`` instead,
     cancellation costs roughly ``log10(1/mu)`` digits); ``y = 0`` gives
     the plain direction.  The returned dual pair satisfies
-    ``A^T y + s = c`` exactly.  ``delta`` is the proximity ``||P_{AD} v||``
-    when ``w`` is ``x`` itself, else None.  The step is not repaired.
+    ``A^T y + s = c`` exactly.  ``delta`` is the local norm
+    ``||D_x^{-1} dx||`` when ``w`` is ``x`` itself, else None; without
+    ``r_p`` it is the proximity ``||P_{AD} v||``.  The step is not
+    repaired.
     """
     at_x = w is x
     d_x = bound_scaling_diag(x, p.u)
     d_w = d_x if at_x else bound_scaling_diag(w, p.u)
     v = d_x * ((p.c - p.A.rmatvec(y)) / mu - barrier_gradient(p, x))
     g = (d_w / d_x) * v
-    dx, t, At = _project(p, d_w, g, solve)
+    dx, t, At = _project(p, d_w, g, solve, r_p)
     delta = float(np.linalg.norm(g - d_w * At)) if at_x else None
     y_new = y + mu * t
     return Direction(dx, y_new, p.c - p.A.rmatvec(y_new), delta)
-
-
-class Proximity(NamedTuple):
-    delta: float
-    y: np.ndarray
-    s: np.ndarray
-
-
-def proximity(p: StandardLp, x, mu: float, solve: Callable[[np.ndarray], np.ndarray]) -> Proximity:
-    """Centrality proximity ``delta = ||P_{AD} ((1/mu) D c - D grad)||`` of x
-    with respect to mu, and its minimizing dual pair ``(y, s)`` with
-    ``A^T y + s = c``: :func:`projected_direction` at ``w = x`` with no
-    dual estimate, ``solve`` applying the inverse of ``A D^2 A^T``."""
-    x = np.asarray(x, dtype=np.float64)
-    d = projected_direction(p, x, x, mu, np.zeros(p.nrows), solve)
-    return Proximity(d.delta, d.y, d.s)
 
 
 def affine_direction(
@@ -375,34 +364,15 @@ def affine_direction(
     return _project(p, d_w, d_w * ((p.c - p.A.rmatvec(y)) / mu), solve)[0]
 
 
-def _project(p: StandardLp, d_w, g, solve):
+def _project(p: StandardLp, d_w, g, solve, r_p=None):
     """``(-D_w P_{A D_w} g, t, A^T t)``, with ``t`` the solution of
-    ``A D_w^2 A^T t = A D_w g`` by ``solve``, so that ``P g = g - D_w A^T t``."""
-    t = solve(p.A.matvec(d_w * g))
+    ``A D_w^2 A^T t = A D_w g`` by ``solve``, so that ``P g = g - D_w A^T t``.
+    With ``r_p`` the right-hand side is ``A D_w g - r_p`` and the first
+    entry ``-D_w (g - D_w A^T t)`` satisfies ``A dx = -r_p`` instead."""
+    rhs = p.A.matvec(d_w * g)
+    t = solve(rhs if r_p is None else rhs - r_p)
     At = p.A.rmatvec(t)
     return -d_w * g + (d_w * d_w) * At, t, At
-
-
-def infeasible_primal_step(
-    p: StandardLp,
-    st: IterateState,
-    solver: Callable[[np.ndarray], np.ndarray],
-):
-    """Infeasible-start Newton step recovered from the normal equations.
-
-    It solves for ``dy / mu``: the complementarity term divided by mu
-    stays bounded near the central path.
-    """
-    x = np.asarray(st.x, dtype=np.float64)
-    mu = st.mu
-    d = bound_scaling_diag(x, p.u)
-    d_sq = d * d
-    r_p, r_d, r_mu = residuals(p, st)
-    rhs = -r_p + p.A.matvec(d_sq * (r_mu - r_d)) / mu
-    dy = mu * solver(rhs)
-    ds = -r_d - p.A.rmatvec(dy)
-    dx = -(d_sq / mu) * (r_mu + ds)
-    return dx, dy, ds
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +406,18 @@ def primal_solve(
     rows are numbered on from the rows already in ``trace_log``.  The
     solve starts without a cache: in the cached modes the first
     iteration factors at the start point, and its trace row says so.
-    The step lengths of a row, and in ``exact`` mode the proximity of an
-    infeasible step, are computed only when there is a trace to write.
+    The step lengths of a row are computed only when there is a trace to
+    write.
+
+    Every iteration takes one Newton step, :func:`projected_direction`
+    at the scaling point, and splits its dual pair into ``(s, v)``.  Off
+    the feasible path (``max(e_p, e_d)`` above ``_FEASIBLE_PATH_TOL``)
+    the solve carries ``-r_p``, the step is the infeasible-start Newton
+    step, and the repair restores ``A dx = -r_p``; being feasible gates
+    only the predictor and the schedule below.  A row's ``delta`` is the
+    step's local norm ``||D_x^{-1} dx||`` when the step is scaled at x
+    (``exact`` and ``frozen_precond``): on the feasible path, the
+    proximity to the central point of its target.
 
     The barrier target of an iteration's Newton step is the scheduled
     target ``mu``, lowered by the tangent predictor.  In the cached
@@ -536,41 +516,18 @@ def primal_solve(
             solver.update(x)
             t_factor = time.perf_counter() - t1
 
-            if feasible:
-                # r_d is at noise level here, so (c - A^T y)/mu stays
-                # bounded while c/mu does not
-                direction = solver.direction(
-                    x,
-                    lambda w, solve: projected_direction(p, x, w, mu, st.y, solve),
-                    at_scaling_point=True,
-                )
-                dx = solver.repair(direction.dx)
-                delta = direction.delta
-                alpha = ratio_test(x, dx, _STEP_FRACTION, p.u)
-                st.x = x + alpha * dx
-                st.y = direction.y
-                st.s, st.v, st.w = _split_composite_dual(p, st.x, direction.s)
-            else:
-                dx, dy, ds_comp = solver.direction(
-                    x,
-                    lambda w, solve: infeasible_primal_step(p, st, solve),
-                    at_scaling_point=False,
-                )
-                dx = solver.repair(dx, A.matvec(x) - p.b)
-                delta = None
-                if cfg.mode == EXACT and trace_log is not None:
-                    delta = proximity(p, x, mu, solver.at(x)).delta
-                alpha = ratio_test(x, dx, _STEP_FRACTION, p.u)
-                st.x = x + alpha * dx
-                st.y = st.y + alpha * dy
-                # Newton step of v (u - x) = mu on the bounded coordinates
-                gap = p.u[fi] - x[fi]
-                dv = np.zeros(n)
-                dv[fi] = -(st.v[fi] - mu / gap) + mu / (gap * gap) * dx[fi]
-                st.v = st.v + alpha * dv
-                st.s = st.s + alpha * (ds_comp + dv)
-                st.w = np.zeros(n)
-                st.w[fi] = p.u[fi] - st.x[fi]
+            # one Newton step for every iterate: off the feasible path its
+            # solve carries -r_p.  y keeps (c - A^T y)/mu bounded where
+            # c/mu is not
+            r_p = None if feasible else A.matvec(x) - p.b
+            direction = solver.direction(
+                x, lambda w, solve: projected_direction(p, x, w, mu, st.y, solve, r_p)
+            )
+            dx = solver.repair(direction.dx, r_p)
+            alpha = ratio_test(x, dx, _STEP_FRACTION, p.u)
+            st.x = x + alpha * dx
+            st.y = direction.y
+            st.s, st.v, st.w = _split_composite_dual(p, st.x, direction.s)
 
             if np.any(st.x <= 0.0):
                 raise NumericalBreakdown("iterate left the positive orthant")
@@ -601,7 +558,7 @@ def primal_solve(
                         e_g=e_g,
                         step_norm=float(np.linalg.norm(st.x - x_start)),
                         thresholded_step=thresholded_distance(st.x, x_start, st.x, 1.0),
-                        delta=delta,
+                        delta=direction.delta,
                         alpha=alpha,
                         factorized=solver.factorizations > factorizations_before,
                         cg_iters=solver.cg_iterations - cg_before,

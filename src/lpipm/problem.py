@@ -359,20 +359,6 @@ def symmetric_to_standard(p: SymmetricLp) -> StandardLp:
 # ---------------------------------------------------------------------------
 
 
-def residuals(p: StandardLp, st: IterateState):
-    """Primal, dual, and complementarity residuals.
-
-    ``r_p`` and ``r_d`` are those of :func:`feasibility_residuals`, and
-    ``r_mu = s - mu * (X^{-1} - (U-X)^{-1}) e - v``, with the ``(U-X)^{-1}``
-    term on the bounded coordinates only and ``v = 0`` when the state
-    carries none.
-    """
-    r_p, r_d = feasibility_residuals(p, st)
-    v = 0.0 if st.v is None else st.v
-    r_mu = st.s - st.mu * barrier_gradient(p, np.asarray(st.x, dtype=np.float64)) - v
-    return r_p, r_d, r_mu
-
-
 def feasibility_residuals(p: StandardLp, st: IterateState):
     """``r_p = Ax - b`` and ``r_d = A^T y + s - v - c``, with ``v = 0``
     when the state carries none."""

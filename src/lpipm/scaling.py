@@ -1,6 +1,7 @@
 """The distance machinery behind delayed scaling, and the barrier-Hessian
-scaling diagonal.  The central-path proximity is computed by the primal
-engine's projection (``lpipm.primal.proximity``)."""
+scaling diagonal.  The central-path proximity is the ``delta`` of the
+primal engine's direction (``lpipm.primal.projected_direction``) at
+``w = x`` without a primal residual."""
 
 from __future__ import annotations
 

@@ -193,8 +193,8 @@ class NormalMatrix:
         return self._array @ np.asarray(v, dtype=np.float64)
 
 
-def form_normal_matrix(A: SparseMatrix, d, shift=None) -> NormalMatrix:
-    """Assemble ``A @ diag(d**2) @ A.T`` plus an optional diagonal shift.
+def form_normal_matrix(A: SparseMatrix, d) -> NormalMatrix:
+    """Assemble ``A @ diag(d**2) @ A.T``.
 
     With ``B = A diag(d)``, a dense ``A`` gives ``B B^T`` in one BLAS
     product; numpy computes a matrix times its own transpose with SYRK
@@ -208,10 +208,6 @@ def form_normal_matrix(A: SparseMatrix, d, shift=None) -> NormalMatrix:
         raise ValueError(f"scaling vector has length {d.size}, expected {A.ncols}")
     if np.any(d <= 0.0) or not np.all(np.isfinite(d)):
         raise ValueError("scaling entries must be strictly positive and finite")
-    if shift is not None:
-        shift = np.asarray(shift, dtype=np.float64)
-        if shift.shape != (A.nrows,):
-            raise ValueError(f"shift has length {shift.size}, expected {A.nrows}")
 
     dense = A._dense
     if dense is not None:
@@ -226,6 +222,4 @@ def form_normal_matrix(A: SparseMatrix, d, shift=None) -> NormalMatrix:
         )
         S = B @ B.T
         M = ((S + S.T) * 0.5).toarray()
-    if shift is not None:
-        M.flat[:: A.nrows + 1] += shift
     return NormalMatrix(M)

@@ -48,6 +48,7 @@ def probe_spectra(p: StandardLp, states, anchor: int = 0, iters: int = 30) -> li
     anchor_x = np.asarray(states[anchor].x, dtype=np.float64)
     d_anchor = bound_scaling_diag(anchor_x, p.u)
     anchor_factor = cholesky_factorize(form_normal_matrix(p.A, d_anchor))
+    A = p.A.to_dense()
 
     rows = []
     for j, st in enumerate(states):
@@ -58,11 +59,12 @@ def probe_spectra(p: StandardLp, states, anchor: int = 0, iters: int = 30) -> li
         s = np.asarray(st.s, dtype=np.float64)
         floor = _S_FLOOR_REL * max(float(np.abs(s).max()), 1.0)
         s_safe = np.maximum(s, floor)
-        M_pd = form_normal_matrix(p.A, np.sqrt(x / s_safe))
         # the contrast column is diagnostic only; its spectrum clusters at
-        # the tiny end where Lanczos saturates, so report the exact kappa
-        ev = np.linalg.eigvalsh(M_pd.to_dense())
-        kappa_pd = float(ev[-1]) / max(float(ev[0]), np.finfo(np.float64).tiny)
+        # the tiny end where Lanczos saturates, so report the exact kappa,
+        # from the singular values of B = A diag(sqrt(x/s)): those of
+        # B B^T round to zero or below where B's do not
+        sv = np.linalg.svd(A * np.sqrt(x / s_safe), compute_uv=False)
+        kappa_pd = float(sv[0] / sv[-1]) ** 2
         rows.append(SpectraRow(iteration=j, kappa_reuse=kappa_reuse, kappa_pd=kappa_pd))
     return rows
 

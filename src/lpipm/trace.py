@@ -82,7 +82,8 @@ def _fmt(value):
 
 def emit_csv(records, destination) -> int:
     """Write records as CSV (header + one row each, RFC-4180 quoting,
-    floats at 17 significant digits). Returns the number of bytes written."""
+    floats at 17 significant digits) to a path or a binary stream.
+    Returns the number of bytes written."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -92,10 +93,6 @@ def emit_csv(records, destination) -> int:
     if isinstance(destination, (str, os.PathLike)):
         with open(destination, "wb") as fh:
             fh.write(payload)
-    elif hasattr(destination, "buffer"):
-        destination.buffer.write(payload)
-    elif isinstance(destination, io.TextIOBase):
-        destination.write(payload.decode("utf-8"))
     else:
         destination.write(payload)
     return len(payload)

@@ -77,9 +77,8 @@ def test_criterion_02_projection_oracle_equivalence():
         p = standard_lp_from_dense(A, rng.standard_normal(m), rng.standard_normal(n))
         x = rng.uniform(0.1, 4.0, n)
         mu = rng.uniform(0.05, 3.0)
-        solver = _exact_solver(p, x)
-        delta = L.proximity(p, x, mu, solver).delta
-        dx = direction_at_x(p, x, mu, solver).dx
+        d = direction_at_x(p, x, mu, _exact_solver(p, x))
+        delta, dx = d.delta, d.dx
         delta_ref = dense_proximity(A, x, p.c, mu)
         dx_ref = dense_primal_direction(A, x, p.c, mu)
         worst = max(worst, abs(delta - delta_ref) / (1.0 + delta_ref))
@@ -153,7 +152,7 @@ def test_criterion_05_delayed_direction_error_bound():
         cache = L.refresh_cache(p, z)
         dx, solver = pcg_direction(p, x, w, mu, cache, 1e-13, cg_max_iter=1000)
         ok &= solver.converged
-        delta = L.proximity(p, x, mu, _exact_solver(p, x)).delta
+        delta = direction_at_x(p, x, mu, _exact_solver(p, x)).delta
         ref = dense_primal_direction(p.A.to_dense(), x, p.c, mu)
         err = float(np.linalg.norm((dx - ref) / x))
         bound = 6.0 * delta * dist + 1e-9
@@ -323,9 +322,9 @@ def test_criterion_11_infeasible_feasible_step_equivalence():
         s = rng.uniform(0.3, 3.0, n)
         p = standard_lp_from_dense(A, A @ x, A.T @ y + s)  # r_p = r_d = 0
         mu = rng.uniform(0.1, 2.0)
-        st = L.IterateState(x=x, y=y, s=s, mu=mu)
         solver = _exact_solver(p, x)
-        dx_inf, _, _ = L.infeasible_primal_step(p, st, solver)
+        r_p = p.A.matvec(x) - p.b  # rounding level
+        dx_inf = L.projected_direction(p, x, x, mu, y, solver, r_p).dx
         dx_dir = direction_at_x(p, x, mu, solver).dx
         err = np.linalg.norm(dx_inf - dx_dir) / (1.0 + np.linalg.norm(dx_dir))
         worst = max(worst, err)

@@ -19,12 +19,10 @@ from lpipm import (
     feasibility_repair,
     form_normal_matrix,
     generate_instance,
-    infeasible_primal_step,
     parse_mps,
     pd_starting_point,
     primal_solve,
     projected_direction,
-    proximity,
     ratio_test,
     refresh_cache,
     thresholded_distance,
@@ -33,6 +31,7 @@ from lpipm import (
 from conftest import (
     dense_primal_direction,
     dense_projection,
+    dense_proximity,
     feasible_instance,
     random_full_rank,
     standard_lp_from_dense,
@@ -46,8 +45,18 @@ def _exact_solver(p, x):
 
 def direction_at_x(p, x, mu, solve):
     """Projected Newton direction scaled at x itself, without a dual
-    estimate: ``-D P_{AD}((1/mu) D c - D grad)``."""
+    estimate: ``-D P_{AD}((1/mu) D c - D grad)``; its ``delta`` is the
+    proximity ``||P_{AD}((1/mu) D c - D grad)||``."""
     return projected_direction(p, x, x, mu, np.zeros(p.nrows), solve)
+
+
+def newton_step(p, st, solve):
+    """The infeasible-start Newton step at st scaled at x, as the engine
+    takes it off the feasible path, split into ``(dx, dy, ds)`` with
+    ``ds`` the change of the composite reduced cost ``c - A^T y``."""
+    r_p = p.A.matvec(st.x) - p.b
+    d = projected_direction(p, st.x, st.x, st.mu, st.y, solve, r_p)
+    return d.dx, d.y - st.y, d.s - st.s
 
 
 def next_mu_on_feasible_path(mu, tau, alpha, measured):
@@ -102,7 +111,9 @@ class TestPrimalDirection:
             d = direction_at_x(p, x, mu, _exact_solver(p, x))
             ref = dense_primal_direction(A, x, p.c, mu)
             assert np.linalg.norm(d.dx - ref) <= 1e-9 * (1.0 + np.linalg.norm(ref))
-            assert d.delta == proximity(p, x, mu, _exact_solver(p, x)).delta
+            delta = dense_proximity(A, x, p.c, mu)
+            assert abs(d.delta - delta) <= 1e-9 * (1.0 + delta)
+            assert_allclose(d.delta, np.linalg.norm(d.dx / x), rtol=1e-12)
 
     def test_dual_estimate_leaves_direction_unchanged(self):
         # y only moves the split between the rhs and the solve
@@ -150,7 +161,7 @@ class TestInfeasibleStep:
         y = np.array([-mu / (2 - x1)])
         s = tiny_lp.c - tiny_lp.A.rmatvec(y)
         st = IterateState(x=x, y=y, s=s, mu=mu)
-        dx, dy, ds = infeasible_primal_step(tiny_lp, st, _exact_solver(tiny_lp, x))
+        dx, dy, ds = newton_step(tiny_lp, st, _exact_solver(tiny_lp, x))
         assert np.linalg.norm(dx) <= 1e-10
         assert np.linalg.norm(dy) <= 1e-10
         assert np.linalg.norm(ds) <= 1e-10
@@ -159,15 +170,15 @@ class TestInfeasibleStep:
         rng = np.random.default_rng(32)
         p, st = feasible_instance(rng, 3, 6)
         st.mu = 0.6
-        dx_inf, _, _ = infeasible_primal_step(p, st, _exact_solver(p, st.x))
+        dx_inf, _, _ = newton_step(p, st, _exact_solver(p, st.x))
         dx_dir = direction_at_x(p, st.x, 0.6, _exact_solver(p, st.x)).dx
         assert np.linalg.norm(dx_inf - dx_dir) <= 1e-9 * (1 + np.linalg.norm(dx_dir))
 
     def test_two_variable_dense_kkt_oracle(self, tiny_lp):
         st = IterateState(
-            x=np.array([1.0, 1.0]), y=np.zeros(1), s=np.array([1.0, 0.0]), mu=0.5
+            x=np.array([1.5, 1.0]), y=np.zeros(1), s=np.array([1.0, 0.0]), mu=0.5
         )
-        dx, dy, ds = infeasible_primal_step(tiny_lp, st, _exact_solver(tiny_lp, st.x))
+        dx, dy, ds = newton_step(tiny_lp, st, _exact_solver(tiny_lp, st.x))
         # dense solve of the linearized KKT system
         A = tiny_lp.A.to_dense()
         n, m = 2, 1
@@ -199,7 +210,7 @@ class TestInfeasibleStep:
                 s=rng.uniform(0.3, 2.0, n),
                 mu=rng.uniform(0.2, 1.0),
             )
-            dx, dy, ds = infeasible_primal_step(p, st, _exact_solver(p, st.x))
+            dx, dy, ds = newton_step(p, st, _exact_solver(p, st.x))
             r_p = A @ st.x - p.b
             r_d = A.T @ st.y + st.s - p.c
             r_mu = st.s - st.mu / st.x
@@ -213,7 +224,7 @@ class TestInfeasibleStep:
         p, st = feasible_instance(rng, 4, 8)
         st.x *= rng.uniform(0.9, 1.1, 8)  # slightly infeasible
         st.mu = 0.3
-        d1 = infeasible_primal_step(p, st, _exact_solver(p, st.x))
+        d1 = newton_step(p, st, _exact_solver(p, st.x))
         # the direct form, dense: A D^2 A^T dy = -mu r_p + A D^2 (r_mu - r_d)
         A = p.A.to_dense()
         d_sq = st.x**2
@@ -225,6 +236,35 @@ class TestInfeasibleStep:
         dx = -(d_sq / st.mu) * (r_mu + ds)
         for a, b in zip(d1, (dx, dy, ds)):
             assert_allclose(a, b, rtol=1e-9, atol=1e-11)
+
+    def test_boxed_dense_kkt_oracle(self):
+        # the Newton step of min <c, x> - mu sum(log x) - mu sum(log(u - x))
+        # over A x = b from an infeasible x, on a problem with finite upper
+        # bounds: [H, -A^T; A, 0] [dx; y+] = [mu grad - c; -r_p] with
+        # H = mu (X^-2 + (U - X)^-2) on the bounded coordinates
+        rng = np.random.default_rng(48)
+        for _ in range(10):
+            m, n = 4, 10
+            A = random_full_rank(rng, m, n)
+            u = np.where(rng.random(n) < 0.5, rng.uniform(2.0, 4.0, n), np.inf)
+            p = standard_lp_from_dense(A, rng.standard_normal(m), rng.standard_normal(n), u=u)
+            x = rng.uniform(0.3, 1.8, n)
+            y = rng.standard_normal(m)
+            mu = rng.uniform(0.1, 1.0)
+            r_p = A @ x - p.b
+            assert np.linalg.norm(r_p) > 0.1
+            d = projected_direction(p, x, x, mu, y, refresh_cache(p, x).factor.solve, r_p)
+            gap = np.where(np.isfinite(u), u - x, np.inf)
+            K = np.zeros((n + m, n + m))
+            K[:n, :n] = mu * np.diag(1.0 / x**2 + 1.0 / gap**2)
+            K[:n, n:] = -A.T
+            K[n:, :n] = A
+            grad = 1.0 / x - 1.0 / gap
+            sol = np.linalg.solve(K, np.concatenate([mu * grad - p.c, -r_p]))
+            assert_allclose(d.dx, sol[:n], rtol=1e-9, atol=1e-11)
+            assert_allclose(d.y, sol[n:], rtol=1e-9, atol=1e-11)
+            assert np.linalg.norm(A @ d.dx + r_p) <= 1e-10 * (1.0 + np.linalg.norm(r_p))
+            assert_allclose(A.T @ d.y + d.s, p.c, rtol=1e-12, atol=1e-12)
 
 
 class TestRatioTest:
@@ -385,9 +425,7 @@ class TestNormalSolver:
             cfg = PrimalConfig(mode=mode, nu=1e3, cg_tol=1e-15, cg_max_iter=1)
             solver = NormalSolver(p, cfg, refresh_cache(p, st.x))
             solver.direction(
-                far,
-                lambda w, solve: projected_direction(p, far, w, 0.5, st.y, solve),
-                at_scaling_point=True,
+                far, lambda w, solve: projected_direction(p, far, w, 0.5, st.y, solve)
             )
             assert not runs[0].converged
             assert len(runs) == 2  # one refresh, one retry, then accepted
@@ -508,7 +546,7 @@ class TestDelayedScalingBound:
             cache = refresh_cache(p, z)
             dx, solver = pcg_direction(p, x, w, mu, cache, 1e-13, cg_max_iter=500)
             assert solver.converged
-            delta = proximity(p, x, mu, _exact_solver(p, x)).delta
+            delta = direction_at_x(p, x, mu, _exact_solver(p, x)).delta
             ref = dense_primal_direction(p.A.to_dense(), x, p.c, mu)
             err = np.linalg.norm((dx - ref) / x)
             assert err <= 6.0 * delta * dist + 1e-9
@@ -528,7 +566,7 @@ class TestMonitoredInvariants:
             s0 = (mu / x) * (1.0 + 0.05 * rng.standard_normal(n))
             p = standard_lp_from_dense(A, A @ x, A.T @ y0 + s0)
 
-            delta = proximity(p, x, mu, _exact_solver(p, x)).delta
+            delta = direction_at_x(p, x, mu, _exact_solver(p, x)).delta
             if delta > 0.5:
                 continue
             hits += 1
@@ -554,7 +592,7 @@ class TestMonitoredInvariants:
             x_plus = x + dx_fixed  # unit step
 
             # identity: x+ = X (2e - z + psi) with z the projected dual
-            pr = proximity(p, x, mu, _exact_solver(p, x))
+            pr = direction_at_x(p, x, mu, _exact_solver(p, x))
             z_vec = x * pr.s / mu
             Mx = A @ np.diag(x**2) @ A.T
             psi = x * (A.T @ np.linalg.solve(Mx, zeta)) + lam / x
@@ -564,7 +602,7 @@ class TestMonitoredInvariants:
 
             # proximity recursion at the same mu
             if np.all(x_plus > 0):
-                delta_plus = proximity(p, x_plus, mu, _exact_solver(p, x_plus)).delta
+                delta_plus = direction_at_x(p, x_plus, mu, _exact_solver(p, x_plus)).delta
                 bound = (
                     np.sqrt(2.0) * delta**2
                     + (np.sqrt(2.0 * n) + 1.0) * np.linalg.norm(psi)

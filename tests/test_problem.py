@@ -11,11 +11,11 @@ from lpipm import (
     convergence_metrics,
     dualize,
     parse_mps,
-    residuals,
     symmetric_to_standard,
     to_standard_form,
     to_symmetric_form,
 )
+from lpipm.problem import feasibility_residuals
 from conftest import standard_lp_from_dense
 
 TEMPLATE = """NAME T
@@ -347,19 +347,17 @@ class TestResidualsAndMetrics:
         y = np.array([-mu / (2 - x1)])
         s = tiny_lp.c - tiny_lp.A.rmatvec(y)
         st = IterateState(x=x, y=y, s=s, mu=mu)
-        r_p, r_d, r_mu = residuals(tiny_lp, st)
+        r_p, r_d = feasibility_residuals(tiny_lp, st)
         assert np.linalg.norm(r_p) <= 1e-12
         assert np.linalg.norm(r_d) <= 1e-12
-        assert np.linalg.norm(r_mu) <= 1e-9
 
     def test_hand_example(self, tiny_lp):
         st = IterateState(
             x=np.array([1.0, 1.0]), y=np.zeros(1), s=np.array([1.0, 0.0]), mu=1.0
         )
-        r_p, r_d, r_mu = residuals(tiny_lp, st)
+        r_p, r_d = feasibility_residuals(tiny_lp, st)
         assert_array_equal(r_p, [0.0])
         assert_array_equal(r_d, [0.0, 0.0])
-        assert_array_equal(r_mu, [0.0, -1.0])
 
     def test_residuals_match_dense_oracle(self):
         rng = np.random.default_rng(15)
@@ -369,13 +367,12 @@ class TestResidualsAndMetrics:
         y = rng.standard_normal(3)
         s = rng.uniform(0.5, 2.0, 6)
         st = IterateState(x=x, y=y, s=s, mu=0.7)
-        r_p, r_d, r_mu = residuals(p, st)
+        r_p, r_d = feasibility_residuals(p, st)
         assert_allclose(r_p, A @ x - p.b, rtol=1e-14)
         assert_allclose(r_d, A.T @ y + s - p.c, rtol=1e-14)
-        assert_allclose(r_mu, s - 0.7 / x, rtol=1e-14)
         # doubling x changes r_p exactly per the formula
         st2 = IterateState(x=2 * x, y=y, s=s, mu=0.7)
-        r_p2, _, _ = residuals(p, st2)
+        r_p2, _ = feasibility_residuals(p, st2)
         assert_allclose(r_p2, A @ (2 * x) - p.b, rtol=1e-14)
 
     def test_metric_formulas(self, tiny_lp):

@@ -10,7 +10,6 @@ from lpipm import (
     cholesky_factorize,
     delayed_scaling_point,
     form_normal_matrix,
-    proximity,
     thresholded_distance,
 )
 from conftest import (
@@ -19,9 +18,13 @@ from conftest import (
     random_full_rank,
     standard_lp_from_dense,
 )
+from test_primal import direction_at_x
 
 
 class TestProximity:
+    """The proximity is the ``delta`` of the direction at ``w = x``
+    without a dual estimate, and its dual pair is the direction's."""
+
     def _solver_for(self, p, x):
         f = cholesky_factorize(form_normal_matrix(p.A, x))
         return f.solve
@@ -29,7 +32,7 @@ class TestProximity:
     def test_central_by_symmetry(self):
         p = standard_lp_from_dense([[1.0, 1.0]], [2.0], [1.0, 1.0])
         x = np.array([1.0, 1.0])
-        pr = proximity(p, x, 1.0, self._solver_for(p, x))
+        pr = direction_at_x(p, x, 1.0, self._solver_for(p, x))
         assert pr.delta <= 1e-14
 
     def test_square_invertible_projection_vanishes(self):
@@ -38,13 +41,13 @@ class TestProximity:
         p = standard_lp_from_dense(A, rng.standard_normal(4), rng.standard_normal(4))
         for mu in (0.3, 1.0, 7.0):
             x = rng.uniform(0.5, 2.0, 4)
-            pr = proximity(p, x, mu, self._solver_for(p, x))
+            pr = direction_at_x(p, x, mu, self._solver_for(p, x))
             assert pr.delta <= 1e-9
 
     def test_hand_value_sqrt_half(self):
         p = standard_lp_from_dense([[1.0, 1.0]], [2.0], [1.0, 0.0])
         x = np.array([1.0, 1.0])
-        pr = proximity(p, x, 1.0, self._solver_for(p, x))
+        pr = direction_at_x(p, x, 1.0, self._solver_for(p, x))
         assert_allclose(pr.delta, np.sqrt(0.5), rtol=1e-12)
 
     def test_matches_dense_oracle(self):
@@ -55,7 +58,7 @@ class TestProximity:
             p = standard_lp_from_dense(A, rng.standard_normal(m), rng.standard_normal(n))
             x = rng.uniform(0.2, 3.0, n)
             mu = rng.uniform(0.1, 2.0)
-            pr = proximity(p, x, mu, self._solver_for(p, x))
+            pr = direction_at_x(p, x, mu, self._solver_for(p, x))
             ref = dense_proximity(A, x, p.c, mu)
             assert abs(pr.delta - ref) <= 1e-9 * (1.0 + ref)
 
@@ -67,14 +70,14 @@ class TestProximity:
             c = rng.standard_normal(n)
             p = standard_lp_from_dense(A, rng.standard_normal(m), c)
             x = rng.uniform(0.2, 3.0, n)
-            pr = proximity(p, x, 0.8, self._solver_for(p, x))
+            pr = direction_at_x(p, x, 0.8, self._solver_for(p, x))
             err = np.linalg.norm(A.T @ pr.y + pr.s - c)
             assert err <= 1e-9 * (1.0 + np.linalg.norm(c))
 
     def test_requires_positive_x(self):
         p = standard_lp_from_dense([[1.0, 1.0]], [2.0], [1.0, 0.0])
         with pytest.raises(InteriorityViolation):
-            proximity(p, np.array([1.0, -1.0]), 1.0, lambda r: r)
+            direction_at_x(p, np.array([1.0, -1.0]), 1.0, lambda r: r)
 
 
 class TestThresholdedDistance:

@@ -100,15 +100,14 @@ def test_factorized_rows_equal_reported_factorizations(instance, solve, monkeypa
 
 
 def test_untraced_solves_skip_trace_only_values(monkeypatch):
-    """The step lengths and the proximity of exact infeasible steps are
-    read by the trace row only; an untraced solve never computes them."""
+    """The step lengths are read by the trace row only; an untraced solve
+    never computes them."""
 
     def unused(*args, **kwargs):
         raise AssertionError("trace-only value computed without a trace")
 
     monkeypatch.setattr(lpipm.mehrotra, "thresholded_distance", unused)
     monkeypatch.setattr(lpipm.primal, "thresholded_distance", unused)
-    monkeypatch.setattr(lpipm.primal, "proximity", unused)
     p = _planted()
     assert pd_solve(p, PdConfig()).status == SolveStatus.OPTIMAL
     cfg = PrimalConfig(mode=EXACT, **_PRIMAL)

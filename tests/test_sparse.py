@@ -87,19 +87,18 @@ class TestFormNormalMatrix:
         M = form_normal_matrix(A, np.array([1.0, 2.0]))
         assert_array_equal(M.to_dense(), [[5.0]])
 
-    def test_shift_by_hand(self):
-        A = SparseMatrix.from_dense([[1.0, 1.0]])
-        M = form_normal_matrix(A, np.array([1.0, 1.0]), shift=np.array([3.0]))
-        assert_array_equal(M.to_dense(), [[5.0]])
+    def test_two_rows_by_hand(self):
+        A = SparseMatrix.from_dense([[1.0, 1.0], [0.0, 1.0]])
+        M = form_normal_matrix(A, np.array([1.0, 2.0]))
+        assert_array_equal(M.to_dense(), [[5.0, 4.0], [4.0, 4.0]])
 
     @BOTH_KERNELS
     def test_matches_dense_formula(self, fill):
         rng = np.random.default_rng(2)
         A = _with_fill(rng, 20, 45, fill)
         d = rng.uniform(0.1, 3.0, 45)
-        shift = rng.uniform(0.0, 1.0, 20)
-        M = form_normal_matrix(SparseMatrix.from_dense(A), d, shift)
-        expected = A @ np.diag(d**2) @ A.T + np.diag(shift)
+        M = form_normal_matrix(SparseMatrix.from_dense(A), d)
+        expected = A @ np.diag(d**2) @ A.T
         assert_allclose(M.to_dense(), expected, rtol=1e-13, atol=1e-13)
         v = rng.standard_normal(20)
         assert_allclose(M.matvec(v), expected @ v, rtol=1e-12, atol=1e-12)
@@ -124,4 +123,4 @@ class TestFormNormalMatrix:
         with pytest.raises(ValueError):
             form_normal_matrix(A, np.array([1.0, -1.0]))
         with pytest.raises(ValueError):
-            form_normal_matrix(A, np.ones(2), shift=np.ones(2))
+            form_normal_matrix(A, np.array([1.0, np.inf]))

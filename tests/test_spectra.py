@@ -1,4 +1,7 @@
+import warnings
+
 import numpy as np
+import pytest
 
 from lpipm import (
     DELAYED_SCALING,
@@ -13,6 +16,7 @@ from lpipm import (
     spectra_csv,
     to_standard_form,
 )
+from conftest import standard_lp_from_dense
 
 
 class TestProbeSpectra:
@@ -49,3 +53,19 @@ class TestProbeSpectra:
         lines = text.strip().splitlines()
         assert lines[0] == "iteration,kappa_reuse,kappa_pd"
         assert len(lines) == 3
+
+    def test_kappa_pd_stays_finite_past_the_eigenvalue_floor(self):
+        # B = A diag(sqrt(x/s)) has rows (1, 1, 0) and (1, 1, 1e-8): B B^T
+        # has eigenvalues ~4 and det/4 = 5e-17, below rounding of 4, so
+        # its computed smallest eigenvalue is <= 0; B's singular values
+        # still give kappa = 16 / det(B B^T) = 8e16
+        A = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+        p = standard_lp_from_dense(A, A @ np.ones(3), np.ones(3))
+        st = IterateState(
+            x=np.array([1.0, 1.0, 1e-8]), y=np.zeros(2),
+            s=np.array([1.0, 1.0, 1e8]), mu=1.0,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (row,) = probe_spectra(p, [st])
+        assert row.kappa_pd == pytest.approx(8e16, rel=1e-6)
