@@ -5,7 +5,13 @@ Normal-equations form: one factorization of ``A D^2 A^T`` per iteration
 by the affine predictor and the corrector solve.  The wall time of the
 factorization and of the step is measured per iteration and handed to
 the driver hook; the hybrid controller's switch rule averages it.
-"""
+
+The starting point is Mehrotra's least-squares point with the bound
+pair ``(w, v)`` inside both least-squares problems, from one
+factorization of ``A H A^T`` (``H`` = 1/2 on the bounded coordinates,
+1 elsewhere) that a solve does not count; Mehrotra's shifts run over
+both pairs, and ``w = u - x`` exactly.  Without finite bounds it is the
+textbook start on ``A A^T``."""
 
 from __future__ import annotations
 
@@ -44,44 +50,90 @@ class PdConfig:
 
 
 def pd_starting_point(p: StandardLp) -> IterateState:
-    """Mehrotra's least-squares starting point, shifted to strict
-    positivity and strictly inside the bound box."""
+    """Mehrotra's starting point, with the bound pair in both of its
+    least-squares problems, shifted to strict positivity and strictly
+    inside the bound box.
+
+    With ``F`` the bounded coordinates, ``x~`` minimizes
+    ``1/2 ||x||^2 + 1/2 ||u_F - x_F||^2`` s.t. ``A x = b``, and
+    ``(y~, s~, v~)`` minimizes ``1/2 ||s||^2 + 1/2 ||v_F||^2`` s.t.
+    ``A^T y + s - v = c``.  Both solve with one factorization of
+    ``A H A^T``, ``H`` = 1/2 on F and 1 elsewhere (see
+    :func:`_least_squares_point`); a solve does not count it among its
+    factorizations.  Mehrotra's two shifts then run over both pairs at
+    once: the primal shift over ``x`` and ``w~_F = u_F - x~_F``, the dual
+    shift over ``s`` and ``v_F``, with ``<x, s> + <w_F, v_F>`` and the
+    sums of both pairs in the centering terms.  The bounded ``x`` are
+    clipped into the box and the returned ``w`` is ``u - x`` exactly, so
+    the state carries its own bound pair."""
     if p.nrows == 0:
         raise ValueError("problem has no rows")
-    aat = cholesky_factorize(form_normal_matrix(p.A, np.ones(p.ncols)))
-    x_tilde = p.A.rmatvec(aat.solve(p.b))
-    y_tilde = aat.solve(p.A.matvec(p.c))
-    s_tilde = p.c - p.A.rmatvec(y_tilde)
-
-    dx = max(-1.5 * float(x_tilde.min(initial=0.0)), 0.0)
-    ds = max(-1.5 * float(s_tilde.min(initial=0.0)), 0.0)
-    x_hat = x_tilde + dx
-    s_hat = s_tilde + ds
-    dot = float(x_hat @ s_hat)
-    sum_s = float(s_hat.sum())
-    sum_x = float(x_hat.sum())
-    dx_hat = dx + (0.5 * dot / sum_s if sum_s > 0 else 1.0)
-    ds_hat = ds + (0.5 * dot / sum_x if sum_x > 0 else 1.0)
-    x = x_tilde + dx_hat
-    s = s_tilde + ds_hat
-    if float(x.min(initial=1.0)) <= 0.0:
-        x = x + (1.0 - float(x.min()))
-    if float(s.min(initial=1.0)) <= 0.0:
-        s = s + (1.0 - float(s.min()))
-
+    n = p.ncols
     fi = p.bounded
     uf = p.u[fi]
-    x = x.copy()
+    x_tilde, y_tilde, s_tilde, v_tilde = _least_squares_point(p)
+
+    # the shifts run on the stacked pairs [x; w_F] and [s; v_F]
+    xw = np.concatenate([x_tilde, uf - x_tilde[fi]])
+    sv = np.concatenate([s_tilde, v_tilde[fi]])
+    dx = max(-1.5 * float(xw.min(initial=0.0)), 0.0)
+    ds = max(-1.5 * float(sv.min(initial=0.0)), 0.0)
+    xw_hat = xw + dx
+    sv_hat = sv + ds
+    dot = float(xw_hat @ sv_hat)
+    sum_s = float(sv_hat.sum())
+    sum_x = float(xw_hat.sum())
+    dx_hat = dx + (0.5 * dot / sum_s if sum_s > 0 else 1.0)
+    ds_hat = ds + (0.5 * dot / sum_x if sum_x > 0 else 1.0)
+    xw = xw + dx_hat
+    sv = sv + ds_hat
+    if float(xw.min(initial=1.0)) <= 0.0:
+        xw = xw + (1.0 - float(xw.min()))
+    if float(sv.min(initial=1.0)) <= 0.0:
+        sv = sv + (1.0 - float(sv.min()))
+
+    x = xw[:n]
     x[fi] = np.clip(x[fi], 0.01 * np.minimum(uf, 1.0), 0.99 * uf)
-    st = _with_bound_pair(p, IterateState(x=x, y=y_tilde, s=s, mu=0.0))
+    w = np.zeros(n)
+    w[fi] = uf - x[fi]
+    v = np.zeros(n)
+    v[fi] = sv[n:]
+    st = IterateState(x=x, y=y_tilde, s=sv[:n], mu=0.0, w=w, v=v)
     st.mu = complementarity(p, st)
     return st
 
 
+def _least_squares_point(p: StandardLp):
+    """``(x~, y~, s~, v~)`` of the start's two least-squares problems.
+
+    With ``E`` the 0/1 diagonal of the bounded coordinates F,
+    ``x~ = H (A^T l + E u)`` with ``A H A^T l = b - A H E u``;
+    ``A H A^T y~ = A H c``, ``s~ = H (c - A^T y~)``, and ``v~ = -s~`` on
+    F and zero off it.  With F empty, ``H = I`` and ``E u = 0``, and
+    these are Mehrotra's ``x~ = A^T (A A^T)^-1 b`` and
+    ``y~ = (A A^T)^-1 A c``, bit for bit."""
+    n = p.ncols
+    fi = p.bounded
+    h = np.ones(n)
+    h[fi] = 0.5
+    hu = np.zeros(n)
+    hu[fi] = 0.5 * p.u[fi]
+    factor = cholesky_factorize(form_normal_matrix(p.A, np.sqrt(h)))
+    x_tilde = h * p.A.rmatvec(factor.solve(p.b - p.A.matvec(hu)))
+    x_tilde[fi] += hu[fi]
+    y_tilde = factor.solve(p.A.matvec(h * p.c))
+    s_tilde = h * (p.c - p.A.rmatvec(y_tilde))
+    v_tilde = np.zeros(n)
+    v_tilde[fi] = -s_tilde[fi]
+    return x_tilde, y_tilde, s_tilde, v_tilde
+
+
 def _with_bound_pair(p: StandardLp, st: IterateState) -> IterateState:
-    """``st`` itself when it carries ``(w, v)``; otherwise a copy with
-    the slack ``w = u - x`` and ``v = max(<x, s>/n, 1e-2) / w`` on the
-    bounded coordinates and zeros elsewhere."""
+    """``st`` itself when it carries ``(w, v)``, as every engine state and
+    :func:`pd_starting_point`'s start do.  A bare start (``w`` None) is
+    filled: a copy with the slack ``w = u - x`` and
+    ``v = max(<x, s>/n, 1e-2) / w`` on the bounded coordinates and zeros
+    elsewhere."""
     if st.w is not None:
         return st
     fi = p.bounded

@@ -17,7 +17,78 @@ from lpipm import (
     pd_starting_point,
     to_standard_form,
 )
+from lpipm.mehrotra import _least_squares_point, _with_bound_pair
 from conftest import random_full_rank, standard_lp_from_dense
+
+
+def _boxed_1x3():
+    # min -x1 - x2 s.t. x1 + x2 + x3 = 3, x1 <= 1, x2 <= 1
+    return standard_lp_from_dense(
+        [[1.0, 1.0, 1.0]], [3.0], [-1.0, -1.0, 0.0], u=[1.0, 1.0, np.inf]
+    )
+
+
+def _boxed_4x9():
+    # a random 4x9 LP whose columns 1, 4 and 7 have finite upper bounds
+    rng = np.random.default_rng(57)
+    A = random_full_rank(rng, 4, 9)
+    x0 = rng.uniform(0.5, 2.0, 9)
+    u = np.full(9, np.inf)
+    u[[1, 4, 7]] = x0[[1, 4, 7]] + rng.uniform(0.5, 2.0, 3)
+    return standard_lp_from_dense(A, A @ x0, rng.standard_normal(9), u=u)
+
+
+def _dense_least_squares(p):
+    """The start's two least-squares problems, by their dense KKT systems.
+
+    ``min 1/2 ||x||^2 + 1/2 ||u_F - x_F||^2`` s.t. ``A x = b``, and
+    ``min 1/2 ||s||^2 + 1/2 ||v_F||^2`` s.t. ``A^T y + s - v_F = c`` in
+    the unknowns ``(y, s, v_F)``."""
+    A = p.A.to_dense()
+    m, n = A.shape
+    F = np.flatnonzero(np.isfinite(p.u))
+    k = F.size
+    E = np.zeros((n, n))
+    E[F, F] = 1.0
+    eu = np.zeros(n)
+    eu[F] = p.u[F]
+    K = np.block([[np.eye(n) + E, A.T], [A, np.zeros((m, m))]])
+    x = np.linalg.solve(K, np.concatenate([eu, p.b]))[:n]
+
+    P = np.zeros((n, k))
+    P[F, np.arange(k)] = 1.0
+    G = np.hstack([A.T, np.eye(n), -P])  # n rows, m + n + k unknowns
+    Q = np.diag(np.concatenate([np.zeros(m), np.ones(n + k)]))
+    K = np.block([[Q, G.T], [G, np.zeros((n, n))]])
+    z = np.linalg.solve(K, np.concatenate([np.zeros(m + n + k), p.c]))
+    v = np.zeros(n)
+    v[F] = z[m + n:m + n + k]
+    return x, z[:m], z[m:m + n], v
+
+
+def _textbook_start(p):
+    """Mehrotra's start of an LP without finite upper bounds, as the
+    unbounded formula on ``A A^T`` writes it."""
+    aat = cholesky_factorize(form_normal_matrix(p.A, np.ones(p.ncols)))
+    x_tilde = p.A.rmatvec(aat.solve(p.b))
+    y_tilde = aat.solve(p.A.matvec(p.c))
+    s_tilde = p.c - p.A.rmatvec(y_tilde)
+    dx = max(-1.5 * float(x_tilde.min(initial=0.0)), 0.0)
+    ds = max(-1.5 * float(s_tilde.min(initial=0.0)), 0.0)
+    x_hat = x_tilde + dx
+    s_hat = s_tilde + ds
+    dot = float(x_hat @ s_hat)
+    sum_s = float(s_hat.sum())
+    sum_x = float(x_hat.sum())
+    dx_hat = dx + (0.5 * dot / sum_s if sum_s > 0 else 1.0)
+    ds_hat = ds + (0.5 * dot / sum_x if sum_x > 0 else 1.0)
+    x = x_tilde + dx_hat
+    s = s_tilde + ds_hat
+    if float(x.min(initial=1.0)) <= 0.0:
+        x = x + (1.0 - float(x.min()))
+    if float(s.min(initial=1.0)) <= 0.0:
+        s = s + (1.0 - float(s.min()))
+    return x, y_tilde, s
 
 
 class TestStartingPoint:
@@ -45,6 +116,60 @@ class TestStartingPoint:
             )
             st = pd_starting_point(p)
             assert np.all(st.x > 0) and np.all(st.s > 0)
+
+    @pytest.mark.parametrize("lp", [_boxed_1x3, _boxed_4x9], ids=["1x3", "4x9"])
+    def test_bounded_least_squares_match_dense_kkt(self, lp):
+        p = lp()
+        x_ls, y_ls, s_ls, v_ls = _least_squares_point(p)
+        x, y, s, v = _dense_least_squares(p)
+        assert_allclose(x_ls, x, atol=1e-12)
+        assert_allclose(y_ls, y, atol=1e-12)
+        assert_allclose(s_ls, s, atol=1e-12)
+        assert v_ls.tobytes() == np.where(np.isfinite(p.u), v_ls, 0.0).tobytes()
+        assert_allclose(v_ls, v, atol=1e-12)
+        # the start keeps y~ and shifts s~ and v~_F by one dual shift
+        st = pd_starting_point(p)
+        assert st.y.tobytes() == y_ls.tobytes()
+        fi = p.bounded
+        shift = st.s[0] - s_ls[0]
+        assert shift > 0.0
+        assert_allclose(st.s - s_ls, shift, rtol=1e-12, atol=1e-14)
+        assert_allclose(st.v[fi] - v_ls[fi], shift, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("lp", [_boxed_1x3, _boxed_4x9], ids=["1x3", "4x9"])
+    def test_bounded_start_is_interior_with_its_own_bound_pair(self, lp):
+        p = lp()
+        st = pd_starting_point(p)
+        fi = p.bounded
+        off = np.setdiff1d(np.arange(p.ncols), fi)
+        assert fi.size > 0
+        assert np.all(st.x > 0) and np.all(st.s > 0)
+        assert np.all(st.x[fi] > 0) and np.all(st.x[fi] < p.u[fi])
+        assert st.w[fi].tobytes() == (p.u[fi] - st.x[fi]).tobytes()
+        assert np.all(st.v[fi] > 0)
+        assert not st.w[off].any() and not st.v[off].any()
+        assert st.mu == pytest.approx(
+            (st.x @ st.s + st.w[fi] @ st.v[fi]) / (p.ncols + fi.size), rel=1e-14
+        )
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            generate_instance(25, 60, seed=1),
+            generate_instance(30, 70, seed=1, density=1.0, spread=3.0),
+        ],
+        ids=["sparse", "dense"],
+    )
+    def test_unbounded_start_is_the_textbook_start(self, inst):
+        p = to_standard_form(parse_mps(inst.mps_text))
+        assert p.bounded.size == 0
+        st = pd_starting_point(p)
+        x, y, s = _textbook_start(p)
+        assert st.x.tobytes() == x.tobytes()
+        assert st.y.tobytes() == y.tobytes()
+        assert st.s.tobytes() == s.tobytes()
+        assert st.w.tobytes() == st.v.tobytes() == np.zeros(p.ncols).tobytes()
+        assert st.mu == float(x @ s) / p.ncols
 
 
 class TestMehrotraStep:
@@ -239,8 +364,9 @@ class TestPdSolve:
             assert getattr(carried, name) == getattr(bare, name)
 
     def test_bounded_start_without_bound_pair_is_filled(self):
-        # the fill at entry gives a bare start the pair the starting
-        # point itself carries, so both runs match bit for bit
+        # a bare start (no w, v) is filled at entry, exactly as the same
+        # start with the fill made beforehand, and solved to the optimum
+        # the start's own bound pair reaches
         p = standard_lp_from_dense(
             [[1.0, 1.0, 1.0]], [3.0], [-1.0, -1.0, 0.0],
             u=[1.5, 1.5, np.inf],
@@ -248,10 +374,14 @@ class TestPdSolve:
         st = pd_starting_point(p)
         bare = IterateState(x=st.x, y=st.y, s=st.s, mu=st.mu)
         filled = pd_solve(p, PdConfig(), start=bare)
-        res = pd_solve(p, PdConfig())
-        assert filled.status == res.status == SolveStatus.OPTIMAL
-        assert filled.iterations == res.iterations
-        assert filled.x.tobytes() == res.x.tobytes()
+        prefilled = pd_solve(p, PdConfig(), start=_with_bound_pair(p, bare))
+        carried = pd_solve(p, PdConfig(), start=st)
+        assert filled.status == prefilled.status == SolveStatus.OPTIMAL
+        assert filled.iterations == prefilled.iterations
+        for name in ("x", "y", "s"):
+            assert getattr(filled, name).tobytes() == getattr(prefilled, name).tobytes()
+        assert carried.status == SolveStatus.OPTIMAL
+        assert filled.objective == pytest.approx(carried.objective, abs=1e-8)
 
     def test_bounded_step_matches_dense_oracle(self):
         # one bounded Mehrotra iteration against a dense implementation

@@ -2,6 +2,7 @@
 
 import importlib.util
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -33,15 +34,19 @@ def _planted():
     return to_standard_form(parse_mps(generate_instance(40, 100, seed=11).mps_text))
 
 
-def _boxed_ranged(seed=1):
+def _boxed_ranged_instance(seed=1):
     """Instance 0 of the benchmark's boxed_ranged family at ``--smoke
-    --seed <seed>``: a planted 20x50 LP with upper bounds and RANGES."""
+    --seed <seed>``: a planted 20x50 LP with upper bounds and RANGES, as
+    MPS text with its reference objective."""
     spec = importlib.util.spec_from_file_location("workloads", _WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     sys.modules["workloads"] = workloads  # its dataclasses look the module up there
     spec.loader.exec_module(workloads)
-    text = workloads.build("boxed_ranged", seed, smoke=True)[0].mps_text
-    return to_standard_form(parse_mps(text))
+    return workloads.build("boxed_ranged", seed, smoke=True)[0]
+
+
+def _boxed_ranged(seed=1):
+    return to_standard_form(parse_mps(_boxed_ranged_instance(seed).mps_text))
 
 
 _PRIMAL = dict(tau=0.28, cg_tol=1e-12)
@@ -126,3 +131,20 @@ def test_primal_targets_stay_positive(seed, solve):
     primal_rows = [r for r in trace if r.phase == "primal"]
     assert primal_rows and all(r.mu > 0.0 for r in primal_rows)
     assert any(r.predictor_step > 0.0 for r in primal_rows)
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_pd_solves_boxed_ranged_in_few_monotone_iterations(seed):
+    """From the start with the bound pair in its least-squares problems,
+    pd solves each smoke boxed_ranged LP in at most 10 iterations, and
+    its complementarity never rises."""
+    inst = _boxed_ranged_instance(seed)
+    p = to_standard_form(parse_mps(inst.mps_text))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = pd_solve(p, PdConfig())
+    assert res.status == SolveStatus.OPTIMAL
+    ref = inst.reference
+    assert abs(p.original_objective(res.x) - ref) <= 1e-8 * (1.0 + abs(ref))
+    assert res.iterations <= 10
+    assert not [w for w in caught if "complementarity increased" in str(w.message)]
