@@ -1,10 +1,16 @@
 """Dense LAPACK Cholesky factorization of the normal matrices.
 
 :func:`cholesky_factorize` factors ``M + sigma I = L L^T`` in the natural
-order of ``M`` with LAPACK, escalating the diagonal shift ``sigma`` when
-``M`` is not numerically positive definite.  The factor is dense, so a
-fill-reducing ordering cannot lower its flops and none is applied; the
-solves are plain triangular solves with ``L``.
+order of ``M`` with LAPACK ``dpotrf``, escalating the diagonal shift
+``sigma`` when ``M`` is not numerically positive definite.  It factors in
+place, in one m x m buffer that becomes ``L``: a :class:`NormalMatrix`
+hands its own array over, which is bitwise symmetric, so the array or
+its transpose is already the Fortran-order matrix LAPACK needs and no
+copy is made.  ``dpotrf`` writes only the lower triangle, so after a
+failed pivot the strict upper triangle still holds ``M``, and the next
+shift is tried on the lower triangle rebuilt from it.  The factor is
+dense, so a fill-reducing ordering cannot lower its flops and none is
+applied; the solves are plain triangular solves with ``L``.
 
 :func:`minimum_degree_ordering` computes a symmetric minimum-degree
 ordering of a sparse pattern.  The factorization does not use it.
@@ -13,8 +19,9 @@ ordering of a sparse pattern.  The factorization does not use it.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
+import scipy.sparse as sps
 from scipy.linalg.blas import dtrsv
+from scipy.linalg.lapack import dpotrf
 
 from .errors import FactorizationFailed
 from .sparse import NormalMatrix, SparseMatrix
@@ -120,30 +127,57 @@ def cholesky_factorize(M: NormalMatrix | SparseMatrix) -> CholeskyFactor:
     The first attempt uses sigma = 0.  If the matrix is not numerically
     positive definite, sigma starts at ``1e-12 * max|M_ii|`` and grows
     by a decade per retry, up to 10 retries; the applied sigma is
-    recorded on the factor.  A :class:`NormalMatrix` is symmetric by
-    construction; any other input is checked for symmetry first.
+    recorded on the factor.  Each retry rebuilds the lower triangle from
+    the untouched strict upper one and a saved copy of the diagonal, so
+    no further m x m array is made.
+
+    A :class:`NormalMatrix` is symmetric by construction and is spent:
+    its array becomes ``L``, and afterwards it reports its shape but no
+    entries.  A :class:`SparseMatrix` is checked for symmetry, left
+    unchanged, and its lower triangle is mirrored into a private dense
+    array, which is the triangle LAPACK reads.
     """
     if M.nrows != M.ncols:
         raise ValueError("matrix must be square")
-    dense = M.to_dense()
-    if not isinstance(M, NormalMatrix) and dense.size:
-        sym_err = np.abs(dense - dense.T).max()
-        if sym_err > 1e-12 * max(np.abs(dense).max(), 1.0):
-            raise ValueError("matrix is not symmetric")
+    if isinstance(M, NormalMatrix):
+        # the array is symmetric, so it or its transpose is M in Fortran order
+        a = M.take_array()
+        a = a if a.flags.f_contiguous else a.T
+    else:
+        a = _mirrored_lower(M)
 
-    diag = np.abs(np.diagonal(dense))
-    base = _REG_BASE_SCALE * (diag.max() if diag.size and diag.max() > 0 else 1.0)
+    diag = np.diagonal(a).copy()
+    scale = np.abs(diag)
+    base = _REG_BASE_SCALE * (scale.max() if scale.size and scale.max() > 0 else 1.0)
     sigma = 0.0
     for _ in range(_MAX_REG_RETRIES + 1):
-        shifted = dense if sigma == 0.0 else dense + sigma * np.eye(M.nrows)
-        try:
-            L = sla.cholesky(shifted, lower=True, check_finite=False)
-        except np.linalg.LinAlgError:
+        if sigma != 0.0:
+            # the failed attempt left the strict upper triangle intact
+            for j in range(a.shape[0]):
+                a[j + 1:, j] = a[j, j + 1:]
+            np.fill_diagonal(a, diag + sigma)
+        L, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
+        if info != 0:
             sigma = base if sigma == 0.0 else sigma * 10.0
             continue
+        for j in range(1, L.shape[0]):  # the strict upper triangle still holds M
+            L[:j, j] = 0.0
         L.flags.writeable = False
         return CholeskyFactor(L, sigma)
     raise FactorizationFailed(
         f"no acceptable pivots after {_MAX_REG_RETRIES} regularization retries "
         f"(last sigma {sigma:.3e})"
     )
+
+
+def _mirrored_lower(M: SparseMatrix) -> np.ndarray:
+    """Fortran-order dense copy of a symmetric ``M`` with both triangles
+    equal to its lower one; raises if ``M`` is not symmetric."""
+    S = M.to_scipy()
+    if M.nrows:
+        sym_err = abs(S - S.T).max()
+        if sym_err > 1e-12 * max(abs(S).max(), 1.0):
+            raise ValueError("matrix is not symmetric")
+    lower = sps.tril(S, format="csc")
+    # the two parts have disjoint patterns, so the sum copies entries exactly
+    return (lower + sps.tril(lower, -1).T).toarray(order="F")

@@ -295,6 +295,7 @@ def pd_solve(
 
             t1 = time.perf_counter()
             step = mehrotra_step(p, st, factor, d2=d2)
+            del factor  # one m x m array at a time: gone before the next assembly
             ap, ad = step.alpha_p, step.alpha_d
             saved = st.copy()
             x_prev = saved.x

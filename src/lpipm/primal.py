@@ -188,6 +188,9 @@ class NormalSolver:
 
     def _refresh(self, x) -> None:
         self.factorizations += 1
+        # one m x m array at a time: the old factor goes before the next is
+        # assembled; a failed refresh ends the solve, so nothing reads None
+        self.cache = None
         self.cache = refresh_cache(self.p, x)
 
     def _cache_is_fresh(self, x) -> bool:

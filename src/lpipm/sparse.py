@@ -6,9 +6,10 @@ copy of itself, built on first use, and its products and the normal
 matrix run on that copy through BLAS.  Below the threshold they run
 through scipy's sparse kernels.
 
-:func:`form_normal_matrix` returns ``A D^2 A^T`` (plus an optional
-diagonal shift) as a small dense :class:`NormalMatrix`, the input of
-the dense LAPACK factorization in :mod:`lpipm.cholesky`.
+:func:`form_normal_matrix` returns ``A D^2 A^T`` as a small dense
+:class:`NormalMatrix`, the one-shot input of the dense LAPACK
+factorization in :mod:`lpipm.cholesky`, which factors it in its own
+array.
 """
 
 from __future__ import annotations
@@ -160,41 +161,60 @@ class SparseMatrix:
 
 
 class NormalMatrix:
-    """Dense symmetric ``A D^2 A^T`` (plus a diagonal shift).
+    """Dense symmetric ``A D^2 A^T``, a one-shot operand of
+    :func:`lpipm.cholesky.cholesky_factorize`.
 
     Both triangles are stored and are bitwise equal, so the factorization
-    needs no symmetry check.  The array is read-only and ``to_dense``
-    returns it without a copy.
+    needs no symmetry check.  The matrix owns its array, which is
+    read-only until :meth:`take_array` hands it over; ``to_dense``
+    returns it without a copy.  The factorization takes the array and
+    overwrites it with the factor, so a factored matrix still reports
+    its shape, but ``to_dense``, ``matvec`` and ``nnz`` raise.
     """
 
-    __slots__ = ("_array",)
+    __slots__ = ("_array", "_shape")
 
     def __init__(self, array: np.ndarray):
         array.flags.writeable = False
         self._array = array
+        self._shape = array.shape
 
     @property
     def nrows(self) -> int:
-        return self._array.shape[0]
+        return self._shape[0]
 
     @property
     def ncols(self) -> int:
-        return self._array.shape[1]
+        return self._shape[1]
 
     @property
     def nnz(self) -> int:
         """Entries that are not zero (structural fill of ``A D^2 A^T``)."""
-        return int(np.count_nonzero(self._array))
+        return int(np.count_nonzero(self._entries()))
 
-    def to_dense(self) -> np.ndarray:
+    def _entries(self) -> np.ndarray:
+        if self._array is None:
+            raise RuntimeError("the array of this NormalMatrix was handed to a factorization")
         return self._array
 
+    def take_array(self) -> np.ndarray:
+        """Hand the array over, writeable, to a caller that overwrites it;
+        this matrix keeps only its shape."""
+        array = self._entries()
+        self._array = None
+        array.flags.writeable = True
+        return array
+
+    def to_dense(self) -> np.ndarray:
+        return self._entries()
+
     def matvec(self, v) -> np.ndarray:
-        return self._array @ np.asarray(v, dtype=np.float64)
+        return self._entries() @ np.asarray(v, dtype=np.float64)
 
 
 def form_normal_matrix(A: SparseMatrix, d) -> NormalMatrix:
-    """Assemble ``A @ diag(d**2) @ A.T``.
+    """Assemble ``A @ diag(d**2) @ A.T`` in a fresh m x m array, which
+    :func:`lpipm.cholesky.cholesky_factorize` overwrites with the factor.
 
     With ``B = A diag(d)``, a dense ``A`` gives ``B B^T`` in one BLAS
     product; numpy computes a matrix times its own transpose with SYRK

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from numpy.testing import assert_allclose, assert_array_equal
 
 from lpipm import (
     FactorizationFailed,
+    NormalMatrix,
     SparseMatrix,
     cholesky_factorize,
     form_normal_matrix,
@@ -57,14 +59,115 @@ class TestFactorize:
         for _ in range(10):
             B = rng.standard_normal((6, 10))
             M = form_normal_matrix(SparseMatrix.from_dense(B), rng.uniform(0.5, 2, 10))
+            D = M.to_dense().copy()  # the factorization overwrites M's array
             f = cholesky_factorize(M)
             assert f.diag_regularization == 0.0
             assert np.all(np.diagonal(f.L) > 0.0)
-            D = M.to_dense()
             for _ in range(3):
                 v = rng.standard_normal(6)
                 r = np.linalg.norm(_reconstruct(f) @ v - D @ v)
                 assert r <= 1e-12 * np.linalg.norm(D @ v) + 1e-13
+
+
+def _sparse_fill_A(rng, m, n):
+    """An identity block followed by columns of two entries each: full
+    row rank, filled below ``DENSE_FILL``."""
+    B = np.zeros((m, n))
+    B[:, :m] = np.eye(m)
+    for j in range(m, n):
+        B[rng.choice(m, 2, replace=False), j] = rng.standard_normal(2)
+    return SparseMatrix.from_dense(B)
+
+
+def _assert_bitwise_equal(a, b):
+    assert a.shape == b.shape
+    assert a.tobytes(order="F") == b.tobytes(order="F")
+
+
+class TestFactorizationContract:
+    """The factor is LAPACK's, made in the operand's own buffer."""
+
+    @pytest.mark.parametrize("fill", ["dense", "sparse"])
+    def test_normal_matrix_factor_is_scipys(self, fill):
+        rng = np.random.default_rng(21)
+        m, n = 30, 80
+        if fill == "dense":
+            A = SparseMatrix.from_dense(rng.standard_normal((m, n)))
+        else:
+            A = _sparse_fill_A(rng, m, n)
+        assert (A._dense is None) == (fill == "sparse")
+        M = form_normal_matrix(A, rng.uniform(0.5, 2.0, n))
+        array = M.to_dense()
+        saved = array.copy()
+        f = cholesky_factorize(M)
+        assert np.shares_memory(f.L, array)  # factored in place, without a copy
+        assert f.diag_regularization == 0.0
+        _assert_bitwise_equal(f.L, sla.cholesky(saved, lower=True))
+
+    def test_sparse_matrix_factor_is_scipys_and_argument_unchanged(self):
+        rng = np.random.default_rng(22)
+        B = rng.standard_normal((12, 20))
+        S = SparseMatrix.from_dense(B @ B.T)
+        before = (S.col_ptr.copy(), S.row_idx.copy(), S.values.copy(), S.to_dense())
+        f = cholesky_factorize(S)
+        _assert_bitwise_equal(f.L, sla.cholesky(before[3], lower=True))
+        for old, new in zip(before, (S.col_ptr, S.row_idx, S.values, S.to_dense())):
+            assert_array_equal(old, new)
+
+    def test_factor_layout(self):
+        rng = np.random.default_rng(23)
+        B = rng.standard_normal((9, 15))
+        for M in (form_normal_matrix(SparseMatrix.from_dense(B), np.ones(15)),
+                  SparseMatrix.from_dense(B @ B.T)):
+            L = cholesky_factorize(M).L
+            assert L.flags.f_contiguous  # dtrsv and dtrmv read it without a copy
+            assert not L.flags.writeable
+            assert not np.any(np.triu(L, 1))
+            assert np.all(np.diagonal(L) > 0.0)
+
+    def test_spent_normal_matrix_keeps_shape_only(self):
+        rng = np.random.default_rng(24)
+        M = form_normal_matrix(SparseMatrix.from_dense(rng.standard_normal((7, 11))), np.ones(11))
+        cholesky_factorize(M)
+        assert (M.nrows, M.ncols) == (7, 7)
+        with pytest.raises(RuntimeError):
+            M.to_dense()
+        with pytest.raises(RuntimeError):
+            M.matvec(np.ones(7))
+
+    def test_singular_normal_matrix_takes_the_first_shift(self):
+        # rows 0 and 1 are equal with squared norm 9, so the second pivot
+        # is 9 - 3 * 3 = 0 exactly and the unshifted attempt fails
+        B = np.zeros((6, 14))
+        B[:, :6] = np.eye(6)
+        B[0, 6:9] = B[1, 6:9] = [1.0, 2.0, 2.0]
+        B[1, :6] = B[0, :6]
+        B[2:, 9:] = np.random.default_rng(25).standard_normal((4, 5))
+        M = form_normal_matrix(SparseMatrix.from_dense(B), np.ones(14))
+        saved = M.to_dense().copy()
+        assert_array_equal(saved[0], saved[1])
+        f = cholesky_factorize(M)
+        sigma = 1e-12 * np.abs(np.diagonal(saved)).max()
+        assert f.diag_regularization == sigma
+        _assert_bitwise_equal(f.L, sla.cholesky(saved + sigma * np.eye(6), lower=True))
+        assert not np.any(np.triu(f.L, 1))
+
+    def test_escalating_shift_rebuilds_from_the_mirror(self):
+        # smallest eigenvalue -3e-11 max|M_ii|: the shifts 0, 1e-12 and
+        # 1e-11 (relative) fail and 1e-10 succeeds, each retry starting
+        # from the triangle the last failed attempt left untouched
+        rng = np.random.default_rng(26)
+        B = rng.standard_normal((8, 12))
+        M0 = B @ B.T
+        scale = np.diagonal(M0).max()
+        shift = np.linalg.eigvalsh(M0)[0] + 3e-11 * scale
+        saved = M0 - shift * np.eye(8)
+        f = cholesky_factorize(NormalMatrix(saved.copy()))
+        sigma = 1e-10 * np.abs(np.diagonal(saved)).max()
+        assert f.diag_regularization == pytest.approx(sigma, rel=1e-14)
+        _assert_bitwise_equal(
+            f.L, sla.cholesky(saved + f.diag_regularization * np.eye(8), lower=True)
+        )
 
 
 class TestFactorSolve:
@@ -91,9 +194,9 @@ class TestFactorSolve:
             B = rng.standard_normal((8, 14))
             M = form_normal_matrix(SparseMatrix.from_dense(B), rng.uniform(0.3, 3, 14))
             assert np.linalg.cond(M.to_dense()) < 1e8
-            f = cholesky_factorize(M)
             v = rng.standard_normal(8)
             rhs = M.to_dense() @ v
+            f = cholesky_factorize(M)
             assert_allclose(f.solve(rhs), v, rtol=1e-10, atol=1e-12)
 
 
