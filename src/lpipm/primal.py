@@ -166,10 +166,10 @@ class NormalSolver:
     requested, also when it raises or fails its probe.
     """
 
-    def __init__(self, p: StandardLp, cfg: PrimalConfig, cache: PreconditionerCache | None = None):
+    def __init__(self, p: StandardLp, cfg: PrimalConfig):
         self.p = p
         self.cfg = cfg
-        self.cache = cache
+        self.cache: PreconditionerCache | None = None
         self.factorizations = 0
         self.cg_iterations = 0
         self.converged = True  # every PCG run since the last reset converged

@@ -130,6 +130,9 @@ def to_standard_form(p: LpProblem) -> StandardLp:
     split, upper-bound-only variables are mirrored, and fixed variables
     are eliminated.  Column order is deterministic: original columns,
     then split negative parts, then slacks in row order.
+
+    The standard-form ``A`` is built in one pass over the arrays of
+    ``p.A``, so set-up holds one more copy of ``A``, not a chain of them.
     """
     m_orig, n_orig = p.nrows, p.ncols
     if p.A.shape != (m_orig, n_orig):
@@ -206,11 +209,11 @@ def to_standard_form(p: LpProblem) -> StandardLp:
             names.append(name + "+")
             minus_names.append(name + "-")
     names += minus_names
-    B = p.A.to_scipy()[:, source]
-    B.data *= np.repeat(col_sign, np.diff(B.indptr))
 
     # rows: slack columns for inequalities, RANGES as slack upper bounds
-    nonempty = np.bincount(B.indices, minlength=m_orig) > 0
+    in_kept = p.A.row_idx[np.repeat(kept, np.diff(p.A.col_ptr))]
+    nonempty = np.bincount(in_kept, minlength=m_orig) > 0
+    del in_kept  # nnz long: freed before the copy of A is built
     b_scale = 1.0 + (np.abs(b).max() if b.size else 0.0)
     for r in np.flatnonzero(~nonempty).tolist():
         name = p.row_names[r]
@@ -234,15 +237,11 @@ def to_standard_form(p: LpProblem) -> StandardLp:
     )[slack_rows]
     slack_u = np.where(ranged, np.abs(rng), np.inf)[slack_rows]
     names += [p.row_names[r] + ".slack" for r in slack_rows.tolist()]
-    slacks = sps.csc_matrix(
-        (slack_coef, (slack_rows, np.arange(slack_rows.size))),
-        shape=(m_orig, slack_rows.size),
-    )
 
     n = source.size + slack_rows.size
     if m > n:
         raise ModelError(f"conversion left more rows ({m}) than columns ({n})")
-    A = SparseMatrix.from_scipy(sps.hstack([B, slacks], format="csc")[keep])
+    A = _standard_matrix(p.A, kept, mirror, free, slack_rows, slack_coef, nonempty)
     c = np.concatenate([cmin[source] * col_sign, np.zeros(slack_rows.size)])
     u = np.concatenate([np.where(lower, up - lo, np.inf)[source], slack_u])
 
@@ -256,6 +255,36 @@ def to_standard_form(p: LpProblem) -> StandardLp:
         row_names=tuple(p.row_names[r] for r in keep.tolist()),
         col_names=tuple(names),
     )
+
+
+def _standard_matrix(A, kept, mirror, free, slack_rows, slack_coef, nonempty) -> SparseMatrix:
+    """The standard-form matrix in one pass over the arrays of ``A``.
+
+    Its columns are the ``kept`` columns of ``A``, the ``mirror`` ones
+    among them negated, then the ``free`` ones negated, then one slack
+    column per entry of ``slack_rows``; its rows are the ``nonempty``
+    rows of ``A``.  Rows stay in order within each column, so the arrays
+    are canonical as built and are copied once.
+    """
+    per_col = np.diff(A.col_ptr)
+    counts = np.concatenate([per_col[kept], per_col[free], np.ones(slack_rows.size, np.int64)])
+    col_ptr = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=col_ptr[1:])
+    row_idx = np.empty(col_ptr[-1], dtype=np.int64)
+    values = np.empty(col_ptr[-1], dtype=np.float64)
+    at = 0
+    for cols, negate in ((kept, np.repeat(mirror[kept], per_col[kept])), (free, True)):
+        take = np.repeat(cols, per_col)
+        part = slice(at, at + np.count_nonzero(take))
+        np.compress(take, A.row_idx, out=row_idx[part])
+        np.compress(take, A.values, out=values[part])
+        np.negative(values[part], out=values[part], where=negate)
+        at = part.stop
+    row_idx[at:] = slack_rows
+    values[at:] = slack_coef
+    if not nonempty.all():
+        row_idx = (np.cumsum(nonempty) - 1)[row_idx]
+    return SparseMatrix(int(np.count_nonzero(nonempty)), counts.size, col_ptr, row_idx, values)
 
 
 def _row_interval(rtype, rhs, rng):

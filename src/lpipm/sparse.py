@@ -28,6 +28,21 @@ import scipy.sparse as sps
 DENSE_FILL = 0.1
 
 
+def _on_arrays(kind, shape, data, indices, indptr):
+    """A scipy matrix of ``kind`` (csc or csr) whose arrays are the given
+    canonical ones, not copies.
+
+    scipy's constructor would copy int64 index arrays to int32; set after
+    construction they stay int64, which its kernels accept.  The matrix
+    is marked canonical, as the arrays are: scipy neither scans them for
+    it nor sorts or sums them in place.
+    """
+    mat = kind(shape)
+    mat.data, mat.indices, mat.indptr = data, indices, indptr
+    mat.has_canonical_format = True
+    return mat
+
+
 @dataclass(frozen=True)
 class SparseMatrix:
     """Immutable CSC matrix of 64-bit floats.
@@ -77,11 +92,11 @@ class SparseMatrix:
         object.__setattr__(self, "col_ptr", col_ptr)
         object.__setattr__(self, "row_idx", row_idx)
         object.__setattr__(self, "values", values)
-        csc = sps.csc_matrix(
-            (values, row_idx, col_ptr), shape=(self.nrows, self.ncols), copy=False
-        )
+        csc = _on_arrays(sps.csc_matrix, (self.nrows, self.ncols), values, row_idx, col_ptr)
         object.__setattr__(self, "_csc", csc)
-        object.__setattr__(self, "_csc_T", csc.T)  # csr view, built once
+        # the transpose as a csr view, built once
+        csr_T = _on_arrays(sps.csr_matrix, (self.ncols, self.nrows), values, row_idx, col_ptr)
+        object.__setattr__(self, "_csc_T", csr_T)
 
     # -- constructors -------------------------------------------------
 
@@ -236,10 +251,8 @@ def form_normal_matrix(A: SparseMatrix, d) -> NormalMatrix:
     else:
         # column scaling on the raw CSC arrays avoids sparse-object churn
         col_of_entry = np.repeat(np.arange(A.ncols), np.diff(A.col_ptr))
-        B = sps.csc_matrix(
-            (A.values * d[col_of_entry], A.row_idx, A.col_ptr),
-            shape=A.shape, copy=False,
-        )
-        S = B @ B.T
+        values = A.values * d[col_of_entry]
+        B = _on_arrays(sps.csc_matrix, A.shape, values, A.row_idx, A.col_ptr)
+        S = B @ _on_arrays(sps.csr_matrix, A.shape[::-1], values, A.row_idx, A.col_ptr)
         M = ((S + S.T) * 0.5).toarray()
     return NormalMatrix(M)

@@ -1,5 +1,9 @@
 """Shared helpers: dense oracles and random instance factories."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -45,6 +49,20 @@ def standard_lp_from_dense(A, b, c, u=None) -> StandardLp:
         u=np.full(n, np.inf) if u is None else np.asarray(u, dtype=np.float64),
         recovery=RecoveryMap(rules, 0.0, "min"),
     )
+
+
+_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def boxed_ranged_instance(seed=1):
+    """Instance 0 of the benchmark's boxed_ranged family at ``--smoke
+    --seed <seed>``: a planted 20x50 LP with upper bounds and RANGES, as
+    MPS text with its reference objective."""
+    spec = importlib.util.spec_from_file_location("workloads", _WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules["workloads"] = workloads  # its dataclasses look the module up there
+    spec.loader.exec_module(workloads)
+    return workloads.build("boxed_ranged", seed, smoke=True)[0]
 
 
 def feasible_instance(rng, m, n, density=1.0):

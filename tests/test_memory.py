@@ -1,11 +1,15 @@
-"""Peak memory of the engines: every factorization lives in one m x m
-array, built after the previous factor is released.
+"""Peak memory of set-up and of the engines.
 
 numpy reports its array buffers to ``tracemalloc``, so the traced peak
-above the level at entry counts the normal matrix, its factor and every
-temporary of the solve.  Two m x m arrays alive at once, an old factor
-beside a new one or a copy made for LAPACK, put the peak above 2 x 8m²
-bytes.
+above the level at entry counts every array and string a call makes.
+
+Every factorization lives in one m x m array, built after the previous
+factor is released: two m x m arrays alive at once, an old factor beside
+a new one or a copy made for LAPACK, put the peak of a solve above
+2 x 8m² bytes.  Set-up splits the MPS text into lines one block at a
+time and copies ``A`` once on its way to the standard form: the lines of
+the whole text, or a chain of copies of ``A``, put its peak above twice
+the text.
 """
 
 import tracemalloc
@@ -67,3 +71,11 @@ def test_delayed_primal_holds_one_factorization(wide_lp):
     assert result.status == SolveStatus.OPTIMAL
     assert result.factorizations > 1  # the cache was refreshed
     assert peak <= PEAK_BOUND * 8 * m * m, f"peak {peak / (8 * m * m):.2f} x 8m²"
+
+
+def test_setup_holds_the_text_about_once():
+    # the benchmark's dense_tail size: 177k lines, 6.3 MB of text
+    text = generate_instance(280, 630, 7, density=1.0, spread=3).mps_text
+    std, peak = _traced_peak(lambda: to_standard_form(parse_mps(text)))
+    assert std.A.shape == (280, 630)
+    assert peak <= 2 * len(text), f"peak {peak / len(text):.2f} x the text"

@@ -1,7 +1,9 @@
+import dataclasses
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lpipm.mps
 from lpipm import LpProblem, ParseError, SparseMatrix, generate_instance, parse_mps, write_mps
@@ -32,6 +34,12 @@ class TestParse:
     def test_missing_endata(self):
         with pytest.raises(ParseError):
             parse_mps(MINIMAL.replace("ENDATA\n", ""))
+
+    def test_missing_objective_names_the_last_line(self):
+        text = MINIMAL.replace(" N  COST\n", "").replace("COST  1.0  ", "") + "* after\n\n"
+        with pytest.raises(ParseError, match="no objective") as err:
+            parse_mps(text)
+        assert err.value.line == len(text.splitlines()) == 11
 
     def test_up_bound(self):
         text = MINIMAL.replace("ENDATA", "BOUNDS\n UP BND  X1  5.0\nENDATA")
@@ -349,3 +357,74 @@ def test_bulk_reading_matches_line_reading(monkeypatch, seed, chunk):
     assert p.col_names == cols
     assert np.array_equal(p.A.to_dense(), A)
     assert p.objective == objective
+
+
+def _parsed(text):
+    """Every field of the parsed problem, ``A`` as the bytes of its
+    arrays; or the line and message of the ParseError."""
+    try:
+        p = parse_mps(text)
+    except ParseError as err:
+        return err.line, str(err)
+    fields = [getattr(p, f.name) for f in dataclasses.fields(p) if f.name != "A"]
+    return fields, p.A.shape, [a.tobytes() for a in (p.A.col_ptr, p.A.row_idx, p.A.values)]
+
+
+# every line boundary str.splitlines knows
+SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    block=st.sampled_from([1, 7, 64]),
+    chunk=st.sampled_from([1, 3, lpipm.mps._CHUNK_LINES]),
+    separators=st.none() | st.lists(st.sampled_from(SEPARATORS), min_size=1),
+)
+def test_blocks_read_as_one_split(seed, block, chunk, separators):
+    """Split in blocks of a few characters, a text parses as in one
+    block: the same problem, or the same error on the same line, also
+    when COLUMNS chunks span blocks.  With ``separators``, line k of the
+    text ends with the k-th of them, cycled."""
+    text = _random_columns(seed)
+    if separators is not None:
+        lines = text.splitlines()
+        ends = separators * (len(lines) // len(separators) + 1)
+        text = "".join(line + end for line, end in zip(lines, ends))
+    expected = _parsed(text)
+    assert len(text) < lpipm.mps._BLOCK_CHARS  # one block by default
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lpipm.mps, "_BLOCK_CHARS", block)
+        patch.setattr(lpipm.mps, "_CHUNK_LINES", chunk)
+        assert _parsed(text) == expected
+
+
+@pytest.mark.parametrize("separator", SEPARATORS)
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_every_separator_in_blocks(monkeypatch, separator, block):
+    text = MINIMAL.replace("ENDATA", "RANGES\n    RNG  R1  1.5\nBOUNDS\n UP BND  X1  4.0\nENDATA")
+    expected = _parsed(text)
+    monkeypatch.setattr(lpipm.mps, "_BLOCK_CHARS", block)
+    assert _parsed(separator.join(text.splitlines()) + separator) == expected
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_header_on_a_block_and_a_chunk_cut(monkeypatch, offset):
+    """The RHS header that ends COLUMNS starts a reading chunk, and with
+    ``offset`` 0 also a block."""
+    body = [f"    X{j}  R{j % 2 + 1}  {j + 1}.5" for j in range(8)]
+    text = "\n".join([
+        "NAME  CUT", "ROWS", " N  COST", " E  R1", " L  R2", "COLUMNS", *body,
+        "RHS", "    RHS  R1  1.0", "ENDATA", "",
+    ])
+    expected = _parsed(text)
+    monkeypatch.setattr(lpipm.mps, "_CHUNK_LINES", 4)  # the body is two chunks
+    # the first block ends with the first newline from its last character on
+    monkeypatch.setattr(lpipm.mps, "_BLOCK_CHARS", text.index("\nRHS") + 1 + offset)
+    assert _parsed(text) == expected
+    p = parse_mps(text)
+    assert p.A.to_dense().tolist() == [
+        [1.5, 0.0, 3.5, 0.0, 5.5, 0.0, 7.5, 0.0],
+        [0.0, 2.5, 0.0, 4.5, 0.0, 6.5, 0.0, 8.5],
+    ]
+    assert p.rhs == {"R1": 1.0}

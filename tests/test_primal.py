@@ -74,7 +74,8 @@ def pcg_direction(p, x, w, mu, cache, cg_tol, cg_max_iter=200):
     given cache, repaired as the engine repairs it; returns the step and
     the solver (for its convergence flag and counts)."""
     cfg = PrimalConfig(mode=DELAYED_SCALING, cg_tol=cg_tol, cg_max_iter=cg_max_iter)
-    solver = NormalSolver(p, cfg, cache)
+    solver = NormalSolver(p, cfg)
+    solver.cache = cache
     d = projected_direction(p, x, w, mu, np.zeros(p.nrows), solver.at(w))
     return solver.repair(d.dx), solver
 
@@ -378,7 +379,8 @@ class TestNormalSolver:
         z = st.x.copy()
         z[:3] = 1e-10
         cfg = PrimalConfig(mode=DELAYED_SCALING)
-        solver = NormalSolver(p, cfg, refresh_cache(p, z))
+        solver = NormalSolver(p, cfg)
+        solver.cache = refresh_cache(p, z)
         dx = 1e-6 * rng.standard_normal(14)
         r_p = 1e-6 * rng.standard_normal(6)
         for target in (None, r_p):
@@ -423,7 +425,8 @@ class TestNormalSolver:
             runs.clear()
             # nu above every coordinate: the delayed point is far itself
             cfg = PrimalConfig(mode=mode, nu=1e3, cg_tol=1e-15, cg_max_iter=1)
-            solver = NormalSolver(p, cfg, refresh_cache(p, st.x))
+            solver = NormalSolver(p, cfg)
+            solver.cache = refresh_cache(p, st.x)
             solver.direction(
                 far, lambda w, solve: projected_direction(p, far, w, 0.5, st.y, solve)
             )

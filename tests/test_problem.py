@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse as sps
 from numpy.testing import assert_allclose, assert_array_equal
 
 from lpipm import (
@@ -16,7 +19,7 @@ from lpipm import (
     to_symmetric_form,
 )
 from lpipm.problem import feasibility_residuals
-from conftest import standard_lp_from_dense
+from conftest import boxed_ranged_instance, standard_lp_from_dense
 
 TEMPLATE = """NAME T
 ROWS
@@ -265,6 +268,111 @@ def test_standard_form_keeps_optimum_and_feasibility(seed):
     assert np.all(A @ x >= lo - tol) and np.all(A @ x <= hi + tol)
     bounds = np.array([p.bounds_of(name) for name in p.col_names])
     assert np.all(x >= bounds[:, 0] - 1e-7) and np.all(x <= bounds[:, 1] + 1e-7)
+
+
+def _standard_arrays_by_scipy(p):
+    """``A``, ``b``, ``c`` and ``u`` of the standard form, built the way
+    scipy builds it: the columns selected and signed, the slack columns
+    stacked beside them, the empty rows cut, then canonicalized."""
+    n_orig = p.ncols
+    sign = 1.0 if p.sense == "min" else -1.0
+    b = np.array([p.rhs.get(name, 0.0) for name in p.row_names])
+    cmin = sign * np.array([p.objective.get(name, 0.0) for name in p.col_names])
+    lo, up = np.array([p.bounds_of(name) for name in p.col_names]).reshape(n_orig, 2).T
+    empty = np.diff(p.A.col_ptr) == 0
+    fixed = ~empty & (lo == up)
+    kept = ~empty & ~fixed
+    lower = kept & np.isfinite(lo)
+    mirror = kept & ~lower & np.isfinite(up)
+    free = kept & ~lower & ~mirror
+    shift = np.where(lower | fixed, lo, 0.0)
+    shift[mirror] = up[mirror]
+    shifted = np.flatnonzero(shift)
+    if shifted.size:
+        b -= p.A.to_scipy()[:, shifted] @ shift[shifted]
+    first, split = np.flatnonzero(kept), np.flatnonzero(free)
+    source = np.concatenate([first, split])
+    col_sign = np.concatenate([np.where(mirror[first], -1.0, 1.0), -np.ones(split.size)])
+    B = sps.csc_matrix(p.A.to_dense())[:, source]
+    B.data *= np.repeat(col_sign, np.diff(B.indptr))
+    nonempty = np.bincount(B.indices, minlength=p.nrows) > 0
+    rtype = np.array([p.row_types[name] for name in p.row_names], dtype="<U1")
+    ranged = np.array([name in p.ranges for name in p.row_names], dtype=bool)
+    rng = np.array([p.ranges.get(name, 0.0) for name in p.row_names])
+    slack_rows = np.flatnonzero(nonempty & ~(ranged & (rng == 0.0)) & ((rtype != "E") | ranged))
+    slack_coef = np.where((rtype == "G") | ((rtype == "E") & (rng > 0)), -1.0, 1.0)[slack_rows]
+    slacks = sps.csc_matrix(
+        (slack_coef, (slack_rows, np.arange(slack_rows.size))),
+        shape=(p.nrows, slack_rows.size),
+    )
+    A = SparseMatrix.from_scipy(sps.hstack([B, slacks], format="csc")[np.flatnonzero(nonempty)])
+    c = np.concatenate([cmin[source] * col_sign, np.zeros(slack_rows.size)])
+    u = np.concatenate([
+        np.where(lower, up - lo, np.inf)[source],
+        np.where(ranged, np.abs(rng), np.inf)[slack_rows],
+    ])
+    return A.col_ptr, A.row_idx, A.values, b[nonempty], c, u
+
+
+# a shifted (XS), mirrored (XM), free (XF), fixed (XX), empty (XE) and
+# plain (XP) column; R2 holds only the fixed column's entry, so its row
+# of the standard form is empty and is dropped
+EVERY_KIND = """NAME          KINDS
+ROWS
+ N  COST
+ L  R1
+ E  R2
+ G  R3
+ E  R4
+COLUMNS
+    XS  COST  1.0  R1  1.5
+    XS  R3  2.0
+    XM  COST  -1.0  R1  -1.0
+    XM  R4  3.0
+    XF  R3  1.0  R4  -2.0
+    XX  R1  2.0  R2  5.0
+    XE  COST  1.0
+    XP  R1  1.0  R3  0.25
+    XP  R4  1.0
+RHS
+    RHS  R1  4.0  R3  1.0
+    RHS  R4  2.0  R2  10.0
+RANGES
+    RNG  R3  3.0  R4  -1.0
+BOUNDS
+ LO BND  XS  1.0
+ MI BND  XM
+ UP BND  XM  4.0
+ FR BND  XF
+ FX BND  XX  2.0
+ LO BND  XE  -1.0
+ENDATA
+"""
+
+
+@pytest.mark.parametrize("instance", ["every_kind", "boxed_ranged_smoke"])
+def test_standard_form_arrays_match_scipy(instance):
+    p = parse_mps(EVERY_KIND if instance == "every_kind" else boxed_ranged_instance().mps_text)
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        std = to_standard_form(p)
+    got = (std.A.col_ptr, std.A.row_idx, std.A.values, std.b, std.c, std.u)
+    for name, mine, ref in zip(("col_ptr", "row_idx", "values", "b", "c", "u"),
+                               got, _standard_arrays_by_scipy(p)):
+        assert mine.dtype == ref.dtype and mine.tobytes() == ref.tobytes(), name
+
+
+def test_every_kind_of_column_and_row():
+    p = parse_mps(EVERY_KIND)
+    with pytest.warns(UserWarning, match="dropping empty row 'R2'"):
+        std = to_standard_form(p)
+    assert std.row_names == ("R1", "R3", "R4")
+    assert std.col_names == ("XS", "XM-", "XF+", "XP", "XF-", "R1.slack", "R3.slack", "R4.slack")
+    assert_array_equal(std.A.to_dense(), [
+        [1.5, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0],
+        [2.0, 0.0, 1.0, 0.25, -1.0, 0.0, -1.0, 0.0],
+        [0.0, -3.0, -2.0, 1.0, 2.0, 0.0, 0.0, 1.0],
+    ])
 
 
 def _feasible_point(std, rng):

@@ -1,9 +1,6 @@
 """What the engines write into a trace, and what they skip without one."""
 
-import importlib.util
-import sys
 import warnings
-from pathlib import Path
 
 import pytest
 
@@ -26,27 +23,15 @@ from lpipm import (
     primal_solve,
     to_standard_form,
 )
-
-_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+from conftest import boxed_ranged_instance
 
 
 def _planted():
     return to_standard_form(parse_mps(generate_instance(40, 100, seed=11).mps_text))
 
 
-def _boxed_ranged_instance(seed=1):
-    """Instance 0 of the benchmark's boxed_ranged family at ``--smoke
-    --seed <seed>``: a planted 20x50 LP with upper bounds and RANGES, as
-    MPS text with its reference objective."""
-    spec = importlib.util.spec_from_file_location("workloads", _WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules["workloads"] = workloads  # its dataclasses look the module up there
-    spec.loader.exec_module(workloads)
-    return workloads.build("boxed_ranged", seed, smoke=True)[0]
-
-
 def _boxed_ranged(seed=1):
-    return to_standard_form(parse_mps(_boxed_ranged_instance(seed).mps_text))
+    return to_standard_form(parse_mps(boxed_ranged_instance(seed).mps_text))
 
 
 _PRIMAL = dict(tau=0.28, cg_tol=1e-12)
@@ -138,7 +123,7 @@ def test_pd_solves_boxed_ranged_in_few_monotone_iterations(seed):
     """From the start with the bound pair in its least-squares problems,
     pd solves each smoke boxed_ranged LP in at most 10 iterations, and
     its complementarity never rises."""
-    inst = _boxed_ranged_instance(seed)
+    inst = boxed_ranged_instance(seed)
     p = to_standard_form(parse_mps(inst.mps_text))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sps
 from numpy.testing import assert_allclose, assert_array_equal
 
 from lpipm import SparseMatrix, form_normal_matrix
@@ -75,6 +76,15 @@ class TestSparseMatrix:
         with pytest.raises(ValueError):
             S.values[0] = 5.0
 
+    def test_scipy_views_share_the_arrays(self):
+        S = SparseMatrix.from_dense(_with_fill(np.random.default_rng(4), 20, 45, 0.3))
+        for view in (S.to_scipy(), S._csc_T):
+            assert np.shares_memory(S.row_idx, view.indices)
+            assert np.shares_memory(S.col_ptr, view.indptr)
+            assert np.shares_memory(S.values, view.data)
+            assert view.has_canonical_format
+        assert_array_equal(S.to_scipy().toarray(), S._csc_T.toarray().T)
+
 
 class TestFormNormalMatrix:
     def test_identity_case(self):
@@ -115,6 +125,18 @@ class TestFormNormalMatrix:
             D = M.to_dense()
             # not just close: the two triangles must be identical bitwise
             assert np.array_equal(D, D.T)
+
+    def test_sparse_kernel_matches_int32_scipy(self):
+        # the int64 index arrays give bitwise the product of scipy's own
+        # int32 copies
+        rng = np.random.default_rng(5)
+        A = SparseMatrix.from_dense(_with_fill(rng, 30, 70, DENSE_FILL / 3))
+        d = rng.uniform(0.01, 100.0, 70)
+        B = sps.csc_matrix(A.to_dense() * d)
+        assert B.indices.dtype == np.int32
+        S = B @ B.T
+        expected = ((S + S.T) * 0.5).toarray()
+        assert form_normal_matrix(A, d).to_dense().tobytes() == expected.tobytes()
 
     def test_dimension_and_sign_errors(self):
         A = SparseMatrix.from_dense([[1.0, 1.0]])
