@@ -20,11 +20,12 @@ problem = L.StandardLp(
 mu0 = 1.0
 x1 = 1.0 + mu0 - np.sqrt(1.0 + mu0**2)
 start = L.IterateState(
-    x=np.array([x1, 2.0 - x1]), y=np.zeros(1), s=problem.c.copy(), mu=mu0
+    x=np.array([x1, 2.0 - x1]), y=np.zeros(1), s=problem.c.copy(), mu=mu0,
+    w=np.zeros(2), v=np.zeros(2),
 )
 
 trace = L.TraceLog()
-cfg = L.PrimalConfig(mu0=mu0, tau=0.05, max_iter=600, mode=L.EXACT, tol=1e-10)
+cfg = L.PrimalConfig(tau=0.05, max_iter=600, mode=L.EXACT, tol=1e-10)
 res = L.primal_solve(problem, cfg, start, trace_log=trace, collect_iterates=True)
 
 print(f"status: {res.status}, objective: {res.objective:.3e}, "

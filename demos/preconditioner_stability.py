@@ -16,10 +16,12 @@ import lpipm as L
 inst = L.generate_instance(30, 80, seed=5)
 problem = L.to_standard_form(L.parse_mps(inst.mps_text))
 
-pd = L.pd_solve(problem, L.PdConfig(), collect_iterates=True)
+states = []
+pd = L.pd_solve(problem, L.PdConfig(),
+                hook=lambda info: states.append(info.state.copy()))
 print(f"primal-dual run: {pd.status} in {pd.iterations} iterations\n")
 
-window = pd.iterates[-6:]
+window = states[-6:]
 st0 = window[0]
 anchor_primal = L.cholesky_factorize(L.form_normal_matrix(problem.A, st0.x))
 anchor_pd = L.cholesky_factorize(

@@ -53,8 +53,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="threshold of the scaled distance: the primal "
                        "engine's refresh trigger and delayed scaling point, "
                        "and the hybrid's switch distance")
-    solve.add_argument("--switch-dist", type=float, default=1e-1)
-    solve.add_argument("--switch-ratio", type=float, default=30.0)
+    solve.add_argument("--switch-dist", type=float, default=1e-1,
+                       help="hybrid switch distance: the primal-dual step's "
+                       "thresholded distance must fall below it before the "
+                       "hybrid switches to the primal engine")
+    solve.add_argument("--switch-ratio", type=float, default=30.0,
+                       help="hybrid switch ratio: the averaged "
+                       "factorization/step time ratio of the primal-dual "
+                       "iterations must exceed it before the hybrid switches")
     solve.add_argument("--trace", default=None, help="write per-iteration CSV here")
     solve.add_argument("--dualize", action="store_true",
                        help="solve the symmetric-form dual instead")

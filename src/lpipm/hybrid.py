@@ -82,13 +82,14 @@ def hybrid_solve(
     policy: SwitchPolicy,
     trace_log=None,
     time_ratio_override: float | None = None,
-    collect_iterates: bool = False,
 ) -> SolveResult:
     """Phase 1 primal-dual with per-iteration switch checks; on switch,
-    hand (x, y, s, mu = <x,s>/n) to the delayed-scaling primal engine,
-    whose first iteration factors at the switch point, and the trace
-    shows it.  A primal-phase numerical failure, that first
-    factorization's included, falls back to resuming primal-dual once.
+    hand the pd state, bound pair included, to the delayed-scaling
+    primal engine.  Its first target is the state's ``mu`` (the
+    complementarity), and its first iteration factors at the switch
+    point, and the trace shows it.  A primal-phase numerical failure,
+    that first factorization's included, falls back to resuming
+    primal-dual once.
     ``primal_cfg.nu`` sets the threshold of the switch distance as well
     as the primal engine's; ``time_ratio_override``, when given,
     replaces the measured time ratio."""
@@ -111,13 +112,7 @@ def hybrid_solve(
             last["decision"], last["state"] = decision, info.state.copy()
         return decision.switch
 
-    phase1 = pd_solve(
-        p,
-        pd_cfg,
-        trace_log=trace_log,
-        hook=hook,
-        collect_iterates=collect_iterates,
-    )
+    phase1 = pd_solve(p, pd_cfg, trace_log=trace_log, hook=hook)
     phases = [phase1]
     phase_stats = {
         "pd_iterations": phase1.iterations,
@@ -136,11 +131,7 @@ def hybrid_solve(
         phase_stats["switch_time_ratio"] = decision.time_ratio
         # no cache: the primal engine's first iteration factors at start.x
         primal = primal_solve(
-            p,
-            dataclasses.replace(primal_cfg, mode=DELAYED_SCALING),
-            start,
-            trace_log=trace_log,
-            collect_iterates=collect_iterates,
+            p, dataclasses.replace(primal_cfg, mode=DELAYED_SCALING), start, trace_log=trace_log
         )
         phases.append(primal)
         phase_stats["primal_iterations"] = primal.iterations
@@ -152,13 +143,7 @@ def hybrid_solve(
             resume_cfg = dataclasses.replace(
                 pd_cfg, max_iter=max(pd_cfg.max_iter - phase1.iterations, 1)
             )
-            resumed = pd_solve(
-                p,
-                resume_cfg,
-                trace_log=trace_log,
-                start=start,
-                collect_iterates=collect_iterates,
-            )
+            resumed = pd_solve(p, resume_cfg, trace_log=trace_log, start=start)
             phases.append(resumed)
             # the resumed phase is pd work: pd_* + primal_* add up to the totals
             phase_stats["pd_iterations"] += resumed.iterations
@@ -173,5 +158,4 @@ def hybrid_solve(
         cg_iterations=sum(r.cg_iterations for r in phases),
         wall_s=time.perf_counter() - t_start,
         phase_stats=phase_stats,
-        iterates=[it for r in phases for it in r.iterates],
     )

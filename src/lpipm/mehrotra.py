@@ -15,7 +15,6 @@ textbook start on ``A A^T``."""
 
 from __future__ import annotations
 
-import dataclasses
 import time
 import warnings
 from dataclasses import dataclass
@@ -128,23 +127,6 @@ def _least_squares_point(p: StandardLp):
     return x_tilde, y_tilde, s_tilde, v_tilde
 
 
-def _with_bound_pair(p: StandardLp, st: IterateState) -> IterateState:
-    """``st`` itself when it carries ``(w, v)``, as every engine state and
-    :func:`pd_starting_point`'s start do.  A bare start (``w`` None) is
-    filled: a copy with the slack ``w = u - x`` and
-    ``v = max(<x, s>/n, 1e-2) / w`` on the bounded coordinates and zeros
-    elsewhere."""
-    if st.w is not None:
-        return st
-    fi = p.bounded
-    n = p.ncols
-    w = np.zeros(n)
-    w[fi] = p.u[fi] - st.x[fi]
-    v = np.zeros(n)
-    v[fi] = max(float(st.x @ st.s) / n, 1e-2) / w[fi]
-    return dataclasses.replace(st, w=w, v=v)
-
-
 def _scaling_sq(st: IterateState, fi) -> np.ndarray:
     """``d^2 = 1 / (s/x + v/w)``, the bound term on the coordinates fi."""
     sx = st.s / st.x
@@ -176,17 +158,16 @@ def mehrotra_step(
     p: StandardLp,
     st: IterateState,
     factor: CholeskyFactor,
-    d2: np.ndarray | None = None,
+    d2: np.ndarray,
 ) -> MehrotraStep:
     """One predictor-corrector step from a strictly interior state, using
     the supplied factorization of ``A D^2 A^T``; ``d2`` is the ``D^2``
-    the factor was built from, computed from the state when None.
+    the factor was built from.
 
-    The bound pair ``(w, v)`` of the state (filled in when it is None)
-    is zero off the bounded coordinates ``fi``, and so are the returned
-    full-length ``dw`` and ``dv``; all bound arithmetic runs on ``fi``,
-    which is empty on an unbounded problem."""
-    st = _with_bound_pair(p, st)
+    The bound pair ``(w, v)`` of the state is zero off the bounded
+    coordinates ``fi``, and so are the returned full-length ``dw`` and
+    ``dv``; all bound arithmetic runs on ``fi``, which is empty on an
+    unbounded problem."""
     x, y, s, w, v = st.x, st.y, st.s, st.w, st.v
     n = p.ncols
     fi = p.bounded
@@ -196,8 +177,6 @@ def mehrotra_step(
     r_d = p.A.rmatvec(y) + s - p.c - v
     r_u = x[fi] + wf - p.u[fi]
     vw = vf / wf
-    if d2 is None:
-        d2 = _scaling_sq(st, fi)
 
     mu = complementarity(p, st)
 
@@ -259,24 +238,24 @@ def pd_solve(
     trace_log=None,
     start: IterateState | None = None,
     hook: Callable[[PdIterationInfo], bool] | None = None,
-    collect_iterates: bool = False,
 ) -> SolveResult:
     """Iterate Mehrotra steps to the termination criteria.
 
     ``hook`` is called after each iteration with a
     :class:`PdIterationInfo`; returning True halts the loop with status
-    ``Halted`` (the hybrid controller switches engines this way).  Trace
-    rows are numbered on from the rows already in ``trace_log``.
+    ``Halted`` (the hybrid controller switches engines this way).  Its
+    ``state`` is the live state, which the next iteration changes, so a
+    hook that keeps states keeps copies.  Trace rows are numbered on
+    from the rows already in ``trace_log``.
     """
     t_start = time.perf_counter()
-    st = _with_bound_pair(p, (start or pd_starting_point(p)).copy())
+    st = (start or pd_starting_point(p)).copy()
     st.mu = complementarity(p, st)
 
     factorizations = 0
     iterations = 0
     status = SolveStatus.ITERATION_LIMIT
     message = ""
-    iterates = []
     e_p, e_d, e_g = convergence_metrics(p, st)
 
     try:
@@ -346,10 +325,6 @@ def pd_solve(
                         wall_solve_ms=t_solve * 1e3,
                     )
                 )
-            if collect_iterates:
-                iterates.append(
-                    IterateState(x=st.x.copy(), y=st.y.copy(), s=st.s.copy(), mu=st.mu)
-                )
             if hook is not None and hook(
                 PdIterationInfo(
                     k=k, x_prev=x_prev, state=st, t_factor=t_factor, t_solve=t_solve,
@@ -378,6 +353,5 @@ def pd_solve(
         factorizations=factorizations,
         cg_iterations=0,
         wall_s=time.perf_counter() - t_start,
-        iterates=iterates,
         message=message,
     )

@@ -163,15 +163,11 @@ class _Lines:
 
 
 def parse_mps(source) -> LpProblem:
-    """Parse MPS text given as str, bytes, or a line iterable."""
+    """Parse MPS text given as str or bytes (decoded as UTF-8)."""
     if isinstance(source, bytes):
         source = source.decode("utf-8", errors="replace")
     if not isinstance(source, str):
-        source = "\n".join(
-            (ln.decode("utf-8", errors="replace") if isinstance(ln, bytes) else ln)
-            .rstrip("\r\n")
-            for ln in source
-        )
+        raise TypeError(f"parse_mps takes str or bytes, not {type(source).__name__}")
     lines = _Lines(source)
 
     prob = LpProblem()

@@ -35,8 +35,8 @@ repair keeps the step usable.
 
 The state always carries the bound pair ``(w, v)``, zero off the bounded
 coordinates, so an unbounded problem runs the same code with an empty
-bounded set.  A start without the pair has its reduced cost split into
-``s`` and ``v`` once, at entry.
+bounded set.  The start is a complete :class:`IterateState`: its pair
+is taken as it is, and its ``mu`` is the first barrier target.
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ class PrimalConfig:
     one full step, applied to the complementarity measured after the
     step; the schedule is documented on :func:`primal_solve`."""
 
-    mu0: float | None = None  # None: <x0, s0> / n
     tau: float | None = None  # None: 1 / (10 sqrt(n))
     nu: float = 1.0
     cg_tol: float = 1e-10
@@ -275,7 +274,7 @@ class NormalSolver:
 # ---------------------------------------------------------------------------
 
 
-def ratio_test(x, dx, fraction: float, u=None) -> float:
+def ratio_test(x, dx, fraction: float, u) -> float:
     """Largest step (capped at 1) keeping ``x + alpha dx`` strictly inside
     the box: ``alpha = min(1, fraction * min(-x_j / dx_j : dx_j < 0))``,
     plus the mirrored test against finite upper bounds."""
@@ -285,11 +284,10 @@ def ratio_test(x, dx, fraction: float, u=None) -> float:
     neg = dx < 0.0
     if neg.any():
         limit = float(np.min(-x[neg] / dx[neg]))
-    if u is not None:
-        u = np.asarray(u, dtype=np.float64)
-        pos = (dx > 0.0) & np.isfinite(u)
-        if pos.any():
-            limit = min(limit, float(np.min((u[pos] - x[pos]) / dx[pos])))
+    u = np.asarray(u, dtype=np.float64)
+    pos = (dx > 0.0) & np.isfinite(u)
+    if pos.any():
+        limit = min(limit, float(np.min((u[pos] - x[pos]) / dx[pos])))
     return min(1.0, fraction * limit)
 
 
@@ -405,8 +403,11 @@ def primal_solve(
     trace_log=None,
     collect_iterates: bool = False,
 ) -> SolveResult:
-    """Run the primal barrier iteration in the configured mode.  Trace
-    rows are numbered on from the rows already in ``trace_log``.  The
+    """Run the primal barrier iteration in the configured mode from the
+    complete state ``start``, whose ``mu`` is the first barrier target
+    (1 when it is not positive).  Trace rows are numbered on from the
+    rows already in ``trace_log``.  Collected iterates are copies of the
+    state, bound pair included, with ``mu`` the target of their step.  The
     solve starts without a cache: in the cached modes the first
     iteration factors at the start point, and its trace row says so.
     The step lengths of a row are computed only when there is a trace to
@@ -468,14 +469,10 @@ def primal_solve(
     if np.any(st.x[fi] >= p.u[fi]):
         raise ValueError("starting point must satisfy x < u")
 
-    mu = cfg.mu0 if cfg.mu0 is not None else complementarity(p, st)
-    if mu <= 0.0:
-        mu = 1.0
-    st.mu = mu
+    if st.mu <= 0.0:
+        st.mu = 1.0
+    mu = st.mu
     mu_used = mu  # the target of the last step taken: the predictor's mu_c
-    if st.w is None:
-        # interpret the incoming reduced cost as composite and split it
-        st.s, st.v, st.w = _split_composite_dual(p, st.x, st.s)
 
     solver = NormalSolver(p, cfg)
     iterations = 0
@@ -571,11 +568,9 @@ def primal_solve(
                     )
                 )
             if collect_iterates:
-                iterates.append(
-                    IterateState(
-                        x=st.x.copy(), y=st.y.copy(), s=st.s.copy(), mu=mu_used,
-                    )
-                )
+                it = st.copy()
+                it.mu = mu_used
+                iterates.append(it)
         else:
             e_p, e_d, e_g = convergence_metrics(p, st)
             if max(e_p, e_d, e_g) <= cfg.tol:

@@ -89,22 +89,23 @@ class StandardLp:
 
 @dataclass
 class IterateState:
-    """Current primal-dual point of any engine.
+    """Current primal-dual point of any engine, and a complete start.
 
     ``s`` is the reduced cost, and the dual residual is
     ``A^T y + s - v - c``.  The bound slack ``w = u - x`` and its
-    multiplier ``v`` are length-n arrays, zero where u is infinite; an
-    engine state always carries them, so an unbounded problem runs the
-    bounded path with an empty bounded set.  A caller's state may leave
-    them None, and the engines fill them in once, at entry.
+    multiplier ``v`` are length-n arrays, zero where u is infinite, so
+    an unbounded problem runs the bounded path with an empty bounded set
+    and its start carries ``w = v = 0``.  ``mu`` is the barrier
+    parameter; on a start handed to the primal engine it is the first
+    target.
     """
 
     x: np.ndarray
     y: np.ndarray
     s: np.ndarray
     mu: float
-    w: np.ndarray | None = None
-    v: np.ndarray | None = None
+    w: np.ndarray
+    v: np.ndarray
 
     def copy(self) -> "IterateState":
         return IterateState(
@@ -112,8 +113,8 @@ class IterateState:
             y=self.y.copy(),
             s=self.s.copy(),
             mu=self.mu,
-            w=None if self.w is None else self.w.copy(),
-            v=None if self.v is None else self.v.copy(),
+            w=self.w.copy(),
+            v=self.v.copy(),
         )
 
 
@@ -389,11 +390,9 @@ def symmetric_to_standard(p: SymmetricLp) -> StandardLp:
 
 
 def feasibility_residuals(p: StandardLp, st: IterateState):
-    """``r_p = Ax - b`` and ``r_d = A^T y + s - v - c``, with ``v = 0``
-    when the state carries none."""
-    v = 0.0 if st.v is None else st.v
+    """``r_p = Ax - b`` and ``r_d = A^T y + s - v - c``."""
     r_p = p.A.matvec(np.asarray(st.x, dtype=np.float64)) - p.b
-    r_d = p.A.rmatvec(st.y) + st.s - p.c - v
+    r_d = p.A.rmatvec(st.y) + st.s - p.c - st.v
     return r_p, r_d
 
 
@@ -409,19 +408,12 @@ def barrier_gradient(p: StandardLp, x: np.ndarray) -> np.ndarray:
 def complementarity(p: StandardLp, st: IterateState) -> float:
     """Average complementarity ``(<x, s> + <w, v>) / (n + #bounded)``;
     the bound pair enters only on the coordinates with finite u."""
-    total = float(st.x @ st.s)
-    count = p.ncols
-    if st.w is not None:
-        total += float(st.w[p.bounded] @ st.v[p.bounded])
-        count += p.bounded.size
-    return total / max(count, 1)
+    total = float(st.x @ st.s) + float(st.w[p.bounded] @ st.v[p.bounded])
+    return total / max(p.ncols + p.bounded.size, 1)
 
 
 def dual_objective(p: StandardLp, st: IterateState) -> float:
-    val = float(p.b @ st.y)
-    if st.v is not None:
-        val -= float(p.u[p.bounded] @ st.v[p.bounded])
-    return val
+    return float(p.b @ st.y) - float(p.u[p.bounded] @ st.v[p.bounded])
 
 
 def convergence_metrics(p: StandardLp, st: IterateState):

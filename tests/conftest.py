@@ -75,7 +75,9 @@ def feasible_instance(rng, m, n, density=1.0):
     b = A @ x0
     c = A.T @ y0 + s0
     p = standard_lp_from_dense(A, b, c)
-    state = IterateState(x=x0, y=y0, s=s0, mu=float(x0 @ s0) / n)
+    state = IterateState(
+        x=x0, y=y0, s=s0, mu=float(x0 @ s0) / n, w=np.zeros(n), v=np.zeros(n)
+    )
     return p, state
 
 

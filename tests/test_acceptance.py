@@ -43,9 +43,10 @@ def test_criterion_01_closed_form_central_path():
     mu0 = 1.0
     x1 = tiny_central_x1(mu0)
     start = L.IterateState(
-        x=np.array([x1, 2.0 - x1]), y=np.zeros(1), s=p.c.copy(), mu=mu0
+        x=np.array([x1, 2.0 - x1]), y=np.zeros(1), s=p.c.copy(), mu=mu0,
+        w=np.zeros(2), v=np.zeros(2),
     )
-    cfg = L.PrimalConfig(mu0=mu0, tau=0.05, max_iter=600, mode=L.EXACT, tol=1e-10)
+    cfg = L.PrimalConfig(tau=0.05, max_iter=600, mode=L.EXACT, tol=1e-10)
     trace = L.TraceLog()
     res = L.primal_solve(p, cfg, start, trace_log=trace, collect_iterates=True)
     ok = res.status == SolveStatus.OPTIMAL

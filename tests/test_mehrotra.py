@@ -17,7 +17,7 @@ from lpipm import (
     pd_starting_point,
     to_standard_form,
 )
-from lpipm.mehrotra import _least_squares_point, _with_bound_pair
+from lpipm.mehrotra import _least_squares_point
 from conftest import random_full_rank, standard_lp_from_dense
 
 
@@ -174,7 +174,9 @@ class TestStartingPoint:
 
 class TestMehrotraStep:
     def _factor(self, p, st):
-        return cholesky_factorize(form_normal_matrix(p.A, np.sqrt(st.x / st.s)))
+        """The factor of ``A D^2 A^T`` at st, with its ``D^2 = X S^-1``."""
+        d2 = st.x / st.s
+        return cholesky_factorize(form_normal_matrix(p.A, np.sqrt(d2))), d2
 
     def test_centered_point_descent(self):
         rng = np.random.default_rng(51)
@@ -185,8 +187,8 @@ class TestMehrotraStep:
         mu = 0.8
         s = mu / x
         p = standard_lp_from_dense(A, A @ x, A.T @ y + s)
-        st = IterateState(x=x, y=y, s=s, mu=mu)
-        step = mehrotra_step(p, st, self._factor(p, st))
+        st = IterateState(x=x, y=y, s=s, mu=mu, w=np.zeros(n), v=np.zeros(n))
+        step = mehrotra_step(p, st, *self._factor(p, st))
         assert step.mu_aff < mu
         x2 = x + step.alpha_p * step.dx
         s2 = s + step.alpha_d * step.ds
@@ -200,8 +202,10 @@ class TestMehrotraStep:
         y = rng.standard_normal(m)
         s = rng.uniform(0.5, 2.0, n)
         p = standard_lp_from_dense(A, A @ x, A.T @ y + s)
-        st = IterateState(x=x, y=y, s=s, mu=float(x @ s) / n)
-        step = mehrotra_step(p, st, self._factor(p, st))
+        st = IterateState(
+            x=x, y=y, s=s, mu=float(x @ s) / n, w=np.zeros(n), v=np.zeros(n)
+        )
+        step = mehrotra_step(p, st, *self._factor(p, st))
         mu = float(x @ s) / n
         expected = np.clip((max(step.mu_aff, 0.0) / mu) ** 3, 1e-8, 1 - 1e-8)
         assert step.sigma == pytest.approx(expected, rel=1e-12)
@@ -209,12 +213,11 @@ class TestMehrotraStep:
     def test_matches_dense_kkt_oracle(self, tiny_lp):
         st = IterateState(
             x=np.array([0.6, 1.4]), y=np.array([-0.2]),
-            s=np.array([1.1, 0.3]), mu=0.0,
+            s=np.array([1.1, 0.3]), mu=0.0, w=np.zeros(2), v=np.zeros(2),
         )
         n, m = 2, 1
         st.mu = float(st.x @ st.s) / n
-        factor = self._factor(tiny_lp, st)
-        step = mehrotra_step(tiny_lp, st, factor)
+        step = mehrotra_step(tiny_lp, st, *self._factor(tiny_lp, st))
 
         # dense replication of predictor + corrector
         A = tiny_lp.A.to_dense()
@@ -283,19 +286,28 @@ class TestPdSolve:
         inst = generate_instance(15, 40, seed=4)
         std = to_standard_form(parse_mps(inst.mps_text))
         trace = TraceLog()
-        res = pd_solve(std, PdConfig(), trace_log=trace, collect_iterates=True)
+        states = []
+        res = pd_solve(
+            std, PdConfig(), trace_log=trace,
+            hook=lambda info: states.append(info.state.copy()),
+        )
         assert res.status == SolveStatus.OPTIMAL
-        for it in res.iterates:
+        assert len(states) == res.iterations
+        for it in states:
             assert np.all(it.x > 0) and np.all(it.s > 0)
         mus = [r.mu for r in trace]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(mus, mus[1:]))
 
     def test_trace_records_step_distances(self, tiny_lp):
         trace = TraceLog()
-        res = pd_solve(tiny_lp, PdConfig(), trace_log=trace, collect_iterates=True)
-        assert len(trace) == res.iterations
+        states = []
+        res = pd_solve(
+            tiny_lp, PdConfig(), trace_log=trace,
+            hook=lambda info: states.append(info.state.copy()),
+        )
+        assert len(trace) == len(states) == res.iterations
         prev = None
-        for rec, it in zip(trace, res.iterates):
+        for rec, it in zip(trace, states):
             if prev is not None:
                 assert rec.step_norm == pytest.approx(
                     np.linalg.norm(it.x - prev), rel=1e-12
@@ -346,42 +358,12 @@ class TestPdSolve:
         assert res.objective == pytest.approx(-2.0, abs=1e-8)
 
     def test_unbounded_problem_runs_the_bounded_path(self):
-        # an unbounded problem carries a zero bound pair, and the step
-        # from it is the step from the same point without one, bit for bit
+        # an unbounded problem's start carries a zero bound pair
         inst = generate_instance(25, 60, seed=1)
         p = to_standard_form(parse_mps(inst.mps_text))
         st = pd_starting_point(p)
         assert st.w.tobytes() == np.zeros(p.ncols).tobytes()
         assert st.v.tobytes() == np.zeros(p.ncols).tobytes()
-        factor = cholesky_factorize(form_normal_matrix(p.A, np.sqrt(st.x / st.s)))
-        carried = mehrotra_step(p, st, factor)
-        bare = mehrotra_step(
-            p, IterateState(x=st.x, y=st.y, s=st.s, mu=st.mu), factor
-        )
-        for name in ("dx", "dy", "ds", "dw", "dv"):
-            assert getattr(carried, name).tobytes() == getattr(bare, name).tobytes()
-        for name in ("alpha_p", "alpha_d", "sigma", "mu_aff"):
-            assert getattr(carried, name) == getattr(bare, name)
-
-    def test_bounded_start_without_bound_pair_is_filled(self):
-        # a bare start (no w, v) is filled at entry, exactly as the same
-        # start with the fill made beforehand, and solved to the optimum
-        # the start's own bound pair reaches
-        p = standard_lp_from_dense(
-            [[1.0, 1.0, 1.0]], [3.0], [-1.0, -1.0, 0.0],
-            u=[1.5, 1.5, np.inf],
-        )
-        st = pd_starting_point(p)
-        bare = IterateState(x=st.x, y=st.y, s=st.s, mu=st.mu)
-        filled = pd_solve(p, PdConfig(), start=bare)
-        prefilled = pd_solve(p, PdConfig(), start=_with_bound_pair(p, bare))
-        carried = pd_solve(p, PdConfig(), start=st)
-        assert filled.status == prefilled.status == SolveStatus.OPTIMAL
-        assert filled.iterations == prefilled.iterations
-        for name in ("x", "y", "s"):
-            assert getattr(filled, name).tobytes() == getattr(prefilled, name).tobytes()
-        assert carried.status == SolveStatus.OPTIMAL
-        assert filled.objective == pytest.approx(carried.objective, abs=1e-8)
 
     def test_bounded_step_matches_dense_oracle(self):
         # one bounded Mehrotra iteration against a dense implementation
@@ -401,7 +383,7 @@ class TestPdSolve:
         vw[finite] = v[finite] / w[finite]
         d2 = 1.0 / (s / x + vw)
         factor = cholesky_factorize(form_normal_matrix(p.A, np.sqrt(d2)))
-        step = mehrotra_step(p, st, factor)
+        step = mehrotra_step(p, st, factor, d2)
 
         A = p.A.to_dense()
         r_p = A @ x - p.b

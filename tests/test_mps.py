@@ -125,6 +125,10 @@ class TestParse:
         p = parse_mps(MINIMAL.replace("    ", "\t").encode())
         assert p.ncols == 2
 
+    def test_other_source_types_rejected(self):
+        with pytest.raises(TypeError, match="list"):
+            parse_mps(MINIMAL.splitlines(keepends=True))
+
     def test_free_row_entries_dropped(self):
         text = MINIMAL.replace(" N  COST", " N  COST\n N  FREE").replace(
             "    X2  R1  1.0", "    X2  R1  1.0  FREE  9.0"

@@ -29,6 +29,7 @@ from lpipm import (
     to_standard_form,
 )
 from conftest import (
+    boxed_ranged_instance,
     dense_primal_direction,
     dense_projection,
     dense_proximity,
@@ -161,7 +162,7 @@ class TestInfeasibleStep:
         x = np.array([x1, 2 - x1])
         y = np.array([-mu / (2 - x1)])
         s = tiny_lp.c - tiny_lp.A.rmatvec(y)
-        st = IterateState(x=x, y=y, s=s, mu=mu)
+        st = IterateState(x=x, y=y, s=s, mu=mu, w=np.zeros(2), v=np.zeros(2))
         dx, dy, ds = newton_step(tiny_lp, st, _exact_solver(tiny_lp, x))
         assert np.linalg.norm(dx) <= 1e-10
         assert np.linalg.norm(dy) <= 1e-10
@@ -177,7 +178,8 @@ class TestInfeasibleStep:
 
     def test_two_variable_dense_kkt_oracle(self, tiny_lp):
         st = IterateState(
-            x=np.array([1.5, 1.0]), y=np.zeros(1), s=np.array([1.0, 0.0]), mu=0.5
+            x=np.array([1.5, 1.0]), y=np.zeros(1), s=np.array([1.0, 0.0]), mu=0.5,
+            w=np.zeros(2), v=np.zeros(2),
         )
         dx, dy, ds = newton_step(tiny_lp, st, _exact_solver(tiny_lp, st.x))
         # dense solve of the linearized KKT system
@@ -210,6 +212,8 @@ class TestInfeasibleStep:
                 y=rng.standard_normal(m),
                 s=rng.uniform(0.3, 2.0, n),
                 mu=rng.uniform(0.2, 1.0),
+                w=np.zeros(n),
+                v=np.zeros(n),
             )
             dx, dy, ds = newton_step(p, st, _exact_solver(p, st.x))
             r_p = A @ st.x - p.b
@@ -270,21 +274,25 @@ class TestInfeasibleStep:
 
 class TestRatioTest:
     def test_nonnegative_direction_full_step(self):
-        assert ratio_test(np.array([1.0, 1.0]), np.array([0.5, 0.0]), 0.9995) == 1.0
+        assert ratio_test(
+            np.array([1.0, 1.0]), np.array([0.5, 0.0]), 0.9995, np.full(2, np.inf)
+        ) == 1.0
 
     def test_hand_value(self):
-        alpha = ratio_test(np.array([1.0, 1.0]), np.array([-2.0, 1.0]), 0.9995)
+        alpha = ratio_test(
+            np.array([1.0, 1.0]), np.array([-2.0, 1.0]), 0.9995, np.full(2, np.inf)
+        )
         assert_allclose(alpha, 0.49975, rtol=1e-14)
 
     def test_clamped_at_one(self):
-        assert ratio_test(np.array([1.0]), np.array([-1e-30]), 0.9995) == 1.0
+        assert ratio_test(np.array([1.0]), np.array([-1e-30]), 0.9995, np.full(1, np.inf)) == 1.0
 
     def test_strict_positivity_preserved(self):
         rng = np.random.default_rng(35)
         for _ in range(100):
             x = rng.uniform(0.01, 2.0, 6)
             dx = rng.standard_normal(6) * 10
-            alpha = ratio_test(x, dx, 0.9995)
+            alpha = ratio_test(x, dx, 0.9995, np.full(6, np.inf))
             assert np.all(x + alpha * dx > 0)
 
     def test_upper_bounds_respected(self):
@@ -629,9 +637,10 @@ class TestPrimalSolve:
         mu0 = 1.0
         x1 = tiny_central_x1(mu0)
         start = IterateState(
-            x=np.array([x1, 2.0 - x1]), y=np.zeros(1), s=tiny_lp.c.copy(), mu=mu0
+            x=np.array([x1, 2.0 - x1]), y=np.zeros(1), s=tiny_lp.c.copy(), mu=mu0,
+            w=np.zeros(2), v=np.zeros(2),
         )
-        cfg = PrimalConfig(mu0=mu0, tau=0.05, max_iter=600, mode=EXACT, tol=1e-10)
+        cfg = PrimalConfig(tau=0.05, max_iter=600, mode=EXACT, tol=1e-10)
         trace = TraceLog()
         res = primal_solve(tiny_lp, cfg, start, trace_log=trace, collect_iterates=True)
         assert res.status == SolveStatus.OPTIMAL
@@ -650,9 +659,10 @@ class TestPrimalSolve:
         x_star = rng.uniform(0.5, 2.0, 4)
         p = standard_lp_from_dense(A, A @ x_star, rng.standard_normal(4))
         start = IterateState(
-            x=rng.uniform(0.5, 2.0, 4), y=np.zeros(4), s=np.ones(4), mu=1.0
+            x=rng.uniform(0.5, 2.0, 4), y=np.zeros(4), s=np.ones(4), mu=1.0,
+            w=np.zeros(4), v=np.zeros(4),
         )
-        cfg = PrimalConfig(mu0=1.0, tau=0.9975, max_iter=100, mode=EXACT, tol=1e-10)
+        cfg = PrimalConfig(tau=0.9975, max_iter=100, mode=EXACT, tol=1e-10)
         res = primal_solve(p, cfg, start)
         assert res.status == SolveStatus.OPTIMAL
         assert res.iterations <= 5
@@ -670,7 +680,8 @@ class TestPrimalSolve:
     def test_mu_schedule_exact_multiplication(self):
         rng = np.random.default_rng(43)
         p, start = feasible_instance(rng, 4, 9)
-        cfg = PrimalConfig(mu0=1.0, tau=0.125, max_iter=30, mode=EXACT, tol=1e-14)
+        start.mu = 1.0
+        cfg = PrimalConfig(tau=0.125, max_iter=30, mode=EXACT, tol=1e-14)
         trace = TraceLog()
         res = primal_solve(p, cfg, start, trace_log=trace, collect_iterates=True)
         mu = 1.0
@@ -746,7 +757,8 @@ class TestPrimalSolve:
 
     def test_iteration_limit_status(self, tiny_lp):
         start = IterateState(
-            x=np.array([1.0, 1.0]), y=np.zeros(1), s=tiny_lp.c.copy(), mu=1.0
+            x=np.array([1.0, 1.0]), y=np.zeros(1), s=tiny_lp.c.copy(), mu=0.5,
+            w=np.zeros(2), v=np.zeros(2),
         )
         cfg = PrimalConfig(tau=0.01, max_iter=3, mode=EXACT, tol=1e-10)
         res = primal_solve(tiny_lp, cfg, start)
@@ -768,15 +780,29 @@ class TestPrimalSolve:
             assert res.objective == pytest.approx(-2.0, abs=1e-8)
             assert np.all(res.x < p.u)
 
+    @pytest.mark.parametrize("mode", [EXACT, DELAYED_SCALING])
+    def test_collected_iterates_keep_their_bound_pair(self, mode):
+        p = to_standard_form(parse_mps(boxed_ranged_instance().mps_text))
+        fi = p.bounded
+        off = np.setdiff1d(np.arange(p.ncols), fi)
+        assert fi.size and off.size
+        cfg = PrimalConfig(tau=0.28, cg_tol=1e-12, mode=mode)
+        res = primal_solve(p, cfg, pd_starting_point(p), collect_iterates=True)
+        assert len(res.iterates) == res.iterations > 0
+        for it in res.iterates:
+            assert np.array_equal(it.w[fi], p.u[fi] - it.x[fi])
+            assert not it.w[off].any() and not it.v[off].any()
+
     def test_path_tracking_against_closed_form(self, tiny_lp):
         # x1(mu) = 1 + mu - sqrt(1 + mu^2): iterates follow it to within a
         # proximity-consistent envelope with a 1e-6 floor
         mu0 = 1.0
         x1 = tiny_central_x1(mu0)
         start = IterateState(
-            x=np.array([x1, 2.0 - x1]), y=np.zeros(1), s=tiny_lp.c.copy(), mu=mu0
+            x=np.array([x1, 2.0 - x1]), y=np.zeros(1), s=tiny_lp.c.copy(), mu=mu0,
+            w=np.zeros(2), v=np.zeros(2),
         )
-        cfg = PrimalConfig(mu0=mu0, tau=0.05, max_iter=600, mode=EXACT, tol=1e-10)
+        cfg = PrimalConfig(tau=0.05, max_iter=600, mode=EXACT, tol=1e-10)
         res = primal_solve(tiny_lp, cfg, start, collect_iterates=True)
         assert res.status == SolveStatus.OPTIMAL
         for it in res.iterates:

@@ -454,14 +454,15 @@ class TestResidualsAndMetrics:
         x = np.array([x1, 2 - x1])
         y = np.array([-mu / (2 - x1)])
         s = tiny_lp.c - tiny_lp.A.rmatvec(y)
-        st = IterateState(x=x, y=y, s=s, mu=mu)
+        st = IterateState(x=x, y=y, s=s, mu=mu, w=np.zeros(2), v=np.zeros(2))
         r_p, r_d = feasibility_residuals(tiny_lp, st)
         assert np.linalg.norm(r_p) <= 1e-12
         assert np.linalg.norm(r_d) <= 1e-12
 
     def test_hand_example(self, tiny_lp):
         st = IterateState(
-            x=np.array([1.0, 1.0]), y=np.zeros(1), s=np.array([1.0, 0.0]), mu=1.0
+            x=np.array([1.0, 1.0]), y=np.zeros(1), s=np.array([1.0, 0.0]), mu=1.0,
+            w=np.zeros(2), v=np.zeros(2),
         )
         r_p, r_d = feasibility_residuals(tiny_lp, st)
         assert_array_equal(r_p, [0.0])
@@ -474,12 +475,12 @@ class TestResidualsAndMetrics:
         x = rng.uniform(0.5, 2.0, 6)
         y = rng.standard_normal(3)
         s = rng.uniform(0.5, 2.0, 6)
-        st = IterateState(x=x, y=y, s=s, mu=0.7)
+        st = IterateState(x=x, y=y, s=s, mu=0.7, w=np.zeros(6), v=np.zeros(6))
         r_p, r_d = feasibility_residuals(p, st)
         assert_allclose(r_p, A @ x - p.b, rtol=1e-14)
         assert_allclose(r_d, A.T @ y + s - p.c, rtol=1e-14)
         # doubling x changes r_p exactly per the formula
-        st2 = IterateState(x=2 * x, y=y, s=s, mu=0.7)
+        st2 = IterateState(x=2 * x, y=y, s=s, mu=0.7, w=np.zeros(6), v=np.zeros(6))
         r_p2, _ = feasibility_residuals(p, st2)
         assert_allclose(r_p2, A @ (2 * x) - p.b, rtol=1e-14)
 
@@ -487,7 +488,7 @@ class TestResidualsAndMetrics:
         # optimal strictly complementary point
         st = IterateState(
             x=np.array([0.0 + 1e-300, 2.0]), y=np.array([0.0]),
-            s=np.array([1.0, 0.0]), mu=1e-300,
+            s=np.array([1.0, 0.0]), mu=1e-300, w=np.zeros(2), v=np.zeros(2),
         )
         e_p, e_d, e_g = convergence_metrics(tiny_lp, st)
         assert e_p <= 1e-15 and e_d <= 1e-15 and e_g <= 1e-15
@@ -497,7 +498,7 @@ class TestResidualsAndMetrics:
         p = standard_lp_from_dense([[1.0, 0.0]], [1.0], [1.0, 0.0])
         st = IterateState(
             x=np.array([1.0, 1.0]), y=np.array([0.0]),
-            s=np.array([1.0, 0.0]), mu=1.0,
+            s=np.array([1.0, 0.0]), mu=1.0, w=np.zeros(2), v=np.zeros(2),
         )
         _, _, e_g = convergence_metrics(p, st)
         assert e_g == 0.5
@@ -505,7 +506,8 @@ class TestResidualsAndMetrics:
     def test_ep_one_when_b_zero(self):
         p = standard_lp_from_dense([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], [1.0, 1.0])
         st = IterateState(
-            x=np.array([1.0, 1e-300]), y=np.zeros(2), s=np.ones(2), mu=1.0
+            x=np.array([1.0, 1e-300]), y=np.zeros(2), s=np.ones(2), mu=1.0,
+            w=np.zeros(2), v=np.zeros(2),
         )
         e_p, _, _ = convergence_metrics(p, st)
         assert abs(e_p - 1.0) <= 1e-12
@@ -516,7 +518,9 @@ class TestResidualsAndMetrics:
         x = rng.uniform(0.5, 2.0, 6)
         for t in (0.1, 1.0, 37.5):
             p = standard_lp_from_dense(A, t * (A @ x) + 1.0, rng.standard_normal(6))
-            st = IterateState(x=t * x, y=np.zeros(3), s=np.ones(6), mu=1.0)
+            st = IterateState(
+                x=t * x, y=np.zeros(3), s=np.ones(6), mu=1.0, w=np.zeros(6), v=np.zeros(6)
+            )
             e_p, _, _ = convergence_metrics(p, st)
             direct = np.linalg.norm(p.A.matvec(t * x) - p.b) / (1.0 + np.linalg.norm(p.b))
             assert e_p == direct

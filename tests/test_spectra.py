@@ -63,7 +63,7 @@ class TestProbeSpectra:
         p = standard_lp_from_dense(A, A @ np.ones(3), np.ones(3))
         st = IterateState(
             x=np.array([1.0, 1.0, 1e-8]), y=np.zeros(2),
-            s=np.array([1.0, 1.0, 1e8]), mu=1.0,
+            s=np.array([1.0, 1.0, 1e8]), mu=1.0, w=np.zeros(3), v=np.zeros(3),
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
