@@ -1,16 +1,21 @@
 """Dense LAPACK Cholesky factorization of the normal matrices.
 
-:func:`cholesky_factorize` factors ``M + sigma I = L L^T`` in the natural
-order of ``M`` with LAPACK ``dpotrf``, escalating the diagonal shift
-``sigma`` when ``M`` is not numerically positive definite.  It factors in
-place, in one m x m buffer that becomes ``L``: a :class:`NormalMatrix`
-hands its own array over, which is bitwise symmetric, so the array or
-its transpose is already the Fortran-order matrix LAPACK needs and no
-copy is made.  ``dpotrf`` writes only the lower triangle, so after a
-failed pivot the strict upper triangle still holds ``M``, and the next
-shift is tried on the lower triangle rebuilt from it.  The factor is
-dense, so a fill-reducing ordering cannot lower its flops and none is
-applied; the solves are plain triangular solves with ``L``.
+:func:`cholesky_factorize` factors ``M + sigma I`` with LAPACK ``dpotrf``,
+escalating the diagonal shift ``sigma`` when ``M`` is not numerically
+positive definite.  It factors in place, in one buffer that becomes the
+dense factor ``L``: a :class:`NormalMatrix` hands its own array over,
+which is bitwise symmetric, so the array or its transpose is already the
+Fortran-order matrix LAPACK needs and no copy is made.  ``dpotrf``
+writes only the lower triangle, so after a failed pivot the strict upper
+triangle still holds the matrix, and the next shift is tried on the
+lower triangle rebuilt from it.
+
+On a sparse ``A`` the normal matrix may arrive with a set ``S`` of rows
+already eliminated (see :mod:`lpipm.sparse`): its array is then the
+Schur complement over the other rows ``R``, ``dpotrf`` factors only that
+``|R| x |R|`` block, and the factor keeps the diagonal pivots of ``S``
+and the sparse coupling block beside ``L``.  Apart from that the order
+is the natural one: a dense factor does the same flops in any order.
 
 :func:`minimum_degree_ordering` computes a symmetric minimum-degree
 ordering of a sparse pattern.  The factorization does not use it.
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sps
-from scipy.linalg.blas import dtrsv
+from scipy.linalg.blas import dtrmv, dtrsv
 from scipy.linalg.lapack import dpotrf
 
 from .errors import FactorizationFailed
@@ -88,37 +93,93 @@ def minimum_degree_ordering(M: SparseMatrix) -> np.ndarray:
 
 
 class CholeskyFactor:
-    """Factor ``M + sigma*I = L L^T`` with ``L`` dense, lower triangular
-    and read-only, and ``sigma`` the applied ``diag_regularization``.
+    """Factor ``M + sigma*I = P^T L L^T P``, with ``sigma`` the applied
+    ``diag_regularization`` and ``P`` the permutation that orders the rows
+    of ``M`` as ``(S, R)``.
 
-    ``L`` is LAPACK's column-major output, which the BLAS triangular
-    solves read in place.
+    In that order the factor is ``[[diag(root_S), 0], [W, L]]``: the rows
+    ``S`` were eliminated ahead of the dense factor, with ``root_S =
+    sqrt(d_S + sigma)`` and the sparse ``W = M_RS (D_S + sigma I)^{-1/2}``,
+    and ``L`` is the dense lower factor of the Schur complement over the
+    rows ``R`` (see :mod:`lpipm.sparse`).  Without an eliminated block
+    (``S`` None) ``P`` is the identity and ``L`` is the whole factor.
+    ``L`` is LAPACK's column-major output, read-only, which the BLAS
+    triangular solves read in place.
+
+    ``solve`` and ``product`` work in the coordinates of ``M``.  The
+    half-solves are a pair for symmetric preconditioning:
+    :meth:`half_solve` maps ``M``'s coordinates to the permuted ones and
+    :meth:`half_solve_transpose` maps them back, so
+    ``half_solve(X half_solve_transpose(v))`` applies ``L^-1 P X P^T L^-T``,
+    which is similar to ``(M + sigma I)^-1 X``.
     """
 
-    __slots__ = ("L", "diag_regularization")
+    __slots__ = ("L", "diag_regularization", "S", "R", "root_S", "W", "_W_T")
 
-    def __init__(self, L: np.ndarray, diag_regularization: float):
+    def __init__(self, L: np.ndarray, diag_regularization: float, S=None, R=None,
+                 root_S=None, W=None):
         self.L = L
         self.diag_regularization = diag_regularization
+        self.S, self.R, self.root_S, self.W = S, R, root_S, W
+        # a CSR copy of W^T: scipy rebuilds a transpose view on every use
+        self._W_T = None if W is None else W.T.tocsr()
 
     @property
     def dimension(self) -> int:
-        return self.L.shape[0]
+        return self.L.shape[0] + (0 if self.S is None else self.S.size)
+
+    def _checked(self, v) -> np.ndarray:
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != (self.dimension,):
+            raise ValueError(f"rhs has length {v.size}, expected {self.dimension}")
+        return v
+
+    def _forward(self, b) -> np.ndarray:
+        """``L^-1 P b`` with the whole factor, in the permuted coordinates."""
+        if self.S is None:
+            return dtrsv(self.L, b, lower=1)
+        y_S = b[self.S] / self.root_S
+        y_R = dtrsv(self.L, b[self.R] - self.W @ y_S, overwrite_x=1, lower=1)
+        return np.concatenate((y_S, y_R))
+
+    def _backward(self, y) -> np.ndarray:
+        """``P^T L^-T y`` with the whole factor, in ``M``'s coordinates."""
+        if self.S is None:
+            return dtrsv(self.L, y, lower=1, trans=1)
+        k = self.S.size
+        x_R = dtrsv(self.L, y[k:], lower=1, trans=1)
+        x = np.empty(self.dimension)
+        x[self.R] = x_R
+        x[self.S] = (y[:k] - self._W_T @ x_R) / self.root_S
+        return x
 
     def solve(self, rhs) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=np.float64)
-        if rhs.shape != (self.dimension,):
-            raise ValueError(f"rhs has length {rhs.size}, expected {self.dimension}")
-        z = dtrsv(self.L, rhs, lower=1)
-        return dtrsv(self.L, z, overwrite_x=1, lower=1, trans=1)
+        """Solve ``(M + sigma I) x = rhs``."""
+        return self._backward(self._forward(self._checked(rhs)))
 
     def half_solve(self, rhs) -> np.ndarray:
-        """Solve ``L z = rhs`` (used to symmetrize preconditioned operators)."""
-        return dtrsv(self.L, np.asarray(rhs, dtype=np.float64), lower=1)
+        """``L^-1 P rhs``: takes ``M``'s coordinates and returns the
+        permuted ones (used to symmetrize preconditioned operators)."""
+        return self._forward(self._checked(rhs))
 
     def half_solve_transpose(self, rhs) -> np.ndarray:
-        """Solve ``L^T w = rhs``."""
-        return dtrsv(self.L, np.asarray(rhs, dtype=np.float64), lower=1, trans=1)
+        """``P^T L^-T rhs``: takes the permuted coordinates and returns
+        ``M``'s."""
+        return self._backward(self._checked(rhs))
+
+    def product(self, v) -> np.ndarray:
+        """``P^T L L^T P v = (M + sigma I) v`` as the factor computes it."""
+        v = self._checked(v)
+        L = self.L
+        if self.S is None:
+            return dtrmv(L, dtrmv(L, v, lower=1, trans=1), lower=1, overwrite_x=1)
+        v_R = v[self.R]
+        u_S = self.root_S * v[self.S] + self._W_T @ v_R
+        x = np.empty(self.dimension)
+        x[self.S] = self.root_S * u_S
+        x[self.R] = self.W @ u_S + dtrmv(L, dtrmv(L, v_R, lower=1, trans=1), lower=1,
+                                         overwrite_x=1)
+        return x
 
 
 def cholesky_factorize(M: NormalMatrix | SparseMatrix) -> CholeskyFactor:
@@ -133,25 +194,36 @@ def cholesky_factorize(M: NormalMatrix | SparseMatrix) -> CholeskyFactor:
 
     A :class:`NormalMatrix` is symmetric by construction and is spent:
     its array becomes ``L``, and afterwards it reports its shape but no
-    entries.  A :class:`SparseMatrix` is checked for symmetry, left
-    unchanged, and its lower triangle is mirrored into a private dense
-    array, which is the triangle LAPACK reads.
+    entries.  When it carries eliminated rows, its array is the Schur
+    complement ``C``; the shift applies to the whole ``M``, so each retry
+    rebuilds ``C(sigma) = M_RR + sigma I - M_RS (D_S + sigma I)^-1 M_SR``
+    in the same array, and ``max|M_ii|`` runs over the whole diagonal.
+    A :class:`SparseMatrix` is checked for symmetry, left unchanged, and
+    its lower triangle is mirrored into a private dense array, which is
+    the triangle LAPACK reads.
     """
     if M.nrows != M.ncols:
         raise ValueError("matrix must be square")
+    eliminated = None
     if isinstance(M, NormalMatrix):
+        eliminated = M.eliminated
         # the array is symmetric, so it or its transpose is M in Fortran order
         a = M.take_array()
         a = a if a.flags.f_contiguous else a.T
     else:
         a = _mirrored_lower(M)
 
-    diag = np.diagonal(a).copy()
+    if eliminated is None:
+        diag = np.diagonal(a).copy()
+    else:
+        diag = np.concatenate((eliminated.d_S, eliminated.M_RR.diagonal()))
     scale = np.abs(diag)
     base = _REG_BASE_SCALE * (scale.max() if scale.size and scale.max() > 0 else 1.0)
     sigma = 0.0
     for _ in range(_MAX_REG_RETRIES + 1):
-        if sigma != 0.0:
+        if sigma != 0.0 and eliminated is not None:
+            eliminated.schur_complement_into(a, sigma)
+        elif sigma != 0.0:
             # the failed attempt left the strict upper triangle intact
             for j in range(a.shape[0]):
                 a[j + 1:, j] = a[j, j + 1:]
@@ -160,10 +232,12 @@ def cholesky_factorize(M: NormalMatrix | SparseMatrix) -> CholeskyFactor:
         if info != 0:
             sigma = base if sigma == 0.0 else sigma * 10.0
             continue
-        for j in range(1, L.shape[0]):  # the strict upper triangle still holds M
+        for j in range(1, L.shape[0]):  # the strict upper triangle still holds the matrix
             L[:j, j] = 0.0
         L.flags.writeable = False
-        return CholeskyFactor(L, sigma)
+        if eliminated is None:
+            return CholeskyFactor(L, sigma)
+        return CholeskyFactor(L, sigma, eliminated.S, eliminated.R, *eliminated.coupling(sigma))
     raise FactorizationFailed(
         f"no acceptable pivots after {_MAX_REG_RETRIES} regularization retries "
         f"(last sigma {sigma:.3e})"

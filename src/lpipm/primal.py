@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg.blas import dtrmv
 
 from .cg import pcg_solve
 from .cholesky import CholeskyFactor, cholesky_factorize
@@ -140,8 +139,7 @@ def refresh_cache(p: StandardLp, z) -> PreconditionerCache:
     q = Mv
     for _ in range(_POWER_STEPS):
         q = apply_M(q / np.linalg.norm(q))
-    L = factor.L
-    LLv = dtrmv(L, dtrmv(L, v, lower=1, trans=1), lower=1, overwrite_x=1)
+    LLv = factor.product(v)
     err = np.linalg.norm(LLv - Mv) / (np.linalg.norm(q) * np.linalg.norm(v))
     # a stale factor errs at the size of the scaling change (>= _THETA); a
     # correct one at rounding level, whatever the condition number, so

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lpipm.sparse
 from lpipm import IterateState, RecoveryMap, SparseMatrix, StandardLp
 
 
@@ -79,6 +80,13 @@ def feasible_instance(rng, m, n, density=1.0):
         x=x0, y=y0, s=s0, mu=float(x0 @ s0) / n, w=np.zeros(n), v=np.zeros(n)
     )
     return p, state
+
+
+@pytest.fixture
+def split_always(monkeypatch):
+    """A sparse ``A`` built in the test splits its rows at any size: the
+    normal matrices of tier-1 are too small to split on their own."""
+    monkeypatch.setattr(lpipm.sparse, "MIN_SAVED_FLOPS", 0.0)
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ from lpipm import (
     SparseMatrix,
     cholesky_factorize,
     form_normal_matrix,
+    generalized_condition_probe,
     minimum_degree_ordering,
 )
 
@@ -88,7 +89,7 @@ class TestFactorizationContract:
     """The factor is LAPACK's, made in the operand's own buffer."""
 
     @pytest.mark.parametrize("fill", ["dense", "sparse"])
-    def test_normal_matrix_factor_is_scipys(self, fill):
+    def test_normal_matrix_factor_is_scipys(self, fill, split_always):
         rng = np.random.default_rng(21)
         m, n = 30, 80
         if fill == "dense":
@@ -96,13 +97,19 @@ class TestFactorizationContract:
         else:
             A = _sparse_fill_A(rng, m, n)
         assert (A._dense is None) == (fill == "sparse")
+        assert (A._row_split is None) == (fill == "dense")
         M = form_normal_matrix(A, rng.uniform(0.5, 2.0, n))
-        array = M.to_dense()
+        # the operand LAPACK factors: M itself, or the Schur complement of
+        # the eliminated rows, which the sparse path hands over instead
+        array = M.to_dense() if fill == "dense" else M._array
         saved = array.copy()
         f = cholesky_factorize(M)
         assert np.shares_memory(f.L, array)  # factored in place, without a copy
         assert f.diag_regularization == 0.0
         _assert_bitwise_equal(f.L, sla.cholesky(saved, lower=True))
+        if fill == "sparse":
+            assert np.array_equal(saved, saved.T)
+            assert f.L.shape == (m - f.S.size,) * 2 and f.dimension == m
 
     def test_sparse_matrix_factor_is_scipys_and_argument_unchanged(self):
         rng = np.random.default_rng(22)
@@ -170,6 +177,82 @@ class TestFactorizationContract:
         )
 
 
+class TestSplitFactor:
+    """The factor of a normal matrix whose disjoint rows were eliminated
+    ahead of the dense factor of their Schur complement."""
+
+    @staticmethod
+    def _split_normal_matrix(seed):
+        rng = np.random.default_rng(seed)
+        A = _sparse_fill_A(rng, 30, 80)
+        d = rng.uniform(0.5, 2.0, 80)
+        M = form_normal_matrix(A, d)
+        assert M.eliminated is not None
+        return A, d, M, rng
+
+    def test_solves_and_product_match_the_dense_matrix(self, split_always):
+        A, d, M, rng = self._split_normal_matrix(31)
+        dense = M.to_dense()
+        f = cholesky_factorize(M)
+        assert f.diag_regularization == 0.0 and f.dimension == 30
+        b = rng.standard_normal(30)
+        x = np.linalg.solve(dense, b)
+        assert_allclose(f.solve(b), x, rtol=1e-12, atol=1e-13 * np.abs(x).max())
+        assert_allclose(f.product(b), dense @ b, rtol=1e-13, atol=1e-13 * np.abs(dense @ b).max())
+        # the half-solves are a pair: z = L^-1 P b in the permuted
+        # coordinates, and P^T L^-T z = M^-1 b back in M's
+        z = f.half_solve(b)
+        assert_allclose(f.half_solve_transpose(z), x, rtol=1e-12, atol=1e-13 * np.abs(x).max())
+        assert z @ z == pytest.approx(b @ x, rel=1e-12)
+        # so the probe of a matrix against its own factor reads 1
+        assert generalized_condition_probe(form_normal_matrix(A, d), f) == pytest.approx(1.0)
+
+    def test_factor_layout(self, split_always):
+        _, _, M, _ = self._split_normal_matrix(32)
+        S, R = M.eliminated.S, M.eliminated.R
+        f = cholesky_factorize(M)
+        assert_array_equal(np.sort(np.concatenate((f.S, f.R))), np.arange(30))
+        assert_array_equal(f.S, S) and f.R is R
+        assert f.L.flags.f_contiguous and not f.L.flags.writeable
+        assert not np.any(np.triu(f.L, 1))
+        assert np.all(np.diagonal(f.L) > 0.0) and np.all(f.root_S > 0.0)
+
+    def test_singular_schur_complement_shifts_the_whole_matrix(self, split_always):
+        # rows 0 and 1 are equal, with squared norm 9, and share no column
+        # with another row.  Row 0 is eliminated, so row 1's pivot in the
+        # Schur complement is 9 - 3 * 3 = 0 exactly and the unshifted
+        # attempt fails.  Row 2 holds the largest diagonal entry, 100, and is
+        # eliminated too: the first shift is 1e-12 * 100.
+        m, n = 10, 200
+        B = np.zeros((m, n))
+        B[0, :3] = B[1, :3] = [1.0, 2.0, 2.0]
+        B[2, 3] = 10.0
+        B[3:, 4:11] = np.eye(7)
+        rng = np.random.default_rng(33)
+        for j in range(11, 60):
+            B[rng.choice(np.arange(3, m), 2, replace=False), j] = rng.uniform(0.5, 1.5, 2)
+        A = SparseMatrix.from_dense(B)
+        M = form_normal_matrix(A, np.ones(n))
+        S, R = M.eliminated.S, M.eliminated.R
+        assert {0, 2} <= set(S.tolist()) and R[0] == 1
+        assert M._array[0, 0] == 0.0
+        dense = M.to_dense()
+        f = cholesky_factorize(M)
+        sigma = 1e-12 * 100.0
+        assert f.diag_regularization == sigma
+        shifted = dense + sigma * np.eye(m)
+        assert_allclose(f.root_S, np.sqrt(np.diagonal(shifted)[S]), rtol=1e-15)
+        # the dense block factors C(sigma) of the shifted matrix
+        C = shifted[np.ix_(R, R)] - shifted[np.ix_(R, S)] @ np.linalg.solve(
+            shifted[np.ix_(S, S)], shifted[np.ix_(S, R)])
+        assert_allclose(f.L @ f.L.T, C, rtol=0.0, atol=1e-13 * np.abs(C).max())
+        assert not np.any(np.triu(f.L, 1))
+        v = rng.standard_normal(m)
+        assert_allclose(f.product(v), shifted @ v, rtol=0.0, atol=1e-13 * np.abs(shifted).max())
+        x = f.solve(v)
+        assert np.linalg.norm(shifted @ x - v) <= 1e-12 * np.linalg.norm(shifted) * np.linalg.norm(x)
+
+
 class TestFactorSolve:
     def test_identity_solve(self):
         f = cholesky_factorize(SparseMatrix.identity(3))
@@ -187,6 +270,14 @@ class TestFactorSolve:
         f = cholesky_factorize(SparseMatrix.identity(3))
         with pytest.raises(ValueError):
             f.solve(np.ones(4))
+
+    def test_half_solves_reject_a_wrong_length(self):
+        f = cholesky_factorize(SparseMatrix.from_dense(np.diag([4.0, 9.0, 16.0])))
+        assert_allclose(f.half_solve(np.ones(3)), [0.5, 1.0 / 3.0, 0.25], rtol=1e-15)
+        for half_solve in (f.half_solve, f.half_solve_transpose):
+            for wrong in (np.ones(4), np.ones(2)):
+                with pytest.raises(ValueError, match="expected 3"):
+                    half_solve(wrong)
 
     def test_solve_identity_map_well_conditioned(self):
         rng = np.random.default_rng(5)
