@@ -1,10 +1,10 @@
 """Sparse LP interior-point solvers.
 
 Engines: Mehrotra predictor-corrector (``pd_solve``), the primal barrier
-method in exact, frozen-preconditioner, and delayed-scaling modes
-(``primal_solve``), and a hybrid controller that switches from
-primal-dual to delayed-scaling primal iterations near convergence to
-reuse cached normal-matrix factorizations (``hybrid_solve``).
+method in exact and delayed-scaling modes (``primal_solve``), and a
+hybrid controller that switches from primal-dual to delayed-scaling
+primal iterations near convergence to reuse cached normal-matrix
+factorizations (``hybrid_solve``).
 """
 
 from .cg import CgOutcome, generalized_condition_probe, pcg_solve
@@ -25,7 +25,6 @@ from .mps import LpProblem, parse_mps, write_mps
 from .primal import (
     DELAYED_SCALING,
     EXACT,
-    FROZEN_PRECOND,
     NormalSolver,
     PreconditionerCache,
     PrimalConfig,

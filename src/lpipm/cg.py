@@ -93,10 +93,12 @@ def generalized_condition_probe(
 ) -> float:
     """Estimate the generalized condition number kappa(M2^{-1/2} M1 M2^{-1/2}).
 
-    Runs Lanczos with full reorthogonalization on the symmetrically
-    preconditioned operator; the Ritz estimate is a lower bound of the
-    true kappa.
+    Runs at most ``iters`` (at least 1) Lanczos steps with full
+    reorthogonalization on the symmetrically preconditioned operator;
+    the Ritz estimate is a lower bound of the true kappa.
     """
+    if iters < 1:
+        raise ValueError(f"iters must be at least 1, got {iters}")
     n = M1.nrows
     if M1.ncols != n or M2_factor.dimension != n:
         raise ValueError("probe dimensions do not match")
@@ -111,7 +113,7 @@ def generalized_condition_probe(
     q /= np.linalg.norm(q)
     Q = [q]
     alphas, betas = [], []
-    steps = min(max(int(iters), 1), n)
+    steps = min(int(iters), n)
     for k in range(steps):
         w = apply_C(Q[k])
         if not np.all(np.isfinite(w)):

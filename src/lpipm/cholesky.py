@@ -24,7 +24,6 @@ ordering of a sparse pattern.  The factorization does not use it.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sps
 from scipy.linalg.blas import dtrmv, dtrsv
 from scipy.linalg.lapack import dpotrf
 
@@ -182,8 +181,8 @@ class CholeskyFactor:
         return x
 
 
-def cholesky_factorize(M: NormalMatrix | SparseMatrix) -> CholeskyFactor:
-    """Factorize a symmetric matrix, escalating a diagonal shift on failure.
+def cholesky_factorize(M: NormalMatrix) -> CholeskyFactor:
+    """Factorize a normal matrix, escalating a diagonal shift on failure.
 
     The first attempt uses sigma = 0.  If the matrix is not numerically
     positive definite, sigma starts at ``1e-12 * max|M_ii|`` and grows
@@ -192,26 +191,20 @@ def cholesky_factorize(M: NormalMatrix | SparseMatrix) -> CholeskyFactor:
     the untouched strict upper one and a saved copy of the diagonal, so
     no further m x m array is made.
 
-    A :class:`NormalMatrix` is symmetric by construction and is spent:
-    its array becomes ``L``, and afterwards it reports its shape but no
-    entries.  When it carries eliminated rows, its array is the Schur
-    complement ``C``; the shift applies to the whole ``M``, so each retry
-    rebuilds ``C(sigma) = M_RR + sigma I - M_RS (D_S + sigma I)^-1 M_SR``
-    in the same array, and ``max|M_ii|`` runs over the whole diagonal.
-    A :class:`SparseMatrix` is checked for symmetry, left unchanged, and
-    its lower triangle is mirrored into a private dense array, which is
-    the triangle LAPACK reads.
+    The :class:`NormalMatrix` is symmetric by construction, so no
+    symmetry check is made, and it is spent: its array becomes ``L``,
+    and afterwards it reports its shape but no entries.  When it carries
+    eliminated rows, its array is the Schur complement ``C``; the shift
+    applies to the whole ``M``, so each retry rebuilds ``C(sigma) = M_RR
+    + sigma I - M_RS (D_S + sigma I)^-1 M_SR`` in the same array, and
+    ``max|M_ii|`` runs over the whole diagonal.
     """
     if M.nrows != M.ncols:
         raise ValueError("matrix must be square")
-    eliminated = None
-    if isinstance(M, NormalMatrix):
-        eliminated = M.eliminated
-        # the array is symmetric, so it or its transpose is M in Fortran order
-        a = M.take_array()
-        a = a if a.flags.f_contiguous else a.T
-    else:
-        a = _mirrored_lower(M)
+    eliminated = M.eliminated
+    # the array is symmetric, so it or its transpose is M in Fortran order
+    a = M.take_array()
+    a = a if a.flags.f_contiguous else a.T
 
     if eliminated is None:
         diag = np.diagonal(a).copy()
@@ -242,16 +235,3 @@ def cholesky_factorize(M: NormalMatrix | SparseMatrix) -> CholeskyFactor:
         f"no acceptable pivots after {_MAX_REG_RETRIES} regularization retries "
         f"(last sigma {sigma:.3e})"
     )
-
-
-def _mirrored_lower(M: SparseMatrix) -> np.ndarray:
-    """Fortran-order dense copy of a symmetric ``M`` with both triangles
-    equal to its lower one; raises if ``M`` is not symmetric."""
-    S = M.to_scipy()
-    if M.nrows:
-        sym_err = abs(S - S.T).max()
-        if sym_err > 1e-12 * max(abs(S).max(), 1.0):
-            raise ValueError("matrix is not symmetric")
-    lower = sps.tril(S, format="csc")
-    # the two parts have disjoint patterns, so the sum copies entries exactly
-    return (lower + sps.tril(lower, -1).T).toarray(order="F")

@@ -180,6 +180,8 @@ def run_cli(argv=None) -> int:
         # probe
         if args.window < 1:
             raise ValueError(f"--window must be at least 1, got {args.window}")
+        if args.iters < 1:
+            raise ValueError(f"--iters must be at least 1, got {args.iters}")
         std = _load_standard(args.input)
         mode = DELAYED_SCALING if args.algorithm == "primal" else EXACT
         cfg = PrimalConfig(tau=args.tau, max_iter=args.max_iter,

@@ -11,6 +11,7 @@ solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,13 +68,18 @@ def generate_instance(
 ) -> GeneratedInstance:
     """Deterministic planted instance for a given seed.
 
-    ``density`` is the per-column fill fraction (>= 1 gives a dense A);
-    ``spread`` > 0 draws the basic values log-uniformly over that many
-    decades, which slows the primal-dual tail on larger instances.
-    Rank-deficient samples are redrawn up to 5 times.
+    ``density`` is the per-column fill fraction, positive (>= 1 gives a
+    dense A); ``spread`` >= 0 draws the basic values log-uniformly over
+    that many decades when it is positive, which slows the primal-dual
+    tail on larger instances.  Rank-deficient samples are redrawn up to
+    5 times.
     """
     if m >= n:
         raise ValueError("need m < n")
+    if not (math.isfinite(density) and density > 0.0):
+        raise ValueError(f"density must be finite and positive, got {density}")
+    if not (math.isfinite(spread) and spread >= 0.0):
+        raise ValueError(f"spread must be finite and non-negative, got {spread}")
     for attempt in range(_RANK_RETRIES):
         rng = np.random.default_rng((seed, attempt))
         A = _sample_sparse(rng, m, n, density)

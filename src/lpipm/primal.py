@@ -1,8 +1,8 @@
 """Primal barrier engine.
 
-Every mode runs the same iteration:
+Both modes run the same iteration:
 
-1. in the cached modes, on a feasible iterate, a tangent predictor:
+1. in the delayed mode, on a feasible iterate, a tangent predictor:
    :func:`affine_direction` is solved on the standing cache, repaired,
    and followed for 0.9 of its step to the boundary, which also lowers
    the barrier target (see :func:`primal_solve`);
@@ -17,17 +17,15 @@ Every mode runs the same iteration:
 5. the next barrier target is chosen from the step just taken: its
    length and the complementarity it reached (see :func:`primal_solve`).
 
-The modes differ only inside the solver and in the scaling point of the
-direction:
+The two modes differ only inside the solver and in the scaling point of
+the direction:
 
 * ``exact`` refreshes the cache at x every iteration, solves with its
   factor directly and scales at x.
-* ``frozen_precond`` keeps the cached factorization as PCG preconditioner,
-  refreshes it when the iterate moves a Euclidean distance ``_THETA`` from
-  the cache point, and scales at x.
-* ``delayed_scaling`` refreshes on the nu-thresholded scaled distance
-  instead and scales at the delayed scaling point, which keeps the cached
-  factorization useful far longer.
+* ``delayed_scaling`` keeps the cached factorization as PCG
+  preconditioner, refreshes it when the iterate moves a nu-thresholded
+  scaled distance ``_THETA`` from the cache point, and scales at the
+  delayed scaling point, which keeps the cached factorization useful.
 
 A PCG miss refreshes the cache at x and retries once, unless the cache
 is already fresh; then the miss is the attainable residual floor and the
@@ -64,7 +62,6 @@ from .sparse import form_normal_matrix
 from .trace import TraceRecord
 
 EXACT = "exact"
-FROZEN_PRECOND = "frozen_precond"
 DELAYED_SCALING = "delayed_scaling"
 
 _FEASIBLE_PATH_TOL = 1e-12
@@ -75,10 +72,10 @@ _POWER_STEPS = 3  # estimate of ||M|| in the preconditioner probe
 # end the solve as stalled
 _STALL_ALPHA = 1e-3
 _STALL_STEPS = 4
-# the tangent predictor takes this share of its step to the boundary, and
-# its PCG budget is cg_max_iter divided by _PREDICTOR_BUDGET_DIVISOR
+# PCG iterations of one Newton solve; the tangent predictor gets half
+_CG_MAX_ITER = 200
+# the tangent predictor takes this share of its step to the boundary
 _PREDICTOR_FRACTION = 0.9
-_PREDICTOR_BUDGET_DIVISOR = 2
 
 
 @dataclass
@@ -90,7 +87,6 @@ class PrimalConfig:
     tau: float | None = None  # None: 1 / (10 sqrt(n))
     nu: float = 1.0
     cg_tol: float = 1e-10
-    cg_max_iter: int = 200
     max_iter: int = 100
     mode: str = EXACT
     tol: float = 1e-10
@@ -100,9 +96,9 @@ class PrimalConfig:
             raise ValueError("tau must lie in (0, 1)")
         if self.nu <= 0.0 or self.tol <= 0.0 or self.cg_tol <= 0.0:
             raise ValueError("nu, tol, cg_tol must be positive")
-        if self.max_iter < 0 or self.cg_max_iter < 1:
-            raise ValueError("max_iter must be >= 0 and cg_max_iter >= 1")
-        if self.mode not in (EXACT, FROZEN_PRECOND, DELAYED_SCALING):
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be >= 0")
+        if self.mode not in (EXACT, DELAYED_SCALING):
             raise ValueError(f"unknown mode {self.mode!r}")
 
     def effective_tau(self, n: int) -> float:
@@ -155,12 +151,12 @@ class NormalSolver:
 
     Its one factor is that of its :class:`PreconditionerCache`.  In
     ``exact`` mode the cache is refreshed at x every iteration and its
-    factor solves directly.  In the other modes it preconditions PCG,
-    and the cache is refreshed on the distance trigger ``_THETA``
-    (Euclidean in ``frozen_precond``, thresholded in ``delayed_scaling``)
-    and once after a PCG miss.  ``factorizations`` and ``cg_iterations``
-    count all the work it did; a factorization counts when it is
-    requested, also when it raises or fails its probe.
+    factor solves directly.  In ``delayed_scaling`` mode it
+    preconditions PCG, and the cache is refreshed when the thresholded
+    distance reaches ``_THETA`` and once after a PCG miss.
+    ``factorizations`` and ``cg_iterations`` count all the work it did;
+    a factorization counts when it is requested, also when it raises or
+    fails its probe.
     """
 
     def __init__(self, p: StandardLp, cfg: PrimalConfig):
@@ -179,8 +175,6 @@ class NormalSolver:
             self._refresh(x)
 
     def _distance(self, x) -> float:
-        if self.cfg.mode == FROZEN_PRECOND:
-            return float(np.linalg.norm(x - self.cache.z))
         return thresholded_distance(x, self.cache.z, x, self.cfg.nu)
 
     def _refresh(self, x) -> None:
@@ -193,7 +187,7 @@ class NormalSolver:
     def _cache_is_fresh(self, x) -> bool:
         """A refresh can only help when the cache point has actually moved;
         otherwise a PCG miss means the attainable residual floor was hit."""
-        return thresholded_distance(x, self.cache.z, x, self.cfg.nu) <= 0.1 * _THETA
+        return self._distance(x) <= 0.1 * _THETA
 
     def scaling_point(self, x) -> np.ndarray:
         """x itself, or in delayed mode the delayed scaling point: cached
@@ -206,13 +200,13 @@ class NormalSolver:
         """``rhs -> (A D_w^2 A^T)^{-1} rhs``: in exact mode the cached
         factor's solve (the cache is at w), else PCG on the matrix-free
         operator preconditioned with the cache, with at most ``max_iter``
-        iterations (default ``cg_max_iter``)."""
+        iterations (default ``_CG_MAX_ITER``)."""
         if self.cfg.mode == EXACT:
             return self.cache.factor.solve
         A = self.p.A
         d = bound_scaling_diag(w, self.p.u)
         d_sq = d * d
-        budget = self.cfg.cg_max_iter if max_iter is None else max_iter
+        budget = _CG_MAX_ITER if max_iter is None else max_iter
 
         def apply_M(vec):
             return A.matvec(d_sq * A.rmatvec(vec))
@@ -240,11 +234,11 @@ class NormalSolver:
 
     def predictor(self, x, step):
         """``step(w, solve)`` at the scaling point w of x on the standing
-        cache, never refreshed, with a PCG budget of ``cg_max_iter //
-        _PREDICTOR_BUDGET_DIVISOR``; None after a PCG miss."""
+        cache, never refreshed, with half the PCG budget; None after a
+        PCG miss."""
         self.converged = True
         w = self.scaling_point(x)
-        out = step(w, self.at(w, self.cfg.cg_max_iter // _PREDICTOR_BUDGET_DIVISOR))
+        out = step(w, self.at(w, _CG_MAX_ITER // 2))
         return out if self.converged else None
 
     def repair(self, dx, r_p=None) -> np.ndarray:
@@ -406,7 +400,7 @@ def primal_solve(
     (1 when it is not positive).  Trace rows are numbered on from the
     rows already in ``trace_log``.  Collected iterates are copies of the
     state, bound pair included, with ``mu`` the target of their step.  The
-    solve starts without a cache: in the cached modes the first
+    solve starts without a cache: in the delayed mode the first
     iteration factors at the start point, and its trace row says so.
     The step lengths of a row are computed only when there is a trace to
     write.
@@ -418,12 +412,12 @@ def primal_solve(
     step, and the repair restores ``A dx = -r_p``; being feasible gates
     only the predictor and the schedule below.  A row's ``delta`` is the
     step's local norm ``||D_x^{-1} dx||`` when the step is scaled at x
-    (``exact`` and ``frozen_precond``): on the feasible path, the
-    proximity to the central point of its target.
+    (``exact`` mode): on the feasible path, the proximity to the central
+    point of its target.
 
     The barrier target of an iteration's Newton step is the scheduled
-    target ``mu``, lowered by the tangent predictor.  In the cached
-    modes, on the feasible path and once a cache stands, the predictor
+    target ``mu``, lowered by the tangent predictor.  In the delayed
+    mode, on the feasible path and once a cache stands, the predictor
     solves :func:`affine_direction` with ``mu_c``, the target of the
     previous step, on that cache without refreshing it and with half the
     PCG budget.  It takes ``gamma = 0.9 min(1, step to the boundary)``

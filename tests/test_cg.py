@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lpipm import (
+    NormalMatrix,
     NumericalBreakdown,
     SparseMatrix,
     cholesky_factorize,
@@ -22,7 +23,7 @@ def _spd_with_spectrum(rng, base_sqrt, spectrum):
 
 class TestPcg:
     def test_identity_one_iteration(self):
-        f = cholesky_factorize(SparseMatrix.identity(4))
+        f = cholesky_factorize(NormalMatrix(np.eye(4)))
         r = np.array([1.0, -2.0, 3.0, 0.5])
         out = pcg_solve(lambda v: v, f, r, 1e-12, 10)
         assert out.converged and out.iterations <= 1
@@ -30,7 +31,7 @@ class TestPcg:
 
     def test_exact_preconditioner_one_iteration(self):
         M = np.array([[4.0, 2.0], [2.0, 3.0]])
-        f = cholesky_factorize(SparseMatrix.from_dense(M))
+        f = cholesky_factorize(NormalMatrix(M.copy()))
         out = pcg_solve(lambda v: M @ v, f, np.array([6.0, 5.0]), 1e-12, 10)
         assert out.converged and out.iterations <= 1
         assert_allclose(out.solution, [1.0, 1.0], rtol=1e-12)
@@ -40,7 +41,7 @@ class TestPcg:
         for n in (20, 75, 200):
             B = rng.standard_normal((n, n))
             M = B @ B.T + n * np.eye(n)
-            f = cholesky_factorize(SparseMatrix.from_dense(M))
+            f = cholesky_factorize(NormalMatrix(M.copy()))
             out = pcg_solve(lambda v: M @ v, f, rng.standard_normal(n), 1e-10, 10)
             assert out.converged and out.iterations <= 1
 
@@ -53,7 +54,7 @@ class TestPcg:
         base_sqrt = V @ np.diag(np.sqrt(w)) @ V.T
         spectrum = np.linspace(0.25, 2.25, n)  # kappa = 9
         M = _spd_with_spectrum(rng, base_sqrt, spectrum)
-        f = cholesky_factorize(SparseMatrix.from_dense(Mt))
+        f = cholesky_factorize(NormalMatrix(Mt))
         rhs = rng.standard_normal(n)
         out = pcg_solve(lambda v: M @ v, f, rhs, 1e-12, 100)
         assert out.converged
@@ -64,14 +65,14 @@ class TestPcg:
         rng = np.random.default_rng(8)
         M = rng.standard_normal((20, 20))
         M = M @ M.T + 20 * np.eye(20)
-        f = cholesky_factorize(SparseMatrix.identity(20))
+        f = cholesky_factorize(NormalMatrix(np.eye(20)))
         rhs = rng.standard_normal(20)
         out = pcg_solve(lambda v: M @ v, f, rhs, 1e-10, 500)
         true_rel = np.linalg.norm(M @ out.solution - rhs) / max(np.linalg.norm(rhs), 1)
         assert abs(out.relative_residual - true_rel) <= 1e-13
 
     def test_zero_rhs(self):
-        f = cholesky_factorize(SparseMatrix.identity(3))
+        f = cholesky_factorize(NormalMatrix(np.eye(3)))
         out = pcg_solve(lambda v: v, f, np.zeros(3), 1e-12, 10)
         assert out.converged and out.iterations == 0
 
@@ -79,7 +80,7 @@ class TestPcg:
         rng = np.random.default_rng(9)
         M = rng.standard_normal((30, 30))
         M = M @ M.T + 1e-4 * np.eye(30)
-        f = cholesky_factorize(SparseMatrix.identity(30))
+        f = cholesky_factorize(NormalMatrix(np.eye(30)))
         out = pcg_solve(lambda v: M @ v, f, rng.standard_normal(30), 1e-14, 2)
         assert not out.converged
         assert out.iterations == 2
@@ -90,7 +91,7 @@ class TestPcg:
         rng = np.random.default_rng(10)
         B = rng.standard_normal((30, 30))
         M = B @ B.T + 30 * np.eye(30)
-        f = cholesky_factorize(SparseMatrix.identity(30))
+        f = cholesky_factorize(NormalMatrix(np.eye(30)))
         rhs = rng.standard_normal(30)
         out = pcg_solve(lambda v: M @ v, f, rhs, 1e-18, 200)
         assert not out.converged
@@ -99,12 +100,12 @@ class TestPcg:
         assert out.relative_residual == true_rel <= 1e-14
 
     def test_nonfinite_raises(self):
-        f = cholesky_factorize(SparseMatrix.identity(2))
+        f = cholesky_factorize(NormalMatrix(np.eye(2)))
         with pytest.raises(NumericalBreakdown):
             pcg_solve(lambda v: v * np.inf, f, np.ones(2), 1e-10, 5)
 
     def test_indefinite_raises(self):
-        f = cholesky_factorize(SparseMatrix.identity(2))
+        f = cholesky_factorize(NormalMatrix(np.eye(2)))
         M = np.diag([1.0, -1.0])
         with pytest.raises(NumericalBreakdown):
             pcg_solve(lambda v: M @ v, f, np.array([1.0, 1.0]), 1e-10, 5)
@@ -114,34 +115,41 @@ class TestConditionProbe:
     def test_same_matrix_is_one(self):
         rng = np.random.default_rng(10)
         B = rng.standard_normal((8, 8))
-        M = SparseMatrix.from_dense(B @ B.T + 8 * np.eye(8))
-        f = cholesky_factorize(M)
-        assert abs(generalized_condition_probe(M, f, 30) - 1.0) <= 1e-8
+        M = B @ B.T + 8 * np.eye(8)
+        f = cholesky_factorize(NormalMatrix(M.copy()))
+        assert abs(generalized_condition_probe(SparseMatrix.from_dense(M), f, 30) - 1.0) <= 1e-8
 
     def test_scalar_multiple_is_one(self):
         rng = np.random.default_rng(11)
         B = rng.standard_normal((8, 8))
         M2 = B @ B.T + 8 * np.eye(8)
-        f = cholesky_factorize(SparseMatrix.from_dense(M2))
         M1 = SparseMatrix.from_dense(4.0 * M2)
+        f = cholesky_factorize(NormalMatrix(M2))
         assert abs(generalized_condition_probe(M1, f, 30) - 1.0) <= 1e-8
 
     def test_diag_one_nine(self):
         M1 = SparseMatrix.from_dense(np.diag([1.0, 9.0]))
-        f = cholesky_factorize(SparseMatrix.identity(2))
+        f = cholesky_factorize(NormalMatrix(np.eye(2)))
         kappa = generalized_condition_probe(M1, f, 30)
         assert abs(kappa - 9.0) <= 0.05 * 9.0
 
     def test_nonfinite_breakdown(self):
         M1 = SparseMatrix.from_dense([[np.inf, 0.0], [0.0, 1.0]])
-        f = cholesky_factorize(SparseMatrix.identity(2))
+        f = cholesky_factorize(NormalMatrix(np.eye(2)))
         with pytest.raises(NumericalBreakdown):
             generalized_condition_probe(M1, f, 10)
 
     def test_dimension_mismatch(self):
-        f = cholesky_factorize(SparseMatrix.identity(3))
+        f = cholesky_factorize(NormalMatrix(np.eye(3)))
         with pytest.raises(ValueError):
             generalized_condition_probe(SparseMatrix.identity(2), f, 10)
+
+    @pytest.mark.parametrize("iters", [0, -3])
+    def test_fewer_than_one_step_is_rejected(self, iters):
+        # used to run one Lanczos step, which reads kappa = 1 on any pair
+        f = cholesky_factorize(NormalMatrix(np.eye(2)))
+        with pytest.raises(ValueError, match="iters"):
+            generalized_condition_probe(SparseMatrix.from_dense(np.diag([1.0, 9.0])), f, iters)
 
     def test_lower_bound_and_accuracy(self):
         rng = np.random.default_rng(12)
@@ -149,7 +157,7 @@ class TestConditionProbe:
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         spectrum = np.concatenate([[0.5], np.linspace(1.0, 3.0, n - 2), [8.0]])
         M = SparseMatrix.from_dense(Q @ np.diag(spectrum) @ Q.T)
-        f = cholesky_factorize(SparseMatrix.identity(n))
+        f = cholesky_factorize(NormalMatrix(np.eye(n)))
         kappa = generalized_condition_probe(M, f, 40)
         true = 8.0 / 0.5
         assert kappa <= true * (1 + 1e-9)   # Ritz values are interior

@@ -21,39 +21,33 @@ def _reconstruct(factor):
 
 class TestFactorize:
     def test_identity(self):
-        f = cholesky_factorize(SparseMatrix.identity(3))
+        f = cholesky_factorize(NormalMatrix(np.eye(3)))
         assert f.diag_regularization == 0.0
         assert_array_equal(f.L, np.eye(3))
 
     def test_two_by_two_by_hand(self):
-        M = SparseMatrix.from_dense([[4.0, 2.0], [2.0, 3.0]])
-        f = cholesky_factorize(M)
+        f = cholesky_factorize(NormalMatrix(np.array([[4.0, 2.0], [2.0, 3.0]])))
         assert_allclose(f.L, [[2.0, 0.0], [1.0, np.sqrt(2.0)]])
         assert f.diag_regularization == 0.0
 
     def test_singular_gets_regularized(self):
-        M = SparseMatrix.from_dense([[1.0, 1.0], [1.0, 1.0]])
-        f = cholesky_factorize(M)
+        M = np.ones((2, 2))
+        f = cholesky_factorize(NormalMatrix(M.copy()))
         assert f.diag_regularization > 0.0
         v = f.solve(np.array([1.0, 1.0]))
         assert np.all(np.isfinite(v))
-        assert_allclose(
-            _reconstruct(f), M.to_dense() + f.diag_regularization * np.eye(2), rtol=1e-12
-        )
+        assert_allclose(_reconstruct(f), M + f.diag_regularization * np.eye(2), rtol=1e-12)
         # a tiny but positive pivot is not regularized
-        f2 = cholesky_factorize(SparseMatrix.from_dense(np.diag([1.0, 1e-14])))
+        f2 = cholesky_factorize(NormalMatrix(np.diag([1.0, 1e-14])))
         assert f2.diag_regularization == 0.0
 
     def test_factorization_failed_after_retries(self):
-        M = SparseMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(FactorizationFailed):
-            cholesky_factorize(M)
+            cholesky_factorize(NormalMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
 
-    def test_rejects_nonsquare_and_asymmetric(self):
-        with pytest.raises(ValueError):
-            cholesky_factorize(SparseMatrix.from_dense([[1.0, 0.0]]))
-        with pytest.raises(ValueError):
-            cholesky_factorize(SparseMatrix.from_dense([[1.0, 2.0], [0.5, 3.0]]))
+    def test_rejects_nonsquare(self):
+        with pytest.raises(ValueError, match="square"):
+            cholesky_factorize(NormalMatrix(np.array([[1.0, 0.0]])))
 
     def test_reconstruction_on_random_probes(self):
         rng = np.random.default_rng(4)
@@ -111,21 +105,11 @@ class TestFactorizationContract:
             assert np.array_equal(saved, saved.T)
             assert f.L.shape == (m - f.S.size,) * 2 and f.dimension == m
 
-    def test_sparse_matrix_factor_is_scipys_and_argument_unchanged(self):
-        rng = np.random.default_rng(22)
-        B = rng.standard_normal((12, 20))
-        S = SparseMatrix.from_dense(B @ B.T)
-        before = (S.col_ptr.copy(), S.row_idx.copy(), S.values.copy(), S.to_dense())
-        f = cholesky_factorize(S)
-        _assert_bitwise_equal(f.L, sla.cholesky(before[3], lower=True))
-        for old, new in zip(before, (S.col_ptr, S.row_idx, S.values, S.to_dense())):
-            assert_array_equal(old, new)
-
     def test_factor_layout(self):
         rng = np.random.default_rng(23)
         B = rng.standard_normal((9, 15))
         for M in (form_normal_matrix(SparseMatrix.from_dense(B), np.ones(15)),
-                  SparseMatrix.from_dense(B @ B.T)):
+                  NormalMatrix(B @ B.T)):
             L = cholesky_factorize(M).L
             assert L.flags.f_contiguous  # dtrsv and dtrmv read it without a copy
             assert not L.flags.writeable
@@ -255,24 +239,24 @@ class TestSplitFactor:
 
 class TestFactorSolve:
     def test_identity_solve(self):
-        f = cholesky_factorize(SparseMatrix.identity(3))
+        f = cholesky_factorize(NormalMatrix(np.eye(3)))
         assert_array_equal(f.solve(np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
 
     def test_two_by_two_solve(self):
-        f = cholesky_factorize(SparseMatrix.from_dense([[4.0, 2.0], [2.0, 3.0]]))
+        f = cholesky_factorize(NormalMatrix(np.array([[4.0, 2.0], [2.0, 3.0]])))
         assert_allclose(f.solve(np.array([6.0, 5.0])), [1.0, 1.0], rtol=1e-14)
 
     def test_zero_rhs(self):
-        f = cholesky_factorize(SparseMatrix.from_dense([[2.0]]))
+        f = cholesky_factorize(NormalMatrix(np.array([[2.0]])))
         assert_array_equal(f.solve(np.array([0.0])), [0.0])
 
     def test_dimension_mismatch(self):
-        f = cholesky_factorize(SparseMatrix.identity(3))
+        f = cholesky_factorize(NormalMatrix(np.eye(3)))
         with pytest.raises(ValueError):
             f.solve(np.ones(4))
 
     def test_half_solves_reject_a_wrong_length(self):
-        f = cholesky_factorize(SparseMatrix.from_dense(np.diag([4.0, 9.0, 16.0])))
+        f = cholesky_factorize(NormalMatrix(np.diag([4.0, 9.0, 16.0])))
         assert_allclose(f.half_solve(np.ones(3)), [0.5, 1.0 / 3.0, 0.25], rtol=1e-15)
         for half_solve in (f.half_solve, f.half_solve_transpose):
             for wrong in (np.ones(4), np.ones(2)):

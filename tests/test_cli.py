@@ -156,6 +156,14 @@ class TestGenerate:
         obj = float(out.split("objective=")[1].split()[0])
         assert abs(obj - cert.objective) <= 1e-8 * (1 + abs(cert.objective))
 
+    @pytest.mark.parametrize("argv", [["--density", "0"], ["--spread", "-2"]])
+    def test_out_of_range_shape_is_usage_error(self, tmp_path, capsys, argv):
+        prefix = tmp_path / "g"
+        code, out, err = _run(capsys, ["generate", "8", "20", "--out", str(prefix), *argv])
+        assert code == 1
+        assert out == "" and "error" in err
+        assert not (tmp_path / "g.mps").exists()
+
 
 class TestProbe:
     def test_probe_writes_csv(self, planted, tmp_path, capsys):
@@ -174,10 +182,11 @@ class TestProbe:
             assert kappa >= 1.0 - 1e-9
 
     @pytest.mark.parametrize("argv", [
-        ["--window", "0"], ["--window", "-2"], ["--max-iter", "-1"],
+        ["--window", "0"], ["--window", "-2"], ["--max-iter", "-1"], ["--iters", "0"],
     ])
     def test_out_of_range_count_is_usage_error(self, planted, capsys, argv):
-        # --window 0 used to probe every iterate, --window -2 to drop two
+        # --window 0 used to probe every iterate, --window -2 to drop two,
+        # --iters 0 to run one Lanczos step and report every kappa as 1
         _, path = planted
         code, out, err = _run(capsys, ["probe", path, "--tau", "0.28", *argv])
         assert code == 1

@@ -70,7 +70,17 @@ class TestGenerator:
         # one entry per column: 11 columns rarely reach all 10 rows, so
         # every one of the 5 draws of this seed lacks full row rank
         with pytest.raises(ValueError, match="could not draw"):
-            generate_instance(10, 11, seed=0, density=0.0)
+            generate_instance(10, 11, seed=0, density=0.01)
+
+    @pytest.mark.parametrize("field, value", [
+        ("density", 0.0), ("density", -3.0), ("density", np.nan), ("density", np.inf),
+        ("spread", -2.0), ("spread", np.nan), ("spread", np.inf),
+    ])
+    def test_rejects_out_of_range_shape(self, field, value):
+        # density -3 used to draw one entry per column, density nan to fail
+        # converting to an integer, and spread -2 to act as 0
+        with pytest.raises(ValueError, match=field):
+            generate_instance(6, 15, seed=0, **{field: value})
 
     def test_dense_and_spread_options(self):
         inst = generate_instance(10, 24, seed=3, density=1.0, spread=3.0)

@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from lpipm import (
     DELAYED_SCALING,
     EXACT,
-    FROZEN_PRECOND,
     FactorizationFailed,
     IterateState,
     NormalSolver,
@@ -72,12 +71,13 @@ def next_mu_on_feasible_path(mu, tau, alpha, measured):
 
 def pcg_direction(p, x, w, mu, cache, cg_tol, cg_max_iter=200):
     """Direction scaled at w through the engine's PCG solver on the
-    given cache, repaired as the engine repairs it; returns the step and
-    the solver (for its convergence flag and counts)."""
-    cfg = PrimalConfig(mode=DELAYED_SCALING, cg_tol=cg_tol, cg_max_iter=cg_max_iter)
+    given cache, with at most ``cg_max_iter`` PCG iterations, repaired as
+    the engine repairs it; returns the step and the solver (for its
+    convergence flag and counts)."""
+    cfg = PrimalConfig(mode=DELAYED_SCALING, cg_tol=cg_tol)
     solver = NormalSolver(p, cfg)
     solver.cache = cache
-    d = projected_direction(p, x, w, mu, np.zeros(p.nrows), solver.at(w))
+    d = projected_direction(p, x, w, mu, np.zeros(p.nrows), solver.at(w, cg_max_iter))
     return solver.repair(d.dx), solver
 
 
@@ -417,6 +417,7 @@ class TestNormalSolver:
     def test_miss_refreshes_once_and_counts_both_runs(self, monkeypatch):
         import lpipm.primal as primal
 
+        monkeypatch.setattr(primal, "_CG_MAX_ITER", 1)
         runs = []
         real_pcg = primal.pcg_solve
 
@@ -429,22 +430,20 @@ class TestNormalSolver:
         rng = np.random.default_rng(37)
         p, st = feasible_instance(rng, 6, 14)
         far = st.x * rng.uniform(5.0, 50.0, 14)  # terrible preconditioner
-        for mode in (FROZEN_PRECOND, DELAYED_SCALING):
-            runs.clear()
-            # nu above every coordinate: the delayed point is far itself
-            cfg = PrimalConfig(mode=mode, nu=1e3, cg_tol=1e-15, cg_max_iter=1)
-            solver = NormalSolver(p, cfg)
-            solver.cache = refresh_cache(p, st.x)
-            solver.direction(
-                far, lambda w, solve: projected_direction(p, far, w, 0.5, st.y, solve)
-            )
-            assert not runs[0].converged
-            assert len(runs) == 2  # one refresh, one retry, then accepted
-            assert solver.factorizations == 1
-            assert np.array_equal(solver.cache.z, far)
-            assert solver.cg_iterations == sum(r.iterations for r in runs)
+        # nu above every coordinate: the delayed point is far itself
+        cfg = PrimalConfig(mode=DELAYED_SCALING, nu=1e3, cg_tol=1e-15)
+        solver = NormalSolver(p, cfg)
+        solver.cache = refresh_cache(p, st.x)
+        solver.direction(
+            far, lambda w, solve: projected_direction(p, far, w, 0.5, st.y, solve)
+        )
+        assert not runs[0].converged
+        assert len(runs) == 2  # one refresh, one retry, then accepted
+        assert solver.factorizations == 1
+        assert np.array_equal(solver.cache.z, far)
+        assert solver.cg_iterations == sum(r.iterations for r in runs)
 
-    @pytest.mark.parametrize("mode", [EXACT, FROZEN_PRECOND, DELAYED_SCALING])
+    @pytest.mark.parametrize("mode", [EXACT, DELAYED_SCALING])
     @pytest.mark.parametrize("pd_start", [False, True], ids=["feasible", "pd_start"])
     def test_reported_counts_match_observed_work(self, monkeypatch, mode, pd_start):
         import lpipm.primal as primal
@@ -458,11 +457,12 @@ class TestNormalSolver:
             return out
 
         monkeypatch.setattr(primal, "pcg_solve", counting_pcg)
+        monkeypatch.setattr(primal, "_CG_MAX_ITER", 30)
         p, start = feasible_instance(np.random.default_rng(1), 40, 90)
         if pd_start:
             start = pd_starting_point(p)
         # a tolerance at the attainable floor makes PCG miss and refresh
-        cfg = PrimalConfig(tau=0.28, mode=mode, cg_tol=1e-14, cg_max_iter=30)
+        cfg = PrimalConfig(tau=0.28, mode=mode, cg_tol=1e-14)
         trace = TraceLog()
         res = primal_solve(p, cfg, start, trace_log=trace)
         assert res.status == SolveStatus.OPTIMAL
@@ -472,7 +472,7 @@ class TestNormalSolver:
             assert len(observed) > res.iterations  # some iteration retried
 
 
-    @pytest.mark.parametrize("mode", [EXACT, FROZEN_PRECOND, DELAYED_SCALING])
+    @pytest.mark.parametrize("mode", [EXACT, DELAYED_SCALING])
     def test_failed_factorization_is_counted(self, monkeypatch, mode):
         import lpipm.primal as primal
 
@@ -510,11 +510,12 @@ class TestNormalSolver:
             return out
 
         monkeypatch.setattr(primal, "pcg_solve", counting_pcg)
+        monkeypatch.setattr(primal, "_CG_MAX_ITER", 30)
         p, start = feasible_instance(np.random.default_rng(1), 40, 90)
-        cfg = PrimalConfig(tau=0.28, mode=FROZEN_PRECOND, cg_tol=1e-14, cg_max_iter=30)
+        cfg = PrimalConfig(tau=0.28, mode=DELAYED_SCALING, cg_tol=1e-14)
         res = primal_solve(p, cfg, start)
         assert res.status == SolveStatus.OPTIMAL
-        assert max(observed) < cfg.cg_max_iter
+        assert max(observed) < primal._CG_MAX_ITER
 
 
 def _delayed_bound_setup(rng, m, n):
@@ -626,7 +627,7 @@ class TestMonitoredInvariants:
 
 class TestPrimalSolve:
     @pytest.mark.parametrize("field, value", [
-        ("max_iter", -1), ("cg_tol", 0.0), ("cg_tol", -1e-10), ("cg_max_iter", 0),
+        ("max_iter", -1), ("cg_tol", 0.0), ("cg_tol", -1e-10),
     ])
     def test_config_rejects_out_of_range_values(self, field, value):
         # PrimalConfig(cg_tol=0) used to fail only at the first PCG solve
@@ -670,7 +671,7 @@ class TestPrimalSolve:
     def test_interiority_all_modes(self):
         rng = np.random.default_rng(42)
         p, start = feasible_instance(rng, 6, 15)
-        for mode in (EXACT, FROZEN_PRECOND, DELAYED_SCALING):
+        for mode in (EXACT, DELAYED_SCALING):
             cfg = PrimalConfig(tau=0.2, max_iter=40, mode=mode, tol=1e-10)
             trace = TraceLog()
             res = primal_solve(p, cfg, start, trace_log=trace, collect_iterates=True)
@@ -700,7 +701,7 @@ class TestPrimalSolve:
         ref = inst.certificate.objective
         assert abs(p.recovery.original_objective(res.objective) - ref) <= 1e-8 * (1 + abs(ref))
 
-    @pytest.mark.parametrize("mode", [FROZEN_PRECOND, DELAYED_SCALING])
+    @pytest.mark.parametrize("mode", [DELAYED_SCALING])
     @pytest.mark.parametrize("seed", [1, 2, 3, 7])
     def test_degenerate_lp_reaches_optimal(self, mode, seed):
         # a degenerate optimum puts coordinates near 1e-10 next to a nearly
@@ -730,7 +731,7 @@ class TestPrimalSolve:
         rng = np.random.default_rng(44)
         p, start = feasible_instance(rng, 5, 12)
         bound = 1e-8 * (1.0 + np.abs(p.b).max())
-        for mode in (EXACT, FROZEN_PRECOND, DELAYED_SCALING):
+        for mode in (EXACT, DELAYED_SCALING):
             cfg = PrimalConfig(tau=0.2, max_iter=50, mode=mode, tol=1e-10)
             res = primal_solve(p, cfg, start, collect_iterates=True)
             for it in res.iterates:
@@ -830,10 +831,10 @@ class TestTangentPredictor:
         dx = affine_direction(tiny_lp, x, mu, y, _exact_solver(tiny_lp, x))
         assert_allclose(dx, -mu * np.array([dx1, -dx1]), rtol=1e-7)
 
-    @pytest.mark.parametrize("mode,factorizations", [(DELAYED_SCALING, 12), (FROZEN_PRECOND, 11)])
+    @pytest.mark.parametrize("mode,factorizations", [(DELAYED_SCALING, 12)])
     def test_cached_modes_take_half_the_iterations(self, mode, factorizations):
         # one Newton step per iteration took 68 iterations and 20
-        # factorizations here in both modes
+        # factorizations here
         p = _planted_40x100()
         trace = TraceLog()
         cfg = PrimalConfig(tau=0.28, cg_tol=1e-12, mode=mode)

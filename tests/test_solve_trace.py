@@ -9,7 +9,6 @@ import lpipm.primal
 from lpipm import (
     DELAYED_SCALING,
     EXACT,
-    FROZEN_PRECOND,
     PdConfig,
     PrimalConfig,
     SolveStatus,
@@ -58,7 +57,6 @@ def _hybrid(override, tau=0.28, **policy):
 _SOLVES = {
     "pd": lambda p, trace: pd_solve(p, PdConfig(), trace_log=trace),
     "primal-exact": _primal(EXACT),
-    "primal-frozen": _primal(FROZEN_PRECOND),
     "primal-delayed": _primal(DELAYED_SCALING),
     "hybrid-override-1": _hybrid(1.0),
     "hybrid-override-100": _hybrid(100.0),
@@ -104,7 +102,7 @@ def test_untraced_solves_skip_trace_only_values(monkeypatch):
     assert primal_solve(p, cfg, pd_starting_point(p)).status == SolveStatus.OPTIMAL
 
 
-@pytest.mark.parametrize("solve", ["primal-frozen", "primal-delayed", "hybrid-override-100"])
+@pytest.mark.parametrize("solve", ["primal-delayed", "hybrid-override-100"])
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_primal_targets_stay_positive(seed, solve):
     """The predictor cuts the target from the previous target, never from
