@@ -142,6 +142,7 @@ def _status_line(result: SolveResult) -> str:
         f"e_p={result.e_p:.3e} e_d={result.e_d:.3e} e_g={result.e_g:.3e} "
         f"iterations={result.iterations} "
         f"factorizations={result.factorizations} "
+        f"cg_iterations={result.cg_iterations} "
         f"wall_s={result.wall_s:.3f}"
     )
 
@@ -158,6 +159,8 @@ def run_cli(argv=None) -> int:
             result = _solve(args)
             if not args.quiet:
                 print(_status_line(result))
+                if result.message:
+                    print(result.message)
             return result.exit_code()
 
         if args.subcommand == "generate":

@@ -6,6 +6,11 @@ by the affine predictor and the corrector solve.  The wall time of the
 factorization and of the step is measured per iteration and handed to
 the driver hook; the hybrid controller's switch rule averages it.
 
+Where the factor is large enough that PCG on it is cheap, and once the
+candidate basis of the scaling holds for two iterations, each iteration
+tries to end the solve by projecting onto the optimal face, by PCG
+preconditioned by the factor it has just built (see :mod:`lpipm.face`).
+
 The starting point is Mehrotra's least-squares point with the bound
 pair ``(w, v)`` inside both least-squares problems, from one
 factorization of ``A H A^T`` (``H`` = 1/2 on the bounded coordinates,
@@ -24,6 +29,7 @@ import numpy as np
 
 from .cholesky import CholeskyFactor, cholesky_factorize
 from .errors import FactorizationFailed, NumericalBreakdown
+from .face import MIN_PCG_BUDGET, face_partition, pcg_budget, project_onto_face
 from .problem import IterateState, StandardLp, complementarity, convergence_metrics
 from .results import SolveResult, SolveStatus
 from .scaling import thresholded_distance
@@ -254,9 +260,11 @@ def pd_solve(
 
     factorizations = 0
     iterations = 0
+    cg_iterations = 0
     status = SolveStatus.ITERATION_LIMIT
     message = ""
     e_p, e_d, e_g = convergence_metrics(p, st)
+    face = None  # the candidate face (B, U) of the previous iteration
 
     try:
         for k in range(1, cfg.max_iter + 1):
@@ -273,35 +281,53 @@ def pd_solve(
             t_factor = time.perf_counter() - t0
 
             t1 = time.perf_counter()
-            step = mehrotra_step(p, st, factor, d2=d2)
-            del factor  # one m x m array at a time: gone before the next assembly
-            ap, ad = step.alpha_p, step.alpha_d
-            saved = st.copy()
-            x_prev = saved.x
-            mu_prev = st.mu
-            st.x = st.x + ap * step.dx
-            st.y = st.y + ad * step.dy
-            st.s = st.s + ad * step.ds
-            st.w = st.w + ap * step.dw
-            st.v = st.v + ad * step.dv
-            scale = max(np.abs(st.x).max(), np.abs(st.s).max(), np.abs(st.y).max())
-            if not np.isfinite(scale) or scale > _DIVERGENCE_LIMIT:
-                # runaway iterates: the problem is primal or dual
-                # infeasible; keep the last sane state, whose metrics
-                # are the ones in hand, and stop
-                st = saved
-                iterations = k
-                message = "iterates diverged (problem likely infeasible)"
-                break
-            if np.any(st.x <= 0.0) or np.any(st.s <= 0.0):
-                raise NumericalBreakdown("iterate lost strict interiority")
-            st.mu = complementarity(p, st)
-            if st.mu > mu_prev * (1.0 + 1e-12):
-                warnings.warn(
-                    f"complementarity increased at iteration {k} "
-                    f"({mu_prev:.3e} -> {st.mu:.3e})",
-                    stacklevel=2,
+            x_prev = st.x
+            # a projection is tried once B holds for a second iteration,
+            # and only where its PCG can cost less than a factorization
+            projected, cg_iters = None, 0
+            budget = pcg_budget(factor, p.A.nnz)
+            if budget >= MIN_PCG_BUDGET:
+                prev_face, face = face, face_partition(p, st, d2)
+                if prev_face is not None and np.array_equal(prev_face[0], face[0]):
+                    projected, cg_iters = project_onto_face(
+                        p, factor, d2, *face, max_iter=budget, tol=cfg.tol
+                    )
+                    cg_iterations += cg_iters
+            if projected is not None:
+                st, ap = projected, 1.0
+                message = (
+                    f"ended by projection onto the face of {int(face[0].sum())} "
+                    f"columns after {cg_iters} PCG iterations"
                 )
+            else:
+                step = mehrotra_step(p, st, factor, d2=d2)
+                del factor  # one m x m array at a time: gone before the next assembly
+                ap, ad = step.alpha_p, step.alpha_d
+                saved = st.copy()
+                mu_prev = st.mu
+                st.x = st.x + ap * step.dx
+                st.y = st.y + ad * step.dy
+                st.s = st.s + ad * step.ds
+                st.w = st.w + ap * step.dw
+                st.v = st.v + ad * step.dv
+                scale = max(np.abs(st.x).max(), np.abs(st.s).max(), np.abs(st.y).max())
+                if not np.isfinite(scale) or scale > _DIVERGENCE_LIMIT:
+                    # runaway iterates: the problem is primal or dual
+                    # infeasible; keep the last sane state, whose metrics
+                    # are the ones in hand, and stop
+                    st = saved
+                    iterations = k
+                    message = "iterates diverged (problem likely infeasible)"
+                    break
+                if np.any(st.x <= 0.0) or np.any(st.s <= 0.0):
+                    raise NumericalBreakdown("iterate lost strict interiority")
+                st.mu = complementarity(p, st)
+                if st.mu > mu_prev * (1.0 + 1e-12):
+                    warnings.warn(
+                        f"complementarity increased at iteration {k} "
+                        f"({mu_prev:.3e} -> {st.mu:.3e})",
+                        stacklevel=2,
+                    )
             t_solve = time.perf_counter() - t1
 
             iterations = k
@@ -316,15 +342,21 @@ def pd_solve(
                         e_d=e_d,
                         e_g=e_g,
                         step_norm=float(np.linalg.norm(st.x - x_prev)),
-                        thresholded_step=thresholded_distance(st.x, x_prev, st.x, 1.0),
+                        # a projected x has zeros: the row scales by the last interior x
+                        thresholded_step=thresholded_distance(
+                            st.x, x_prev, st.x if projected is None else x_prev, 1.0
+                        ),
                         delta=None,
                         alpha=ap,
                         factorized=True,
-                        cg_iters=0,
+                        cg_iters=cg_iters,
                         wall_factor_ms=t_factor * 1e3,
                         wall_solve_ms=t_solve * 1e3,
                     )
                 )
+            if projected is not None:
+                status = SolveStatus.OPTIMAL
+                break
             if hook is not None and hook(
                 PdIterationInfo(
                     k=k, x_prev=x_prev, state=st, t_factor=t_factor, t_solve=t_solve,
@@ -351,7 +383,7 @@ def pd_solve(
         e_g=e_g,
         iterations=iterations,
         factorizations=factorizations,
-        cg_iterations=0,
+        cg_iterations=cg_iterations,
         wall_s=time.perf_counter() - t_start,
         message=message,
     )

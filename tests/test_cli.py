@@ -10,7 +10,7 @@ STATUS_RE = re.compile(
     r"^status=(Optimal|IterationLimit|NumericalFailure) "
     r"objective=[-+0-9.e]+ "
     r"e_p=[-+0-9.e]+ e_d=[-+0-9.e]+ e_g=[-+0-9.e]+ "
-    r"iterations=\d+ factorizations=\d+ wall_s=\d+\.\d+$"
+    r"iterations=\d+ factorizations=\d+ cg_iterations=\d+ wall_s=\d+\.\d+$"
 )
 
 

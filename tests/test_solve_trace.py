@@ -76,6 +76,7 @@ def test_factorized_rows_equal_reported_factorizations(instance, solve, monkeypa
     res = _SOLVES[solve](p, trace)
     assert res.factorizations > 0
     assert sum(r.factorized for r in trace) == res.factorizations
+    assert sum(r.cg_iters for r in trace) == res.cg_iterations
     if solve.startswith("hybrid"):
         primal_rows = [r for r in trace if r.phase == "primal"]
         stats = res.phase_stats
@@ -85,6 +86,25 @@ def test_factorized_rows_equal_reported_factorizations(instance, solve, monkeypa
             assert stats[f"pd_{total}"] + stats[f"primal_{total}"] == getattr(res, total)
         assert (stats["switch_iteration"] is not None) == (solve in _SWITCHING)
         assert stats["fallback"] == (solve == "hybrid-stalled-fallback")
+
+
+@pytest.fixture(scope="module")
+def gated_lp():
+    # a PCG budget of 12 per face solve: pd tries the projection
+    return to_standard_form(parse_mps(generate_instance(600, 1320, 7, density=4 / 600).mps_text))
+
+
+@pytest.mark.parametrize("solve", ["pd", "hybrid-override-1", "hybrid-override-100"])
+def test_rows_sum_to_the_counts_when_pd_projects(gated_lp, solve):
+    """Past the budget gate, the projection's PCG iterations sit on the
+    row of the iteration that tried it, and its factorization has a row."""
+    trace = TraceLog()
+    res = _SOLVES[solve](gated_lp, trace)
+    assert res.status == SolveStatus.OPTIMAL
+    assert sum(r.factorized for r in trace) == res.factorizations
+    assert sum(r.cg_iters for r in trace) == res.cg_iterations
+    pd_rows = [r for r in trace if r.phase == "pd"]
+    assert sum(r.cg_iters for r in pd_rows) > 0
 
 
 def test_untraced_solves_skip_trace_only_values(monkeypatch):
