@@ -59,10 +59,10 @@ def pcg_solve(apply_M, precond: CholeskyFactor, rhs, rel_tol, max_iter) -> CgOut
         iterations += 1
         Mp = apply_M(p)
         if not np.all(np.isfinite(Mp)):
-            raise NumericalBreakdown("non-finite value in PCG matrix product")
+            raise NumericalBreakdown("non-finite value in PCG matrix product", iterations)
         pMp = float(p @ Mp)
         if pMp <= 0.0 or not np.isfinite(pMp):
-            raise NumericalBreakdown("PCG curvature is not positive")
+            raise NumericalBreakdown("PCG curvature is not positive", iterations)
         alpha = rz / pMp
         x += alpha * p
         r -= alpha * Mp
@@ -77,7 +77,8 @@ def pcg_solve(apply_M, precond: CholeskyFactor, rhs, rel_tol, max_iter) -> CgOut
             best_true = min(best_true, true_rel)
         z = precond.solve(r)
         if not np.all(np.isfinite(z)):
-            raise NumericalBreakdown("non-finite value in PCG preconditioner solve")
+            raise NumericalBreakdown("non-finite value in PCG preconditioner solve",
+                                     iterations)
         rz_new = float(r @ z)
         beta = rz_new / rz
         p = z + beta * p

@@ -4,18 +4,22 @@
 escalating the diagonal shift ``sigma`` when ``M`` is not numerically
 positive definite.  It factors in place, in one buffer that becomes the
 dense factor ``L``: a :class:`NormalMatrix` hands its own array over,
-which is bitwise symmetric, so the array or its transpose is already the
-Fortran-order matrix LAPACK needs and no copy is made.  ``dpotrf``
-writes only the lower triangle, so after a failed pivot the strict upper
-triangle still holds the matrix, and the next shift is tried on the
-lower triangle rebuilt from it.
+and the array or its transpose is already the Fortran-order matrix
+LAPACK needs, so no copy is made.  ``dpotrf`` reads and writes only the
+lower triangle.  On the dense path the array is bitwise symmetric: after
+a failed pivot the strict upper triangle still holds the matrix, the
+next shift is tried on the lower triangle rebuilt from it, and the
+factor's strict upper triangle is zeroed at the end.
 
-On a sparse ``A`` the normal matrix may arrive with a set ``S`` of rows
-already eliminated (see :mod:`lpipm.sparse`): its array is then the
-Schur complement over the other rows ``R``, ``dpotrf`` factors only that
-``|R| x |R|`` block, and the factor keeps the diagonal pivots of ``S``
-and the sparse coupling block beside ``L``.  Apart from that the order
-is the natural one: a dense factor does the same flops in any order.
+On a sparse ``A`` (see :mod:`lpipm.sparse`) the array holds only a lower
+triangle, its strict upper one zero, so the factor needs no zeroing,
+and a retry rebuilds the array from the matrix's assembly plan.  The
+normal matrix may arrive with a set ``S`` of rows already eliminated:
+its array is then the Schur complement over the other rows ``R``,
+``dpotrf`` factors only that ``|R| x |R|`` block, and the factor keeps
+the diagonal pivots of ``S`` and the sparse coupling block beside ``L``.
+Apart from that the order is the natural one: a dense factor does the
+same flops in any order.
 
 :func:`minimum_degree_ordering` computes a symmetric minimum-degree
 ordering of a sparse pattern.  The factorization does not use it.
@@ -98,12 +102,13 @@ class CholeskyFactor:
 
     In that order the factor is ``[[diag(root_S), 0], [W, L]]``: the rows
     ``S`` were eliminated ahead of the dense factor, with ``root_S =
-    sqrt(d_S + sigma)`` and the sparse ``W = M_RS (D_S + sigma I)^{-1/2}``,
-    and ``L`` is the dense lower factor of the Schur complement over the
-    rows ``R`` (see :mod:`lpipm.sparse`).  Without an eliminated block
-    (``S`` None) ``P`` is the identity and ``L`` is the whole factor.
-    ``L`` is LAPACK's column-major output, read-only, which the BLAS
-    triangular solves read in place.
+    sqrt(d_S + sigma)`` and the sparse ``W = M_RS (D_S + sigma I)^{-1/2}``
+    (given with its transpose ``W_T``, both CSR on patterns fixed by the
+    assembly plan), and ``L`` is the dense lower factor of the Schur
+    complement over the rows ``R`` (see :mod:`lpipm.sparse`).  Without
+    an eliminated block (``S`` None) ``P`` is the identity and ``L`` is
+    the whole factor.  ``L`` is LAPACK's column-major output, read-only,
+    which the BLAS triangular solves read in place.
 
     ``solve`` and ``product`` work in the coordinates of ``M``.  The
     half-solves are a pair for symmetric preconditioning:
@@ -116,12 +121,10 @@ class CholeskyFactor:
     __slots__ = ("L", "diag_regularization", "S", "R", "root_S", "W", "_W_T")
 
     def __init__(self, L: np.ndarray, diag_regularization: float, S=None, R=None,
-                 root_S=None, W=None):
+                 root_S=None, W=None, W_T=None):
         self.L = L
         self.diag_regularization = diag_regularization
-        self.S, self.R, self.root_S, self.W = S, R, root_S, W
-        # a CSR copy of W^T: scipy rebuilds a transpose view on every use
-        self._W_T = None if W is None else W.T.tocsr()
+        self.S, self.R, self.root_S, self.W, self._W_T = S, R, root_S, W, W_T
 
     @property
     def dimension(self) -> int:
@@ -187,35 +190,36 @@ def cholesky_factorize(M: NormalMatrix) -> CholeskyFactor:
     The first attempt uses sigma = 0.  If the matrix is not numerically
     positive definite, sigma starts at ``1e-12 * max|M_ii|`` and grows
     by a decade per retry, up to 10 retries; the applied sigma is
-    recorded on the factor.  Each retry rebuilds the lower triangle from
-    the untouched strict upper one and a saved copy of the diagonal, so
-    no further m x m array is made.
+    recorded on the factor.  No retry makes a further m x m array: on
+    the dense path it rebuilds the lower triangle from the untouched
+    strict upper one and a saved copy of the diagonal, and on the sparse
+    path it zeroes the array and fills it again from the matrix's
+    :class:`~lpipm.sparse.AssemblyPlan`.
 
     The :class:`NormalMatrix` is symmetric by construction, so no
     symmetry check is made, and it is spent: its array becomes ``L``,
     and afterwards it reports its shape but no entries.  When it carries
     eliminated rows, its array is the Schur complement ``C``; the shift
     applies to the whole ``M``, so each retry rebuilds ``C(sigma) = M_RR
-    + sigma I - M_RS (D_S + sigma I)^-1 M_SR`` in the same array, and
-    ``max|M_ii|`` runs over the whole diagonal.
+    + sigma I - M_RS (D_S + sigma I)^-1 M_SR``, and ``max|M_ii|`` runs
+    over the whole diagonal.
     """
     if M.nrows != M.ncols:
         raise ValueError("matrix must be square")
-    eliminated = M.eliminated
-    # the array is symmetric, so it or its transpose is M in Fortran order
+    plan, lower = M.plan, M.lower
+    # on the dense path the array is symmetric, so it or its transpose is
+    # M in Fortran order; on the sparse path it is F-ordered already
     a = M.take_array()
     a = a if a.flags.f_contiguous else a.T
 
-    if eliminated is None:
-        diag = np.diagonal(a).copy()
-    else:
-        diag = np.concatenate((eliminated.d_S, eliminated.M_RR.diagonal()))
+    diag = np.diagonal(a).copy() if plan is None else plan.diagonal(lower)
     scale = np.abs(diag)
     base = _REG_BASE_SCALE * (scale.max() if scale.size and scale.max() > 0 else 1.0)
     sigma = 0.0
     for _ in range(_MAX_REG_RETRIES + 1):
-        if sigma != 0.0 and eliminated is not None:
-            eliminated.schur_complement_into(a, sigma)
+        if sigma != 0.0 and plan is not None:
+            a.fill(0.0)
+            plan.fill(a, lower, sigma)
         elif sigma != 0.0:
             # the failed attempt left the strict upper triangle intact
             for j in range(a.shape[0]):
@@ -225,12 +229,13 @@ def cholesky_factorize(M: NormalMatrix) -> CholeskyFactor:
         if info != 0:
             sigma = base if sigma == 0.0 else sigma * 10.0
             continue
-        for j in range(1, L.shape[0]):  # the strict upper triangle still holds the matrix
-            L[:j, j] = 0.0
+        if plan is None:
+            for j in range(1, L.shape[0]):  # the strict upper triangle still holds the matrix
+                L[:j, j] = 0.0
         L.flags.writeable = False
-        if eliminated is None:
+        if plan is None or plan.S.size == 0:
             return CholeskyFactor(L, sigma)
-        return CholeskyFactor(L, sigma, eliminated.S, eliminated.R, *eliminated.coupling(sigma))
+        return CholeskyFactor(L, sigma, plan.S, plan.R, *plan.coupling(lower, sigma))
     raise FactorizationFailed(
         f"no acceptable pivots after {_MAX_REG_RETRIES} regularization retries "
         f"(last sigma {sigma:.3e})"

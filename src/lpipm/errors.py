@@ -13,7 +13,13 @@ class FactorizationFailed(SolverError):
 
 class NumericalBreakdown(SolverError):
     """A non-finite value (or a loss of positive definiteness) was
-    encountered inside an iterative solver."""
+    encountered inside an iterative solver.  ``iterations`` counts the
+    iterations the solver ran before it broke down, the one that broke
+    down included."""
+
+    def __init__(self, message, iterations=0):
+        super().__init__(message)
+        self.iterations = iterations
 
 
 class ParseError(ValueError):

@@ -96,8 +96,7 @@ def project_onto_face(
     ``s_N >= 0``, ``v >= 0`` and every convergence metric is at most
     ``tol``.  Each system is solved to a relative residual of
     ``_CG_TOL_SHARE * tol``.  A PCG breakdown, as on a singular face, is
-    a rejection; the iterations of a system that broke down are not
-    counted."""
+    a rejection; the iterations of a system that broke down count."""
     A, n = p.A, p.ncols
     d2_B = np.where(basic, d2, 0.0)
     cg_tol = _CG_TOL_SHARE * tol
@@ -117,8 +116,8 @@ def project_onto_face(
             return FaceProjection(None, cg_iterations)
         dual = pcg_solve(apply, factor, A.matvec(d2_B * p.c), cg_tol, max_iter)
         cg_iterations += dual.iterations
-    except NumericalBreakdown:
-        return FaceProjection(None, cg_iterations)
+    except NumericalBreakdown as exc:
+        return FaceProjection(None, cg_iterations + exc.iterations)
 
     y = dual.solution
     s = p.c - A.rmatvec(y)

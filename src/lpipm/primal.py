@@ -212,7 +212,11 @@ class NormalSolver:
             return A.matvec(d_sq * A.rmatvec(vec))
 
         def solve(rhs):
-            outcome = pcg_solve(apply_M, self.cache.factor, rhs, self.cfg.cg_tol, budget)
+            try:
+                outcome = pcg_solve(apply_M, self.cache.factor, rhs, self.cfg.cg_tol, budget)
+            except NumericalBreakdown as exc:
+                self.cg_iterations += exc.iterations
+                raise
             self.cg_iterations += outcome.iterations
             self.converged = self.converged and outcome.converged
             return outcome.solution

@@ -498,6 +498,41 @@ class TestNormalSolver:
         assert res.status == SolveStatus.NUMERICAL_FAILURE
         assert len(calls) == res.factorizations == 3
 
+    def test_pcg_breakdown_is_counted(self, monkeypatch):
+        import lpipm.primal as primal
+
+        # the fourth PCG run (a predictor's, of 20 iterations unharmed) meets
+        # a non-finite product at its third iteration: the solve fails, and
+        # the iterations of that run count
+        observed = []
+        real_pcg = primal.pcg_solve
+
+        def fourth_breaks_down(apply_M, *args):
+            if len(observed) == 3:
+                products = []
+
+                def poisoned(v):
+                    products.append(v)
+                    return apply_M(v) if len(products) < 3 else np.full_like(v, np.nan)
+
+                try:
+                    real_pcg(poisoned, *args)
+                except NumericalBreakdown as exc:
+                    observed.append(exc.iterations)
+                    raise
+            out = real_pcg(apply_M, *args)
+            observed.append(out.iterations)
+            return out
+
+        monkeypatch.setattr(primal, "pcg_solve", fourth_breaks_down)
+        p, start = feasible_instance(np.random.default_rng(1), 40, 90)
+        cfg = PrimalConfig(tau=0.28, mode=DELAYED_SCALING, cg_tol=1e-14)
+        res = primal_solve(p, cfg, start)
+        assert res.status == SolveStatus.NUMERICAL_FAILURE
+        assert "non-finite" in res.message
+        assert len(observed) == 4 and observed[-1] == 3
+        assert res.cg_iterations == sum(observed)
+
     def test_no_pcg_run_spends_its_budget_at_the_floor(self, monkeypatch):
         import lpipm.primal as primal
 

@@ -1,12 +1,27 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sps
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import lpipm.sparse
-from lpipm import SparseMatrix, cholesky_factorize, form_normal_matrix
-from lpipm.sparse import DENSE_FILL, disjoint_rows
+from lpipm import (
+    DELAYED_SCALING,
+    PdConfig,
+    PrimalConfig,
+    SolveStatus,
+    SparseMatrix,
+    cholesky_factorize,
+    form_normal_matrix,
+    generate_instance,
+    parse_mps,
+    pd_solve,
+    pd_starting_point,
+    primal_solve,
+    to_standard_form,
+)
+from lpipm.sparse import DENSE_FILL, AssemblyPlan, disjoint_rows
 
 # one fill on each side of DENSE_FILL, so both product kernels run
 BOTH_KERNELS = pytest.mark.parametrize(
@@ -129,8 +144,8 @@ class TestFormNormalMatrix:
             assert np.array_equal(D, D.T)
 
     def test_sparse_kernel_matches_int32_scipy(self):
-        # the int64 index arrays give bitwise the product of scipy's own
-        # int32 copies
+        # the plan's assembly reads as scipy's own product of int32 copies,
+        # to rounding, and its to_dense is bitwise symmetric
         rng = np.random.default_rng(5)
         A = SparseMatrix.from_dense(_with_fill(rng, 30, 70, DENSE_FILL / 3))
         d = rng.uniform(0.01, 100.0, 70)
@@ -138,7 +153,11 @@ class TestFormNormalMatrix:
         assert B.indices.dtype == np.int32
         S = B @ B.T
         expected = ((S + S.T) * 0.5).toarray()
-        assert form_normal_matrix(A, d).to_dense().tobytes() == expected.tobytes()
+        M = form_normal_matrix(A, d)
+        assert M.plan.S.size == 0  # too small to split: the array is the whole M
+        dense = M.to_dense()
+        assert np.array_equal(dense, dense.T)
+        assert_allclose(dense, expected, rtol=1e-14, atol=1e-14 * np.abs(expected).max())
 
     def test_dimension_and_sign_errors(self):
         A = SparseMatrix.from_dense([[1.0, 1.0]])
@@ -160,16 +179,18 @@ class TestSplitNormalMatrix:
         A = SparseMatrix.from_dense(_with_fill(rng, 20, 45, DENSE_FILL / 3))
         d = rng.uniform(0.01, 100.0, 45)
         M = form_normal_matrix(A, d)
-        assert M.eliminated is not None
+        assert M.plan.S.size > 0
         return A, d, M, rng
 
     def test_reads_as_the_whole_matrix(self, split_always):
         A, d, M, rng = self._split(5)
-        # to_dense is bitwise the unsplit assembly of scipy's int32 product
+        # to_dense is scipy's int32 product to rounding, bitwise symmetric
         B = sps.csc_matrix(A.to_dense() * d)
         S = B @ B.T
         expected = ((S + S.T) * 0.5).toarray()
-        assert M.to_dense().tobytes() == expected.tobytes()
+        dense = M.to_dense()
+        assert np.array_equal(dense, dense.T)
+        assert_allclose(dense, expected, rtol=1e-14, atol=1e-14 * np.abs(expected).max())
         assert not M.to_dense().flags.writeable
         assert (M.nrows, M.ncols) == (20, 20)
         assert M.nnz == np.count_nonzero(expected)
@@ -179,50 +200,82 @@ class TestSplitNormalMatrix:
     def test_array_is_the_schur_complement(self, split_always):
         _, _, M, _ = self._split(6)
         full = M.to_dense()
-        S, R = M.eliminated.S, M.eliminated.R
+        S, R = M.plan.S, M.plan.R
         assert_array_equal(np.sort(np.concatenate((S, R))), np.arange(20))
         # M_SS is diagonal: the rows of S share no column
         M_SS = full[np.ix_(S, S)]
         assert_array_equal(M_SS, np.diag(np.diagonal(M_SS)))
-        assert_array_equal(M.eliminated.d_S, np.diagonal(M_SS))
+        assert_array_equal(M.plan.diagonal(M.lower), np.diagonal(full))
         C = M._array
         assert C.shape == (R.size, R.size)
-        assert np.array_equal(C, C.T)
-        assert not C.flags.writeable
+        assert C.flags.f_contiguous and not C.flags.writeable
+        assert not np.any(np.triu(C, 1))  # only the lower triangle is written
         expected = full[np.ix_(R, R)] - full[np.ix_(R, S)] @ (full[np.ix_(S, R)] / np.diagonal(M_SS)[:, None])
-        assert_allclose(C, expected, rtol=0.0, atol=1e-12 * np.abs(full).max())
+        assert_allclose(C, np.tril(expected), rtol=0.0, atol=1e-12 * np.abs(full).max())
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5])
     def test_shifted_rebuild_is_bitwise_symmetric_in_either_order(self, split_always, sigma):
+        # the rebuild at sigma gives one array whether it follows the
+        # rebuild at the other shift or not, and the whole matrix reads as
+        # bitwise symmetric
         _, _, M, _ = self._split(7)
-        E = M.eliminated
-        c_order = np.empty((E.R.size,) * 2)
-        f_order = np.empty((E.R.size,) * 2, order="F")
-        E.schur_complement_into(c_order, sigma)
-        E.schur_complement_into(f_order, sigma)
-        assert np.array_equal(c_order, c_order.T)
-        assert np.array_equal(c_order, f_order)
+        plan, lower = M.plan, M.lower
+        r = plan.R.size
+        fresh = np.zeros((r, r), order="F")
+        plan.fill(fresh, lower, sigma)
+        again = np.zeros((r, r), order="F")
+        plan.fill(again, lower, 0.5 - sigma)
+        again.fill(0.0)
+        plan.fill(again, lower, sigma)
+        assert np.array_equal(fresh, again)
+        assert not np.any(np.triu(fresh, 1))
+        dense = M.to_dense()
+        assert np.array_equal(dense, dense.T)
         if sigma == 0.0:
-            assert np.array_equal(c_order, M._array)
-        else:
-            root, W = E.coupling(sigma)
-            assert_allclose(root, np.sqrt(E.d_S + sigma), rtol=1e-15)
-            dense = E.M_RR.toarray() + sigma * np.eye(E.R.size) - (W @ W.T).toarray()
-            assert_allclose(c_order, dense, rtol=0.0, atol=1e-13 * np.abs(dense).max())
+            assert np.array_equal(fresh, M._array)
+        S, R = plan.S, plan.R
+        shifted = dense + sigma * np.eye(20)
+        root, W, W_T = plan.coupling(lower, sigma)
+        assert_allclose(root, np.sqrt(np.diagonal(shifted)[S]), rtol=1e-15)
+        assert_allclose(W.toarray(), shifted[np.ix_(R, S)] / root, rtol=1e-15)
+        assert_array_equal(W_T.toarray(), W.toarray().T)
+        expected = shifted[np.ix_(R, R)] - W.toarray() @ W.toarray().T
+        assert_allclose(fresh, np.tril(expected), rtol=0.0, atol=1e-13 * np.abs(expected).max())
+
+    def test_shifted_retry_is_rebuilt_from_the_plan(self, split_always):
+        # row 3 repeats row 2, so A D^2 A^T is singular and the unshifted
+        # attempt fails; the retry refills the array from the plan
+        rng = np.random.default_rng(10)
+        B = _with_fill(rng, 20, 45, DENSE_FILL / 3)
+        B[3] = B[2]
+        M = form_normal_matrix(SparseMatrix.from_dense(B), rng.uniform(0.5, 2.0, 45))
+        plan, lower = M.plan, M.lower
+        assert plan.S.size > 0
+        dense = M.to_dense()
+        f = cholesky_factorize(M)
+        sigma = f.diag_regularization
+        assert sigma > 0.0
+        shifted = np.zeros((plan.R.size,) * 2, order="F")
+        plan.fill(shifted, lower, sigma)
+        assert f.L.tobytes(order="F") == sla.cholesky(shifted, lower=True).tobytes(order="F")
+        assert not np.any(np.triu(f.L, 1))
+        v = rng.standard_normal(20)
+        expected = dense @ v + sigma * v
+        assert_allclose(f.product(v), expected, rtol=0.0, atol=1e-13 * np.abs(expected).max())
 
     def test_spent_matrix_keeps_its_shape_only(self, split_always):
         _, _, M, _ = self._split(8)
         cholesky_factorize(M)
         assert (M.nrows, M.ncols) == (20, 20)
-        assert M.eliminated is None
+        assert M.plan is None and M.lower is None
         for read in (M.to_dense, lambda: M.matvec(np.ones(20)), lambda: M.nnz):
             with pytest.raises(RuntimeError):
                 read()
 
     def test_dense_fill_never_splits(self, split_always):
         A = SparseMatrix.from_dense(_with_fill(np.random.default_rng(9), 20, 45, 1.0))
-        assert A._dense is not None and A._row_split is None
-        assert form_normal_matrix(A, np.ones(45)).eliminated is None
+        assert A._dense is not None and A._plan is None
+        assert form_normal_matrix(A, np.ones(45)).plan is None
 
 
 def _reference_disjoint_rows(supports):
@@ -274,11 +327,110 @@ def test_disjoint_rows_on_random_patterns(data):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lpipm.sparse, "MIN_SAVED_FLOPS", 0.0)
-        split = SparseMatrix.from_dense(B)._row_split
-    if S.size in (0, m):
-        assert split is None
-    else:
-        S_split, R = split
-        assert_array_equal(S_split, S)
-        assert np.all(np.diff(R) > 0)
-        assert_array_equal(np.sort(np.concatenate((S, R))), np.arange(m))
+        plan = SparseMatrix.from_dense(B)._plan
+    S_split, R = plan.S, plan.R
+    assert_array_equal(S_split, [] if S.size in (0, m) else S)
+    assert np.all(np.diff(R) > 0)
+    assert_array_equal(np.sort(np.concatenate((S_split, R))), np.arange(m))
+
+
+def _count_analyses(monkeypatch):
+    """The list to which every symbolic analysis of a product pattern
+    appends one entry."""
+    calls = []
+    real = AssemblyPlan._analyse
+
+    def counted(self, indptr, indices):
+        calls.append(indices.size)
+        return real(self, indptr, indices)
+
+    monkeypatch.setattr(AssemblyPlan, "_analyse", counted)
+    return calls
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_plan_assembly_on_random_patterns(data):
+    """The array of the plan's assembly, with and without eliminated rows,
+    is the lower triangle of the Schur complement of a dense reference,
+    and its strict upper triangle is exactly zero."""
+    m = data.draw(st.integers(1, 12), label="m")
+    n = data.draw(st.integers(1, 16), label="n")
+    split = data.draw(st.booleans(), label="split")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    B = np.zeros((m, n))
+    for i in range(m):
+        k = data.draw(st.integers(0, min(n, 4)))  # 0: an empty row
+        B[i, rng.choice(n, k, replace=False)] = rng.uniform(0.5, 2.0, k) * rng.choice([-1.0, 1.0], k)
+    # zero columns put the fill below DENSE_FILL, so A takes the sparse path
+    B = np.hstack((B, np.zeros((m, 10 * np.count_nonzero(B) + 1))))
+    d = rng.uniform(0.1, 10.0, B.shape[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpipm.sparse, "MIN_SAVED_FLOPS", 0.0 if split else np.inf)
+        A = SparseMatrix.from_dense(B)
+        M = form_normal_matrix(A, d)
+    plan = M.plan
+    assert plan is A._plan
+    S, R = plan.S, plan.R
+    if not split:
+        assert S.size == 0
+    full = (B * d) @ (B * d).T
+    scale = max(np.abs(full).max(), 1.0)
+    pivots = np.diagonal(full)[S]
+    expected = full[np.ix_(R, R)] - full[np.ix_(R, S)] @ (full[np.ix_(S, R)] / pivots[:, None])
+    C = M._array
+    assert C.shape == (R.size, R.size) and C.flags.f_contiguous
+    assert not np.any(np.triu(C, 1))
+    assert_allclose(C, np.tril(expected), rtol=1e-14, atol=1e-14 * scale)
+    dense = M.to_dense()
+    assert np.array_equal(dense, dense.T)
+    assert_allclose(dense, full, rtol=1e-14, atol=1e-14 * scale)
+    assert M.nnz == np.count_nonzero(dense)
+    v = rng.standard_normal(m)
+    assert_allclose(M.matvec(v), full @ v, rtol=1e-13, atol=1e-13 * scale * np.abs(v).sum())
+
+
+def test_one_analysis_per_matrix_across_scalings(monkeypatch, split_always):
+    calls = _count_analyses(monkeypatch)
+    rng = np.random.default_rng(11)
+    A = SparseMatrix.from_dense(_with_fill(rng, 20, 45, DENSE_FILL / 3))
+    for _ in range(10):
+        M = form_normal_matrix(A, rng.uniform(0.01, 100.0, 45))
+        assert M.plan is A._plan and M.plan.S.size > 0
+        cholesky_factorize(M)
+    assert len(calls) == 1
+
+
+def test_cancelled_entry_is_analysed_for_its_product_only(monkeypatch):
+    # rows 0 and 1 share columns 0 and 1 with products 1 and -1: at d = 1
+    # their entry of M cancels to zero and scipy drops it
+    calls = _count_analyses(monkeypatch)
+    B = np.zeros((3, 40))
+    B[0, :2] = [1.0, 1.0]
+    B[1, :2] = [1.0, -1.0]
+    B[2, 2] = 1.0
+    A = SparseMatrix.from_dense(B)
+    plan = A._plan
+    assert len(calls) == 1
+    cancelled = form_normal_matrix(A, np.ones(40))
+    assert len(calls) == 2 and cancelled.plan is not plan and A._plan is plan
+    assert_array_equal(cancelled.to_dense(), np.diag([2.0, 2.0, 1.0]))
+    d = np.ones(40)
+    d[1] = 2.0
+    M = form_normal_matrix(A, d)
+    assert len(calls) == 2 and M.plan is plan
+    assert_array_equal(M.to_dense(), [[5.0, -3.0, 0.0], [-3.0, 5.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def test_one_analysis_across_pd_and_primal(monkeypatch):
+    calls = _count_analyses(monkeypatch)
+    # the benchmark's sparse_wide family at its smoke size: sparse fill
+    std = to_standard_form(parse_mps(generate_instance(60, 140, 1, density=4 / 60).mps_text))
+    assert std.A._dense is None
+    pd = pd_solve(std, PdConfig())
+    cfg = PrimalConfig(tau=0.28, cg_tol=1e-12, mode=DELAYED_SCALING)
+    primal = primal_solve(std, cfg, pd_starting_point(std))
+    assert pd.status == primal.status == SolveStatus.OPTIMAL
+    assert pd.factorizations > 1 and primal.factorizations > 1
+    assert len(calls) == 1
