@@ -14,12 +14,12 @@ factor's strict upper triangle is zeroed at the end.
 On a sparse ``A`` (see :mod:`lpipm.sparse`) the array holds only a lower
 triangle, its strict upper one zero, so the factor needs no zeroing,
 and a retry rebuilds the array from the matrix's assembly plan.  The
-normal matrix may arrive with a set ``S`` of rows already eliminated:
-its array is then the Schur complement over the other rows ``R``,
-``dpotrf`` factors only that ``|R| x |R|`` block, and the factor keeps
-the diagonal pivots of ``S`` and the sparse coupling block beside ``L``.
-Apart from that the order is the natural one: a dense factor does the
-same flops in any order.
+plan's rounds of elimination may take rows ahead of ``dpotrf``: the
+array is then the Schur complement they leave over the other rows,
+``dpotrf`` factors only that block, and the factor keeps, level by
+level, the diagonal pivots of each round's rows and its sparse coupling
+block beside ``L``.  Apart from that the order is the natural one: a
+dense factor does the same flops in any order.
 
 :func:`minimum_degree_ordering` computes a symmetric minimum-degree
 ordering of a sparse pattern.  The factorization does not use it.
@@ -98,17 +98,18 @@ def minimum_degree_ordering(M: SparseMatrix) -> np.ndarray:
 class CholeskyFactor:
     """Factor ``M + sigma*I = P^T L L^T P``, with ``sigma`` the applied
     ``diag_regularization`` and ``P`` the permutation that orders the rows
-    of ``M`` as ``(S, R)``.
+    of ``M`` as the ``levels`` eliminate them, the dense factor's rows
+    last.
 
-    In that order the factor is ``[[diag(root_S), 0], [W, L]]``: the rows
-    ``S`` were eliminated ahead of the dense factor, with ``root_S =
-    sqrt(d_S + sigma)`` and the sparse ``W = M_RS (D_S + sigma I)^{-1/2}``
-    (given with its transpose ``W_T``, both CSR on patterns fixed by the
-    assembly plan), and ``L`` is the dense lower factor of the Schur
-    complement over the rows ``R`` (see :mod:`lpipm.sparse`).  Without
-    an eliminated block (``S`` None) ``P`` is the identity and ``L`` is
-    the whole factor.  ``L`` is LAPACK's column-major output, read-only,
-    which the BLAS triangular solves read in place.
+    Each :class:`~lpipm.sparse.Level` eliminates its rows ``S`` from the
+    matrix the levels before it left, over the rows it keeps, ``R``: in
+    the order ``(S, R)`` that matrix's factor is ``[[diag(root), 0], [W,
+    L']]``, with ``L'`` the factor of the next level, and the last
+    level's ``L'`` is ``L``, the dense lower factor of the Schur
+    complement over the rows no level eliminates (see
+    :mod:`lpipm.sparse`).  Without levels ``P`` is the identity and ``L``
+    is the whole factor.  ``L`` is LAPACK's column-major output,
+    read-only, which the BLAS triangular solves read in place.
 
     ``solve`` and ``product`` work in the coordinates of ``M``.  The
     half-solves are a pair for symmetric preconditioning:
@@ -118,17 +119,13 @@ class CholeskyFactor:
     which is similar to ``(M + sigma I)^-1 X``.
     """
 
-    __slots__ = ("L", "diag_regularization", "S", "R", "root_S", "W", "_W_T")
+    __slots__ = ("L", "diag_regularization", "levels", "dimension")
 
-    def __init__(self, L: np.ndarray, diag_regularization: float, S=None, R=None,
-                 root_S=None, W=None, W_T=None):
+    def __init__(self, L: np.ndarray, diag_regularization: float, levels=()):
         self.L = L
         self.diag_regularization = diag_regularization
-        self.S, self.R, self.root_S, self.W, self._W_T = S, R, root_S, W, W_T
-
-    @property
-    def dimension(self) -> int:
-        return self.L.shape[0] + (0 if self.S is None else self.S.size)
+        self.levels = levels
+        self.dimension = L.shape[0] + sum(level.S.size for level in levels)
 
     def _checked(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
@@ -138,22 +135,29 @@ class CholeskyFactor:
 
     def _forward(self, b) -> np.ndarray:
         """``L^-1 P b`` with the whole factor, in the permuted coordinates."""
-        if self.S is None:
+        if not self.levels:
             return dtrsv(self.L, b, lower=1)
-        y_S = b[self.S] / self.root_S
-        y_R = dtrsv(self.L, b[self.R] - self.W @ y_S, overwrite_x=1, lower=1)
-        return np.concatenate((y_S, y_R))
+        parts = []
+        for level in self.levels:
+            y_S = b[level.S] / level.root
+            b = b[level.R] - level.W @ y_S
+            parts.append(y_S)
+        parts.append(dtrsv(self.L, b, overwrite_x=1, lower=1))
+        return np.concatenate(parts)
 
     def _backward(self, y) -> np.ndarray:
         """``P^T L^-T y`` with the whole factor, in ``M``'s coordinates."""
-        if self.S is None:
+        if not self.levels:
             return dtrsv(self.L, y, lower=1, trans=1)
-        k = self.S.size
-        x_R = dtrsv(self.L, y[k:], lower=1, trans=1)
-        x = np.empty(self.dimension)
-        x[self.R] = x_R
-        x[self.S] = (y[:k] - self._W_T @ x_R) / self.root_S
-        return x
+        end = y.size - self.L.shape[0]
+        x_R = dtrsv(self.L, y[end:], lower=1, trans=1)
+        for level in reversed(self.levels):
+            start = end - level.S.size
+            x = np.empty(end - start + x_R.size)
+            x[level.R] = x_R
+            x[level.S] = (y[start:end] - level.W_T @ x_R) / level.root
+            x_R, end = x, start
+        return x_R
 
     def solve(self, rhs) -> np.ndarray:
         """Solve ``(M + sigma I) x = rhs``."""
@@ -171,16 +175,20 @@ class CholeskyFactor:
 
     def product(self, v) -> np.ndarray:
         """``P^T L L^T P v = (M + sigma I) v`` as the factor computes it."""
-        v = self._checked(v)
+        return self._product(self._checked(v), 0)
+
+    def _product(self, v, k) -> np.ndarray:
+        """The product with the factor of levels ``k`` on, ``v`` in the
+        coordinates of the rows level ``k`` starts from."""
         L = self.L
-        if self.S is None:
+        if k == len(self.levels):
             return dtrmv(L, dtrmv(L, v, lower=1, trans=1), lower=1, overwrite_x=1)
-        v_R = v[self.R]
-        u_S = self.root_S * v[self.S] + self._W_T @ v_R
-        x = np.empty(self.dimension)
-        x[self.S] = self.root_S * u_S
-        x[self.R] = self.W @ u_S + dtrmv(L, dtrmv(L, v_R, lower=1, trans=1), lower=1,
-                                         overwrite_x=1)
+        level = self.levels[k]
+        v_R = v[level.R]
+        u_S = level.root * v[level.S] + level.W_T @ v_R
+        x = np.empty(v.size)
+        x[level.S] = level.root * u_S
+        x[level.R] = level.W @ u_S + self._product(v_R, k + 1)
         return x
 
 
@@ -199,14 +207,16 @@ def cholesky_factorize(M: NormalMatrix) -> CholeskyFactor:
     The :class:`NormalMatrix` is symmetric by construction, so no
     symmetry check is made, and it is spent: its array becomes ``L``,
     and afterwards it reports its shape but no entries.  When it carries
-    eliminated rows, its array is the Schur complement ``C``; the shift
-    applies to the whole ``M``, so each retry rebuilds ``C(sigma) = M_RR
-    + sigma I - M_RS (D_S + sigma I)^-1 M_SR``, and ``max|M_ii|`` runs
-    over the whole diagonal.
+    eliminated levels, its array is the Schur complement ``C`` they
+    leave; the shift applies to the whole ``M``, so each retry rebuilds
+    every level and ``C`` at ``M + sigma I``, and ``max|M_ii|`` runs over
+    the whole diagonal.  A pivot of a level that is not positive fails
+    like a pivot of ``dpotrf``: the next shift is tried, and the pivot is
+    never divided by.
     """
     if M.nrows != M.ncols:
         raise ValueError("matrix must be square")
-    plan, lower = M.plan, M.lower
+    plan, lower, levels = M.plan, M.lower, M.levels
     # on the dense path the array is symmetric, so it or its transpose is
     # M in Fortran order; on the sparse path it is F-ordered already
     a = M.take_array()
@@ -219,23 +229,22 @@ def cholesky_factorize(M: NormalMatrix) -> CholeskyFactor:
     for _ in range(_MAX_REG_RETRIES + 1):
         if sigma != 0.0 and plan is not None:
             a.fill(0.0)
-            plan.fill(a, lower, sigma)
+            levels = plan.fill(a, lower, sigma)
         elif sigma != 0.0:
             # the failed attempt left the strict upper triangle intact
             for j in range(a.shape[0]):
                 a[j + 1:, j] = a[j, j + 1:]
             np.fill_diagonal(a, diag + sigma)
-        L, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
-        if info != 0:
-            sigma = base if sigma == 0.0 else sigma * 10.0
-            continue
-        if plan is None:
-            for j in range(1, L.shape[0]):  # the strict upper triangle still holds the matrix
-                L[:j, j] = 0.0
-        L.flags.writeable = False
-        if plan is None or plan.S.size == 0:
-            return CholeskyFactor(L, sigma)
-        return CholeskyFactor(L, sigma, plan.S, plan.R, *plan.coupling(lower, sigma))
+        if levels is not None:  # None: a pivot of an eliminated level failed
+            L, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
+            if info == 0:
+                if plan is None:
+                    # the strict upper triangle still holds the matrix
+                    for j in range(1, L.shape[0]):
+                        L[:j, j] = 0.0
+                L.flags.writeable = False
+                return CholeskyFactor(L, sigma, levels)
+        sigma = base if sigma == 0.0 else sigma * 10.0
     raise FactorizationFailed(
         f"no acceptable pivots after {_MAX_REG_RETRIES} regularization retries "
         f"(last sigma {sigma:.3e})"

@@ -16,14 +16,19 @@ sparse path the pattern of ``M`` is the same for every scaling ``D``, so
 Sparse Positive Definite Systems*, 1981), and each assembly does numeric
 work only: scipy's product for the values of ``M``, and gathers into a
 zero-filled array of which only the lower triangle, the one LAPACK
-reads, is written.  The plan also picks a set ``S`` of rows whose
-column supports are pairwise disjoint (:func:`disjoint_rows`).  Then
-``M_SS`` is diagonal for every ``D``, so eliminating ``S`` first is an
-exact Cholesky step with no fill inside ``S`` (one step of multiple
-minimum-degree elimination), and the array is only the Schur complement
-``C = M_RR - M_RS M_SS^-1 M_SR`` over the other rows ``R``.  The split is
+reads, is written.  The plan also orders the elimination by rounds of
+multiple minimum-degree elimination (Liu, ACM TOMS 11(2), 1985).  The
+first round takes a set ``S`` of rows whose column supports are
+pairwise disjoint (:func:`disjoint_rows`): ``M_SS`` is diagonal for
+every ``D``, so eliminating ``S`` first is an exact Cholesky step with no
+fill inside ``S``.  Each later round takes an independent set in the
+pattern of the Schur complement the rounds before it left, fewest
+neighbours first, while a row's share of the Schur update costs less
+than the dense work its elimination saves.  The array is only the Schur
+complement over the rows ``R`` that no round takes.  The first round is
 taken when it saves at least :data:`MIN_SAVED_FLOPS` of the dense
-factorization.
+factorization, and a later one when it saves that much net of its
+update, at :data:`PAIR_FLOPS` flops a gather.
 """
 
 from __future__ import annotations
@@ -44,16 +49,35 @@ import scipy.sparse as sps
 DENSE_FILL = 0.1
 
 # dpotrf flops, (m^3 - |R|^3) / 3, that eliminating the rows S must save
-# before a sparse A splits.  The split costs sparse work per assembly and
-# solve (the Schur update, the coupling block W).  With one BLAS thread,
-# on sparse_wide's family (4 nonzeros per column, n = 2.2 m) with the
-# split at m = 600, 800, 1000, 1200 and 1500, assembly plus factorization
-# plus 3 solves broke even at 7e7 to 9e7 saved flops when each assembly
-# sliced M and formed W W^T in scipy: the split was 18% slower at m 600
-# (3e7 saved) and 27% faster at m 1500 (4.7e8 saved).  The plan's
-# gathers make the Schur update cheaper, so the break-even may now lie
-# lower; it has not been measured again.
-MIN_SAVED_FLOPS = 1e8
+# before a sparse A splits, and that a later round must save net of its
+# gathers.  A level of elimination costs sparse work per assembly and
+# per solve (the Schur update, the coupling block W).  With one BLAS
+# thread, on sparse_wide's family (4 nonzeros per column, n = 2.2 m),
+# interleaved medians of assembly plus factorization plus k solves, with
+# the first round against without it: at m 400 (8.7e6 flops saved) +6.5%
+# at k = 3; at m 500 (1.7e7) -7.6% at k = 3 and +2.0% at k = 16; at m 600
+# (3.0e7) -10% and -3%; at m 700 (4.8e7) -19% and -14%; at m 1500 (4.7e8)
+# -36%.  A later round, forced at m 800, 1000 and 1200 (1.4e7, 2.7e7 and
+# 7.3e7 flops saved, 1.2e7 net of its gathers at m 1000), read -0.4%,
+# -4.3% and -10% at k = 3 and +4%, 0% and -8% at k = 16.  So a level breaks
+# even near 1.2e7 for pd (about 3 solves per factorization) and 2e7 for
+# the primal engine (about 16 per refresh).  Before the plan made the
+# Schur update gathers (when each assembly sliced M and formed W W^T in
+# scipy) the first round broke even at 7e7 to 9e7.
+MIN_SAVED_FLOPS = 2e7
+
+# dpotrf flops that one gather of a Schur update is priced at: a row
+# joins a round after the first only while its gathers cost less than the
+# dense flops its elimination saves (see _next_round).  On the first
+# sparse_wide instance (m 1500, one BLAS thread) the second round's update
+# takes 7.2 ns a gather (74k gathers, 70k of them pairs) and dpotrf 17.5 ps
+# a flop between orders 1250 and 1136: about 400.  With the protocol of
+# MIN_SAVED_FLOPS there (k = 3, 31 scalings, two runs), 350, 500, 700, 1000
+# and 1400 took 109, 106, 100, 92 and 73 rows and read -12.9%, -12.4%,
+# -11.3%, -11.6% and -7.8%.  700 is kept: the rows that 400 would add
+# bring a fifth more pairs and 0.1 to 0.2 MB more plan for about 1% of a
+# refresh.
+PAIR_FLOPS = 700.0
 
 
 def _on_arrays(kind, shape, data, indices, indptr):
@@ -223,17 +247,86 @@ def disjoint_rows(A: SparseMatrix) -> np.ndarray:
     row already chosen.  Empty rows are never chosen: their pivot in
     ``A D^2 A^T`` is zero."""
     rows = A._csc.tocsr()
-    ptr, cols = rows.indptr, rows.indices
-    counts = np.diff(ptr)
+    counts = np.diff(rows.indptr)
     order = np.argsort(counts, kind="stable")
-    taken = np.zeros(A.ncols, dtype=bool)
+    # a Python loop over a memoryview and a bytearray: a numpy call per row
+    # costs more than the few entries it reads, and a list of the indices
+    # would hold a Python int per entry of A
+    ptr, cols = rows.indptr.tolist(), memoryview(rows.indices)
+    taken = bytearray(A.ncols)
     chosen = []
     for i in order[counts[order] > 0].tolist():
         support = cols[ptr[i]:ptr[i + 1]]
-        if not taken[support].any():
-            taken[support] = True
+        if not any(map(taken.__getitem__, support)):
+            for j in support:
+                taken[j] = 1
             chosen.append(i)
     return np.sort(np.array(chosen, dtype=np.int64))
+
+
+# Entries of a coupling block whose pairs of the Schur update an assembly
+# multiplies and sums at a time.  All of a round's products at once held
+# 16 bytes a pair beside the array (62k to 81k pairs in the second round
+# on sparse_wide): over 3 rounds of the benchmark's 9 solves, forked as
+# it forks them, their peak RSS read 0.2 to 0.3 MB above the chunked
+# fill's on average (seeds 1 and 4).  From 512 entries up the fill takes
+# no longer.
+_ENTRIES = 1024
+
+
+def _next_round(pattern: np.ndarray, r: int) -> np.ndarray:
+    """Ascending rows that the next round eliminates from the order-``r``
+    matrix with this symmetric boolean pattern, which holds its entries
+    between the rows not yet eliminated; empty when no round pays.
+
+    Rows with a diagonal entry are taken greedily, fewest neighbours
+    first, ties to the lower index, when no neighbour of theirs was taken:
+    an independent set, so the round's pivots are diagonal entries and it
+    makes no fill among its own rows.  A row with ``g`` neighbours adds
+    ``g (g + 1) / 2`` pairs to the Schur update, and ``g + 1`` entries to
+    gather (its coupling entries and pivot), and takes about ``q^2``
+    flops off ``dpotrf``, ``q`` the order it leaves behind; it joins while
+    those ``(g + 1) (g + 2) / 2`` gathers cost less than that at
+    :data:`PAIR_FLOPS` flops each, and the round is taken when the flops
+    it saves, less those of its gathers, reach :data:`MIN_SAVED_FLOPS`.
+    At least one row stays.
+    """
+    rows = np.flatnonzero(pattern.diagonal())
+    degree = pattern.sum(axis=1, dtype=np.int32)[rows] - 1
+    order = np.argsort(degree, kind="stable")
+    blocked = np.zeros(pattern.shape[0], dtype=bool)
+    taken, gathers, left = [], 0, r
+    for v, g in zip(rows[order].tolist(), degree[order].tolist()):
+        cost = (g + 1) * (g + 2) // 2
+        if left == 1 or PAIR_FLOPS * cost >= left * left:
+            break
+        if not blocked[v]:
+            blocked |= pattern[v]
+            taken.append(v)
+            gathers += cost
+            left -= 1
+    if not taken or (r**3 - left**3) / 3 - PAIR_FLOPS * gathers < MIN_SAVED_FLOPS:
+        return np.empty(0, dtype=np.int64)
+    return np.sort(np.array(taken, dtype=np.int64))
+
+
+def _pairs(t_ptr: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(per, pair_b)``: the pairs of the Schur update of a coupling block
+    whose transpose has the CSR pattern ``t_ptr`` (rows ``s``).
+
+    Per row of the pattern, every pair ``(a, b)`` of its entries with
+    ``b`` at or before ``a``: pairs come in ascending rows, the order in
+    which scipy's product would sum them, and in ascending ``a``, each
+    entry ``a`` in ``per[a]`` of them; pair ``k`` has ``b = pair_b[k]``.
+    """
+    first = t_ptr[s]
+    per = np.arange(s.size, dtype=first.dtype) - first + 1
+    ends = np.cumsum(per)
+    n = int(ends[-1]) if ends.size else 0
+    ptype = _index_dtype(n)
+    pair_b = np.repeat((first + per - ends).astype(ptype), per)
+    pair_b += np.arange(n, dtype=ptype)
+    return per, pair_b
 
 
 def _index_dtype(bound: int):
@@ -248,30 +341,53 @@ def _starts(counts: np.ndarray) -> np.ndarray:
     return ptr
 
 
-class _Elimination(NamedTuple):
-    """The part of an :class:`AssemblyPlan` that eliminates the rows ``S``.
+class Level(NamedTuple):
+    """One level of the factor: the rows ``S`` eliminated ahead of the
+    rows ``R`` that the next level, or the dense factor, takes.  Both are
+    positions among the rows the level before kept (the rows of ``M``
+    for the first level).  ``root`` holds the square roots of the pivots
+    of ``S`` and ``W`` (``|R| x |S|``, with its transpose ``W_T``, both
+    CSR) the coupling block: the entries of ``C_RS diag(root)^-1`` for
+    the matrix ``C`` that the level eliminates from."""
 
-    ``entries`` are the positions, in the plan's lower-triangle values, of
-    the entries of ``M_RS``, ordered by their row of ``S`` (``s``) and
-    then by their row of ``R``: the CSR order of ``W^T`` (``|S| x |R|``,
-    pattern ``t_ptr``, ``t_cols``).  ``w_order`` reorders them into the
-    CSR order of ``W`` (pattern ``w_ptr``, ``w_cols``).  Pair ``k`` of the
-    Schur update is ``W_is W_js`` with ``(i, s)`` entry ``pair_a[k]`` and
-    ``(j, s)`` entry ``pair_b[k]`` of ``W^T``, ``i >= j``; it lands in
-    slot ``pair_slot[k]``, whose place in the F-ordered array is
-    ``slot_dest``."""
+    S: np.ndarray
+    R: np.ndarray
+    root: np.ndarray
+    W: sps.csr_matrix
+    W_T: sps.csr_matrix
 
-    entries: np.ndarray
+
+class _Round(NamedTuple):
+    """The symbolic part of one :class:`Level` in an :class:`AssemblyPlan`.
+
+    The plan's slots hold the entries that each round eliminates: its
+    pivots, the diagonal entries of ``S``, from slot ``start`` on, and
+    then the entries of ``C_RS``, ordered by their row of ``S`` (``s``)
+    and then by their row of ``R``: the CSR order of ``W^T`` (``|S| x
+    |R|``, pattern ``t_ptr``, ``t_cols``).  ``w_order`` reorders them into
+    the CSR order of ``W`` (pattern ``w_ptr``, ``w_cols``).  The pairs of
+    the Schur update, ``W_is W_js`` with ``i >= j``, come entry by entry
+    of ``W^T``: those with ``(i, s)`` entry ``a`` are ``pair_ptr[a]`` up to
+    ``pair_ptr[a + 1]``; pair ``k`` has ``(j, s)`` entry ``pair_b[k]`` of
+    ``W^T``, and it lands in
+    destination ``pair_slot[k]``: the first ``to_slots.size`` are slots,
+    entries that a later round eliminates, and the others are the places
+    ``to_array`` in the F-ordered array."""
+
+    S: np.ndarray
+    R: np.ndarray
+    start: int
     s: np.ndarray
     t_ptr: np.ndarray
     t_cols: np.ndarray
     w_order: np.ndarray
     w_ptr: np.ndarray
     w_cols: np.ndarray
-    pair_a: np.ndarray
+    pair_ptr: np.ndarray
     pair_b: np.ndarray
     pair_slot: np.ndarray
-    slot_dest: np.ndarray
+    to_slots: np.ndarray
+    to_array: np.ndarray
 
 
 class AssemblyPlan:
@@ -279,28 +395,28 @@ class AssemblyPlan:
     pattern is the same for every positive scaling ``D``, so it is
     analysed once per matrix and each assembly does numeric work only.
 
-    The rows of ``M`` split into ``S``, eliminated ahead of the dense
-    factor (empty when that does not pay), and the other rows ``R``.  The
-    values of ``M`` come from scipy's product ``B B^T`` with ``B = A D``;
-    only the entries on and below its diagonal are read, and the plan
-    records where each one goes: an entry of ``M_RR`` to its place in the
-    lower triangle of the F-ordered ``|R| x |R|`` array that the
-    factorization takes, an entry of ``M_RS`` to the coupling block ``W``
-    of the factor, whose CSR patterns (of ``W`` and ``W^T``) are fixed
-    here, and a diagonal entry to the diagonal of ``M``.  It also holds the gather lists of the
-    Schur update ``sum_s M_is M_js / (M_ss + sigma)``, one pair of
-    entries of ``M_RS`` per ``(i >= j, s)``.  Its memory is O(nnz(M) +
-    those pairs).
+    Rounds of elimination take rows ahead of the dense factor: the first
+    the row-disjoint rows ``S`` it is given (none when that does not
+    pay), each later one an independent set in the pattern the rounds
+    before left (:func:`_next_round`), while one pays.  The other rows, ``R``, form
+    the dense factor.  The values of ``M`` come from scipy's product
+    ``B B^T`` with ``B = A D``; only the entries on and below its diagonal
+    are read, and the plan records where each one goes: an entry between
+    two rows of ``R`` to its place in the lower triangle of the F-ordered
+    ``|R| x |R|`` array that the factorization takes, any other to a slot,
+    and a diagonal entry also to the diagonal of ``M``.  Per round it holds
+    the fixed CSR patterns of its coupling block and the gather lists of
+    its Schur update, one pair of coupling entries per ``(i >= j, s)``.
+    Its memory is O(nnz(M) + those pairs).
     """
 
-    __slots__ = ("S", "R", "_shape", "_values", "_row_idx", "_col_ptr", "_col_of_entry",
-                 "_indptr", "_lower_src", "_lower_rows", "_diag_idx", "_diag_rows",
-                 "_rr", "_rr_dest", "_elimination")
+    __slots__ = ("S", "R", "_shape", "_values", "_row_idx", "_col_ptr",
+                 "_col_of_entry", "_indptr", "_lower_src", "_lower_rows", "_diag_idx",
+                 "_diag_rows", "_rr", "_rr_dest", "_slot_src", "_slot_dest", "_nslots",
+                 "_rounds")
 
     def __init__(self, A: SparseMatrix, S: np.ndarray):
-        keep = np.ones(A.nrows, dtype=bool)
-        keep[S] = False
-        self.S, self.R = S, np.flatnonzero(keep)
+        self.S = S
         self._shape, self._values = A.shape, A.values
         # int32 operands keep scipy's product in int32: int64 ones make it
         # build int64 indices and then an int32 copy, which on a 640k-entry
@@ -324,10 +440,9 @@ class AssemblyPlan:
                               self._col_ptr)
 
     def _analyse(self, indptr: np.ndarray, indices: np.ndarray) -> None:
-        """Record where each entry on or below the diagonal of the product
-        with this CSC pattern goes."""
-        m, S, R = self._shape[0], self.S, self.R
-        r = R.size
+        """Pick the rounds for the product with this CSC pattern, and
+        record where each entry on or below its diagonal goes."""
+        m = self._shape[0]
         itype = _index_dtype(max(indices.size, m))
         cols = np.repeat(np.arange(m, dtype=itype), np.diff(indptr))
         src = np.flatnonzero(indices >= cols).astype(itype)
@@ -335,45 +450,133 @@ class AssemblyPlan:
         self._indptr, self._lower_src, self._lower_rows = indptr, src, rows
         diag = np.flatnonzero(rows == cols).astype(itype)
         self._diag_idx, self._diag_rows = diag, rows[diag]
-        dtype = _index_dtype(r * r)
+        S = self.S
+        keep = np.ones(m, dtype=bool)
+        keep[S] = False
+        R0 = np.flatnonzero(keep)
+        r0 = R0.size
+        dtype = _index_dtype(r0 * r0)
         pos = np.full(m, -1, dtype=dtype)
-        pos[R] = np.arange(r, dtype=dtype)
+        pos[R0] = np.arange(r0, dtype=dtype)
         pr, pc = pos[rows], pos[cols]
+        self._rounds = ()
         if S.size == 0:
-            self._rr, self._rr_dest, self._elimination = None, pr + pc * r, None
+            self.R, self._rr, self._rr_dest = R0, None, pr + pc * r0
             return
-        in_r, in_c = pr >= 0, pc >= 0
-        rr = np.flatnonzero(in_r & in_c).astype(itype)
-        self._rr, self._rr_dest = rr, pr[rr] + pc[rr] * r
 
-        # an entry of M_RS sits below the diagonal as (i, s) or as (s, i)
+        # the first round's entries of C_RS = M_RS, in the CSR order of
+        # W^T; one sits below the diagonal as (i, s) or as (s, i)
+        in_r, in_c = pr >= 0, pc >= 0
         coupled = np.flatnonzero(in_r != in_c)
         row_in_r = in_r[coupled]
-        i_R = np.where(row_in_r, pr[coupled], pc[coupled])
+        t_cols = np.where(row_in_r, pr[coupled], pc[coupled])
         s_pos = np.full(m, -1, dtype=itype)
         s_pos[S] = np.arange(S.size, dtype=itype)
         s = s_pos[np.where(row_in_r, cols[coupled], rows[coupled])]
-        order = np.lexsort((i_R, s))
-        entries, t_cols, s = coupled[order].astype(itype), i_R[order], s[order]
-        t_ptr = _starts(np.bincount(s, minlength=S.size))
-        w_order = np.argsort(t_cols, kind="stable").astype(itype)
+        order = np.lexsort((t_cols, s))
+        coupled, t_cols, s = coupled[order].astype(itype), t_cols[order], s[order]
+        pivots = np.full(m, -1, dtype=itype)
+        pivots[self._diag_rows] = diag
+        first_slots, n0 = [pivots[S], coupled], S.size + coupled.size
 
-        # per row of W^T, every pair (a, b) with b at or before a: the row
-        # is ascending in R, so (t_cols[a], t_cols[b]) is on or below the
-        # diagonal; pairs come in ascending s, the order in which scipy's
-        # W W^T would sum them
-        first = t_ptr[s]
-        per = np.arange(entries.size) - first + 1
-        pair_a = np.repeat(np.arange(entries.size, dtype=itype), per)
-        block = np.repeat(np.cumsum(per) - per, per)
-        pair_b = (np.repeat(first, per) + (np.arange(pair_a.size) - block)).astype(itype)
-        slot_dest, pair_slot = np.unique(t_cols[pair_a] + t_cols[pair_b] * r,
-                                         return_inverse=True)
-        self._elimination = _Elimination(
-            entries, s, t_ptr, t_cols, w_order, _starts(np.bincount(t_cols, minlength=r)),
-            s[w_order], pair_a, pair_b, pair_slot.astype(_index_dtype(slot_dest.size)),
-            slot_dest,
-        )
+        # the later rounds work on the pattern of the matrix left over the
+        # rows R0, in their positions, between the rows not yet eliminated
+        inner = np.flatnonzero(in_r & in_c)
+        a, b = pr[inner], pc[inner]
+        # each work array goes once it is spent: the heap that the
+        # analysis's peak leaves behind stays resident under the solve
+        del cols, pr, pc, in_r, in_c
+        pattern = np.zeros((r0, r0), dtype=bool)
+        pattern[a, b] = pattern[b, a] = True
+        kept = np.arange(r0, dtype=dtype)  # the rows a round keeps, in R0's positions
+        S_pos, R_pos, rounds, later = S, R0, [], []
+        while True:
+            t_ptr = _starts(np.bincount(s, minlength=S_pos.size))
+            g = kept[t_cols]
+            rounds.append((S_pos, R_pos, s, t_ptr, t_cols, g))
+            # the round's fill, where its pairs' products land
+            per, pair_b = _pairs(t_ptr, s)
+            i, j = np.repeat(g, per), g[pair_b]
+            del per, pair_b
+            pattern[i, j] = pattern[j, i] = True
+            del i, j
+
+            S = _next_round(pattern, kept.size)
+            if not S.size:
+                break
+            coupled = pattern[S]
+            coupled[np.arange(S.size), S] = False
+            s, other = np.nonzero(coupled)
+            pattern[S] = False
+            pattern[:, S] = False
+            s = s.astype(itype)
+            S_pos = np.searchsorted(kept, S)
+            keep = np.ones(kept.size, dtype=bool)
+            keep[S_pos] = False
+            R_pos = np.flatnonzero(keep)
+            t_cols = np.searchsorted(kept[R_pos], other).astype(itype)
+            kept = kept[R_pos]
+            e = S[s]
+            later += [S * (r0 + 1), np.minimum(e, other) * r0 + np.maximum(e, other)]
+        del pattern
+
+        self.R = R0[kept]
+        r = kept.size
+        dtype = _index_dtype(r * r)
+        final = np.full(r0, -1, dtype=dtype)
+        final[kept] = np.arange(r, dtype=dtype)
+        fa, fb = final[a], final[b]
+        here = (fa >= 0) & (fb >= 0)
+        self._rr, self._rr_dest = inner[here].astype(itype), fa[here] + fb[here] * r
+
+        # the slots, round by round: its pivots, then its entries of C_RS;
+        # those of the later rounds are found by their places j r0 + i
+        keys = np.concatenate([np.empty(0, dtype=np.int64)] + later)
+        order = np.argsort(keys)
+        keys, stype = keys[order], _index_dtype(n0 + keys.size)
+        order = (order + n0).astype(stype)
+
+        def slot(at):
+            return order[np.searchsorted(keys, at)]
+
+        self._nslots = n0 + keys.size
+        gone = ~here
+        self._slot_src = np.concatenate(first_slots + [inner[gone]]).astype(itype)
+        self._slot_dest = np.concatenate((np.arange(n0, dtype=stype),
+                                          slot(b[gone].astype(np.int64) * r0 + a[gone])))
+
+        def record(S_pos, R_pos, s, t_ptr, t_cols, g, start):
+            # the pairs' destinations, distinct and ascending as g[b] r0 +
+            # g[a], the order of their places in a column-major array;
+            # those that a later round eliminates go to slots, first, the
+            # others to the array
+            per, pair_b = _pairs(t_ptr, s)
+            places = g[pair_b] * r0  # g's type holds r0^2
+            places += np.repeat(g, per)
+            dests, pair_slot = np.unique(places, return_inverse=True)
+            del places
+            pair_slot = pair_slot.astype(_index_dtype(dests.size))
+            col, row = np.divmod(dests, r0)
+            dr, dc = final[row], final[col]
+            in_array = (dr >= 0) & (dc >= 0)
+            out, into = np.flatnonzero(~in_array), np.flatnonzero(in_array)
+            if out.size:
+                renumber = np.empty(dests.size, dtype=pair_slot.dtype)
+                renumber[np.concatenate((out, into))] = np.arange(dests.size,
+                                                                  dtype=pair_slot.dtype)
+                pair_slot = renumber[pair_slot]
+            # W's CSR pattern, and the order of W^T's entries in it
+            W = _on_arrays(sps.csr_matrix, (S_pos.size, R_pos.size),
+                           np.arange(s.size, dtype=itype), t_cols, t_ptr).tocsc()
+            return _Round(S_pos, R_pos, start, s, t_ptr, t_cols, W.data, W.indptr, W.indices,
+                          _starts(per), pair_b, pair_slot, slot(dests[out]),
+                          dr[into] + dc[into] * r)
+
+        start = 0
+        for rd in rounds:
+            rd = record(*rd, start)
+            self._rounds += (rd,)
+            start += rd.S.size + rd.s.size
 
     def lower_values(self, d: np.ndarray) -> tuple["AssemblyPlan", np.ndarray]:
         """The values on and below the diagonal of ``A diag(d^2) A^T`` in
@@ -394,11 +597,14 @@ class AssemblyPlan:
         diag[self._diag_rows] = lower[self._diag_idx]
         return diag
 
-    def fill(self, out: np.ndarray, lower: np.ndarray, sigma: float) -> None:
-        """Write the lower triangle of ``C(sigma) = M_RR + sigma I - W W^T``
-        into the zero-filled, F-ordered ``|R| x |R|`` array ``out``, with
-        ``W`` the coupling block at ``sigma``; without eliminated rows
-        that is ``M + sigma I``.  The strict upper triangle stays zero."""
+    def fill(self, out: np.ndarray, lower: np.ndarray, sigma: float) -> tuple[Level, ...] | None:
+        """Write the lower triangle of the Schur complement ``C(sigma)`` of
+        ``M + sigma I`` over the rows ``R`` into the zero-filled, F-ordered
+        ``|R| x |R|`` array ``out``, and return the eliminated levels of
+        the factor at ``sigma``; without eliminated rows ``C(sigma)`` is
+        ``M + sigma I`` and there are no levels.  The strict upper triangle
+        stays zero.  A pivot that is not positive is not divided by: the
+        array is left incomplete and None returned."""
         if not out.flags.f_contiguous:
             raise ValueError("the array must be F-ordered")
         r = out.shape[0]
@@ -406,28 +612,36 @@ class AssemblyPlan:
         flat[self._rr_dest] = lower if self._rr is None else lower[self._rr]
         if sigma != 0.0:
             flat[::r + 1] += sigma
-        e = self._elimination
-        if e is not None:
-            _, w_t = self._scaled_coupling(lower, sigma)
-            flat[e.slot_dest] -= np.bincount(e.pair_slot, w_t[e.pair_a] * w_t[e.pair_b],
-                                             minlength=e.slot_dest.size)
-
-    def _scaled_coupling(self, lower, sigma) -> tuple[np.ndarray, np.ndarray]:
-        """``root_S = sqrt(d_S + sigma)`` and the values of ``W^T``."""
-        e = self._elimination
-        root = np.sqrt(self.diagonal(lower)[self.S] + sigma)
-        return root, lower[e.entries] / root[e.s]
-
-    def coupling(self, lower, sigma) -> tuple[np.ndarray, sps.csr_matrix, sps.csr_matrix]:
-        """``(root_S, W, W^T)``: the eliminated block of the factor of ``M +
-        sigma I``, ``W = M_RS (D_S + sigma I)^{-1/2}``, with ``W`` and
-        ``W^T`` in CSR on the plan's fixed patterns."""
-        e = self._elimination
-        root, w_t = self._scaled_coupling(lower, sigma)
-        r, k = self.R.size, self.S.size
-        W_T = _on_arrays(sps.csr_matrix, (k, r), w_t, e.t_cols, e.t_ptr)
-        W = _on_arrays(sps.csr_matrix, (r, k), w_t[e.w_order], e.w_cols, e.w_ptr)
-        return root, W, W_T
+        if not self._rounds:
+            return ()
+        slots = np.zeros(self._nslots)
+        slots[self._slot_dest] = lower[self._slot_src]
+        levels = []
+        for rd in self._rounds:
+            entries = rd.start + rd.S.size
+            pivots = slots[rd.start:entries] + sigma
+            if not np.all(pivots > 0.0):
+                return None
+            root = np.sqrt(pivots)
+            w_t = slots[entries:entries + rd.s.size] / root[rd.s]
+            k = rd.to_slots.size
+            # each destination sums its products from zero in pair order, as
+            # scipy's W W^T would, and its entry then drops by the sum
+            update = np.zeros(k + rd.to_array.size)
+            for e in range(0, w_t.size, _ENTRIES):
+                ptr = rd.pair_ptr[e:e + _ENTRIES + 1]
+                products = np.repeat(w_t[e:e + _ENTRIES], np.diff(ptr))
+                products *= w_t[rd.pair_b[ptr[0]:ptr[-1]]]
+                np.add.at(update, rd.pair_slot[ptr[0]:ptr[-1]], products)
+            np.subtract.at(slots, rd.to_slots, update[:k])
+            np.subtract.at(flat, rd.to_array, update[k:])
+            shape = (rd.R.size, rd.S.size)
+            levels.append(Level(
+                rd.S, rd.R, root, _on_arrays(sps.csr_matrix, shape, w_t[rd.w_order], rd.w_cols,
+                                             rd.w_ptr),
+                _on_arrays(sps.csr_matrix, shape[::-1], w_t, rd.t_cols, rd.t_ptr),
+            ))
+        return tuple(levels)
 
     def nnz(self, lower: np.ndarray) -> int:
         """Entries of ``M`` that are not zero, from its lower triangle."""
@@ -460,22 +674,24 @@ class NormalMatrix:
     both triangles bitwise equal, and ``to_dense`` returns it without a
     copy.  With one (a sparse ``A``), ``lower`` holds the values on and
     below the diagonal of ``M`` in the plan's order, and the array is the
-    lower triangle of the Schur complement ``C`` of ``M_SS`` over the
-    rows ``R`` (of ``M`` itself when no row is eliminated), its strict
-    upper triangle zero; ``to_dense`` and ``matvec`` build the whole
-    ``M`` from ``lower`` on first use.  Either way ``nrows``, ``ncols``
-    and ``nnz`` describe the whole ``M``.
+    lower triangle of the Schur complement ``C`` left over the rows ``R``
+    after the plan's rounds of elimination (of ``M`` itself when no row
+    is eliminated), its strict upper triangle zero; ``levels`` are the
+    eliminated levels of the factor (:meth:`AssemblyPlan.fill`), or None
+    when one of their pivots is not positive.  ``to_dense`` and
+    ``matvec`` build the whole ``M`` from ``lower`` on first use.  Either
+    way ``nrows``, ``ncols`` and ``nnz`` describe the whole ``M``.
     """
 
-    __slots__ = ("_array", "_shape", "plan", "lower", "_whole")
+    __slots__ = ("_array", "_shape", "plan", "lower", "levels", "_whole")
 
     def __init__(self, array: np.ndarray, plan: AssemblyPlan | None = None,
-                 lower: np.ndarray | None = None):
+                 lower: np.ndarray | None = None, levels: tuple[Level, ...] | None = ()):
         array.flags.writeable = False
         self._array = array
-        self.plan, self.lower = plan, lower
+        self.plan, self.lower, self.levels = plan, lower, levels
         self._whole = None
-        self._shape = array.shape if plan is None else (plan.S.size + plan.R.size,) * 2
+        self._shape = array.shape if plan is None else (plan._shape[0],) * 2
 
     @property
     def nrows(self) -> int:
@@ -508,10 +724,10 @@ class NormalMatrix:
 
     def take_array(self) -> np.ndarray:
         """Hand the array over, writeable, to a caller that overwrites it;
-        this matrix keeps only its shape.  A caller that needs ``plan`` and
-        ``lower`` reads them first."""
+        this matrix keeps only its shape.  A caller that needs ``plan``,
+        ``lower`` and ``levels`` reads them first."""
         array = self._entries()
-        self._array = self.plan = self.lower = self._whole = None
+        self._array = self.plan = self.lower = self.levels = self._whole = None
         array.flags.writeable = True
         return array
 
@@ -539,7 +755,7 @@ def form_normal_matrix(A: SparseMatrix, d) -> NormalMatrix:
     from its :class:`AssemblyPlan`, analysed on the first assembly:
     scipy's sparse product gives the values of ``M``, and gathers place
     those on and below the diagonal into a zero-filled ``|R| x |R|``
-    array, less the Schur update of the eliminated rows ``S``.
+    array, less the Schur updates of the plan's rounds of elimination.
     """
     d = np.asarray(d, dtype=np.float64)
     if d.shape != (A.ncols,):
@@ -554,5 +770,4 @@ def form_normal_matrix(A: SparseMatrix, d) -> NormalMatrix:
     plan, lower = A._plan.lower_values(d)
     r = plan.R.size
     array = np.zeros((r, r), order="F")
-    plan.fill(array, lower, 0.0)
-    return NormalMatrix(array, plan, lower)
+    return NormalMatrix(array, plan, lower, plan.fill(array, lower, 0.0))

@@ -89,6 +89,31 @@ def split_always(monkeypatch):
     monkeypatch.setattr(lpipm.sparse, "MIN_SAVED_FLOPS", 0.0)
 
 
+def take_every_round(patch):
+    """Make a sparse ``A`` built afterwards split its rows, and take every
+    later round of elimination that finds a row, at any size."""
+    patch.setattr(lpipm.sparse, "MIN_SAVED_FLOPS", 0.0)
+    patch.setattr(lpipm.sparse, "PAIR_FLOPS", 0.0)
+
+
+@pytest.fixture
+def rounds_always(monkeypatch):
+    """A sparse ``A`` built in the test takes every round of elimination
+    that finds a row (:func:`take_every_round`)."""
+    take_every_round(monkeypatch)
+
+
+def eliminated_rows(levels, m):
+    """The rows of an order-``m`` matrix that each of the factor levels
+    eliminates, and the rows left to the dense factor, as indices of the
+    whole matrix."""
+    rows, eliminated = np.arange(m), []
+    for level in levels:
+        eliminated.append(rows[level.S])
+        rows = rows[level.R]
+    return eliminated, rows
+
+
 @pytest.fixture
 def tiny_lp():
     """min x1 s.t. x1 + x2 = 2, x >= 0; optimum (0, 2), objective 0."""

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose, assert_array_equal
 
+from conftest import eliminated_rows
 from lpipm import (
     FactorizationFailed,
     NormalMatrix,
@@ -104,7 +107,8 @@ class TestFactorizationContract:
         _assert_bitwise_equal(f.L, sla.cholesky(saved, lower=True))
         if fill == "sparse":
             assert not np.any(np.triu(saved, 1))
-            assert f.L.shape == (m - f.S.size,) * 2 and f.dimension == m
+            assert f.L.shape == (m - sum(level.S.size for level in f.levels),) * 2
+            assert f.dimension == m
 
     def test_factor_layout(self):
         rng = np.random.default_rng(23)
@@ -196,11 +200,13 @@ class TestSplitFactor:
         _, _, M, _ = self._split_normal_matrix(32)
         S, R = M.plan.S, M.plan.R
         f = cholesky_factorize(M)
-        assert_array_equal(np.sort(np.concatenate((f.S, f.R))), np.arange(30))
-        assert_array_equal(f.S, S) and f.R is R
+        eliminated, rows = eliminated_rows(f.levels, 30)
+        assert_array_equal(np.sort(np.concatenate(eliminated + [rows])), np.arange(30))
+        assert_array_equal(eliminated[0], S) and np.array_equal(rows, R)
         assert f.L.flags.f_contiguous and not f.L.flags.writeable
         assert not np.any(np.triu(f.L, 1))
-        assert np.all(np.diagonal(f.L) > 0.0) and np.all(f.root_S > 0.0)
+        assert np.all(np.diagonal(f.L) > 0.0)
+        assert all(np.all(level.root > 0.0) for level in f.levels)
 
     def test_singular_schur_complement_shifts_the_whole_matrix(self, split_always):
         # rows 0 and 1 are equal, with squared norm 9, and share no column
@@ -226,7 +232,8 @@ class TestSplitFactor:
         sigma = 1e-12 * 100.0
         assert f.diag_regularization == sigma
         shifted = dense + sigma * np.eye(m)
-        assert_allclose(f.root_S, np.sqrt(np.diagonal(shifted)[S]), rtol=1e-15)
+        (level,) = f.levels
+        assert_allclose(level.root, np.sqrt(np.diagonal(shifted)[S]), rtol=1e-15)
         # the dense block factors C(sigma) of the shifted matrix
         C = shifted[np.ix_(R, R)] - shifted[np.ix_(R, S)] @ np.linalg.solve(
             shifted[np.ix_(S, S)], shifted[np.ix_(S, R)])
@@ -236,6 +243,92 @@ class TestSplitFactor:
         assert_allclose(f.product(v), shifted @ v, rtol=0.0, atol=1e-13 * np.abs(shifted).max())
         x = f.solve(v)
         assert np.linalg.norm(shifted @ x - v) <= 1e-12 * np.linalg.norm(shifted) * np.linalg.norm(x)
+
+
+class TestRounds:
+    """The factor of a normal matrix from which rounds of elimination after
+    the row-disjoint one took rows: a sequence of levels ahead of the dense
+    factor."""
+
+    @staticmethod
+    def _normal_matrix(seed):
+        rng = np.random.default_rng(seed)
+        A = _sparse_fill_A(rng, 30, 80)
+        d = rng.uniform(0.5, 2.0, 80)
+        return A, d, form_normal_matrix(A, d), rng
+
+    def test_dense_order_is_m_less_the_eliminated_rows(self, rounds_always):
+        _, _, M, _ = self._normal_matrix(31)
+        assert len(M.levels) > 2
+        f = cholesky_factorize(M)
+        eliminated, rows = eliminated_rows(f.levels, 30)
+        assert f.L.shape == (30 - sum(S.size for S in eliminated),) * 2 == (rows.size,) * 2
+        assert_array_equal(np.sort(np.concatenate(eliminated + [rows])), np.arange(30))
+        assert f.dimension == 30
+
+    def test_solves_product_and_probe_match_the_dense_matrix(self, rounds_always):
+        A, d, M, rng = self._normal_matrix(32)
+        dense = M.to_dense().copy()
+        f = cholesky_factorize(M)
+        assert f.diag_regularization == 0.0 and len(f.levels) > 2
+        # each level eliminates an independent set of the matrix the
+        # levels before it left: its pivots are that matrix's diagonal
+        eliminated, rows = eliminated_rows(f.levels, 30)
+        left = np.arange(30)
+        for S, level in zip(eliminated, f.levels):
+            pos = np.searchsorted(left, S)
+            C = dense[np.ix_(left, left)]
+            gone = np.setdiff1d(np.arange(30), left)
+            if gone.size:
+                C = C - dense[np.ix_(left, gone)] @ np.linalg.solve(
+                    dense[np.ix_(gone, gone)], dense[np.ix_(gone, left)])
+            C_SS = C[np.ix_(pos, pos)]
+            assert_allclose(C_SS, np.diag(np.diagonal(C_SS)), rtol=0.0,
+                            atol=1e-12 * np.abs(dense).max())
+            assert_allclose(level.root**2, np.diagonal(C_SS), rtol=1e-12)
+            left = np.setdiff1d(left, S)
+        assert_array_equal(left, rows)
+        b = rng.standard_normal(30)
+        x = np.linalg.solve(dense, b)
+        assert_allclose(f.solve(b), x, rtol=1e-11, atol=1e-12 * np.abs(x).max())
+        assert_allclose(f.product(b), dense @ b, rtol=1e-13, atol=1e-13 * np.abs(dense @ b).max())
+        z = f.half_solve(b)
+        assert_allclose(f.half_solve_transpose(z), x, rtol=1e-11, atol=1e-12 * np.abs(x).max())
+        assert z @ z == pytest.approx(b @ x, rel=1e-12)
+        # so the probe of a matrix against its own factor reads 1
+        assert generalized_condition_probe(form_normal_matrix(A, d), f) == pytest.approx(1.0)
+
+    def test_zero_pivot_in_a_later_level_takes_the_shift(self, rounds_always):
+        # rows 0 and 1 are equal, with squared norm 9, and share no column
+        # with another row.  Row 0 goes in the row-disjoint round; row 1 is
+        # then left with no neighbour and a pivot of 9 - 3 * 3 = 0 exactly,
+        # and a later round takes it.  Row 2 holds the largest diagonal
+        # entry, 100: the first shift is 1e-12 * 100.
+        m, n = 10, 200
+        B = np.zeros((m, n))
+        B[0, :3] = B[1, :3] = [1.0, 2.0, 2.0]
+        B[2, 3] = 10.0
+        B[3:, 4:11] = np.eye(7)
+        rng = np.random.default_rng(33)
+        for j in range(11, 60):
+            B[rng.choice(np.arange(3, m), 2, replace=False), j] = rng.uniform(0.5, 1.5, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the zero pivot is never divided by
+            M = form_normal_matrix(SparseMatrix.from_dense(B), np.ones(n))
+            assert M.levels is None  # the unshifted fill stopped at the zero pivot
+            dense = M.to_dense()
+            f = cholesky_factorize(M)
+        eliminated, rows = eliminated_rows(f.levels, m)
+        assert 0 in eliminated[0] and any(1 in S for S in eliminated[1:])
+        sigma = 1e-12 * 100.0
+        assert f.diag_regularization == sigma
+        shifted = dense + sigma * np.eye(m)
+        v = rng.standard_normal(m)
+        assert_allclose(f.product(v), shifted @ v, rtol=0.0, atol=1e-13 * np.abs(shifted).max())
+        x = f.solve(v)
+        assert np.linalg.norm(shifted @ x - v) <= 1e-12 * np.linalg.norm(shifted) * np.linalg.norm(x)
+        assert np.all(np.diagonal(f.L) > 0.0)
+        assert all(np.all(level.root > 0.0) for level in f.levels)
 
 
 class TestFactorSolve:

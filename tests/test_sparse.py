@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import lpipm.sparse
 from lpipm import (
     DELAYED_SCALING,
+    CholeskyFactor,
     PdConfig,
     PrimalConfig,
     SolveStatus,
@@ -22,6 +23,8 @@ from lpipm import (
     to_standard_form,
 )
 from lpipm.sparse import DENSE_FILL, AssemblyPlan, disjoint_rows
+
+from conftest import eliminated_rows, take_every_round
 
 # one fill on each side of DENSE_FILL, so both product kernels run
 BOTH_KERNELS = pytest.mark.parametrize(
@@ -222,7 +225,7 @@ class TestSplitNormalMatrix:
         plan, lower = M.plan, M.lower
         r = plan.R.size
         fresh = np.zeros((r, r), order="F")
-        plan.fill(fresh, lower, sigma)
+        levels = plan.fill(fresh, lower, sigma)
         again = np.zeros((r, r), order="F")
         plan.fill(again, lower, 0.5 - sigma)
         again.fill(0.0)
@@ -235,7 +238,8 @@ class TestSplitNormalMatrix:
             assert np.array_equal(fresh, M._array)
         S, R = plan.S, plan.R
         shifted = dense + sigma * np.eye(20)
-        root, W, W_T = plan.coupling(lower, sigma)
+        (level,) = levels
+        root, W, W_T = level.root, level.W, level.W_T
         assert_allclose(root, np.sqrt(np.diagonal(shifted)[S]), rtol=1e-15)
         assert_allclose(W.toarray(), shifted[np.ix_(R, S)] / root, rtol=1e-15)
         assert_array_equal(W_T.toarray(), W.toarray().T)
@@ -389,6 +393,68 @@ def test_plan_assembly_on_random_patterns(data):
     assert M.nnz == np.count_nonzero(dense)
     v = rng.standard_normal(m)
     assert_allclose(M.matvec(v), full @ v, rtol=1e-13, atol=1e-13 * scale * np.abs(v).sum())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_rounds_on_random_patterns(data):
+    """With every round of elimination taken, the array that the plan
+    fills at a shift is the lower triangle of the Schur complement of a
+    dense reference over the rows no round eliminates, whatever number
+    of entries the fill takes at a time, and the factor from it and the
+    plan's levels solves, multiplies and half-solves as that reference
+    does."""
+    m = data.draw(st.integers(1, 12), label="m")
+    n = data.draw(st.integers(1, 16), label="n")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    B = np.zeros((m, n))
+    for i in range(m):
+        k = data.draw(st.integers(0, min(n, 4)))  # 0: an empty row, 1: a single entry
+        B[i, rng.choice(n, k, replace=False)] = rng.uniform(0.5, 2.0, k) * rng.choice([-1.0, 1.0], k)
+    # zero columns put the fill below DENSE_FILL, so A takes the sparse path
+    B = np.hstack((B, np.zeros((m, 10 * np.count_nonzero(B) + 1))))
+    d = rng.uniform(0.1, 10.0, B.shape[1])
+    with pytest.MonkeyPatch.context() as mp:
+        take_every_round(mp)
+        M = form_normal_matrix(SparseMatrix.from_dense(B), d)
+    plan, lower = M.plan, M.lower
+    full = (B * d) @ (B * d).T
+    scale = max(np.abs(full).max(), 1.0)
+    dense = M.to_dense()
+    assert np.array_equal(dense, dense.T)
+    assert_allclose(dense, full, rtol=1e-14, atol=1e-14 * scale)
+
+    # M + sigma I is well conditioned, so every level's pivots are positive
+    sigma = scale
+    r = plan.R.size
+    C = np.zeros((r, r), order="F")
+    levels = plan.fill(C, lower, sigma)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpipm.sparse, "_ENTRIES", data.draw(st.integers(1, 3), label="entries"))
+        in_parts = np.zeros((r, r), order="F")
+        plan.fill(in_parts, lower, sigma)
+    assert_array_equal(in_parts, C)
+    eliminated, R = eliminated_rows(levels, m)
+    assert_array_equal(R, plan.R)
+    assert r == m - sum(S.size for S in eliminated)
+    assert_array_equal(np.sort(np.concatenate(eliminated + [R])), np.arange(m))
+    shifted = full + sigma * np.eye(m)
+    E = np.concatenate(eliminated + [np.empty(0, dtype=np.int64)])
+    expected = shifted[np.ix_(R, R)] - shifted[np.ix_(R, E)] @ np.linalg.solve(
+        shifted[np.ix_(E, E)], shifted[np.ix_(E, R)])
+    assert not np.any(np.triu(C, 1))
+    assert_allclose(C, np.tril(expected), rtol=1e-13, atol=1e-13 * scale)
+
+    f = CholeskyFactor(np.asfortranarray(sla.cholesky(C, lower=True)), sigma, levels)
+    assert f.dimension == m
+    b = rng.standard_normal(m)
+    x = np.linalg.solve(shifted, b)
+    assert_allclose(f.product(b), shifted @ b, rtol=1e-13, atol=1e-13 * scale * np.abs(b).sum())
+    assert_allclose(f.solve(b), x, rtol=1e-12, atol=1e-12 * np.abs(x).max())
+    z = f.half_solve(b)
+    assert_allclose(f.half_solve_transpose(z), x, rtol=1e-12, atol=1e-12 * np.abs(x).max())
+    assert z @ z == pytest.approx(b @ x, rel=1e-12)
 
 
 def test_one_analysis_per_matrix_across_scalings(monkeypatch, split_always):
