@@ -14,7 +14,10 @@ factor's strict upper triangle is zeroed at the end.
 On a sparse ``A`` (see :mod:`lpipm.sparse`) the array holds only a lower
 triangle, its strict upper one zero, so the factor needs no zeroing,
 and a retry rebuilds the array from the matrix's assembly plan.  The
-plan's rounds of elimination may take rows ahead of ``dpotrf``: the
+plan's rounds of elimination may take rows ahead of ``dpotrf``, each
+round an independent set in the pattern the rounds before it left, taken
+by one rule: when it saves ``dpotrf`` at least
+:data:`~lpipm.sparse.MIN_SAVED_FLOPS` net of its gathers.  The
 array is then the Schur complement they leave over the other rows,
 ``dpotrf`` factors only that block, and the factor keeps, level by
 level, the diagonal pivots of each round's rows and its sparse coupling

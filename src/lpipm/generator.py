@@ -74,6 +74,8 @@ def generate_instance(
     tail on larger instances.  Rank-deficient samples are redrawn up to
     5 times.
     """
+    if m < 1:
+        raise ValueError(f"need at least one row, got m = {m}")
     if m >= n:
         raise ValueError("need m < n")
     if not (math.isfinite(density) and density > 0.0):

@@ -17,18 +17,18 @@ Sparse Positive Definite Systems*, 1981), and each assembly does numeric
 work only: scipy's product for the values of ``M``, and gathers into a
 zero-filled array of which only the lower triangle, the one LAPACK
 reads, is written.  The plan also orders the elimination by rounds of
-multiple minimum-degree elimination (Liu, ACM TOMS 11(2), 1985).  The
-first round takes a set ``S`` of rows whose column supports are
-pairwise disjoint (:func:`disjoint_rows`): ``M_SS`` is diagonal for
-every ``D``, so eliminating ``S`` first is an exact Cholesky step with no
-fill inside ``S``.  Each later round takes an independent set in the
-pattern of the Schur complement the rounds before it left, fewest
-neighbours first, while a row's share of the Schur update costs less
-than the dense work its elimination saves.  The array is only the Schur
-complement over the rows ``R`` that no round takes.  The first round is
-taken when it saves at least :data:`MIN_SAVED_FLOPS` of the dense
-factorization, and a later one when it saves that much net of its
-update, at :data:`PAIR_FLOPS` flops a gather.
+multiple minimum-degree elimination (Liu, ACM TOMS 11(2), 1985), all by
+one rule (:func:`_next_round`).  Each round takes an independent set
+``S`` in the pattern of the matrix the rounds before it left, ``M``
+itself for the first, fewest neighbours first, while a row's share of
+the Schur update costs less than the dense work its elimination saves.
+``C_SS`` is then diagonal for every ``D``, so eliminating ``S`` is an
+exact Cholesky step with no fill inside ``S``; on ``M`` an independent
+set is a set of rows of ``A`` whose column supports are pairwise
+disjoint.  A round is taken when it saves at least
+:data:`MIN_SAVED_FLOPS` of the dense factorization net of its gathers,
+at :data:`PAIR_FLOPS` flops a gather.  The array is only the Schur
+complement over the rows ``R`` that no round takes.
 """
 
 from __future__ import annotations
@@ -48,13 +48,15 @@ import scipy.sparse as sps
 # n = 3300) or 0.03 (m = 280, n = 630) upward.  0.1 leaves a margin.
 DENSE_FILL = 0.1
 
-# dpotrf flops, (m^3 - |R|^3) / 3, that eliminating the rows S must save
-# before a sparse A splits, and that a later round must save net of its
-# gathers.  A level of elimination costs sparse work per assembly and
-# per solve (the Schur update, the coupling block W).  With one BLAS
+# dpotrf flops, (r^3 - |R|^3) / 3 from an order r down to |R|, that a
+# round of elimination must save net of its gathers (PAIR_FLOPS each)
+# before it is taken; the first round, on M itself, by the same rule as
+# every later one.  A level of elimination costs sparse work per assembly
+# and per solve (the Schur update, the coupling block W).  With one BLAS
 # thread, on sparse_wide's family (4 nonzeros per column, n = 2.2 m),
 # interleaved medians of assembly plus factorization plus k solves, with
-# the first round against without it: at m 400 (8.7e6 flops saved) +6.5%
+# a first round of row-disjoint rows against without it (flops saved
+# before its gathers): at m 400 (8.7e6 flops saved) +6.5%
 # at k = 3; at m 500 (1.7e7) -7.6% at k = 3 and +2.0% at k = 16; at m 600
 # (3.0e7) -10% and -3%; at m 700 (4.8e7) -19% and -14%; at m 1500 (4.7e8)
 # -36%.  A later round, forced at m 800, 1000 and 1200 (1.4e7, 2.7e7 and
@@ -63,12 +65,14 @@ DENSE_FILL = 0.1
 # even near 1.2e7 for pd (about 3 solves per factorization) and 2e7 for
 # the primal engine (about 16 per refresh).  Before the plan made the
 # Schur update gathers (when each assembly sliced M and formed W W^T in
-# scipy) the first round broke even at 7e7 to 9e7.
+# scipy) the first round broke even at 7e7 to 9e7.  The 600 x 1320 LP of
+# the memory and face tests (seed 7) has a first round that saves 1.92e7
+# net, so it takes none.
 MIN_SAVED_FLOPS = 2e7
 
 # dpotrf flops that one gather of a Schur update is priced at: a row
-# joins a round after the first only while its gathers cost less than the
-# dense flops its elimination saves (see _next_round).  On the first
+# joins a round only while its gathers cost less than the dense flops its
+# elimination saves (see _next_round).  On the first
 # sparse_wide instance (m 1500, one BLAS thread) the second round's update
 # takes 7.2 ns a gather (74k gathers, 70k of them pairs) and dpotrf 17.5 ps
 # a flop between orders 1250 and 1136: about 400.  With the protocol of
@@ -219,11 +223,7 @@ class SparseMatrix:
         for every later one."""
         if self._dense is not None:
             return None
-        S = disjoint_rows(self)
-        m, r = self.nrows, self.nrows - S.size
-        if not 0 < r < m or (m**3 - r**3) / 3 < MIN_SAVED_FLOPS:
-            S = np.empty(0, dtype=np.int64)
-        return AssemblyPlan(self, S)
+        return AssemblyPlan(self)
 
     def matvec(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
@@ -238,30 +238,6 @@ class SparseMatrix:
 
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix.from_scipy(self._csc.T)
-
-
-def disjoint_rows(A: SparseMatrix) -> np.ndarray:
-    """Ascending indices of rows of ``A`` whose column supports are
-    pairwise disjoint, chosen greedily: rows with fewer entries first, ties
-    to the lower index, and a row joins when it shares no column with a
-    row already chosen.  Empty rows are never chosen: their pivot in
-    ``A D^2 A^T`` is zero."""
-    rows = A._csc.tocsr()
-    counts = np.diff(rows.indptr)
-    order = np.argsort(counts, kind="stable")
-    # a Python loop over a memoryview and a bytearray: a numpy call per row
-    # costs more than the few entries it reads, and a list of the indices
-    # would hold a Python int per entry of A
-    ptr, cols = rows.indptr.tolist(), memoryview(rows.indices)
-    taken = bytearray(A.ncols)
-    chosen = []
-    for i in order[counts[order] > 0].tolist():
-        support = cols[ptr[i]:ptr[i + 1]]
-        if not any(map(taken.__getitem__, support)):
-            for j in support:
-                taken[j] = 1
-            chosen.append(i)
-    return np.sort(np.array(chosen, dtype=np.int64))
 
 
 # Entries of a coupling block whose pairs of the Schur update an assembly
@@ -395,11 +371,10 @@ class AssemblyPlan:
     pattern is the same for every positive scaling ``D``, so it is
     analysed once per matrix and each assembly does numeric work only.
 
-    Rounds of elimination take rows ahead of the dense factor: the first
-    the row-disjoint rows ``S`` it is given (none when that does not
-    pay), each later one an independent set in the pattern the rounds
-    before left (:func:`_next_round`), while one pays.  The other rows, ``R``, form
-    the dense factor.  The values of ``M`` come from scipy's product
+    Rounds of elimination take rows ahead of the dense factor, each an
+    independent set in the pattern the rounds before left, ``M``'s own
+    for the first (:func:`_next_round`), while one pays.  The other rows,
+    ``R``, form the dense factor.  The values of ``M`` come from scipy's product
     ``B B^T`` with ``B = A D``; only the entries on and below its diagonal
     are read, and the plan records where each one goes: an entry between
     two rows of ``R`` to its place in the lower triangle of the F-ordered
@@ -410,13 +385,12 @@ class AssemblyPlan:
     Its memory is O(nnz(M) + those pairs).
     """
 
-    __slots__ = ("S", "R", "_shape", "_values", "_row_idx", "_col_ptr",
+    __slots__ = ("R", "_shape", "_values", "_row_idx", "_col_ptr",
                  "_col_of_entry", "_indptr", "_lower_src", "_lower_rows", "_diag_idx",
                  "_diag_rows", "_rr", "_rr_dest", "_slot_src", "_slot_dest", "_nslots",
                  "_rounds")
 
-    def __init__(self, A: SparseMatrix, S: np.ndarray):
-        self.S = S
+    def __init__(self, A: SparseMatrix):
         self._shape, self._values = A.shape, A.values
         # int32 operands keep scipy's product in int32: int64 ones make it
         # build int64 indices and then an int32 copy, which on a 640k-entry
@@ -450,113 +424,80 @@ class AssemblyPlan:
         self._indptr, self._lower_src, self._lower_rows = indptr, src, rows
         diag = np.flatnonzero(rows == cols).astype(itype)
         self._diag_idx, self._diag_rows = diag, rows[diag]
-        S = self.S
-        keep = np.ones(m, dtype=bool)
-        keep[S] = False
-        R0 = np.flatnonzero(keep)
-        r0 = R0.size
-        dtype = _index_dtype(r0 * r0)
-        pos = np.full(m, -1, dtype=dtype)
-        pos[R0] = np.arange(r0, dtype=dtype)
-        pr, pc = pos[rows], pos[cols]
-        self._rounds = ()
-        if S.size == 0:
-            self.R, self._rr, self._rr_dest = R0, None, pr + pc * r0
-            return
 
-        # the first round's entries of C_RS = M_RS, in the CSR order of
-        # W^T; one sits below the diagonal as (i, s) or as (s, i)
-        in_r, in_c = pr >= 0, pc >= 0
-        coupled = np.flatnonzero(in_r != in_c)
-        row_in_r = in_r[coupled]
-        t_cols = np.where(row_in_r, pr[coupled], pc[coupled])
-        s_pos = np.full(m, -1, dtype=itype)
-        s_pos[S] = np.arange(S.size, dtype=itype)
-        s = s_pos[np.where(row_in_r, cols[coupled], rows[coupled])]
-        order = np.lexsort((t_cols, s))
-        coupled, t_cols, s = coupled[order].astype(itype), t_cols[order], s[order]
-        pivots = np.full(m, -1, dtype=itype)
-        pivots[self._diag_rows] = diag
-        first_slots, n0 = [pivots[S], coupled], S.size + coupled.size
-
-        # the later rounds work on the pattern of the matrix left over the
-        # rows R0, in their positions, between the rows not yet eliminated
-        inner = np.flatnonzero(in_r & in_c)
-        a, b = pr[inner], pc[inner]
-        # each work array goes once it is spent: the heap that the
-        # analysis's peak leaves behind stays resident under the solve
-        del cols, pr, pc, in_r, in_c
-        pattern = np.zeros((r0, r0), dtype=bool)
-        pattern[a, b] = pattern[b, a] = True
-        kept = np.arange(r0, dtype=dtype)  # the rows a round keeps, in R0's positions
-        S_pos, R_pos, rounds, later = S, R0, [], []
-        while True:
-            t_ptr = _starts(np.bincount(s, minlength=S_pos.size))
-            g = kept[t_cols]
-            rounds.append((S_pos, R_pos, s, t_ptr, t_cols, g))
-            # the round's fill, where its pairs' products land
+        # each round works on the pattern of the matrix the rounds before
+        # it left, between the rows not yet eliminated
+        pattern = np.zeros((m, m), dtype=bool)
+        pattern[rows, cols] = pattern[cols, rows] = True
+        gtype = _index_dtype(m * m)
+        kept = np.arange(m)  # the rows no round has taken
+        rounds, keys = [], []
+        while (S := _next_round(pattern, kept.size)).size:
+            coupled = pattern[S]
+            coupled[np.arange(S.size), S] = False
+            s, g = np.nonzero(coupled)
+            pattern[S] = False
+            pattern[:, S] = False
+            s, g = s.astype(itype), g.astype(gtype)
+            S_pos = np.searchsorted(kept, S)
+            keep = np.ones(kept.size, dtype=bool)
+            keep[S_pos] = False
+            R_pos = np.flatnonzero(keep)
+            kept = kept[R_pos]
+            t_ptr = _starts(np.bincount(s, minlength=S.size))
+            rounds.append((S_pos, R_pos, s, t_ptr, np.searchsorted(kept, g).astype(itype), g))
+            # the keys of its slots, its pivots and then its entries of
+            # C_RS, are their places j m + i, i >= j
+            e = S[s]
+            keys += [S * (m + 1), np.minimum(e, g) * m + np.maximum(e, g)]
+            # the round's fill, where its pairs' products land; each work
+            # array goes once it is spent: the heap that the analysis's
+            # peak leaves behind stays resident under the solve
             per, pair_b = _pairs(t_ptr, s)
             i, j = np.repeat(g, per), g[pair_b]
             del per, pair_b
             pattern[i, j] = pattern[j, i] = True
             del i, j
-
-            S = _next_round(pattern, kept.size)
-            if not S.size:
-                break
-            coupled = pattern[S]
-            coupled[np.arange(S.size), S] = False
-            s, other = np.nonzero(coupled)
-            pattern[S] = False
-            pattern[:, S] = False
-            s = s.astype(itype)
-            S_pos = np.searchsorted(kept, S)
-            keep = np.ones(kept.size, dtype=bool)
-            keep[S_pos] = False
-            R_pos = np.flatnonzero(keep)
-            t_cols = np.searchsorted(kept[R_pos], other).astype(itype)
-            kept = kept[R_pos]
-            e = S[s]
-            later += [S * (r0 + 1), np.minimum(e, other) * r0 + np.maximum(e, other)]
         del pattern
 
-        self.R = R0[kept]
+        self.R = kept
         r = kept.size
         dtype = _index_dtype(r * r)
-        final = np.full(r0, -1, dtype=dtype)
+        final = np.full(m, -1, dtype=dtype)
         final[kept] = np.arange(r, dtype=dtype)
-        fa, fb = final[a], final[b]
+        fa, fb = final[rows], final[cols]
+        self._rounds = ()
+        if not rounds:
+            self._rr, self._rr_dest = None, fa + fb * r
+            return
         here = (fa >= 0) & (fb >= 0)
-        self._rr, self._rr_dest = inner[here].astype(itype), fa[here] + fb[here] * r
+        self._rr, self._rr_dest = np.flatnonzero(here).astype(itype), fa[here] + fb[here] * r
 
-        # the slots, round by round: its pivots, then its entries of C_RS;
-        # those of the later rounds are found by their places j r0 + i
-        keys = np.concatenate([np.empty(0, dtype=np.int64)] + later)
+        # the slots are numbered round by round, as their keys were listed
+        keys = np.concatenate(keys)
         order = np.argsort(keys)
-        keys, stype = keys[order], _index_dtype(n0 + keys.size)
-        order = (order + n0).astype(stype)
+        keys, stype = keys[order], _index_dtype(keys.size)
+        order = order.astype(stype)
 
         def slot(at):
             return order[np.searchsorted(keys, at)]
 
-        self._nslots = n0 + keys.size
-        gone = ~here
-        self._slot_src = np.concatenate(first_slots + [inner[gone]]).astype(itype)
-        self._slot_dest = np.concatenate((np.arange(n0, dtype=stype),
-                                          slot(b[gone].astype(np.int64) * r0 + a[gone])))
+        self._nslots = keys.size
+        self._slot_src = gone = np.flatnonzero(~here).astype(itype)
+        self._slot_dest = slot(cols[gone].astype(np.int64) * m + rows[gone])
 
         def record(S_pos, R_pos, s, t_ptr, t_cols, g, start):
-            # the pairs' destinations, distinct and ascending as g[b] r0 +
+            # the pairs' destinations, distinct and ascending as g[b] m +
             # g[a], the order of their places in a column-major array;
             # those that a later round eliminates go to slots, first, the
             # others to the array
             per, pair_b = _pairs(t_ptr, s)
-            places = g[pair_b] * r0  # g's type holds r0^2
+            places = g[pair_b] * m  # g's type holds m^2
             places += np.repeat(g, per)
             dests, pair_slot = np.unique(places, return_inverse=True)
             del places
             pair_slot = pair_slot.astype(_index_dtype(dests.size))
-            col, row = np.divmod(dests, r0)
+            col, row = np.divmod(dests, m)
             dr, dc = final[row], final[col]
             in_array = (dr >= 0) & (dc >= 0)
             out, into = np.flatnonzero(~in_array), np.flatnonzero(in_array)

@@ -82,16 +82,22 @@ def feasible_instance(rng, m, n, density=1.0):
     return p, state
 
 
-@pytest.fixture
-def split_always(monkeypatch):
-    """A sparse ``A`` built in the test splits its rows at any size: the
-    normal matrices of tier-1 are too small to split on their own."""
-    monkeypatch.setattr(lpipm.sparse, "MIN_SAVED_FLOPS", 0.0)
+def sparse_fill_A(rng, m, n):
+    """An identity block followed by columns of two entries each: full
+    row rank, filled below ``DENSE_FILL``.  From m 500, n 1100 its plan
+    takes a round of elimination under its own constants and leaves a
+    dense factor of more than one row."""
+    B = np.zeros((m, n))
+    B[:, :m] = np.eye(m)
+    for j in range(m, n):
+        B[rng.choice(m, 2, replace=False), j] = rng.standard_normal(2)
+    return SparseMatrix.from_dense(B)
 
 
 def take_every_round(patch):
-    """Make a sparse ``A`` built afterwards split its rows, and take every
-    later round of elimination that finds a row, at any size."""
+    """Make a sparse ``A`` built afterwards take every round of elimination
+    that finds a row, at any size: the normal matrices of tier-1 are too
+    small to pay for a round on their own."""
     patch.setattr(lpipm.sparse, "MIN_SAVED_FLOPS", 0.0)
     patch.setattr(lpipm.sparse, "PAIR_FLOPS", 0.0)
 

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import eliminated_rows
+from conftest import eliminated_rows, sparse_fill_A
 from lpipm import (
     FactorizationFailed,
     NormalMatrix,
@@ -67,16 +67,6 @@ class TestFactorize:
                 assert r <= 1e-12 * np.linalg.norm(D @ v) + 1e-13
 
 
-def _sparse_fill_A(rng, m, n):
-    """An identity block followed by columns of two entries each: full
-    row rank, filled below ``DENSE_FILL``."""
-    B = np.zeros((m, n))
-    B[:, :m] = np.eye(m)
-    for j in range(m, n):
-        B[rng.choice(m, 2, replace=False), j] = rng.standard_normal(2)
-    return SparseMatrix.from_dense(B)
-
-
 def _assert_bitwise_equal(a, b):
     assert a.shape == b.shape
     assert a.tobytes(order="F") == b.tobytes(order="F")
@@ -86,13 +76,14 @@ class TestFactorizationContract:
     """The factor is LAPACK's, made in the operand's own buffer."""
 
     @pytest.mark.parametrize("fill", ["dense", "sparse"])
-    def test_normal_matrix_factor_is_scipys(self, fill, split_always):
+    def test_normal_matrix_factor_is_scipys(self, fill):
         rng = np.random.default_rng(21)
-        m, n = 30, 80
         if fill == "dense":
+            m, n = 30, 80
             A = SparseMatrix.from_dense(rng.standard_normal((m, n)))
         else:
-            A = _sparse_fill_A(rng, m, n)
+            m, n = 500, 1100  # takes a round of elimination
+            A = sparse_fill_A(rng, m, n)
         assert (A._dense is None) == (fill == "sparse")
         assert (A._plan is None) == (fill == "dense")
         M = form_normal_matrix(A, rng.uniform(0.5, 2.0, n))
@@ -107,7 +98,7 @@ class TestFactorizationContract:
         _assert_bitwise_equal(f.L, sla.cholesky(saved, lower=True))
         if fill == "sparse":
             assert not np.any(np.triu(saved, 1))
-            assert f.L.shape == (m - sum(level.S.size for level in f.levels),) * 2
+            assert f.levels and f.L.shape == (m - sum(level.S.size for level in f.levels),) * 2
             assert f.dimension == m
 
     def test_factor_layout(self):
@@ -167,24 +158,24 @@ class TestFactorizationContract:
 
 
 class TestSplitFactor:
-    """The factor of a normal matrix whose disjoint rows were eliminated
-    ahead of the dense factor of their Schur complement."""
+    """The factor of a normal matrix from which a round of elimination took
+    rows ahead of the dense factor of their Schur complement."""
 
     @staticmethod
     def _split_normal_matrix(seed):
         rng = np.random.default_rng(seed)
-        A = _sparse_fill_A(rng, 30, 80)
-        d = rng.uniform(0.5, 2.0, 80)
+        A = sparse_fill_A(rng, 500, 1100)
+        d = rng.uniform(0.5, 2.0, 1100)
         M = form_normal_matrix(A, d)
-        assert M.plan.S.size > 0
+        assert 1 < M.plan.R.size < 500
         return A, d, M, rng
 
-    def test_solves_and_product_match_the_dense_matrix(self, split_always):
+    def test_solves_and_product_match_the_dense_matrix(self):
         A, d, M, rng = self._split_normal_matrix(31)
         dense = M.to_dense()
         f = cholesky_factorize(M)
-        assert f.diag_regularization == 0.0 and f.dimension == 30
-        b = rng.standard_normal(30)
+        assert f.diag_regularization == 0.0 and f.dimension == 500
+        b = rng.standard_normal(500)
         x = np.linalg.solve(dense, b)
         assert_allclose(f.solve(b), x, rtol=1e-12, atol=1e-13 * np.abs(x).max())
         assert_allclose(f.product(b), dense @ b, rtol=1e-13, atol=1e-13 * np.abs(dense @ b).max())
@@ -196,36 +187,35 @@ class TestSplitFactor:
         # so the probe of a matrix against its own factor reads 1
         assert generalized_condition_probe(form_normal_matrix(A, d), f) == pytest.approx(1.0)
 
-    def test_factor_layout(self, split_always):
+    def test_factor_layout(self):
         _, _, M, _ = self._split_normal_matrix(32)
-        S, R = M.plan.S, M.plan.R
+        R = M.plan.R
         f = cholesky_factorize(M)
-        eliminated, rows = eliminated_rows(f.levels, 30)
-        assert_array_equal(np.sort(np.concatenate(eliminated + [rows])), np.arange(30))
-        assert_array_equal(eliminated[0], S) and np.array_equal(rows, R)
+        eliminated, rows = eliminated_rows(f.levels, 500)
+        assert_array_equal(np.sort(np.concatenate(eliminated + [rows])), np.arange(500))
+        assert_array_equal(rows, R)
         assert f.L.flags.f_contiguous and not f.L.flags.writeable
         assert not np.any(np.triu(f.L, 1))
         assert np.all(np.diagonal(f.L) > 0.0)
         assert all(np.all(level.root > 0.0) for level in f.levels)
 
-    def test_singular_schur_complement_shifts_the_whole_matrix(self, split_always):
+    def test_singular_schur_complement_shifts_the_whole_matrix(self, rounds_always):
         # rows 0 and 1 are equal, with squared norm 9, and share no column
-        # with another row.  Row 0 is eliminated, so row 1's pivot in the
-        # Schur complement is 9 - 3 * 3 = 0 exactly and the unshifted
-        # attempt fails.  Row 2 holds the largest diagonal entry, 100, and is
-        # eliminated too: the first shift is 1e-12 * 100.
-        m, n = 10, 200
+        # with row 2.  The first round takes rows 2 and 0, and no round takes
+        # the last row, so row 1 is left to the dense factor, where its pivot
+        # is 9 - 3 * 3 = 0 exactly and the unshifted attempt fails.  Row 2
+        # holds the largest diagonal entry, 100: the first shift is 1e-12 * 100.
+        m, n = 3, 200
         B = np.zeros((m, n))
         B[0, :3] = B[1, :3] = [1.0, 2.0, 2.0]
         B[2, 3] = 10.0
-        B[3:, 4:11] = np.eye(7)
         rng = np.random.default_rng(33)
-        for j in range(11, 60):
-            B[rng.choice(np.arange(3, m), 2, replace=False), j] = rng.uniform(0.5, 1.5, 2)
         A = SparseMatrix.from_dense(B)
         M = form_normal_matrix(A, np.ones(n))
-        S, R = M.plan.S, M.plan.R
-        assert {0, 2} <= set(S.tolist()) and R[0] == 1
+        (S,), R = eliminated_rows(M.levels, m)
+        assert_array_equal(S, [0, 2])
+        assert_array_equal(R, [1])
+        assert_array_equal(M.plan.R, R)
         assert M._array[0, 0] == 0.0
         dense = M.to_dense()
         f = cholesky_factorize(M)
@@ -246,14 +236,13 @@ class TestSplitFactor:
 
 
 class TestRounds:
-    """The factor of a normal matrix from which rounds of elimination after
-    the row-disjoint one took rows: a sequence of levels ahead of the dense
-    factor."""
+    """The factor of a normal matrix from which several rounds of
+    elimination took rows: a sequence of levels ahead of the dense factor."""
 
     @staticmethod
     def _normal_matrix(seed):
         rng = np.random.default_rng(seed)
-        A = _sparse_fill_A(rng, 30, 80)
+        A = sparse_fill_A(rng, 30, 80)
         d = rng.uniform(0.5, 2.0, 80)
         return A, d, form_normal_matrix(A, d), rng
 
@@ -300,7 +289,7 @@ class TestRounds:
 
     def test_zero_pivot_in_a_later_level_takes_the_shift(self, rounds_always):
         # rows 0 and 1 are equal, with squared norm 9, and share no column
-        # with another row.  Row 0 goes in the row-disjoint round; row 1 is
+        # with another row.  Row 0 goes in the first round; row 1 is
         # then left with no neighbour and a pivot of 9 - 3 * 3 = 0 exactly,
         # and a later round takes it.  Row 2 holds the largest diagonal
         # entry, 100: the first shift is 1e-12 * 100.

@@ -156,10 +156,11 @@ class TestGenerate:
         obj = float(out.split("objective=")[1].split()[0])
         assert abs(obj - cert.objective) <= 1e-8 * (1 + abs(cert.objective))
 
-    @pytest.mark.parametrize("argv", [["--density", "0"], ["--spread", "-2"]])
+    @pytest.mark.parametrize("argv", [["8", "20", "--density", "0"], ["8", "20", "--spread", "-2"],
+                                      ["0", "5"]])
     def test_out_of_range_shape_is_usage_error(self, tmp_path, capsys, argv):
         prefix = tmp_path / "g"
-        code, out, err = _run(capsys, ["generate", "8", "20", "--out", str(prefix), *argv])
+        code, out, err = _run(capsys, ["generate", *argv, "--out", str(prefix)])
         assert code == 1
         assert out == "" and "error" in err
         assert not (tmp_path / "g.mps").exists()

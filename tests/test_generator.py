@@ -63,8 +63,9 @@ class TestGenerator:
         assert abs(res.objective - ref) <= 1e-8 * (1 + abs(ref))
 
     def test_requires_m_below_n(self):
-        with pytest.raises(ValueError):
-            generate_instance(5, 5, seed=0)
+        for m, n in ((5, 5), (0, 5), (-1, 5)):
+            with pytest.raises(ValueError):
+                generate_instance(m, n, seed=0)
 
     def test_rank_deficient_draws_raise(self):
         # one entry per column: 11 columns rarely reach all 10 rows, so

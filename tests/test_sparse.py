@@ -22,9 +22,9 @@ from lpipm import (
     primal_solve,
     to_standard_form,
 )
-from lpipm.sparse import DENSE_FILL, AssemblyPlan, disjoint_rows
+from lpipm.sparse import DENSE_FILL, AssemblyPlan
 
-from conftest import eliminated_rows, take_every_round
+from conftest import eliminated_rows, sparse_fill_A, take_every_round
 
 # one fill on each side of DENSE_FILL, so both product kernels run
 BOTH_KERNELS = pytest.mark.parametrize(
@@ -157,7 +157,7 @@ class TestFormNormalMatrix:
         S = B @ B.T
         expected = ((S + S.T) * 0.5).toarray()
         M = form_normal_matrix(A, d)
-        assert M.plan.S.size == 0  # too small to split: the array is the whole M
+        assert M.plan.R.size == 30  # too small to split: the array is the whole M
         dense = M.to_dense()
         assert np.array_equal(dense, dense.T)
         assert_allclose(dense, expected, rtol=1e-14, atol=1e-14 * np.abs(expected).max())
@@ -173,19 +173,19 @@ class TestFormNormalMatrix:
 
 
 class TestSplitNormalMatrix:
-    """A sparse ``A`` with row-disjoint rows ``S``: the array is the Schur
-    complement over the other rows, and the matrix still reads as the
-    whole ``A D^2 A^T``."""
+    """A sparse ``A`` from which the plan's own rule takes a round of
+    elimination: the array is the Schur complement over the other rows,
+    and the matrix still reads as the whole ``A D^2 A^T``."""
 
     def _split(self, seed):
         rng = np.random.default_rng(seed)
-        A = SparseMatrix.from_dense(_with_fill(rng, 20, 45, DENSE_FILL / 3))
-        d = rng.uniform(0.01, 100.0, 45)
+        A = sparse_fill_A(rng, 500, 1100)
+        d = rng.uniform(0.01, 100.0, 1100)
         M = form_normal_matrix(A, d)
-        assert M.plan.S.size > 0
+        assert 1 < M.plan.R.size < 500
         return A, d, M, rng
 
-    def test_reads_as_the_whole_matrix(self, split_always):
+    def test_reads_as_the_whole_matrix(self):
         A, d, M, rng = self._split(5)
         # to_dense is scipy's int32 product to rounding, bitwise symmetric
         B = sps.csc_matrix(A.to_dense() * d)
@@ -195,17 +195,19 @@ class TestSplitNormalMatrix:
         assert np.array_equal(dense, dense.T)
         assert_allclose(dense, expected, rtol=1e-14, atol=1e-14 * np.abs(expected).max())
         assert not M.to_dense().flags.writeable
-        assert (M.nrows, M.ncols) == (20, 20)
+        assert (M.nrows, M.ncols) == (500, 500)
         assert M.nnz == np.count_nonzero(expected)
-        v = rng.standard_normal(20)
+        v = rng.standard_normal(500)
         assert_allclose(M.matvec(v), expected @ v, rtol=1e-12, atol=1e-12)
 
-    def test_array_is_the_schur_complement(self, split_always):
+    def test_array_is_the_schur_complement(self):
         _, _, M, _ = self._split(6)
         full = M.to_dense()
-        S, R = M.plan.S, M.plan.R
-        assert_array_equal(np.sort(np.concatenate((S, R))), np.arange(20))
-        # M_SS is diagonal: the rows of S share no column
+        eliminated, R = eliminated_rows(M.levels, 500)
+        assert_array_equal(R, M.plan.R)
+        S, E = eliminated[0], np.concatenate(eliminated)
+        assert_array_equal(np.sort(np.concatenate((E, R))), np.arange(500))
+        # M_SS is diagonal: the rows of the first level share no column
         M_SS = full[np.ix_(S, S)]
         assert_array_equal(M_SS, np.diag(np.diagonal(M_SS)))
         assert_array_equal(M.plan.diagonal(M.lower), np.diagonal(full))
@@ -213,11 +215,12 @@ class TestSplitNormalMatrix:
         assert C.shape == (R.size, R.size)
         assert C.flags.f_contiguous and not C.flags.writeable
         assert not np.any(np.triu(C, 1))  # only the lower triangle is written
-        expected = full[np.ix_(R, R)] - full[np.ix_(R, S)] @ (full[np.ix_(S, R)] / np.diagonal(M_SS)[:, None])
+        expected = full[np.ix_(R, R)] - full[np.ix_(R, E)] @ np.linalg.solve(
+            full[np.ix_(E, E)], full[np.ix_(E, R)])
         assert_allclose(C, np.tril(expected), rtol=0.0, atol=1e-12 * np.abs(full).max())
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5])
-    def test_shifted_rebuild_is_bitwise_symmetric_in_either_order(self, split_always, sigma):
+    def test_shifted_rebuild_is_bitwise_symmetric_in_either_order(self, sigma):
         # the rebuild at sigma gives one array whether it follows the
         # rebuild at the other shift or not, and the whole matrix reads as
         # bitwise symmetric
@@ -236,17 +239,21 @@ class TestSplitNormalMatrix:
         assert np.array_equal(dense, dense.T)
         if sigma == 0.0:
             assert np.array_equal(fresh, M._array)
-        S, R = plan.S, plan.R
-        shifted = dense + sigma * np.eye(20)
-        (level,) = levels
+        eliminated, R = eliminated_rows(levels, 500)
+        assert_array_equal(R, plan.R)
+        E = np.concatenate(eliminated)
+        shifted = dense + sigma * np.eye(500)
+        # the first level eliminates from M itself
+        level = levels[0]
         root, W, W_T = level.root, level.W, level.W_T
-        assert_allclose(root, np.sqrt(np.diagonal(shifted)[S]), rtol=1e-15)
-        assert_allclose(W.toarray(), shifted[np.ix_(R, S)] / root, rtol=1e-15)
+        assert_allclose(root, np.sqrt(np.diagonal(shifted)[level.S]), rtol=1e-15)
+        assert_allclose(W.toarray(), shifted[np.ix_(level.R, level.S)] / root, rtol=1e-15)
         assert_array_equal(W_T.toarray(), W.toarray().T)
-        expected = shifted[np.ix_(R, R)] - W.toarray() @ W.toarray().T
+        expected = shifted[np.ix_(R, R)] - shifted[np.ix_(R, E)] @ np.linalg.solve(
+            shifted[np.ix_(E, E)], shifted[np.ix_(E, R)])
         assert_allclose(fresh, np.tril(expected), rtol=0.0, atol=1e-13 * np.abs(expected).max())
 
-    def test_shifted_retry_is_rebuilt_from_the_plan(self, split_always):
+    def test_shifted_retry_is_rebuilt_from_the_plan(self, rounds_always):
         # row 3 repeats row 2, so A D^2 A^T is singular and the unshifted
         # attempt fails; the retry refills the array from the plan
         rng = np.random.default_rng(10)
@@ -254,7 +261,7 @@ class TestSplitNormalMatrix:
         B[3] = B[2]
         M = form_normal_matrix(SparseMatrix.from_dense(B), rng.uniform(0.5, 2.0, 45))
         plan, lower = M.plan, M.lower
-        assert plan.S.size > 0
+        assert plan.R.size < 20
         dense = M.to_dense()
         f = cholesky_factorize(M)
         sigma = f.diag_regularization
@@ -267,31 +274,19 @@ class TestSplitNormalMatrix:
         expected = dense @ v + sigma * v
         assert_allclose(f.product(v), expected, rtol=0.0, atol=1e-13 * np.abs(expected).max())
 
-    def test_spent_matrix_keeps_its_shape_only(self, split_always):
+    def test_spent_matrix_keeps_its_shape_only(self):
         _, _, M, _ = self._split(8)
         cholesky_factorize(M)
-        assert (M.nrows, M.ncols) == (20, 20)
+        assert (M.nrows, M.ncols) == (500, 500)
         assert M.plan is None and M.lower is None
-        for read in (M.to_dense, lambda: M.matvec(np.ones(20)), lambda: M.nnz):
+        for read in (M.to_dense, lambda: M.matvec(np.ones(500)), lambda: M.nnz):
             with pytest.raises(RuntimeError):
                 read()
 
-    def test_dense_fill_never_splits(self, split_always):
+    def test_dense_fill_never_splits(self, rounds_always):
         A = SparseMatrix.from_dense(_with_fill(np.random.default_rng(9), 20, 45, 1.0))
         assert A._dense is not None and A._plan is None
         assert form_normal_matrix(A, np.ones(45)).plan is None
-
-
-def _reference_disjoint_rows(supports):
-    """Greedy in plain Python: fewest entries first, ties to the lower
-    index; a nonempty row joins when it shares no column with the rows
-    already chosen."""
-    taken, chosen = set(), []
-    for i in sorted(range(len(supports)), key=lambda i: (len(supports[i]), i)):
-        if supports[i] and not taken & supports[i]:
-            taken |= supports[i]
-            chosen.append(i)
-    return sorted(chosen)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -319,23 +314,24 @@ def test_disjoint_rows_on_random_patterns(data):
     A = SparseMatrix.from_dense(B)
     assert A._dense is None
 
-    S = disjoint_rows(A)
-    assert S.dtype == np.int64 and np.all(np.diff(S) > 0)
-    assert S.tolist() == _reference_disjoint_rows(supports)
+    with pytest.MonkeyPatch.context() as mp:
+        take_every_round(mp)
+        plan = A._plan
+        again = SparseMatrix.from_dense(B)._plan
+    # the first level's rows, S, and the rows it keeps, R
+    if plan._rounds:
+        S, R = plan._rounds[0].S, plan._rounds[0].R
+    else:
+        S, R = np.empty(0, dtype=np.int64), plan.R
+    # a round keeps at least one row, and the first takes one whenever it can
+    assert (S.size > 0) == (m > 1 and any(supports))
+    assert np.all(np.diff(S) > 0)
     chosen = [supports[i] for i in S]
     assert all(chosen)  # no empty row
     assert sum(len(c) for c in chosen) == len(set().union(*chosen))  # pairwise disjoint
-    union = set().union(*chosen)
-    assert all(not cols or cols & union for cols in supports)  # maximal
-    assert_array_equal(disjoint_rows(SparseMatrix.from_dense(B)), S)  # deterministic
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lpipm.sparse, "MIN_SAVED_FLOPS", 0.0)
-        plan = SparseMatrix.from_dense(B)._plan
-    S_split, R = plan.S, plan.R
-    assert_array_equal(S_split, [] if S.size in (0, m) else S)
     assert np.all(np.diff(R) > 0)
-    assert_array_equal(np.sort(np.concatenate((S_split, R))), np.arange(m))
+    assert_array_equal(np.sort(np.concatenate((S, R))), np.arange(m))
+    assert_array_equal(again._rounds[0].S if again._rounds else [], S)  # deterministic
 
 
 def _count_analyses(monkeypatch):
@@ -352,47 +348,66 @@ def _count_analyses(monkeypatch):
     return calls
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.data())
-def test_plan_assembly_on_random_patterns(data):
+def test_plan_assembly_on_random_patterns():
     """The array of the plan's assembly, with and without eliminated rows,
     is the lower triangle of the Schur complement of a dense reference,
-    and its strict upper triangle is exactly zero."""
-    m = data.draw(st.integers(1, 12), label="m")
-    n = data.draw(st.integers(1, 16), label="n")
-    split = data.draw(st.booleans(), label="split")
-    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-    rng = np.random.default_rng(seed)
-    B = np.zeros((m, n))
-    for i in range(m):
-        k = data.draw(st.integers(0, min(n, 4)))  # 0: an empty row
-        B[i, rng.choice(n, k, replace=False)] = rng.uniform(0.5, 2.0, k) * rng.choice([-1.0, 1.0], k)
-    # zero columns put the fill below DENSE_FILL, so A takes the sparse path
-    B = np.hstack((B, np.zeros((m, 10 * np.count_nonzero(B) + 1))))
-    d = rng.uniform(0.1, 10.0, B.shape[1])
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lpipm.sparse, "MIN_SAVED_FLOPS", 0.0 if split else np.inf)
-        A = SparseMatrix.from_dense(B)
-        M = form_normal_matrix(A, d)
-    plan = M.plan
-    assert plan is A._plan
-    S, R = plan.S, plan.R
-    if not split:
-        assert S.size == 0
-    full = (B * d) @ (B * d).T
-    scale = max(np.abs(full).max(), 1.0)
-    pivots = np.diagonal(full)[S]
-    expected = full[np.ix_(R, R)] - full[np.ix_(R, S)] @ (full[np.ix_(S, R)] / pivots[:, None])
-    C = M._array
-    assert C.shape == (R.size, R.size) and C.flags.f_contiguous
-    assert not np.any(np.triu(C, 1))
-    assert_allclose(C, np.tril(expected), rtol=1e-14, atol=1e-14 * scale)
-    dense = M.to_dense()
-    assert np.array_equal(dense, dense.T)
-    assert_allclose(dense, full, rtol=1e-14, atol=1e-14 * scale)
-    assert M.nnz == np.count_nonzero(dense)
-    v = rng.standard_normal(m)
-    assert_allclose(M.matvec(v), full @ v, rtol=1e-13, atol=1e-13 * scale * np.abs(v).sum())
+    and its strict upper triangle is exactly zero.  With every round taken,
+    some of the examples eliminate rows."""
+    levels_taken = []
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def check(data):
+        m = data.draw(st.integers(1, 12), label="m")
+        n = data.draw(st.integers(1, 16), label="n")
+        split = data.draw(st.booleans(), label="split")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        B = np.zeros((m, n))
+        for i in range(m):
+            k = data.draw(st.integers(0, min(n, 4)))  # 0: an empty row
+            B[i, rng.choice(n, k, replace=False)] = (rng.uniform(0.5, 2.0, k)
+                                                     * rng.choice([-1.0, 1.0], k))
+        if split:
+            # a column of its own for every row: M is positive definite, so
+            # no level meets a zero pivot
+            B = np.hstack((B, np.diag(rng.uniform(0.5, 2.0, m))))
+        # zero columns put the fill below DENSE_FILL, so A takes the sparse path
+        B = np.hstack((B, np.zeros((m, 10 * np.count_nonzero(B) + 1))))
+        d = rng.uniform(0.1, 10.0, B.shape[1])
+        with pytest.MonkeyPatch.context() as mp:
+            if split:
+                take_every_round(mp)
+            else:
+                mp.setattr(lpipm.sparse, "MIN_SAVED_FLOPS", np.inf)
+            A = SparseMatrix.from_dense(B)
+            M = form_normal_matrix(A, d)
+        plan = M.plan
+        assert plan is A._plan
+        eliminated, R = eliminated_rows(M.levels, m)
+        assert_array_equal(R, plan.R)
+        if split:
+            levels_taken.append(len(M.levels))
+        else:
+            assert M.levels == ()
+        full = (B * d) @ (B * d).T
+        scale = max(np.abs(full).max(), 1.0)
+        E = np.concatenate(eliminated + [np.empty(0, dtype=np.int64)])
+        expected = full[np.ix_(R, R)] - full[np.ix_(R, E)] @ np.linalg.solve(
+            full[np.ix_(E, E)], full[np.ix_(E, R)])
+        C = M._array
+        assert C.shape == (R.size, R.size) and C.flags.f_contiguous
+        assert not np.any(np.triu(C, 1))
+        assert_allclose(C, np.tril(expected), rtol=1e-14, atol=1e-14 * scale)
+        dense = M.to_dense()
+        assert np.array_equal(dense, dense.T)
+        assert_allclose(dense, full, rtol=1e-14, atol=1e-14 * scale)
+        assert M.nnz == np.count_nonzero(dense)
+        v = rng.standard_normal(m)
+        assert_allclose(M.matvec(v), full @ v, rtol=1e-13, atol=1e-13 * scale * np.abs(v).sum())
+
+    check()
+    assert any(levels_taken)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -457,13 +472,13 @@ def test_rounds_on_random_patterns(data):
     assert z @ z == pytest.approx(b @ x, rel=1e-12)
 
 
-def test_one_analysis_per_matrix_across_scalings(monkeypatch, split_always):
+def test_one_analysis_per_matrix_across_scalings(monkeypatch, rounds_always):
     calls = _count_analyses(monkeypatch)
     rng = np.random.default_rng(11)
     A = SparseMatrix.from_dense(_with_fill(rng, 20, 45, DENSE_FILL / 3))
     for _ in range(10):
         M = form_normal_matrix(A, rng.uniform(0.01, 100.0, 45))
-        assert M.plan is A._plan and M.plan.S.size > 0
+        assert M.plan is A._plan and M.plan.R.size < 20
         cholesky_factorize(M)
     assert len(calls) == 1
 
