@@ -34,8 +34,8 @@ print(f"primal (delayed): {primal.status}, {primal.iterations} iterations, "
 trace = L.TraceLog()
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
-    hybrid = L.hybrid_solve(problem, L.PdConfig(), cfg, L.SwitchPolicy(),
-                            trace_log=trace, time_ratio_override=100.0)
+    hybrid = L.hybrid_solve(problem, L.PdConfig(), cfg, L.SwitchPolicy(min_pcg_budget=0),
+                            trace_log=trace)
 stats = hybrid.phase_stats
 print(f"hybrid:           {hybrid.status}, {hybrid.iterations} iterations, "
       f"{hybrid.factorizations} factorizations "

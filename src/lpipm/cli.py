@@ -12,6 +12,7 @@ import sys
 import time
 
 from .errors import ModelError, ParseError
+from .face import MIN_PCG_BUDGET
 from .generator import generate_instance
 from .hybrid import SwitchPolicy, hybrid_solve
 from .mehrotra import PdConfig, pd_solve, pd_starting_point
@@ -57,10 +58,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="hybrid switch distance: the primal-dual step's "
                        "thresholded distance must fall below it before the "
                        "hybrid switches to the primal engine")
-    solve.add_argument("--switch-ratio", type=float, default=30.0,
-                       help="hybrid switch ratio: the averaged "
-                       "factorization/step time ratio of the primal-dual "
-                       "iterations must exceed it before the hybrid switches")
+    solve.add_argument("--switch-budget", type=int, default=MIN_PCG_BUDGET,
+                       help="hybrid switch budget: the PCG iterations one "
+                       "solve on the primal-dual factor may take before it "
+                       "costs a quarter of a factorization, counted in flops, "
+                       "must reach it before the hybrid switches; 0 switches "
+                       "on the distance alone")
     solve.add_argument("--trace", default=None, help="write per-iteration CSV here")
     solve.add_argument("--dualize", action="store_true",
                        help="solve the symmetric-form dual instead")
@@ -119,7 +122,7 @@ def _solve(args) -> SolveResult:
                                   tol=args.tol, mode=DELAYED_SCALING)
         policy = SwitchPolicy(
             dist_threshold=args.switch_dist,
-            time_ratio_threshold=args.switch_ratio,
+            min_pcg_budget=args.switch_budget,
         )
         result = hybrid_solve(problem, pd_cfg, primal_cfg, policy,
                               trace_log=trace_log)

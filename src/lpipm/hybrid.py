@@ -2,14 +2,20 @@
 delayed-scaling primal engine reusing cached factorizations.
 
 The switch rule lives here whole.  After each primal-dual iteration the
-hook averages the measured factorization/step time ratio (weight
-``_RATIO_EMA`` on the newest) and measures the step's nu-thresholded
-distance, with the primal engine's ``PrimalConfig.nu``.  The switch
-fires after ``_WARMUP_ITERS`` iterations, once the distance drops below
-``dist_threshold`` while the ratio exceeds ``time_ratio_threshold``
-(both from the switch policy).  Timing is wall-clock and therefore
-nondeterministic; ``time_ratio_override`` pins the ratio, which makes
-the full iterate sequence reproducible.
+hook measures the step's nu-thresholded distance, with the primal
+engine's ``PrimalConfig.nu``, and reads the iteration's PCG budget: the
+PCG iterations one solve on its factor may take before it costs a
+quarter of a factorization, counted in flops (see
+:func:`lpipm.face.pcg_budget`).  The primal engine pays for the
+factorizations it skips in PCG iterations, so where a factorization is
+worth fewer of them than ``min_pcg_budget``, pd keeps factoring, as its
+face projection does below :data:`~lpipm.face.MIN_PCG_BUDGET`.  The
+switch fires after
+``_WARMUP_ITERS`` iterations, once the distance drops below
+``dist_threshold`` while the budget reaches ``min_pcg_budget`` (both from
+the switch policy).  Both are counted, not timed, so the iterate
+sequence is reproducible; ``min_pcg_budget=0`` switches on the distance
+alone.
 
 On a switch the primal engine starts without a cache, so its first
 iteration factors at the switch point, counted, probed and traced like
@@ -23,6 +29,7 @@ import dataclasses
 import time
 from dataclasses import dataclass
 
+from .face import MIN_PCG_BUDGET
 from .mehrotra import PdConfig, PdIterationInfo, pd_solve
 
 # refresh_cache is not called here; perfbench/tracing.py wraps the name
@@ -32,46 +39,48 @@ from .problem import StandardLp
 from .results import SolveResult, SolveStatus
 from .scaling import thresholded_distance
 
-_RATIO_EMA = 0.3  # weight of the newest factor/solve time ratio
 _WARMUP_ITERS = 3  # primal-dual iterations before the switch may fire
 
 
 @dataclass
 class SwitchPolicy:
     dist_threshold: float = 1e-1
-    time_ratio_threshold: float = 30.0
+    min_pcg_budget: int = MIN_PCG_BUDGET
 
     def __post_init__(self):
-        if min(self.dist_threshold, self.time_ratio_threshold) <= 0:
-            raise ValueError("switch policy thresholds must be positive")
+        if self.dist_threshold <= 0:
+            raise ValueError("switch distance threshold must be positive")
+        if self.min_pcg_budget < 0:
+            raise ValueError("switch PCG budget must not be negative")
 
 
 @dataclass(frozen=True)
 class SwitchDecision:
     switch: bool
     distance: float
-    time_ratio: float
+    pcg_budget: int
     reason: str
 
 
-def should_switch(k: int, distance: float, ratio: float, policy: SwitchPolicy) -> SwitchDecision:
+def should_switch(k: int, distance: float, budget: int, policy: SwitchPolicy) -> SwitchDecision:
     """Evaluate the switch rule after primal-dual iteration ``k``, whose
-    step had the thresholded ``distance``, at the time ``ratio``."""
+    step had the thresholded ``distance`` and whose factor had the PCG
+    ``budget``."""
     if k < _WARMUP_ITERS:
-        return SwitchDecision(False, distance, ratio, "warming up")
+        return SwitchDecision(False, distance, budget, "warming up")
     if distance > policy.dist_threshold:
         return SwitchDecision(
-            False, distance, ratio,
+            False, distance, budget,
             f"step distance {distance:.3e} above {policy.dist_threshold:.1e}",
         )
-    if ratio <= policy.time_ratio_threshold:
+    if budget < policy.min_pcg_budget:
         return SwitchDecision(
-            False, distance, ratio,
-            f"time ratio {ratio:.2f} below {policy.time_ratio_threshold:g}",
+            False, distance, budget,
+            f"PCG budget {budget} below {policy.min_pcg_budget}",
         )
     return SwitchDecision(
-        True, distance, ratio,
-        f"distance {distance:.3e} and time ratio {ratio:.2f} both past thresholds",
+        True, distance, budget,
+        f"distance {distance:.3e} and PCG budget {budget} both past thresholds",
     )
 
 
@@ -81,7 +90,6 @@ def hybrid_solve(
     primal_cfg: PrimalConfig,
     policy: SwitchPolicy,
     trace_log=None,
-    time_ratio_override: float | None = None,
 ) -> SolveResult:
     """Phase 1 primal-dual with per-iteration switch checks; on switch,
     hand the pd state, bound pair included, to the delayed-scaling
@@ -91,21 +99,16 @@ def hybrid_solve(
     that first factorization's included, falls back to resuming
     primal-dual once.
     ``primal_cfg.nu`` sets the threshold of the switch distance as well
-    as the primal engine's; ``time_ratio_override``, when given,
-    replaces the measured time ratio."""
+    as the primal engine's."""
     t_start = time.perf_counter()
-    last: dict = {}  # the averaged ratio; on a switch, its decision and state
+    last: dict = {}  # on a switch, its decision and state
 
     def hook(info: PdIterationInfo) -> bool:
-        ratio = info.t_factor / max(info.t_solve, 1e-9)
-        if "ratio" in last:
-            ratio = (1.0 - _RATIO_EMA) * last["ratio"] + _RATIO_EMA * ratio
-        last["ratio"] = ratio
         x = info.state.x
         decision = should_switch(
             info.k,
             thresholded_distance(x, info.x_prev, x, primal_cfg.nu),
-            ratio if time_ratio_override is None else time_ratio_override,
+            info.pcg_budget,
             policy,
         )
         if decision.switch:
@@ -128,7 +131,7 @@ def hybrid_solve(
         decision, start = last["decision"], last["state"]
         phase_stats["switch_iteration"] = phase1.iterations
         phase_stats["switch_distance"] = decision.distance
-        phase_stats["switch_time_ratio"] = decision.time_ratio
+        phase_stats["switch_pcg_budget"] = decision.pcg_budget
         # no cache: the primal engine's first iteration factors at start.x
         primal = primal_solve(
             p, dataclasses.replace(primal_cfg, mode=DELAYED_SCALING), start, trace_log=trace_log

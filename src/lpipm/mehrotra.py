@@ -2,9 +2,11 @@
 
 Normal-equations form: one factorization of ``A D^2 A^T`` per iteration
 (``d^2 = 1/(s/x + v/w)``, which is ``x/s`` off the bounded coordinates) shared
-by the affine predictor and the corrector solve.  The wall time of the
-factorization and of the step is measured per iteration and handed to
-the driver hook; the hybrid controller's switch rule averages it.
+by the affine predictor and the corrector solve.  Each iteration hands
+the driver hook the PCG budget of its factor (see
+:func:`lpipm.face.pcg_budget`), the counted price of a factorization in
+PCG iterations; the hybrid controller's switch rule reads it.  The wall
+times of the factorization and of the step go only to the trace.
 
 Where the factor is large enough that PCG on it is cheap, and once the
 candidate basis of the scaling holds for two iterations, each iteration
@@ -228,14 +230,13 @@ def mehrotra_step(
 @dataclass
 class PdIterationInfo:
     """Snapshot handed to a driver hook after each accepted iteration:
-    ``t_factor`` and ``t_solve`` are the measured seconds of its
-    factorization and of the rest of the step."""
+    ``pcg_budget`` is the PCG iterations one solve on its factor may take
+    before it costs a quarter of a factorization."""
 
     k: int
     x_prev: np.ndarray
     state: IterateState
-    t_factor: float
-    t_solve: float
+    pcg_budget: int
 
 
 def pd_solve(
@@ -358,9 +359,7 @@ def pd_solve(
                 status = SolveStatus.OPTIMAL
                 break
             if hook is not None and hook(
-                PdIterationInfo(
-                    k=k, x_prev=x_prev, state=st, t_factor=t_factor, t_solve=t_solve,
-                )
+                PdIterationInfo(k=k, x_prev=x_prev, state=st, pcg_budget=budget)
             ):
                 status = SolveStatus.HALTED
                 break

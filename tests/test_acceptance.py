@@ -245,7 +245,7 @@ def test_criterion_08_end_to_end_parity():
                 results["primal"] = L.primal_solve(std, cfg, L.pd_starting_point(std))
                 results["hybrid"] = L.hybrid_solve(
                     std, L.PdConfig(max_iter=100, tol=1e-10), cfg,
-                    L.SwitchPolicy(), time_ratio_override=100.0,
+                    L.SwitchPolicy(min_pcg_budget=0),
                 )
             for name, res in results.items():
                 good = (
@@ -278,7 +278,7 @@ def test_criterion_09_hybrid_factorization_savings():
             warnings.simplefilter("ignore")
             hyb = L.hybrid_solve(
                 std, L.PdConfig(max_iter=100, tol=1e-10), cfg,
-                L.SwitchPolicy(), time_ratio_override=100.0,
+                L.SwitchPolicy(min_pcg_budget=0),
             )
         stats = hyb.phase_stats
         good = (

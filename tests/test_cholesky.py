@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose, assert_array_equal
 
+import lpipm.sparse
 from conftest import eliminated_rows, sparse_fill_A
 from lpipm import (
     FactorizationFailed,
@@ -170,22 +171,36 @@ class TestSplitFactor:
         assert 1 < M.plan.R.size < 500
         return A, d, M, rng
 
-    def test_solves_and_product_match_the_dense_matrix(self):
-        A, d, M, rng = self._split_normal_matrix(31)
-        dense = M.to_dense()
-        f = cholesky_factorize(M)
-        assert f.diag_regularization == 0.0 and f.dimension == 500
-        b = rng.standard_normal(500)
-        x = np.linalg.solve(dense, b)
-        assert_allclose(f.solve(b), x, rtol=1e-12, atol=1e-13 * np.abs(x).max())
-        assert_allclose(f.product(b), dense @ b, rtol=1e-13, atol=1e-13 * np.abs(dense @ b).max())
-        # the half-solves are a pair: z = L^-1 P b in the permuted
-        # coordinates, and P^T L^-T z = M^-1 b back in M's
-        z = f.half_solve(b)
-        assert_allclose(f.half_solve_transpose(z), x, rtol=1e-12, atol=1e-13 * np.abs(x).max())
-        assert z @ z == pytest.approx(b @ x, rel=1e-12)
-        # so the probe of a matrix against its own factor reads 1
-        assert generalized_condition_probe(form_normal_matrix(A, d), f) == pytest.approx(1.0)
+    def test_solves_and_product_match_the_dense_matrix(self, monkeypatch):
+        cases = [self._split_normal_matrix(31)]
+        # every round taken, gathers priced: rounds of 36 and 5 rows, then a
+        # dense factor of order 59, into which the second round's update
+        # scatters through its to_array
+        monkeypatch.setattr(lpipm.sparse, "MIN_SAVED_FLOPS", 0.0)
+        rng = np.random.default_rng(0)
+        A = sparse_fill_A(rng, 100, 220)
+        d = rng.uniform(0.5, 2.0, 220)
+        M = form_normal_matrix(A, d)
+        assert [level.S.size for level in M.levels] == [36, 5] and M.plan.R.size == 59
+        cases.append((A, d, M, rng))
+        for A, d, M, rng in cases:
+            m = A.nrows
+            dense = M.to_dense()
+            f = cholesky_factorize(M)
+            assert f.diag_regularization == 0.0 and f.dimension == m
+            b = rng.standard_normal(m)
+            x = np.linalg.solve(dense, b)
+            assert_allclose(f.solve(b), x, rtol=1e-12, atol=1e-13 * np.abs(x).max())
+            assert_allclose(f.product(b), dense @ b, rtol=1e-13,
+                            atol=1e-13 * np.abs(dense @ b).max())
+            # the half-solves are a pair: z = L^-1 P b in the permuted
+            # coordinates, and P^T L^-T z = M^-1 b back in M's
+            z = f.half_solve(b)
+            assert_allclose(f.half_solve_transpose(z), x, rtol=1e-12,
+                            atol=1e-13 * np.abs(x).max())
+            assert z @ z == pytest.approx(b @ x, rel=1e-12)
+            # so the probe of a matrix against its own factor reads 1
+            assert generalized_condition_probe(form_normal_matrix(A, d), f) == pytest.approx(1.0)
 
     def test_factor_layout(self):
         _, _, M, _ = self._split_normal_matrix(32)

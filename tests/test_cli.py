@@ -86,7 +86,7 @@ class TestSolve:
         _run(capsys, ["solve", path, "--algorithm", "pd", "--trace", str(t1)])
         _run(capsys, [
             "solve", path, "--algorithm", "hybrid",
-            "--switch-ratio", "1e9", "--trace", str(t2),
+            "--switch-budget", "1000000000", "--trace", str(t2),
         ])
         rows1 = t1.read_text().splitlines()
         rows2 = t2.read_text().splitlines()
@@ -109,11 +109,15 @@ class TestSolve:
         ref = inst.certificate.objective
         assert abs(obj - ref) <= 1e-6 * (1 + abs(ref))
 
-    def test_usage_error_exit_one(self, capsys):
+    def test_usage_error_exit_one(self, planted, capsys):
         code, _, _ = _run(capsys, ["solve"])  # missing input
         assert code == 1
         code, _, _ = _run(capsys, ["frobnicate"])
         assert code == 1
+        _, path = planted
+        code, out, err = _run(capsys, ["solve", path, "--switch-budget", "-1"])
+        assert code == 1
+        assert out == "" and err.startswith("error:")
 
     def test_status_line_stable_across_runs(self, planted, capsys):
         # golden-style stability: everything except wall time is

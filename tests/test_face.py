@@ -172,9 +172,9 @@ def test_small_lp_never_tries(monkeypatch):
 
     monkeypatch.setattr(lpipm.mehrotra, "project_onto_face", never)
     assert pd_solve(p, PdConfig()).status == SolveStatus.OPTIMAL
-    for override in (1.0, 100.0):
+    for min_pcg_budget in (10**9, 0):
         res = hybrid_solve(
-            p, PdConfig(), PrimalConfig(tau=0.28, cg_tol=1e-12), SwitchPolicy(),
-            time_ratio_override=override,
+            p, PdConfig(), PrimalConfig(tau=0.28, cg_tol=1e-12),
+            SwitchPolicy(min_pcg_budget=min_pcg_budget),
         )
         assert res.status == SolveStatus.OPTIMAL

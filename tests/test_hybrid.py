@@ -20,32 +20,41 @@ from lpipm import (
     should_switch,
     to_standard_form,
 )
+from lpipm.face import MIN_PCG_BUDGET
 
 
 class TestShouldSwitch:
     def test_both_gates_pass(self):
-        d = should_switch(5, 0.05, 40.0, SwitchPolicy())
+        d = should_switch(5, 0.05, MIN_PCG_BUDGET, SwitchPolicy())
         assert d.switch
         assert d.distance == 0.05
-        assert d.time_ratio == 40.0
+        assert d.pcg_budget == MIN_PCG_BUDGET
 
-    def test_ratio_gate_fails(self):
-        d = should_switch(5, 0.05, 10.0, SwitchPolicy())
+    def test_budget_gate_fails(self):
+        d = should_switch(5, 0.05, MIN_PCG_BUDGET - 1, SwitchPolicy())
         assert not d.switch
-        assert "ratio" in d.reason
+        assert d.reason == f"PCG budget {MIN_PCG_BUDGET - 1} below {MIN_PCG_BUDGET}"
+        # budget 0 passes a policy at 0: the switch then rests on the distance
+        assert should_switch(5, 0.05, 0, SwitchPolicy(min_pcg_budget=0)).switch
 
     def test_distance_gate_fails(self):
-        d = should_switch(5, 0.5, 100.0, SwitchPolicy())
+        d = should_switch(5, 0.5, 100, SwitchPolicy())
         assert not d.switch
         assert "distance" in d.reason
 
     def test_min_iters_gate(self):
         import lpipm.hybrid as hy
 
-        d = should_switch(hy._WARMUP_ITERS - 1, 0.01, 100.0, SwitchPolicy())
+        d = should_switch(hy._WARMUP_ITERS - 1, 0.01, 100, SwitchPolicy())
         assert not d.switch
         assert d.reason == "warming up"
-        assert should_switch(hy._WARMUP_ITERS, 0.01, 100.0, SwitchPolicy()).switch
+        assert should_switch(hy._WARMUP_ITERS, 0.01, 100, SwitchPolicy()).switch
+
+
+# the budget gate off: the switch rests on the distance alone
+FORCED = SwitchPolicy(min_pcg_budget=0)
+# a budget no LP of the tests reaches: the hybrid never switches
+NEVER = SwitchPolicy(min_pcg_budget=10**9)
 
 
 def _planted(m=40, n=100, seed=11, **kw):
@@ -60,8 +69,7 @@ class TestHybridSolve:
         trace_h = TraceLog()
         res_h = hybrid_solve(
             std, PdConfig(), PrimalConfig(tau=0.28, cg_tol=1e-12),
-            SwitchPolicy(time_ratio_threshold=1e9),
-            trace_log=trace_h, time_ratio_override=1.0,
+            NEVER, trace_log=trace_h,
         )
         trace_pd = TraceLog()
         res_pd = pd_solve(std, PdConfig(), trace_log=trace_pd)
@@ -71,16 +79,37 @@ class TestHybridSolve:
         assert all(r.phase == "pd" for r in trace_h)
         assert res_h.phase_stats["switch_iteration"] is None
 
+    def test_default_policy_never_switches_below_the_budget(self, monkeypatch):
+        import lpipm.hybrid as hy
+
+        # the factor of this LP is worth no PCG iteration (budget 0); the
+        # distance gate passes, and the budget gate alone keeps pd going
+        _, std = _planted()
+        real, decisions = hy.should_switch, []
+
+        def recorded(*args):
+            decisions.append(real(*args))
+            return decisions[-1]
+
+        monkeypatch.setattr(hy, "should_switch", recorded)
+        res = hybrid_solve(std, PdConfig(), PrimalConfig(tau=0.28, cg_tol=1e-12), SwitchPolicy())
+        assert res.phase_stats["switch_iteration"] is None
+        assert not any(d.switch for d in decisions)
+        assert {d.pcg_budget for d in decisions} == {0}
+        assert f"PCG budget 0 below {MIN_PCG_BUDGET}" in {d.reason for d in decisions}
+        assert np.array_equal(res.x, pd_solve(std, PdConfig()).x)
+
     def test_switch_fires_and_saves_factorizations(self):
         inst, std = _planted()
         trace = TraceLog()
         res = hybrid_solve(
             std, PdConfig(), PrimalConfig(tau=0.28, cg_tol=1e-12),
-            SwitchPolicy(), trace_log=trace, time_ratio_override=100.0,
+            FORCED, trace_log=trace,
         )
         assert res.status == SolveStatus.OPTIMAL
         stats = res.phase_stats
         assert stats["switch_iteration"] is not None
+        assert stats["switch_pcg_budget"] == 0  # the budget the switch passed at
         primal_rows = [r for r in trace if r.phase == "primal"]
         assert len(primal_rows) == stats["primal_iterations"]
         # post-switch factorizations strictly below post-switch iterations
@@ -94,7 +123,7 @@ class TestHybridSolve:
         trace = TraceLog()
         res = hybrid_solve(
             std, PdConfig(), PrimalConfig(tau=0.28, cg_tol=1e-12, nu=1e3),
-            SwitchPolicy(), trace_log=trace, time_ratio_override=100.0,
+            FORCED, trace_log=trace,
         )
         stats = res.phase_stats
         row = trace.records[stats["switch_iteration"] - 1]
@@ -110,7 +139,7 @@ class TestHybridSolve:
         trace = TraceLog()
         res = hybrid_solve(
             std, PdConfig(), PrimalConfig(tau=0.28, cg_tol=1e-12),
-            SwitchPolicy(), trace_log=trace, time_ratio_override=100.0,
+            FORCED, trace_log=trace,
         )
         assert res.status == SolveStatus.OPTIMAL
         primal_rows = [r for r in trace if r.phase == "primal"]
@@ -123,19 +152,19 @@ class TestHybridSolve:
         _, std = _planted(seed=13)
         res = hybrid_solve(
             std, PdConfig(tol=1e-10), PrimalConfig(tau=0.28, cg_tol=1e-12, tol=1e-10),
-            SwitchPolicy(), time_ratio_override=100.0,
+            FORCED,
         )
         assert res.status == SolveStatus.OPTIMAL
         assert max(res.e_p, res.e_d, res.e_g) <= 1e-10
 
-    def test_deterministic_with_injected_ratio(self):
+    def test_switch_is_reproducible(self):
         _, std = _planted(seed=14)
         runs = []
         for _ in range(2):
             trace = TraceLog()
             res = hybrid_solve(
                 std, PdConfig(), PrimalConfig(tau=0.28, cg_tol=1e-12),
-                SwitchPolicy(), trace_log=trace, time_ratio_override=50.0,
+                FORCED, trace_log=trace,
             )
             # the trace CSV without its wall-time columns
             buf = io.BytesIO()
@@ -153,8 +182,7 @@ class TestHybridSolve:
     def test_early_return_when_start_optimal(self):
         _, std = _planted(seed=15)
         res = hybrid_solve(
-            std, PdConfig(tol=1e3), PrimalConfig(), SwitchPolicy(),
-            time_ratio_override=100.0,
+            std, PdConfig(tol=1e3), PrimalConfig(), FORCED,
         )
         assert res.status == SolveStatus.OPTIMAL
         assert res.iterations == 0
@@ -176,7 +204,7 @@ class TestHybridSolve:
         trace = TraceLog()
         res = hy.hybrid_solve(
             std, PdConfig(), PrimalConfig(tau=0.28, cg_tol=1e-12),
-            SwitchPolicy(), trace_log=trace, time_ratio_override=100.0,
+            FORCED, trace_log=trace,
         )
         stats = res.phase_stats
         assert stats["fallback"] is True
@@ -210,7 +238,7 @@ class TestHybridSolve:
         trace = TraceLog()
         res = hy.hybrid_solve(
             std, PdConfig(), PrimalConfig(tau=0.28, cg_tol=1e-12),
-            SwitchPolicy(), trace_log=trace, time_ratio_override=100.0,
+            FORCED, trace_log=trace,
         )
         stats = res.phase_stats
         assert res.status == SolveStatus.OPTIMAL
@@ -229,7 +257,7 @@ class TestHybridSolve:
         std = to_standard_form(parse_mps(inst.mps_text))
         res = hybrid_solve(
             std, PdConfig(), PrimalConfig(tau=0.28, mode="delayed_scaling"),
-            SwitchPolicy(), time_ratio_override=100.0,
+            FORCED,
         )
         assert res.phase_stats["switch_iteration"] is not None
         assert res.phase_stats["primal_iterations"] > 0
@@ -245,7 +273,7 @@ class TestHybridSolve:
         _, std = _planted(seed=17)
         res = hybrid_solve(
             std, PdConfig(), PrimalConfig(tau=0.28, cg_tol=1e-12),
-            SwitchPolicy(), time_ratio_override=100.0,
+            FORCED,
         )
         assert res.status == SolveStatus.OPTIMAL
         assert res.phase_stats["fallback"] is True
@@ -270,7 +298,7 @@ class TestHybridSolve:
         trace = TraceLog()
         res = hybrid_solve(
             std, PdConfig(), PrimalConfig(tau=0.28, cg_tol=1e-12),
-            SwitchPolicy(), trace_log=trace, time_ratio_override=100.0,
+            FORCED, trace_log=trace,
         )
         iters = [r.iter for r in trace]
         assert iters == sorted(iters)

@@ -898,8 +898,8 @@ class TestTangentPredictor:
         # one Newton step per iteration took 17 primal-phase iterations
         p = _planted_40x100()
         res = hybrid_solve(
-            p, PdConfig(), PrimalConfig(tau=0.28, cg_tol=1e-12), SwitchPolicy(),
-            time_ratio_override=100.0,
+            p, PdConfig(), PrimalConfig(tau=0.28, cg_tol=1e-12),
+            SwitchPolicy(min_pcg_budget=0),
         )
         assert res.status == SolveStatus.OPTIMAL
         assert res.phase_stats["switch_iteration"] is not None

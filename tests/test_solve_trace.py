@@ -44,11 +44,11 @@ def _primal(mode):
     return run
 
 
-def _hybrid(override, tau=0.28, **policy):
+def _hybrid(min_pcg_budget, tau=0.28, **policy):
     def run(p, trace):
         return hybrid_solve(
-            p, PdConfig(), PrimalConfig(tau=tau, cg_tol=1e-12), SwitchPolicy(**policy),
-            trace_log=trace, time_ratio_override=override,
+            p, PdConfig(), PrimalConfig(tau=tau, cg_tol=1e-12),
+            SwitchPolicy(min_pcg_budget=min_pcg_budget, **policy), trace_log=trace,
         )
 
     return run
@@ -58,10 +58,12 @@ _SOLVES = {
     "pd": lambda p, trace: pd_solve(p, PdConfig(), trace_log=trace),
     "primal-exact": _primal(EXACT),
     "primal-delayed": _primal(DELAYED_SCALING),
-    "hybrid-override-1": _hybrid(1.0),
-    "hybrid-override-100": _hybrid(100.0),
-    "hybrid-early-switch": _hybrid(100.0, tau=0.5, dist_threshold=10.0),
-    "hybrid-stalled-fallback": _hybrid(100.0),
+    # "override-1" gates the switch at a budget no LP reaches and never
+    # switches; "override-100" turns the gate off: the distance alone decides
+    "hybrid-override-1": _hybrid(10**9),
+    "hybrid-override-100": _hybrid(0),
+    "hybrid-early-switch": _hybrid(0, tau=0.5, dist_threshold=10.0),
+    "hybrid-stalled-fallback": _hybrid(0),
 }
 _SWITCHING = {"hybrid-override-100", "hybrid-early-switch", "hybrid-stalled-fallback"}
 
