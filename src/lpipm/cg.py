@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,11 @@ def pcg_solve(apply_M, precond: CholeskyFactor, rhs, rel_tol, max_iter) -> CgOut
     once it lies within ``_FLOOR_FACTOR * rel_tol``, does the attainable
     floor of the solve lie above ``rel_tol``: the run stops there and
     reports no convergence.
+
+    Finiteness is read off the dot products ``p.Mp`` and ``r.z`` the
+    recurrence forms anyway: a NaN or infinite entry makes its dot
+    product non-finite, also against a zero entry, so ``Mp`` or ``z`` is
+    scanned only to tell which breakdown a non-finite product is.
     """
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
@@ -58,10 +64,10 @@ def pcg_solve(apply_M, precond: CholeskyFactor, rhs, rel_tol, max_iter) -> CgOut
     for _ in range(max_iter):
         iterations += 1
         Mp = apply_M(p)
-        if not np.all(np.isfinite(Mp)):
-            raise NumericalBreakdown("non-finite value in PCG matrix product", iterations)
         pMp = float(p @ Mp)
-        if pMp <= 0.0 or not np.isfinite(pMp):
+        if not 0.0 < pMp < math.inf:
+            if not np.all(np.isfinite(Mp)):
+                raise NumericalBreakdown("non-finite value in PCG matrix product", iterations)
             raise NumericalBreakdown("PCG curvature is not positive", iterations)
         alpha = rz / pMp
         x += alpha * p
@@ -76,10 +82,10 @@ def pcg_solve(apply_M, precond: CholeskyFactor, rhs, rel_tol, max_iter) -> CgOut
                 return CgOutcome(x, iterations, true_rel, False)
             best_true = min(best_true, true_rel)
         z = precond.solve(r)
-        if not np.all(np.isfinite(z)):
+        rz_new = float(r @ z)
+        if not math.isfinite(rz_new) and not np.all(np.isfinite(z)):
             raise NumericalBreakdown("non-finite value in PCG preconditioner solve",
                                      iterations)
-        rz_new = float(r @ z)
         beta = rz_new / rz
         p = z + beta * p
         rz = rz_new

@@ -100,7 +100,8 @@ def minimum_degree_ordering(M: SparseMatrix) -> np.ndarray:
 
 class CholeskyFactor:
     """Factor ``M + sigma*I = P^T L L^T P``, with ``sigma`` the applied
-    ``diag_regularization`` and ``P`` the permutation that orders the rows
+    ``diag_regularization``, ``diag_max`` the largest ``|M_ii|`` (before
+    the shift) and ``P`` the permutation that orders the rows
     of ``M`` as the ``levels`` eliminate them, the dense factor's rows
     last.
 
@@ -122,11 +123,12 @@ class CholeskyFactor:
     which is similar to ``(M + sigma I)^-1 X``.
     """
 
-    __slots__ = ("L", "diag_regularization", "levels", "dimension")
+    __slots__ = ("L", "diag_regularization", "diag_max", "levels", "dimension")
 
-    def __init__(self, L: np.ndarray, diag_regularization: float, levels=()):
+    def __init__(self, L: np.ndarray, diag_regularization: float, diag_max: float, levels=()):
         self.L = L
         self.diag_regularization = diag_regularization
+        self.diag_max = diag_max
         self.levels = levels
         self.dimension = L.shape[0] + sum(level.S.size for level in levels)
 
@@ -200,12 +202,12 @@ def cholesky_factorize(M: NormalMatrix) -> CholeskyFactor:
 
     The first attempt uses sigma = 0.  If the matrix is not numerically
     positive definite, sigma starts at ``1e-12 * max|M_ii|`` and grows
-    by a decade per retry, up to 10 retries; the applied sigma is
-    recorded on the factor.  No retry makes a further m x m array: on
-    the dense path it rebuilds the lower triangle from the untouched
-    strict upper one and a saved copy of the diagonal, and on the sparse
-    path it zeroes the array and fills it again from the matrix's
-    :class:`~lpipm.sparse.AssemblyPlan`.
+    by a decade per retry, up to 10 retries; the applied sigma and
+    ``max|M_ii|`` are recorded on the factor.  No retry makes a further
+    m x m array: on the dense path it rebuilds the lower triangle from
+    the untouched strict upper one and a saved copy of the diagonal, and
+    on the sparse path it zeroes the array and fills it again from the
+    matrix's :class:`~lpipm.sparse.AssemblyPlan`.
 
     The :class:`NormalMatrix` is symmetric by construction, so no
     symmetry check is made, and it is spent: its array becomes ``L``,
@@ -226,8 +228,8 @@ def cholesky_factorize(M: NormalMatrix) -> CholeskyFactor:
     a = a if a.flags.f_contiguous else a.T
 
     diag = np.diagonal(a).copy() if plan is None else plan.diagonal(lower)
-    scale = np.abs(diag)
-    base = _REG_BASE_SCALE * (scale.max() if scale.size and scale.max() > 0 else 1.0)
+    diag_max = float(np.abs(diag).max(initial=0.0))
+    base = _REG_BASE_SCALE * (diag_max if diag_max > 0 else 1.0)
     sigma = 0.0
     for _ in range(_MAX_REG_RETRIES + 1):
         if sigma != 0.0 and plan is not None:
@@ -246,7 +248,7 @@ def cholesky_factorize(M: NormalMatrix) -> CholeskyFactor:
                     for j in range(1, L.shape[0]):
                         L[:j, j] = 0.0
                 L.flags.writeable = False
-                return CholeskyFactor(L, sigma, levels)
+                return CholeskyFactor(L, sigma, diag_max, levels)
         sigma = base if sigma == 0.0 else sigma * 10.0
     raise FactorizationFailed(
         f"no acceptable pivots after {_MAX_REG_RETRIES} regularization retries "

@@ -167,10 +167,18 @@ def mehrotra_step(
     st: IterateState,
     factor: CholeskyFactor,
     d2: np.ndarray,
+    tol: float,
 ) -> MehrotraStep:
     """One predictor-corrector step from a strictly interior state, using
     the supplied factorization of ``A D^2 A^T``; ``d2`` is the ``D^2``
     the factor was built from.
+
+    Each normal-equation solve is refined by one more solve on the same
+    factor when its residual ``rhs - A D^2 A^T dy`` exceeds
+    ``0.1 tol (1 + ||b||)``, with ``tol`` the solve's tolerance: as
+    ``A D^2 A^T`` turns singular on a degenerate LP, a residual tiny
+    next to the right-hand side can still be large next to ``r_p``, and
+    every full step would inject it as primal infeasibility.
 
     The bound pair ``(w, v)`` of the state is zero off the bounded
     coordinates ``fi``, and so are the returned full-length ``dw`` and
@@ -187,17 +195,24 @@ def mehrotra_step(
     vw = vf / wf
 
     mu = complementarity(p, st)
+    refine_above = 0.1 * tol * (1.0 + float(np.linalg.norm(p.b)))
 
     def solve_directions(rhs_xs, rhs_wv):
         rhs_combined = rhs_xs / x + r_d
         rhs_combined[fi] = rhs_combined[fi] - rhs_wv / wf - vw * r_u
-        dy = factor.solve(-r_p - p.A.matvec(d2 * rhs_combined))
-        dx = d2 * (rhs_combined + p.A.rmatvec(dy))
+        rhs = -r_p - p.A.matvec(d2 * rhs_combined)
+        dy = factor.solve(rhs)
+        Aty = p.A.rmatvec(dy)
+        res = rhs - p.A.matvec(d2 * Aty)
+        if np.linalg.norm(res) > refine_above:
+            dy = dy + factor.solve(res)
+            Aty = p.A.rmatvec(dy)
+        dx = d2 * (rhs_combined + Aty)
         dw = np.zeros(n)
         dw[fi] = -r_u - dx[fi]
         dv = np.zeros(n)
         dv[fi] = (rhs_wv - vf * dw[fi]) / wf
-        ds = -r_d - p.A.rmatvec(dy) + dv
+        ds = -r_d - Aty + dv
         return dx, dy, ds, dw, dv
 
     # affine predictor
@@ -301,7 +316,7 @@ def pd_solve(
                     f"columns after {cg_iters} PCG iterations"
                 )
             else:
-                step = mehrotra_step(p, st, factor, d2=d2)
+                step = mehrotra_step(p, st, factor, d2, cfg.tol)
                 del factor  # one m x m array at a time: gone before the next assembly
                 ap, ad = step.alpha_p, step.alpha_d
                 saved = st.copy()

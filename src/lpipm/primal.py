@@ -9,11 +9,13 @@ Both modes run the same iteration:
 2. the :class:`NormalSolver` refreshes its factorization of the scaled
    normal matrix on schedule, at the predicted point;
 3. the Newton direction is :func:`projected_direction`, computed through
-   that solver at the scaling point; off the feasible path its solve
-   carries ``-r_p``, which makes it the infeasible-start Newton step
-   with ``A dx = -r_p``;
-4. after an inexact (PCG) solve a feasibility repair, scaled by the
-   cache point, restores ``A dx = -r_p`` (0 on the feasible path);
+   that solver at the scaling point: by the cached factor's solve where
+   the cache sits at that point, else by PCG; off the feasible path its
+   solve carries ``-r_p``, which makes it the infeasible-start Newton
+   step with ``A dx = -r_p``;
+4. a feasibility repair, scaled by the cache point, restores
+   ``A dx = -r_p`` (0 on the feasible path); after a direct solve it is
+   one step of iterative refinement;
 5. the next barrier target is chosen from the step just taken: its
    length and the complementarity it reached (see :func:`primal_solve`).
 
@@ -25,7 +27,8 @@ the direction:
 * ``delayed_scaling`` keeps the cached factorization as PCG
   preconditioner, refreshes it when the iterate moves a nu-thresholded
   scaled distance ``_THETA`` from the cache point, and scales at the
-  delayed scaling point, which keeps the cached factorization useful.
+  delayed scaling point, which keeps the cached factorization useful;
+  a row that has just refreshed solves with the new factor directly.
 
 A PCG miss refreshes the cache at x and retries once, unless the cache
 is already fresh; then the miss is the attainable residual floor and the
@@ -67,7 +70,6 @@ DELAYED_SCALING = "delayed_scaling"
 _FEASIBLE_PATH_TOL = 1e-12
 _THETA = 0.1  # distance from the cache point that triggers a refresh
 _STEP_FRACTION = 0.9995  # share of the distance to the boundary taken
-_POWER_STEPS = 3  # estimate of ||M|| in the preconditioner probe
 # a step this short leaves x and mu where they were; this many in a row
 # end the solve as stalled
 _STALL_ALPHA = 1e-3
@@ -118,25 +120,22 @@ class PreconditionerCache:
 def refresh_cache(p: StandardLp, z) -> PreconditionerCache:
     """Factorize the normal matrix at z and verify the factor with one
     random probe of its backward error against the matrix-free operator:
-    ``||L L^T v - M v|| / (||M|| ||v||)``, with ``M`` including the
-    factor's diagonal shift and ``||M||`` taken from a few power steps."""
+    ``||L L^T v - M v|| / ((max_i M_ii + sigma) ||v||)``, with ``M``
+    including the factor's diagonal shift ``sigma``.  ``max_i M_ii`` is
+    at most ``||M||``, so the probe is at least as strict as one scaled
+    by the norm."""
     z = np.asarray(z, dtype=np.float64).copy()
     d = bound_scaling_diag(z, p.u)
     M = form_normal_matrix(p.A, d)
     factor = cholesky_factorize(M)
     d_sq = d * d
-
-    def apply_M(vec):
-        return p.A.matvec(d_sq * p.A.rmatvec(vec)) + factor.diag_regularization * vec
+    sigma = factor.diag_regularization
 
     probe_rng = np.random.default_rng(0xCACE)
     v = probe_rng.standard_normal(p.nrows)
-    Mv = apply_M(v)
-    q = Mv
-    for _ in range(_POWER_STEPS):
-        q = apply_M(q / np.linalg.norm(q))
+    Mv = p.A.matvec(d_sq * p.A.rmatvec(v)) + sigma * v
     LLv = factor.product(v)
-    err = np.linalg.norm(LLv - Mv) / (np.linalg.norm(q) * np.linalg.norm(v))
+    err = np.linalg.norm(LLv - Mv) / ((factor.diag_max + sigma) * np.linalg.norm(v))
     # a stale factor errs at the size of the scaling change (>= _THETA); a
     # correct one at rounding level, whatever the condition number, so
     # 1e-8 separates the two by many orders of magnitude
@@ -149,9 +148,10 @@ class NormalSolver:
     """Solves the normal equations ``A D_w^2 A^T t = r`` of one primal
     solve and owns its refresh policy.
 
-    Its one factor is that of its :class:`PreconditionerCache`.  In
-    ``exact`` mode the cache is refreshed at x every iteration and its
-    factor solves directly.  In ``delayed_scaling`` mode it
+    Its one factor is that of its :class:`PreconditionerCache`, which
+    solves directly wherever the scaling point is the cache point.  In
+    ``exact`` mode the cache is refreshed at x every iteration, so it
+    always is.  In ``delayed_scaling`` mode the factor elsewhere
     preconditions PCG, and the cache is refreshed when the thresholded
     distance reaches ``_THETA`` and once after a PCG miss.
     ``factorizations`` and ``cg_iterations`` count all the work it did;
@@ -197,11 +197,12 @@ class NormalSolver:
         return x
 
     def at(self, w, max_iter: int | None = None) -> Callable[[np.ndarray], np.ndarray]:
-        """``rhs -> (A D_w^2 A^T)^{-1} rhs``: in exact mode the cached
-        factor's solve (the cache is at w), else PCG on the matrix-free
-        operator preconditioned with the cache, with at most ``max_iter``
+        """``rhs -> (A D_w^2 A^T)^{-1} rhs``: the cached factor's solve
+        when the cache sits at w (every exact-mode row, and a delayed row
+        that has just refreshed), else PCG on the matrix-free operator
+        preconditioned with the cache, with at most ``max_iter``
         iterations (default ``_CG_MAX_ITER``)."""
-        if self.cfg.mode == EXACT:
+        if np.array_equal(w, self.cache.z):
             return self.cache.factor.solve
         A = self.p.A
         d = bound_scaling_diag(w, self.p.u)
@@ -246,9 +247,10 @@ class NormalSolver:
         return out if self.converged else None
 
     def repair(self, dx, r_p=None) -> np.ndarray:
-        """Feasibility repair of a step from an inexact solve, restoring
-        ``A dx = -r_p`` (0 when ``r_p`` is None) to the accuracy of one
-        solve with the cached factor; exact steps pass through.
+        """Feasibility repair of a step, restoring ``A dx = -r_p`` (0 when
+        ``r_p`` is None) to the accuracy of one solve with the cached
+        factor; after a direct solve on that factor it is one step of
+        iterative refinement.
 
         The error ``zeta = A dx + r_p`` is removed in the metric of the
         cache point: ``dx - D_z^2 A^T F^{-1} zeta``, with ``F`` the cached
@@ -258,8 +260,6 @@ class NormalSolver:
         spreads it evenly instead, and on degenerate LPs, where
         coordinates sit near 1e-10, that cuts full steps short until the
         solve stalls."""
-        if self.cfg.mode == EXACT:
-            return dx
         A = self.p.A
         zeta = A.matvec(dx) if r_p is None else A.matvec(dx) + r_p
         return dx - self.cache.d_sq * A.rmatvec(self.cache.factor.solve(zeta))

@@ -21,6 +21,26 @@ def _spd_with_spectrum(rng, base_sqrt, spectrum):
     return base_sqrt @ C @ base_sqrt
 
 
+def _poisoned(fn, call, index, value):
+    """``fn``, with ``value`` written to entry ``index`` of the result of
+    its ``call``-th call."""
+    calls = []
+
+    def wrapped(v):
+        out = np.array(fn(v), dtype=np.float64)
+        calls.append(None)
+        if len(calls) == call:
+            out[index] = value
+        return out
+
+    return wrapped
+
+
+class _Precond:
+    def __init__(self, solve):
+        self.solve = solve
+
+
 class TestPcg:
     def test_identity_one_iteration(self):
         f = cholesky_factorize(NormalMatrix(np.eye(4)))
@@ -109,6 +129,55 @@ class TestPcg:
         M = np.diag([1.0, -1.0])
         with pytest.raises(NumericalBreakdown):
             pcg_solve(lambda v: M @ v, f, np.array([1.0, 1.0]), 1e-10, 5)
+
+    @pytest.mark.parametrize(
+        "case, message, iterations",
+        [
+            ("nan_in_product_at_iteration_3", "non-finite value in PCG matrix product", 3),
+            ("inf_in_product_where_p_is_0", "non-finite value in PCG matrix product", 1),
+            ("minus_inf_in_product_where_p_is_0", "non-finite value in PCG matrix product", 1),
+            ("inf_in_precond_solve_where_r_is_0",
+             "non-finite value in PCG preconditioner solve", 1),
+            ("finite_product_whose_curvature_overflows", "PCG curvature is not positive", 1),
+            ("indefinite_curvature", "PCG curvature is not positive", 2),
+        ],
+    )
+    def test_breakdown_reports_its_cause_and_iteration(self, case, message, iterations):
+        # finiteness is read off the dot products p.Mp and r.z; a bad
+        # entry against a zero of p or r must still be caught, and by
+        # the same message and iteration count as a scan of the vector
+        n = 6
+        rng = np.random.default_rng(11)
+        B = rng.standard_normal((n, n))
+        M = B @ B.T + 0.1 * np.eye(n)  # kappa in the hundreds: no early exit
+        diag = np.diag(np.arange(1.0, n + 1.0))
+        rhs = rng.standard_normal(n)
+        identity = cholesky_factorize(NormalMatrix(np.eye(n)))
+        precond = identity
+        if case == "nan_in_product_at_iteration_3":
+            apply_M = _poisoned(lambda v: M @ v, 3, 2, np.nan)
+        elif case in ("inf_in_product_where_p_is_0", "minus_inf_in_product_where_p_is_0"):
+            rhs[0] = 0.0  # p = z = rhs on the identity: p_0 = 0
+            value = -np.inf if case.startswith("minus") else np.inf
+            apply_M = _poisoned(lambda v: M @ v, 1, 0, value)
+        elif case == "inf_in_precond_solve_where_r_is_0":
+            rhs[0] = 0.0  # a diagonal M keeps r_0 = 0
+            apply_M = lambda v: diag @ v  # noqa: E731
+            precond = _Precond(_poisoned(identity.solve, 2, 0, np.inf))
+        elif case == "finite_product_whose_curvature_overflows":
+            rhs = np.ones(n)
+            apply_M = lambda v: 1e308 * v  # noqa: E731
+        else:
+            # positive curvature on the first direction, negative on the second
+            apply_M = lambda v: np.diag([4.0, 1.0, 1.0, 1.0, 1.0, -2.0]) @ v  # noqa: E731
+            rhs = np.ones(n)
+        # numpy warns of the 0 * inf or the overflow in the dot product
+        # that reports the breakdown
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(NumericalBreakdown) as info:
+                pcg_solve(apply_M, precond, rhs, 1e-12, 20)
+        assert str(info.value) == message
+        assert info.value.iterations == iterations
 
 
 class TestConditionProbe:

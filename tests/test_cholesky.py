@@ -136,6 +136,7 @@ class TestFactorizationContract:
         assert_array_equal(saved[0], saved[1])
         f = cholesky_factorize(M)
         sigma = 1e-12 * np.abs(np.diagonal(saved)).max()
+        assert f.diag_max == np.abs(np.diagonal(saved)).max()  # before the shift
         assert f.diag_regularization == sigma
         _assert_bitwise_equal(f.L, sla.cholesky(saved + sigma * np.eye(6), lower=True))
         assert not np.any(np.triu(f.L, 1))
@@ -275,6 +276,8 @@ class TestRounds:
         dense = M.to_dense().copy()
         f = cholesky_factorize(M)
         assert f.diag_regularization == 0.0 and len(f.levels) > 2
+        # the largest diagonal entry runs over the whole M, not the dense block
+        assert f.diag_max == pytest.approx(np.diagonal(dense).max(), rel=1e-14)
         # each level eliminates an independent set of the matrix the
         # levels before it left: its pivots are that matrix's diagonal
         eliminated, rows = eliminated_rows(f.levels, 30)

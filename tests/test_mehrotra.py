@@ -188,7 +188,7 @@ class TestMehrotraStep:
         s = mu / x
         p = standard_lp_from_dense(A, A @ x, A.T @ y + s)
         st = IterateState(x=x, y=y, s=s, mu=mu, w=np.zeros(n), v=np.zeros(n))
-        step = mehrotra_step(p, st, *self._factor(p, st))
+        step = mehrotra_step(p, st, *self._factor(p, st), PdConfig().tol)
         assert step.mu_aff < mu
         x2 = x + step.alpha_p * step.dx
         s2 = s + step.alpha_d * step.ds
@@ -205,10 +205,35 @@ class TestMehrotraStep:
         st = IterateState(
             x=x, y=y, s=s, mu=float(x @ s) / n, w=np.zeros(n), v=np.zeros(n)
         )
-        step = mehrotra_step(p, st, *self._factor(p, st))
+        step = mehrotra_step(p, st, *self._factor(p, st), PdConfig().tol)
         mu = float(x @ s) / n
         expected = np.clip((max(step.mu_aff, 0.0) / mu) ** 3, 1e-8, 1 - 1e-8)
         assert step.sigma == pytest.approx(expected, rel=1e-12)
+
+    def test_refines_a_solve_whose_residual_exceeds_the_tolerance(self):
+        # a factor of a matrix 1e-6 off leaves a normal-equation residual
+        # of about 1e-6, which ``A dx = -r_p - res`` carries into the step;
+        # one refinement on the same factor takes it to about 1e-12, and a
+        # tolerance above the residual leaves the solve as it is
+        rng = np.random.default_rng(53)
+        m, n = 6, 15
+        A = random_full_rank(rng, m, n)
+        x = rng.uniform(0.5, 2.0, n)
+        s = rng.uniform(0.5, 2.0, n)
+        p = standard_lp_from_dense(A, A @ x + 0.1, A.T @ rng.standard_normal(m) + s)
+        st = IterateState(x=x, y=np.zeros(m), s=s, mu=float(x @ s) / n,
+                          w=np.zeros(n), v=np.zeros(n))
+        d2 = x / s
+        wrong = rng.uniform(1.0 - 1e-6, 1.0 + 1e-6, n)
+        r_p = A @ x - p.b
+
+        def feasibility_error(tol):
+            factor = cholesky_factorize(form_normal_matrix(p.A, np.sqrt(d2 * wrong)))
+            step = mehrotra_step(p, st, factor, d2, tol)
+            return np.linalg.norm(A @ step.dx + r_p) / (1.0 + np.linalg.norm(p.b))
+
+        assert 1e-9 < feasibility_error(1e6) < 1e-4
+        assert feasibility_error(1e-10) < 1e-11
 
     def test_matches_dense_kkt_oracle(self, tiny_lp):
         st = IterateState(
@@ -217,7 +242,7 @@ class TestMehrotraStep:
         )
         n, m = 2, 1
         st.mu = float(st.x @ st.s) / n
-        step = mehrotra_step(tiny_lp, st, *self._factor(tiny_lp, st))
+        step = mehrotra_step(tiny_lp, st, *self._factor(tiny_lp, st), PdConfig().tol)
 
         # dense replication of predictor + corrector
         A = tiny_lp.A.to_dense()
@@ -273,6 +298,21 @@ class TestPdSolve:
             res = pd_solve(p, PdConfig(max_iter=30))
         assert res.status == SolveStatus.ITERATION_LIMIT
         assert res.e_p > 1e-4  # primal infeasibility cannot vanish
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("m, n", [(30, 70), (40, 90)])
+    def test_degenerate_lp_ends_optimal(self, m, n, seed):
+        # as A D^2 A^T turns singular, a solve leaves a residual tiny next
+        # to its right-hand side but large next to r_p; unrefined, every
+        # full step injects it, e_p cycles back up to 1e-2 and the solve
+        # ends at the iteration limit
+        inst = generate_instance(m, n, seed, degenerate=True, density=1.0, spread=3)
+        std = to_standard_form(parse_mps(inst.mps_text))
+        res = pd_solve(std, PdConfig())
+        assert res.status == SolveStatus.OPTIMAL
+        assert res.iterations <= 15
+        ref = inst.certificate.objective
+        assert abs(res.objective - ref) <= 1e-8 * (1 + abs(ref))
 
     def test_planted_instance_matches_certificate(self):
         inst = generate_instance(30, 60, seed=3)
@@ -383,7 +423,7 @@ class TestPdSolve:
         vw[finite] = v[finite] / w[finite]
         d2 = 1.0 / (s / x + vw)
         factor = cholesky_factorize(form_normal_matrix(p.A, np.sqrt(d2)))
-        step = mehrotra_step(p, st, factor, d2)
+        step = mehrotra_step(p, st, factor, d2, PdConfig().tol)
 
         A = p.A.to_dense()
         r_p = A @ x - p.b

@@ -414,6 +414,22 @@ class TestNormalSolver:
             assert_allclose(A @ (x**2 * (A.T @ solver.at(x)(rhs))), rhs, rtol=1e-10)
         assert not hasattr(solver, "factor")
 
+    def test_solves_directly_at_the_cache_point(self):
+        # at the cache point the preconditioner is the factor of the very
+        # matrix to solve: its solve, no PCG run; anywhere else PCG
+        rng = np.random.default_rng(48)
+        p, st = feasible_instance(rng, 6, 14)
+        solver = NormalSolver(p, PrimalConfig(mode=DELAYED_SCALING, cg_tol=1e-12))
+        solver.update(st.x)
+        rhs = rng.standard_normal(6)
+        assert solver.at(st.x.copy()) == solver.cache.factor.solve
+        assert solver.cg_iterations == 0
+        w = st.x * rng.uniform(0.9, 1.1, 14)
+        t = solver.at(w)(rhs)
+        assert solver.cg_iterations > 0
+        A = p.A.to_dense()
+        assert_allclose(A @ (w**2 * (A.T @ t)), rhs, rtol=1e-10)
+
     def test_miss_refreshes_once_and_counts_both_runs(self, monkeypatch):
         import lpipm.primal as primal
 
@@ -438,7 +454,8 @@ class TestNormalSolver:
             far, lambda w, solve: projected_direction(p, far, w, 0.5, st.y, solve)
         )
         assert not runs[0].converged
-        assert len(runs) == 2  # one refresh, one retry, then accepted
+        # one refresh; the retry is the new factor's direct solve, no PCG run
+        assert len(runs) == 1
         assert solver.factorizations == 1
         assert np.array_equal(solver.cache.z, far)
         assert solver.cg_iterations == sum(r.iterations for r in runs)
@@ -736,13 +753,14 @@ class TestPrimalSolve:
         ref = inst.certificate.objective
         assert abs(p.recovery.original_objective(res.objective) - ref) <= 1e-8 * (1 + abs(ref))
 
-    @pytest.mark.parametrize("mode", [DELAYED_SCALING])
+    @pytest.mark.parametrize("mode", [DELAYED_SCALING, EXACT])
     @pytest.mark.parametrize("seed", [1, 2, 3, 7])
     def test_degenerate_lp_reaches_optimal(self, mode, seed):
         # a degenerate optimum puts coordinates near 1e-10 next to a nearly
         # singular normal matrix; a repair of the PCG error that ignores
         # the scaling used to cut full steps short there until the solve
-        # stalled
+        # stalled, and an exact step left unrepaired kept e_p at 1.2e-10,
+        # above tol, to the iteration limit (seed 1)
         inst = generate_instance(30, 70, seed, degenerate=True, density=1.0, spread=3.0)
         p = to_standard_form(parse_mps(inst.mps_text))
         cfg = PrimalConfig(tau=0.28, cg_tol=1e-12, mode=mode)

@@ -60,12 +60,12 @@ _SOLVES = {
     "primal-delayed": _primal(DELAYED_SCALING),
     # "override-1" gates the switch at a budget no LP reaches and never
     # switches; "override-100" turns the gate off: the distance alone decides
-    "hybrid-override-1": _hybrid(10**9),
-    "hybrid-override-100": _hybrid(0),
+    "hybrid-never": _hybrid(10**9),
+    "hybrid-forced": _hybrid(0),
     "hybrid-early-switch": _hybrid(0, tau=0.5, dist_threshold=10.0),
     "hybrid-stalled-fallback": _hybrid(0),
 }
-_SWITCHING = {"hybrid-override-100", "hybrid-early-switch", "hybrid-stalled-fallback"}
+_SWITCHING = {"hybrid-forced", "hybrid-early-switch", "hybrid-stalled-fallback"}
 
 
 @pytest.mark.parametrize("solve", sorted(_SOLVES))
@@ -96,7 +96,7 @@ def gated_lp():
     return to_standard_form(parse_mps(generate_instance(600, 1320, 7, density=4 / 600).mps_text))
 
 
-@pytest.mark.parametrize("solve", ["pd", "hybrid-override-1", "hybrid-override-100"])
+@pytest.mark.parametrize("solve", ["pd", "hybrid-never", "hybrid-forced"])
 def test_rows_sum_to_the_counts_when_pd_projects(gated_lp, solve):
     """Past the budget gate, the projection's PCG iterations sit on the
     row of the iteration that tried it, and its factorization has a row."""
@@ -124,7 +124,7 @@ def test_untraced_solves_skip_trace_only_values(monkeypatch):
     assert primal_solve(p, cfg, pd_starting_point(p)).status == SolveStatus.OPTIMAL
 
 
-@pytest.mark.parametrize("solve", ["primal-delayed", "hybrid-override-100"])
+@pytest.mark.parametrize("solve", ["primal-delayed", "hybrid-forced"])
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_primal_targets_stay_positive(seed, solve):
     """The predictor cuts the target from the previous target, never from

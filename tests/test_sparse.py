@@ -461,7 +461,8 @@ def test_rounds_on_random_patterns(data):
     assert not np.any(np.triu(C, 1))
     assert_allclose(C, np.tril(expected), rtol=1e-13, atol=1e-13 * scale)
 
-    f = CholeskyFactor(np.asfortranarray(sla.cholesky(C, lower=True)), sigma, levels)
+    f = CholeskyFactor(np.asfortranarray(sla.cholesky(C, lower=True)), sigma,
+                       float(np.abs(np.diagonal(full)).max()), levels)
     assert f.dimension == m
     b = rng.standard_normal(m)
     x = np.linalg.solve(shifted, b)
