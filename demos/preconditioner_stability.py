@@ -28,12 +28,16 @@ anchor_pd = L.cholesky_factorize(
     L.form_normal_matrix(problem.A, np.sqrt(st0.x / st0.s))
 )
 
+
+def normal_operator(d_sq):
+    """v -> A diag(d_sq) A^T v, without assembling the matrix."""
+    return lambda v: problem.A.matvec(d_sq * problem.A.rmatvec(v))
+
+
 print(f"{'j':>3} {'mu':>10} {'reuse kappa, primal':>20} {'reuse kappa, primal-dual':>26}")
 for j, st in enumerate(window):
-    M_primal = L.form_normal_matrix(problem.A, st.x)
-    M_pd = L.form_normal_matrix(problem.A, np.sqrt(st.x / st.s))
-    k_primal = L.generalized_condition_probe(M_primal, anchor_primal, 30)
-    k_pd = L.generalized_condition_probe(M_pd, anchor_pd, 30)
+    k_primal = L.generalized_condition_probe(normal_operator(st.x**2), anchor_primal, 30)
+    k_pd = L.generalized_condition_probe(normal_operator(st.x / st.s), anchor_pd, 30)
     print(f"{j:>3} {st.mu:>10.2e} {k_primal:>20.6f} {k_pd:>26.3e}")
 
 print("\nThe probe_spectra report for the same window (primal engine "

@@ -1,4 +1,9 @@
-"""Preconditioned conjugate gradient and a Lanczos condition probe."""
+"""Preconditioned conjugate gradient and a Lanczos condition probe.
+
+Both take the matrix as an operator ``apply_M`` and the preconditioner
+as a :class:`~lpipm.cholesky.CholeskyFactor`: neither assembles a matrix,
+so on ``M = A D^2 A^T`` the caller passes ``v -> A (d^2 (A^T v))``.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +15,6 @@ import scipy.linalg as sla
 
 from .cholesky import CholeskyFactor
 from .errors import NumericalBreakdown
-from .sparse import NormalMatrix, SparseMatrix
 
 
 # a true residual this close to the tolerance that stops falling is at
@@ -44,7 +48,10 @@ def pcg_solve(apply_M, precond: CholeskyFactor, rhs, rel_tol, max_iter) -> CgOut
     Finiteness is read off the dot products ``p.Mp`` and ``r.z`` the
     recurrence forms anyway: a NaN or infinite entry makes its dot
     product non-finite, also against a zero entry, so ``Mp`` or ``z`` is
-    scanned only to tell which breakdown a non-finite product is.
+    scanned only to tell which breakdown a non-finite product is.  The
+    loop runs with numpy's invalid and overflow warnings off, so a
+    breakdown surfaces as :class:`NumericalBreakdown` alone, also where
+    warnings are raised as errors.
     """
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
@@ -61,59 +68,58 @@ def pcg_solve(apply_M, precond: CholeskyFactor, rhs, rel_tol, max_iter) -> CgOut
     iterations = 0
     best_true = np.inf  # smallest true residual so far, once checked
     misses = 0  # consecutive checks that did not fall below best_true
-    for _ in range(max_iter):
-        iterations += 1
-        Mp = apply_M(p)
-        pMp = float(p @ Mp)
-        if not 0.0 < pMp < math.inf:
-            if not np.all(np.isfinite(Mp)):
-                raise NumericalBreakdown("non-finite value in PCG matrix product", iterations)
-            raise NumericalBreakdown("PCG curvature is not positive", iterations)
-        alpha = rz / pMp
-        x += alpha * p
-        r -= alpha * Mp
-        if best_true < np.inf or np.linalg.norm(r) / denom <= rel_tol:
-            r = rhs - apply_M(x)
-            true_rel = float(np.linalg.norm(r)) / denom
-            if true_rel <= rel_tol:
-                return CgOutcome(x, iterations, true_rel, True)
-            misses = misses + 1 if true_rel >= best_true else 0
-            if misses == 2 or (misses == 1 and true_rel <= _FLOOR_FACTOR * rel_tol):
-                return CgOutcome(x, iterations, true_rel, False)
-            best_true = min(best_true, true_rel)
-        z = precond.solve(r)
-        rz_new = float(r @ z)
-        if not math.isfinite(rz_new) and not np.all(np.isfinite(z)):
-            raise NumericalBreakdown("non-finite value in PCG preconditioner solve",
-                                     iterations)
-        beta = rz_new / rz
-        p = z + beta * p
-        rz = rz_new
+    with np.errstate(invalid="ignore", over="ignore"):
+        for _ in range(max_iter):
+            iterations += 1
+            Mp = apply_M(p)
+            pMp = float(p @ Mp)
+            if not 0.0 < pMp < math.inf:
+                if not np.all(np.isfinite(Mp)):
+                    raise NumericalBreakdown("non-finite value in PCG matrix product",
+                                             iterations)
+                raise NumericalBreakdown("PCG curvature is not positive", iterations)
+            alpha = rz / pMp
+            x += alpha * p
+            r -= alpha * Mp
+            if best_true < np.inf or np.linalg.norm(r) / denom <= rel_tol:
+                r = rhs - apply_M(x)
+                true_rel = float(np.linalg.norm(r)) / denom
+                if true_rel <= rel_tol:
+                    return CgOutcome(x, iterations, true_rel, True)
+                misses = misses + 1 if true_rel >= best_true else 0
+                if misses == 2 or (misses == 1 and true_rel <= _FLOOR_FACTOR * rel_tol):
+                    return CgOutcome(x, iterations, true_rel, False)
+                best_true = min(best_true, true_rel)
+            z = precond.solve(r)
+            rz_new = float(r @ z)
+            if not math.isfinite(rz_new) and not np.all(np.isfinite(z)):
+                raise NumericalBreakdown("non-finite value in PCG preconditioner solve",
+                                         iterations)
+            beta = rz_new / rz
+            p = z + beta * p
+            rz = rz_new
 
     final = rhs - apply_M(x)
     rel = float(np.linalg.norm(final)) / denom
     return CgOutcome(x, iterations, rel, rel <= rel_tol)
 
 
-def generalized_condition_probe(
-    M1: NormalMatrix | SparseMatrix, M2_factor: CholeskyFactor, iters: int = 30
-) -> float:
-    """Estimate the generalized condition number kappa(M2^{-1/2} M1 M2^{-1/2}).
+def generalized_condition_probe(apply_M, M2_factor: CholeskyFactor, iters: int = 30) -> float:
+    """Estimate the generalized condition number kappa(M2^{-1/2} M1 M2^{-1/2})
+    of the operator ``apply_M`` (``v -> M1 v``) against the factor of ``M2``.
 
     Runs at most ``iters`` (at least 1) Lanczos steps with full
     reorthogonalization on the symmetrically preconditioned operator;
-    the Ritz estimate is a lower bound of the true kappa.
+    the Ritz estimate is a lower bound of the true kappa.  A non-finite
+    value in a step raises :class:`NumericalBreakdown`, not numpy's
+    warning.
     """
     if iters < 1:
         raise ValueError(f"iters must be at least 1, got {iters}")
-    n = M1.nrows
-    if M1.ncols != n or M2_factor.dimension != n:
-        raise ValueError("probe dimensions do not match")
+    n = M2_factor.dimension
 
     def apply_C(v):
-        a = M2_factor.half_solve_transpose(v)
-        b = M1.matvec(a)
-        return M2_factor.half_solve(b)
+        return M2_factor.half_solve(apply_M(M2_factor.half_solve_transpose(v)))
 
     rng = np.random.default_rng(0x5EED)
     q = rng.standard_normal(n)
@@ -122,7 +128,8 @@ def generalized_condition_probe(
     alphas, betas = [], []
     steps = min(int(iters), n)
     for k in range(steps):
-        w = apply_C(Q[k])
+        with np.errstate(invalid="ignore", over="ignore"):  # reported below
+            w = apply_C(Q[k])
         if not np.all(np.isfinite(w)):
             raise NumericalBreakdown("non-finite value in Lanczos iteration")
         a = float(Q[k] @ w)

@@ -4,25 +4,21 @@
 escalating the diagonal shift ``sigma`` when ``M`` is not numerically
 positive definite.  It factors in place, in one buffer that becomes the
 dense factor ``L``: a :class:`NormalMatrix` hands its own array over,
-and the array or its transpose is already the Fortran-order matrix
-LAPACK needs, so no copy is made.  ``dpotrf`` reads and writes only the
-lower triangle.  On the dense path the array is bitwise symmetric: after
-a failed pivot the strict upper triangle still holds the matrix, the
-next shift is tried on the lower triangle rebuilt from it, and the
-factor's strict upper triangle is zeroed at the end.
+already in the layout ``dpotrf`` reads on either assembly path
+(:mod:`lpipm.sparse`): F-ordered, a lower triangle, and a strict upper
+triangle of zeros, which ``dpotrf`` leaves as it is, so the factor needs
+no zeroing and no copy is made.  A retry has the matrix refill the
+array at the next shift (:meth:`NormalMatrix.refill`).
 
-On a sparse ``A`` (see :mod:`lpipm.sparse`) the array holds only a lower
-triangle, its strict upper one zero, so the factor needs no zeroing,
-and a retry rebuilds the array from the matrix's assembly plan.  The
-plan's rounds of elimination may take rows ahead of ``dpotrf``, each
-round an independent set in the pattern the rounds before it left, taken
-by one rule: when it saves ``dpotrf`` at least
-:data:`~lpipm.sparse.MIN_SAVED_FLOPS` net of its gathers.  The
-array is then the Schur complement they leave over the other rows,
-``dpotrf`` factors only that block, and the factor keeps, level by
-level, the diagonal pivots of each round's rows and its sparse coupling
-block beside ``L``.  Apart from that the order is the natural one: a
-dense factor does the same flops in any order.
+On a sparse ``A`` the plan's rounds of elimination may take rows ahead
+of ``dpotrf``, each round an independent set in the pattern the rounds
+before it left, taken by one rule: when it saves ``dpotrf`` at least
+:data:`~lpipm.sparse.MIN_SAVED_FLOPS` net of its gathers.  The array is
+then the Schur complement they leave over the other rows, ``dpotrf``
+factors only that block, and the factor keeps, level by level, the
+diagonal pivots of each round's rows and its sparse coupling block
+beside ``L``.  Apart from that the order is the natural one: a dense
+factor does the same flops in any order.
 
 :func:`minimum_degree_ordering` computes a symmetric minimum-degree
 ordering of a sparse pattern.  The factorization does not use it.
@@ -203,52 +199,31 @@ def cholesky_factorize(M: NormalMatrix) -> CholeskyFactor:
     The first attempt uses sigma = 0.  If the matrix is not numerically
     positive definite, sigma starts at ``1e-12 * max|M_ii|`` and grows
     by a decade per retry, up to 10 retries; the applied sigma and
-    ``max|M_ii|`` are recorded on the factor.  No retry makes a further
-    m x m array: on the dense path it rebuilds the lower triangle from
-    the untouched strict upper one and a saved copy of the diagonal, and
-    on the sparse path it zeroes the array and fills it again from the
-    matrix's :class:`~lpipm.sparse.AssemblyPlan`.
+    ``max|M_ii|`` are recorded on the factor.  Each retry has the matrix
+    refill the array it handed over at ``M + sigma I``, so no retry makes
+    a further m x m array.
 
     The :class:`NormalMatrix` is symmetric by construction, so no
-    symmetry check is made, and it is spent: its array becomes ``L``,
-    and afterwards it reports its shape but no entries.  When it carries
-    eliminated levels, its array is the Schur complement ``C`` they
-    leave; the shift applies to the whole ``M``, so each retry rebuilds
-    every level and ``C`` at ``M + sigma I``, and ``max|M_ii|`` runs over
-    the whole diagonal.  A pivot of a level that is not positive fails
-    like a pivot of ``dpotrf``: the next shift is tried, and the pivot is
-    never divided by.
+    symmetry check is made, and it is spent: its array becomes ``L``.
+    When it carries eliminated levels, its array is the Schur complement
+    ``C`` they leave; the shift applies to the whole ``M``, so each
+    refill rebuilds every level and ``C`` at ``M + sigma I``, and
+    ``max|M_ii|`` runs over the whole diagonal.  A pivot of a level that
+    is not positive fails like a pivot of ``dpotrf``: the next shift is
+    tried, and the pivot is never divided by.
     """
-    if M.nrows != M.ncols:
-        raise ValueError("matrix must be square")
-    plan, lower, levels = M.plan, M.lower, M.levels
-    # on the dense path the array is symmetric, so it or its transpose is
-    # M in Fortran order; on the sparse path it is F-ordered already
+    levels = M.levels
     a = M.take_array()
-    a = a if a.flags.f_contiguous else a.T
-
-    diag = np.diagonal(a).copy() if plan is None else plan.diagonal(lower)
-    diag_max = float(np.abs(diag).max(initial=0.0))
-    base = _REG_BASE_SCALE * (diag_max if diag_max > 0 else 1.0)
+    base = _REG_BASE_SCALE * (M.diag_max if M.diag_max > 0 else 1.0)
     sigma = 0.0
     for _ in range(_MAX_REG_RETRIES + 1):
-        if sigma != 0.0 and plan is not None:
-            a.fill(0.0)
-            levels = plan.fill(a, lower, sigma)
-        elif sigma != 0.0:
-            # the failed attempt left the strict upper triangle intact
-            for j in range(a.shape[0]):
-                a[j + 1:, j] = a[j, j + 1:]
-            np.fill_diagonal(a, diag + sigma)
+        if sigma != 0.0:
+            levels = M.refill(sigma)
         if levels is not None:  # None: a pivot of an eliminated level failed
             L, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
             if info == 0:
-                if plan is None:
-                    # the strict upper triangle still holds the matrix
-                    for j in range(1, L.shape[0]):
-                        L[:j, j] = 0.0
                 L.flags.writeable = False
-                return CholeskyFactor(L, sigma, diag_max, levels)
+                return CholeskyFactor(L, sigma, M.diag_max, levels)
         sigma = base if sigma == 0.0 else sigma * 10.0
     raise FactorizationFailed(
         f"no acceptable pivots after {_MAX_REG_RETRIES} regularization retries "

@@ -9,19 +9,22 @@ through scipy's sparse kernels.
 :func:`form_normal_matrix` returns ``M = A D^2 A^T`` as a
 :class:`NormalMatrix`, the one-shot input of the dense LAPACK
 factorization in :mod:`lpipm.cholesky`, which factors it in its own
-array.  On the dense path that array is the whole m x m ``M``.  On the
-sparse path the pattern of ``M`` is the same for every scaling ``D``, so
-``A`` analyses it once, on its first assembly, into an
-:class:`AssemblyPlan` (George and Liu, *Computer Solution of Large
-Sparse Positive Definite Systems*, 1981), and each assembly does numeric
-work only: scipy's product for the values of ``M``, and gathers into a
-zero-filled array of which only the lower triangle, the one LAPACK
-reads, is written.  The plan also orders the elimination by rounds of
-multiple minimum-degree elimination (Liu, ACM TOMS 11(2), 1985), all by
-one rule (:func:`_next_round`).  Each round takes an independent set
-``S`` in the pattern of the matrix the rounds before it left, ``M``
-itself for the first, fewest neighbours first, while a row's share of
-the Schur update costs less than the dense work its elimination saves.
+array.  Both paths give that array one layout, the one ``dpotrf``
+reads: F-ordered, a lower triangle, and a strict upper triangle of
+zeros, and :meth:`NormalMatrix.refill` rewrites it at a diagonal shift.
+On the dense path it is the lower triangle of the m x m ``M``, from one
+BLAS SYRK of ``B = A D``.  On the sparse path the pattern of ``M`` is
+the same for every scaling ``D``, so ``A`` analyses it once, on its
+first assembly, into an :class:`AssemblyPlan` (George and Liu, *Computer
+Solution of Large Sparse Positive Definite Systems*, 1981), and each
+assembly does numeric work only: scipy's product for the values of
+``M``, and gathers into the lower triangle of a zero-filled array.  The
+plan also orders the elimination by rounds of multiple minimum-degree
+elimination (Liu, ACM TOMS 11(2), 1985), all by one rule
+(:func:`_next_round`).  Each round takes an independent set ``S`` in the
+pattern of the matrix the rounds before it left, ``M`` itself for the
+first, fewest neighbours first, while a row's share of the Schur update
+costs less than the dense work its elimination saves.
 ``C_SS`` is then diagonal for every ``D``, so eliminating ``S`` is an
 exact Cholesky step with no fill inside ``S``; on ``M`` an independent
 set is a set of rows of ``A`` whose column supports are pairwise
@@ -40,6 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sps
+from scipy.linalg.blas import dsyrk
 
 # Fill nnz / (m n) from which A keeps a dense copy.  Per iteration an
 # engine assembles once and applies A and A^T a few (pd) to a few dozen
@@ -208,11 +212,11 @@ class SparseMatrix:
 
     @cached_property
     def _dense(self) -> np.ndarray | None:
-        """The read-only dense copy when the fill reaches DENSE_FILL, else
-        None; computed once per matrix."""
+        """The read-only, F-ordered dense copy when the fill reaches
+        DENSE_FILL, else None; computed once per matrix."""
         if self.nnz < DENSE_FILL * self.nrows * self.ncols:
             return None
-        dense = self._csc.toarray()
+        dense = self._csc.toarray(order="F")
         dense.flags.writeable = False
         return dense
 
@@ -588,100 +592,71 @@ class AssemblyPlan:
         """Entries of ``M`` that are not zero, from its lower triangle."""
         return 2 * int(np.count_nonzero(lower)) - int(np.count_nonzero(lower[self._diag_idx]))
 
-    def whole(self, lower: np.ndarray) -> sps.csr_matrix:
-        """The whole ``M`` from its lower triangle, mirrored, so both
-        triangles are bitwise equal."""
-        rows = self._lower_rows
-        cols = np.searchsorted(self._indptr, self._lower_src, side="right") - 1
-        strict = rows != cols
-        coo = sps.coo_matrix(
-            (np.concatenate((lower, lower[strict])),
-             (np.concatenate((rows, cols[strict])), np.concatenate((cols, rows[strict])))),
-            shape=(self._shape[0],) * 2,
-        )
-        return coo.tocsr()
-
 
 class NormalMatrix:
-    """Symmetric ``M = A D^2 A^T``, a one-shot operand of
-    :func:`lpipm.cholesky.cholesky_factorize`.
+    """Symmetric ``M = A D^2 A^T`` as :func:`form_normal_matrix` assembles
+    it, the one-shot operand of :func:`lpipm.cholesky.cholesky_factorize`.
 
-    The matrix owns one dense array, read-only until :meth:`take_array`
-    hands it over.  The factorization takes the array and overwrites it
-    with the factor, so a factored matrix still reports its shape, but
-    ``to_dense``, ``matvec`` and ``nnz`` raise.
+    The matrix owns one array in the layout LAPACK's ``dpotrf`` reads:
+    F-ordered, the lower triangle of ``M``, or of the Schur complement
+    ``C`` over the rows ``R`` when the plan's rounds eliminate the others,
+    and a strict upper triangle of zeros.  ``levels`` are the eliminated
+    levels of the factor (:meth:`AssemblyPlan.fill`), ``()`` without
+    any, or None when one of their pivots is not positive; ``diag_max``
+    is the largest ``|M_ii|`` over the whole ``M``.
 
-    Without a ``plan`` (the dense path), the array is ``M`` itself with
-    both triangles bitwise equal, and ``to_dense`` returns it without a
-    copy.  With one (a sparse ``A``), ``lower`` holds the values on and
-    below the diagonal of ``M`` in the plan's order, and the array is the
-    lower triangle of the Schur complement ``C`` left over the rows ``R``
-    after the plan's rounds of elimination (of ``M`` itself when no row
-    is eliminated), its strict upper triangle zero; ``levels`` are the
-    eliminated levels of the factor (:meth:`AssemblyPlan.fill`), or None
-    when one of their pivots is not positive.  ``to_dense`` and
-    ``matvec`` build the whole ``M`` from ``lower`` on first use.  Either
-    way ``nrows``, ``ncols`` and ``nnz`` describe the whole ``M``.
+    The array is read-only until :meth:`take_array` hands it over to be
+    overwritten with the factor, and :meth:`refill` then rewrites it at
+    a shift: from ``B = A D`` on a dense ``A``, and on a sparse one from
+    ``plan`` and ``lower``, the values on and below the diagonal of
+    ``M`` in the plan's order.  ``nrows`` and ``nnz`` describe the whole
+    ``M``; ``nnz`` raises once the array is handed over.
     """
 
-    __slots__ = ("_array", "_shape", "plan", "lower", "levels", "_whole")
+    __slots__ = ("_array", "_taken", "_B", "plan", "lower", "levels", "diag_max", "nrows")
 
-    def __init__(self, array: np.ndarray, plan: AssemblyPlan | None = None,
-                 lower: np.ndarray | None = None, levels: tuple[Level, ...] | None = ()):
+    def __init__(self, array: np.ndarray, B: np.ndarray | None = None,
+                 plan: AssemblyPlan | None = None, lower: np.ndarray | None = None,
+                 levels: tuple[Level, ...] | None = ()):
         array.flags.writeable = False
-        self._array = array
+        self._array, self._taken, self._B = array, False, B
         self.plan, self.lower, self.levels = plan, lower, levels
-        self._whole = None
-        self._shape = array.shape if plan is None else (plan._shape[0],) * 2
+        diag = np.diagonal(array) if plan is None else plan.diagonal(lower)
+        self.diag_max = float(np.abs(diag).max(initial=0.0))
+        self.nrows = array.shape[0] if plan is None else plan._shape[0]
 
-    @property
-    def nrows(self) -> int:
-        return self._shape[0]
-
-    @property
-    def ncols(self) -> int:
-        return self._shape[1]
-
-    @property
-    def nnz(self) -> int:
-        """Entries that are not zero (structural fill of ``A D^2 A^T``)."""
-        array = self._entries()
-        return int(np.count_nonzero(array)) if self.plan is None else self.plan.nnz(self.lower)
-
-    def _entries(self) -> np.ndarray:
-        if self._array is None:
+    def _fresh(self) -> np.ndarray:
+        if self._taken:
             raise RuntimeError("the array of this NormalMatrix was handed to a factorization")
         return self._array
 
-    def _operand(self):
-        """The whole ``M``: the array, or the sparse matrix built from
-        ``lower`` once."""
-        array = self._entries()
-        if self.plan is None:
-            return array
-        if self._whole is None:
-            self._whole = self.plan.whole(self.lower)
-        return self._whole
+    @property
+    def nnz(self) -> int:
+        """Entries of ``M`` that are not zero, from its lower triangle."""
+        a = self._fresh()
+        if self.plan is not None:
+            return self.plan.nnz(self.lower)
+        return 2 * int(np.count_nonzero(a)) - int(np.count_nonzero(np.diagonal(a)))
 
     def take_array(self) -> np.ndarray:
-        """Hand the array over, writeable, to a caller that overwrites it;
-        this matrix keeps only its shape.  A caller that needs ``plan``,
-        ``lower`` and ``levels`` reads them first."""
-        array = self._entries()
-        self._array = self.plan = self.lower = self.levels = self._whole = None
-        array.flags.writeable = True
-        return array
+        """Hand the array over, writeable, to a caller that overwrites it."""
+        a = self._fresh()
+        self._taken = True
+        a.flags.writeable = True
+        return a
 
-    def to_dense(self) -> np.ndarray:
-        operand = self._operand()
-        if self.plan is None:
-            return operand
-        dense = operand.toarray()
-        dense.flags.writeable = False
-        return dense
-
-    def matvec(self, v) -> np.ndarray:
-        return self._operand() @ np.asarray(v, dtype=np.float64)
+    def refill(self, sigma: float) -> tuple[Level, ...] | None:
+        """Rewrite the array handed over with the lower triangle of ``M +
+        sigma I``, or of its Schur complement ``C(sigma)``, and return the
+        levels at ``sigma``: None when one of their pivots is not
+        positive.  The strict upper triangle stays zero."""
+        a = self._array
+        if self.plan is not None:
+            a.fill(0.0)
+            return self.plan.fill(a, self.lower, sigma)
+        dsyrk(1.0, self._B, beta=0.0, c=a, lower=1, overwrite_c=1)
+        a.reshape(-1, order="F")[::a.shape[0] + 1] += sigma
+        return ()
 
 
 def form_normal_matrix(A: SparseMatrix, d) -> NormalMatrix:
@@ -689,14 +664,15 @@ def form_normal_matrix(A: SparseMatrix, d) -> NormalMatrix:
     :func:`lpipm.cholesky.cholesky_factorize`, which overwrites the
     matrix's fresh array with the factor.
 
-    With ``B = A diag(d)``, a dense ``A`` gives ``B B^T`` in one BLAS
-    product; numpy computes a matrix times its own transpose with SYRK
-    and mirrors the computed triangle, so both triangles are bitwise
-    equal, and the array is the m x m ``M``.  A sparse ``A`` assembles
-    from its :class:`AssemblyPlan`, analysed on the first assembly:
-    scipy's sparse product gives the values of ``M``, and gathers place
-    those on and below the diagonal into a zero-filled ``|R| x |R|``
-    array, less the Schur updates of the plan's rounds of elimination.
+    A dense ``A`` gives the lower triangle of ``B B^T``, ``B = A
+    diag(d)``, in one BLAS SYRK, which leaves the strict upper triangle
+    zero; ``B`` is F-ordered, as ``A``'s dense copy is, so SYRK reads it
+    without a copy, and the matrix keeps it for :meth:`NormalMatrix.refill`.
+    A sparse ``A`` assembles from its :class:`AssemblyPlan`, analysed on
+    the first assembly: scipy's sparse product gives the values of
+    ``M``, and gathers place those on and below the diagonal into a
+    zero-filled ``|R| x |R|`` array, less the Schur updates of the plan's
+    rounds of elimination.
     """
     d = np.asarray(d, dtype=np.float64)
     if d.shape != (A.ncols,):
@@ -707,8 +683,8 @@ def form_normal_matrix(A: SparseMatrix, d) -> NormalMatrix:
     dense = A._dense
     if dense is not None:
         B = dense * d
-        return NormalMatrix(B @ B.T)
+        return NormalMatrix(dsyrk(1.0, B, lower=1), B)
     plan, lower = A._plan.lower_values(d)
     r = plan.R.size
     array = np.zeros((r, r), order="F")
-    return NormalMatrix(array, plan, lower, plan.fill(array, lower, 0.0))
+    return NormalMatrix(array, plan=plan, lower=lower, levels=plan.fill(array, lower, 0.0))

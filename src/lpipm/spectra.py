@@ -4,7 +4,9 @@ For consecutive primal iterates the probe reports the generalized
 condition number of the current primal normal matrix preconditioned by
 the anchor iterate's factorization (the quantity the reuse strategy
 relies on staying small), with the condition number of the primal-dual
-normal matrix ``A X S^{-1} A^T`` alongside for contrast.
+normal matrix ``A X S^{-1} A^T`` alongside for contrast.  Only the
+anchor's normal matrix is assembled, to be factored; the probe applies
+each iterate's ``A D^2 A^T`` matrix-free, as ``v -> A (d^2 (A^T v))``.
 """
 
 from __future__ import annotations
@@ -53,9 +55,9 @@ def probe_spectra(p: StandardLp, states, anchor: int = 0, iters: int = 30) -> li
     rows = []
     for j, st in enumerate(states):
         x = np.asarray(st.x, dtype=np.float64)
-        d = bound_scaling_diag(x, p.u)
-        M_j = form_normal_matrix(p.A, d)
-        kappa_reuse = generalized_condition_probe(M_j, anchor_factor, iters)
+        d_sq = bound_scaling_diag(x, p.u) ** 2
+        kappa_reuse = generalized_condition_probe(
+            lambda v: p.A.matvec(d_sq * p.A.rmatvec(v)), anchor_factor, iters)
         s = np.asarray(st.s, dtype=np.float64)
         floor = _S_FLOOR_REL * max(float(np.abs(s).max()), 1.0)
         s_safe = np.maximum(s, floor)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import lpipm.sparse
-from lpipm import IterateState, RecoveryMap, SparseMatrix, StandardLp
+from lpipm import IterateState, RecoveryMap, SparseMatrix, StandardLp, form_normal_matrix
 
 
 def dense_projection(B: np.ndarray) -> np.ndarray:
@@ -25,6 +25,20 @@ def dense_proximity(A: np.ndarray, x: np.ndarray, c: np.ndarray, mu: float) -> f
 def dense_primal_direction(A, x, c, mu) -> np.ndarray:
     v = x * c / mu - 1.0
     return -x * (dense_projection(A * x[np.newaxis, :]) @ v)
+
+
+def normal_matrix(A, d=None):
+    """``form_normal_matrix`` of ``A`` (a dense array or a SparseMatrix) at
+    the scaling ``d``, ones by default, and its reference ``(A d)(A d)^T``
+    formed independently, by numpy on the dense ``A``.
+
+    A hand-made symmetric matrix ``M`` goes in as a factor ``A`` with
+    ``A A^T = M``.  The matrix keeps only the lower triangle of
+    ``A D^2 A^T``, so a test compares against the reference."""
+    S = A if isinstance(A, SparseMatrix) else SparseMatrix.from_dense(A)
+    d = np.ones(S.ncols) if d is None else np.asarray(d, dtype=np.float64)
+    B = S.to_dense() * d
+    return form_normal_matrix(S, d), B @ B.T
 
 
 def random_full_rank(rng, m, n, density=1.0) -> np.ndarray:

@@ -5,17 +5,20 @@ import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose, assert_array_equal
 
+import lpipm.cholesky
 import lpipm.sparse
-from conftest import eliminated_rows, sparse_fill_A
+from conftest import eliminated_rows, normal_matrix, sparse_fill_A
 from lpipm import (
     FactorizationFailed,
-    NormalMatrix,
     SparseMatrix,
     cholesky_factorize,
-    form_normal_matrix,
     generalized_condition_probe,
     minimum_degree_ordering,
 )
+
+
+# A A^T = [[4, 2], [2, 3]]
+_FOUR_TWO_THREE = np.array([[2.0, 0.0], [1.0, np.sqrt(2.0)]])
 
 
 def _reconstruct(factor):
@@ -23,42 +26,50 @@ def _reconstruct(factor):
     return factor.L @ factor.L.T
 
 
+def _operator(A, d):
+    """v -> A diag(d^2) A^T v, matrix-free."""
+    return lambda v: A.matvec(d * d * A.rmatvec(v))
+
+
 class TestFactorize:
     def test_identity(self):
-        f = cholesky_factorize(NormalMatrix(np.eye(3)))
+        M, _ = normal_matrix(np.eye(3))
+        f = cholesky_factorize(M)
         assert f.diag_regularization == 0.0
         assert_array_equal(f.L, np.eye(3))
 
     def test_two_by_two_by_hand(self):
-        f = cholesky_factorize(NormalMatrix(np.array([[4.0, 2.0], [2.0, 3.0]])))
+        M, _ = normal_matrix(_FOUR_TWO_THREE)
+        f = cholesky_factorize(M)
         assert_allclose(f.L, [[2.0, 0.0], [1.0, np.sqrt(2.0)]])
         assert f.diag_regularization == 0.0
 
     def test_singular_gets_regularized(self):
-        M = np.ones((2, 2))
-        f = cholesky_factorize(NormalMatrix(M.copy()))
+        M, ref = normal_matrix(np.ones((2, 1)))
+        assert_array_equal(ref, np.ones((2, 2)))
+        f = cholesky_factorize(M)
         assert f.diag_regularization > 0.0
         v = f.solve(np.array([1.0, 1.0]))
         assert np.all(np.isfinite(v))
-        assert_allclose(_reconstruct(f), M + f.diag_regularization * np.eye(2), rtol=1e-12)
+        assert_allclose(_reconstruct(f), ref + f.diag_regularization * np.eye(2), rtol=1e-12)
         # a tiny but positive pivot is not regularized
-        f2 = cholesky_factorize(NormalMatrix(np.diag([1.0, 1e-14])))
+        f2 = cholesky_factorize(normal_matrix(np.diag([1.0, 1e-7]))[0])
         assert f2.diag_regularization == 0.0
 
-    def test_factorization_failed_after_retries(self):
+    def test_factorization_failed_after_retries(self, monkeypatch):
+        # the rows are equal, so the second pivot is 5 - 5^2 / 5 = 0
+        # exactly; from a base of 1e-40 max|M_ii| every shift is lost in
+        # rounding against 5
+        monkeypatch.setattr(lpipm.cholesky, "_REG_BASE_SCALE", 1e-40)
+        M, _ = normal_matrix(np.array([[1.0, 2.0], [1.0, 2.0]]))
         with pytest.raises(FactorizationFailed):
-            cholesky_factorize(NormalMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError, match="square"):
-            cholesky_factorize(NormalMatrix(np.array([[1.0, 0.0]])))
+            cholesky_factorize(M)
 
     def test_reconstruction_on_random_probes(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             B = rng.standard_normal((6, 10))
-            M = form_normal_matrix(SparseMatrix.from_dense(B), rng.uniform(0.5, 2, 10))
-            D = M.to_dense().copy()  # the factorization overwrites M's array
+            M, D = normal_matrix(B, rng.uniform(0.5, 2, 10))
             f = cholesky_factorize(M)
             assert f.diag_regularization == 0.0
             assert np.all(np.diagonal(f.L) > 0.0)
@@ -87,27 +98,34 @@ class TestFactorizationContract:
             A = sparse_fill_A(rng, m, n)
         assert (A._dense is None) == (fill == "sparse")
         assert (A._plan is None) == (fill == "dense")
-        M = form_normal_matrix(A, rng.uniform(0.5, 2.0, n))
-        # the operand LAPACK factors: M itself, or the lower triangle of the
-        # Schur complement of the eliminated rows, which the sparse path
-        # hands over instead
-        array = M.to_dense() if fill == "dense" else M._array
+        M, ref = normal_matrix(A, rng.uniform(0.5, 2.0, n))
+        # the operand LAPACK factors, in one layout on both paths: the
+        # F-ordered lower triangle of M, or of the Schur complement of the
+        # eliminated rows on the sparse path, over a strict upper triangle
+        # of zeros
+        array = M._array
+        assert array.flags.f_contiguous
+        assert not np.any(np.triu(array, 1))
+        if fill == "dense":
+            # SYRK's triangle is numpy's own product, bit for bit
+            _assert_bitwise_equal(np.tril(array), np.tril(ref))
         saved = array.copy()
         f = cholesky_factorize(M)
         assert np.shares_memory(f.L, array)  # factored in place, without a copy
         assert f.diag_regularization == 0.0
         _assert_bitwise_equal(f.L, sla.cholesky(saved, lower=True))
+        # no pass zeroes the factor's strict upper triangle: it was never written
+        assert not np.any(np.triu(f.L, 1))
         if fill == "sparse":
-            assert not np.any(np.triu(saved, 1))
             assert f.levels and f.L.shape == (m - sum(level.S.size for level in f.levels),) * 2
             assert f.dimension == m
 
     def test_factor_layout(self):
         rng = np.random.default_rng(23)
         B = rng.standard_normal((9, 15))
-        for M in (form_normal_matrix(SparseMatrix.from_dense(B), np.ones(15)),
-                  NormalMatrix(B @ B.T)):
-            L = cholesky_factorize(M).L
+        sparse = np.hstack((B, np.zeros((9, 10 * B.size))))  # below DENSE_FILL
+        for A in (B, sparse):
+            L = cholesky_factorize(normal_matrix(A)[0]).L
             assert L.flags.f_contiguous  # dtrsv and dtrmv read it without a copy
             assert not L.flags.writeable
             assert not np.any(np.triu(L, 1))
@@ -115,47 +133,51 @@ class TestFactorizationContract:
 
     def test_spent_normal_matrix_keeps_shape_only(self):
         rng = np.random.default_rng(24)
-        M = form_normal_matrix(SparseMatrix.from_dense(rng.standard_normal((7, 11))), np.ones(11))
+        M, _ = normal_matrix(rng.standard_normal((7, 11)))
         cholesky_factorize(M)
-        assert (M.nrows, M.ncols) == (7, 7)
+        assert M.nrows == 7
         with pytest.raises(RuntimeError):
-            M.to_dense()
+            M.nnz
         with pytest.raises(RuntimeError):
-            M.matvec(np.ones(7))
+            M.take_array()
 
     def test_singular_normal_matrix_takes_the_first_shift(self):
-        # rows 0 and 1 are equal with squared norm 9, so the second pivot
-        # is 9 - 3 * 3 = 0 exactly and the unshifted attempt fails
+        # rows 0 and 1 are equal with squared norm 10, so the second pivot
+        # is 10 - 10^2 / 10 = 0 exactly and the unshifted attempt fails
         B = np.zeros((6, 14))
         B[:, :6] = np.eye(6)
         B[0, 6:9] = B[1, 6:9] = [1.0, 2.0, 2.0]
         B[1, :6] = B[0, :6]
         B[2:, 9:] = np.random.default_rng(25).standard_normal((4, 5))
-        M = form_normal_matrix(SparseMatrix.from_dense(B), np.ones(14))
-        saved = M.to_dense().copy()
+        M, saved = normal_matrix(B)
+        assert M.plan is None  # the dense path
         assert_array_equal(saved[0], saved[1])
         f = cholesky_factorize(M)
         sigma = 1e-12 * np.abs(np.diagonal(saved)).max()
         assert f.diag_max == np.abs(np.diagonal(saved)).max()  # before the shift
         assert f.diag_regularization == sigma
+        # the retry refilled the array by SYRK and shifted its diagonal
         _assert_bitwise_equal(f.L, sla.cholesky(saved + sigma * np.eye(6), lower=True))
         assert not np.any(np.triu(f.L, 1))
 
-    def test_escalating_shift_rebuilds_from_the_mirror(self):
-        # smallest eigenvalue -3e-11 max|M_ii|: the shifts 0, 1e-12 and
-        # 1e-11 (relative) fail and 1e-10 succeeds, each retry starting
-        # from the triangle the last failed attempt left untouched
-        rng = np.random.default_rng(26)
-        B = rng.standard_normal((8, 12))
-        M0 = B @ B.T
-        scale = np.diagonal(M0).max()
-        shift = np.linalg.eigvalsh(M0)[0] + 3e-11 * scale
-        saved = M0 - shift * np.eye(8)
-        f = cholesky_factorize(NormalMatrix(saved.copy()))
-        sigma = 1e-10 * np.abs(np.diagonal(saved)).max()
-        assert f.diag_regularization == pytest.approx(sigma, rel=1e-14)
+    def test_escalating_shift_refills_the_array(self, monkeypatch):
+        # rows 0 and 1 are equal with squared norm 10, so the second pivot
+        # is 10 - 10^2 / 10 = 0 exactly.  From a base of 1e-18 max|M_ii| the
+        # first shifts are lost in rounding against 10, and the array is
+        # refilled after each failed attempt has overwritten its triangle
+        monkeypatch.setattr(lpipm.cholesky, "_REG_BASE_SCALE", 1e-18)
+        B = np.zeros((6, 14))
+        B[:, :6] = np.eye(6)
+        B[0, 6:9] = B[1, 6:9] = [1.0, 2.0, 2.0]
+        B[1, :6] = B[0, :6]
+        B[2:, 9:] = np.random.default_rng(26).standard_normal((4, 5))
+        M, saved = normal_matrix(B)
+        assert M.plan is None  # the dense path
+        f = cholesky_factorize(M)
+        base = 1e-18 * np.abs(np.diagonal(saved)).max()
+        assert f.diag_regularization >= 100.0 * base  # at least three attempts failed
         _assert_bitwise_equal(
-            f.L, sla.cholesky(saved + f.diag_regularization * np.eye(8), lower=True)
+            f.L, sla.cholesky(saved + f.diag_regularization * np.eye(6), lower=True)
         )
 
 
@@ -168,9 +190,9 @@ class TestSplitFactor:
         rng = np.random.default_rng(seed)
         A = sparse_fill_A(rng, 500, 1100)
         d = rng.uniform(0.5, 2.0, 1100)
-        M = form_normal_matrix(A, d)
+        M, dense = normal_matrix(A, d)
         assert 1 < M.plan.R.size < 500
-        return A, d, M, rng
+        return A, d, M, dense, rng
 
     def test_solves_and_product_match_the_dense_matrix(self, monkeypatch):
         cases = [self._split_normal_matrix(31)]
@@ -181,12 +203,11 @@ class TestSplitFactor:
         rng = np.random.default_rng(0)
         A = sparse_fill_A(rng, 100, 220)
         d = rng.uniform(0.5, 2.0, 220)
-        M = form_normal_matrix(A, d)
+        M, dense = normal_matrix(A, d)
         assert [level.S.size for level in M.levels] == [36, 5] and M.plan.R.size == 59
-        cases.append((A, d, M, rng))
-        for A, d, M, rng in cases:
+        cases.append((A, d, M, dense, rng))
+        for A, d, M, dense, rng in cases:
             m = A.nrows
-            dense = M.to_dense()
             f = cholesky_factorize(M)
             assert f.diag_regularization == 0.0 and f.dimension == m
             b = rng.standard_normal(m)
@@ -201,10 +222,10 @@ class TestSplitFactor:
                             atol=1e-13 * np.abs(x).max())
             assert z @ z == pytest.approx(b @ x, rel=1e-12)
             # so the probe of a matrix against its own factor reads 1
-            assert generalized_condition_probe(form_normal_matrix(A, d), f) == pytest.approx(1.0)
+            assert generalized_condition_probe(_operator(A, d), f) == pytest.approx(1.0)
 
     def test_factor_layout(self):
-        _, _, M, _ = self._split_normal_matrix(32)
+        _, _, M, _, _ = self._split_normal_matrix(32)
         R = M.plan.R
         f = cholesky_factorize(M)
         eliminated, rows = eliminated_rows(f.levels, 500)
@@ -226,14 +247,12 @@ class TestSplitFactor:
         B[0, :3] = B[1, :3] = [1.0, 2.0, 2.0]
         B[2, 3] = 10.0
         rng = np.random.default_rng(33)
-        A = SparseMatrix.from_dense(B)
-        M = form_normal_matrix(A, np.ones(n))
+        M, dense = normal_matrix(B)
         (S,), R = eliminated_rows(M.levels, m)
         assert_array_equal(S, [0, 2])
         assert_array_equal(R, [1])
         assert_array_equal(M.plan.R, R)
         assert M._array[0, 0] == 0.0
-        dense = M.to_dense()
         f = cholesky_factorize(M)
         sigma = 1e-12 * 100.0
         assert f.diag_regularization == sigma
@@ -260,10 +279,10 @@ class TestRounds:
         rng = np.random.default_rng(seed)
         A = sparse_fill_A(rng, 30, 80)
         d = rng.uniform(0.5, 2.0, 80)
-        return A, d, form_normal_matrix(A, d), rng
+        return A, d, *normal_matrix(A, d), rng
 
     def test_dense_order_is_m_less_the_eliminated_rows(self, rounds_always):
-        _, _, M, _ = self._normal_matrix(31)
+        _, _, M, _, _ = self._normal_matrix(31)
         assert len(M.levels) > 2
         f = cholesky_factorize(M)
         eliminated, rows = eliminated_rows(f.levels, 30)
@@ -272,8 +291,7 @@ class TestRounds:
         assert f.dimension == 30
 
     def test_solves_product_and_probe_match_the_dense_matrix(self, rounds_always):
-        A, d, M, rng = self._normal_matrix(32)
-        dense = M.to_dense().copy()
+        A, d, M, dense, rng = self._normal_matrix(32)
         f = cholesky_factorize(M)
         assert f.diag_regularization == 0.0 and len(f.levels) > 2
         # the largest diagonal entry runs over the whole M, not the dense block
@@ -303,7 +321,7 @@ class TestRounds:
         assert_allclose(f.half_solve_transpose(z), x, rtol=1e-11, atol=1e-12 * np.abs(x).max())
         assert z @ z == pytest.approx(b @ x, rel=1e-12)
         # so the probe of a matrix against its own factor reads 1
-        assert generalized_condition_probe(form_normal_matrix(A, d), f) == pytest.approx(1.0)
+        assert generalized_condition_probe(_operator(A, d), f) == pytest.approx(1.0)
 
     def test_zero_pivot_in_a_later_level_takes_the_shift(self, rounds_always):
         # rows 0 and 1 are equal, with squared norm 9, and share no column
@@ -321,9 +339,8 @@ class TestRounds:
             B[rng.choice(np.arange(3, m), 2, replace=False), j] = rng.uniform(0.5, 1.5, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the zero pivot is never divided by
-            M = form_normal_matrix(SparseMatrix.from_dense(B), np.ones(n))
+            M, dense = normal_matrix(B)
             assert M.levels is None  # the unshifted fill stopped at the zero pivot
-            dense = M.to_dense()
             f = cholesky_factorize(M)
         eliminated, rows = eliminated_rows(f.levels, m)
         assert 0 in eliminated[0] and any(1 in S for S in eliminated[1:])
@@ -340,24 +357,24 @@ class TestRounds:
 
 class TestFactorSolve:
     def test_identity_solve(self):
-        f = cholesky_factorize(NormalMatrix(np.eye(3)))
+        f = cholesky_factorize(normal_matrix(np.eye(3))[0])
         assert_array_equal(f.solve(np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
 
     def test_two_by_two_solve(self):
-        f = cholesky_factorize(NormalMatrix(np.array([[4.0, 2.0], [2.0, 3.0]])))
+        f = cholesky_factorize(normal_matrix(_FOUR_TWO_THREE)[0])
         assert_allclose(f.solve(np.array([6.0, 5.0])), [1.0, 1.0], rtol=1e-14)
 
     def test_zero_rhs(self):
-        f = cholesky_factorize(NormalMatrix(np.array([[2.0]])))
+        f = cholesky_factorize(normal_matrix(np.array([[2.0]]))[0])
         assert_array_equal(f.solve(np.array([0.0])), [0.0])
 
     def test_dimension_mismatch(self):
-        f = cholesky_factorize(NormalMatrix(np.eye(3)))
+        f = cholesky_factorize(normal_matrix(np.eye(3))[0])
         with pytest.raises(ValueError):
             f.solve(np.ones(4))
 
     def test_half_solves_reject_a_wrong_length(self):
-        f = cholesky_factorize(NormalMatrix(np.diag([4.0, 9.0, 16.0])))
+        f = cholesky_factorize(normal_matrix(np.diag([2.0, 3.0, 4.0]))[0])
         assert_allclose(f.half_solve(np.ones(3)), [0.5, 1.0 / 3.0, 0.25], rtol=1e-15)
         for half_solve in (f.half_solve, f.half_solve_transpose):
             for wrong in (np.ones(4), np.ones(2)):
@@ -368,10 +385,10 @@ class TestFactorSolve:
         rng = np.random.default_rng(5)
         for _ in range(10):
             B = rng.standard_normal((8, 14))
-            M = form_normal_matrix(SparseMatrix.from_dense(B), rng.uniform(0.3, 3, 14))
-            assert np.linalg.cond(M.to_dense()) < 1e8
+            M, dense = normal_matrix(B, rng.uniform(0.3, 3, 14))
+            assert np.linalg.cond(dense) < 1e8
             v = rng.standard_normal(8)
-            rhs = M.to_dense() @ v
+            rhs = dense @ v
             f = cholesky_factorize(M)
             assert_allclose(f.solve(rhs), v, rtol=1e-10, atol=1e-12)
 
@@ -384,8 +401,8 @@ class TestOrdering:
         B[:, 0] = rng.standard_normal(10)  # no empty rows
         A = SparseMatrix.from_dense(B)
         # two normal matrices of one pattern, as sparse patterns
-        M1 = SparseMatrix.from_dense(form_normal_matrix(A, rng.uniform(0.5, 2, 20)).to_dense())
-        M2 = SparseMatrix.from_dense(form_normal_matrix(A, rng.uniform(0.5, 2, 20)).to_dense())
+        M1 = SparseMatrix.from_dense(normal_matrix(A, rng.uniform(0.5, 2, 20))[1])
+        M2 = SparseMatrix.from_dense(normal_matrix(A, rng.uniform(0.5, 2, 20))[1])
         assert_array_equal(M1.row_idx, M2.row_idx)
         p1 = minimum_degree_ordering(M1)
         p2 = minimum_degree_ordering(M2)

@@ -6,7 +6,9 @@ above the level at entry counts every array and string a call makes.
 Every factorization lives in one m x m array, built after the previous
 factor is released: two m x m arrays alive at once, an old factor beside
 a new one or a copy made for LAPACK, put the peak of a solve above
-2 x 8m² bytes.  On a sparse ``A`` the assembly holds, beside that
+2 x 8m² bytes.  On a dense ``A`` the assembly holds ``B = A D`` and the
+array SYRK writes, and a shifted retry rewrites that array in place.
+On a sparse ``A`` the assembly holds, beside that
 array, the sparse product ``M = A D^2 A^T`` and a plan of a few int32
 per entry of it: O(nnz(M)), where a plan with one record per pair of
 entries in a column of ``A`` would be O(sum_k nnz_k^2).  Set-up splits
@@ -26,6 +28,7 @@ from lpipm import (
     PrimalConfig,
     SolveStatus,
     SparseMatrix,
+    cholesky_factorize,
     form_normal_matrix,
     generate_instance,
     parse_mps,
@@ -37,6 +40,8 @@ from lpipm import (
 
 # one m x m array plus the vectors and sparse products of the solve
 PEAK_BOUND = 1.5
+# share of B = A D and the m x m array that one dense assembly may hold
+DENSE_ASSEMBLY_BOUND = 1.05
 # bytes per entry of A D^2 A^T that one assembly may hold beside its
 # array: 12 for scipy's product (a value and an int32 index), 4 per int32
 # array of the plan, and the analysis's temporaries on the first assembly
@@ -111,3 +116,34 @@ def test_assembly_below_dense_fill_holds_one_array_and_the_pattern():
         bound = 8 * m * m + ASSEMBLY_BYTES_PER_ENTRY * nnz
         assert peak <= bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
         del M
+
+
+def _dense_A(m, n, rng):
+    """A dense-filled ``A`` with its dense copy built, so a trace that
+    starts afterwards sees the assembly only.  Rows 0 and 1 are equal with
+    squared norm 9: the second pivot of ``A A^T`` is 9 - 3 * 3 = 0."""
+    B = rng.standard_normal((m, n))
+    B[:2] = 0.0
+    B[:2, :3] = [1.0, 2.0, 2.0]
+    A = SparseMatrix.from_dense(B)
+    assert A._dense is not None
+    return A
+
+
+def test_dense_assembly_holds_b_and_one_array():
+    # the benchmark's dense_tail size
+    m, n = 280, 630
+    A = _dense_A(m, n, np.random.default_rng(5))
+    d = np.random.default_rng(6).uniform(0.5, 2.0, n)
+    M, peak = _traced_peak(lambda: form_normal_matrix(A, d))
+    bound = DENSE_ASSEMBLY_BOUND * 8 * (m * n + m * m)
+    assert peak <= bound, f"peak {peak / bound:.2f} x the bound"
+
+
+def test_dense_shifted_factorization_adds_no_array():
+    m, n = 280, 630
+    A = _dense_A(m, n, np.random.default_rng(7))
+    M = form_normal_matrix(A, np.ones(n))
+    f, peak = _traced_peak(lambda: cholesky_factorize(M))
+    assert f.diag_regularization > 0.0  # the unshifted attempt failed
+    assert peak < 8 * m * m, f"peak {peak / (8 * m * m):.2f} x 8m²"

@@ -5,12 +5,12 @@ from numpy.testing import assert_allclose
 from lpipm import (
     DELAYED_SCALING,
     EXACT,
+    CholeskyFactor,
     FactorizationFailed,
     IterateState,
     NormalSolver,
     PrimalConfig,
     SolveStatus,
-    NormalMatrix,
     NumericalBreakdown,
     TraceLog,
     cholesky_factorize,
@@ -33,6 +33,7 @@ from conftest import (
     dense_projection,
     dense_proximity,
     feasible_instance,
+    normal_matrix,
     random_full_rank,
     standard_lp_from_dense,
     tiny_central_x1,
@@ -360,7 +361,7 @@ class TestRefreshCache:
     def test_correct_factor_of_ill_conditioned_matrix_passes(self):
         p, z = self._near_singular()
         cache = refresh_cache(p, z)
-        M = form_normal_matrix(p.A, z).to_dense()
+        M = normal_matrix(p.A, z)[1]
         L = cache.factor.L
         assert np.linalg.norm(L @ L.T - M) <= 1e-12 * np.linalg.norm(M)
 
@@ -368,10 +369,14 @@ class TestRefreshCache:
         import lpipm.primal as primal
 
         real = primal.cholesky_factorize
-        monkeypatch.setattr(
-            primal, "cholesky_factorize",
-            lambda M: real(NormalMatrix(M.to_dense() * (1.0 + 1e-6))),
-        )
+
+        def wrong(M):
+            # the factor of (1 + 1e-6) M
+            f = real(M)
+            return CholeskyFactor(f.L * np.sqrt(1.0 + 1e-6), f.diag_regularization,
+                                  f.diag_max, f.levels)
+
+        monkeypatch.setattr(primal, "cholesky_factorize", wrong)
         p, z = self._near_singular()
         with pytest.raises(NumericalBreakdown, match="probe failed"):
             refresh_cache(p, z)

@@ -24,7 +24,7 @@ from lpipm import (
 )
 from lpipm.sparse import DENSE_FILL, AssemblyPlan
 
-from conftest import eliminated_rows, sparse_fill_A, take_every_round
+from conftest import eliminated_rows, normal_matrix, sparse_fill_A, take_every_round
 
 # one fill on each side of DENSE_FILL, so both product kernels run
 BOTH_KERNELS = pytest.mark.parametrize(
@@ -107,48 +107,67 @@ class TestSparseMatrix:
 
 
 class TestFormNormalMatrix:
+    """The array holds the lower triangle of ``M`` on both paths when no
+    row is eliminated, its strict upper triangle zero."""
+
     def test_identity_case(self):
         A = SparseMatrix.identity(2)
         M = form_normal_matrix(A, np.ones(2))
-        assert_array_equal(M.to_dense(), np.eye(2))
+        assert_array_equal(M._array, np.eye(2))
 
     def test_row_vector_by_hand(self):
         A = SparseMatrix.from_dense([[1.0, 1.0]])
         M = form_normal_matrix(A, np.array([1.0, 2.0]))
-        assert_array_equal(M.to_dense(), [[5.0]])
+        assert_array_equal(M._array, [[5.0]])
 
     def test_two_rows_by_hand(self):
         A = SparseMatrix.from_dense([[1.0, 1.0], [0.0, 1.0]])
         M = form_normal_matrix(A, np.array([1.0, 2.0]))
-        assert_array_equal(M.to_dense(), [[5.0, 4.0], [4.0, 4.0]])
+        assert_array_equal(M._array, [[5.0, 0.0], [4.0, 4.0]])
+        assert M.nnz == 4 and M.diag_max == 5.0
 
     @BOTH_KERNELS
     def test_matches_dense_formula(self, fill):
         rng = np.random.default_rng(2)
         A = _with_fill(rng, 20, 45, fill)
         d = rng.uniform(0.1, 3.0, 45)
-        M = form_normal_matrix(SparseMatrix.from_dense(A), d)
-        expected = A @ np.diag(d**2) @ A.T
-        assert_allclose(M.to_dense(), expected, rtol=1e-13, atol=1e-13)
-        v = rng.standard_normal(20)
-        assert_allclose(M.matvec(v), expected @ v, rtol=1e-12, atol=1e-12)
-        assert M.nnz == np.count_nonzero(M.to_dense())
-        assert not M.to_dense().flags.writeable
+        M, expected = normal_matrix(A, d)
+        assert_allclose(M._array, np.tril(expected), rtol=1e-13, atol=1e-13)
+        assert M.nnz == np.count_nonzero(expected)
+        assert M.diag_max == pytest.approx(np.diagonal(expected).max(), rel=1e-14)
+        assert not M._array.flags.writeable
 
     @BOTH_KERNELS
     def test_bitwise_symmetric_storage(self, fill):
+        # one triangle is stored, so the matrix it holds is symmetric bit
+        # for bit: the strict upper triangle is zero and nothing reads it
         rng = np.random.default_rng(3)
         for trial in range(20):
             A = _with_fill(rng, 20, 45, fill)
             d = rng.uniform(0.01, 100.0, 45)
-            M = form_normal_matrix(SparseMatrix.from_dense(A), d)
-            D = M.to_dense()
-            # not just close: the two triangles must be identical bitwise
-            assert np.array_equal(D, D.T)
+            M, expected = normal_matrix(A, d)
+            C = M._array
+            assert C.flags.f_contiguous and not np.any(np.triu(C, 1))
+            if fill == 1.0:
+                # SYRK's triangle is numpy's own product, which numpy mirrors
+                assert np.array_equal(C, np.tril(expected))
+
+    @BOTH_KERNELS
+    def test_refill_rewrites_the_array_it_handed_over(self, fill):
+        rng = np.random.default_rng(4)
+        M, _ = normal_matrix(_with_fill(rng, 20, 45, fill), rng.uniform(0.1, 3.0, 45))
+        a = M.take_array()
+        assembled = a.copy()
+        # a failed factorization leaves its partial factor in the triangle
+        a[np.tril_indices(20)] = np.nan
+        assert M.refill(0.5) == ()
+        expected = assembled.copy()
+        expected[np.diag_indices(20)] += 0.5
+        assert np.array_equal(a, expected)  # the assembly's own values, shifted
 
     def test_sparse_kernel_matches_int32_scipy(self):
         # the plan's assembly reads as scipy's own product of int32 copies,
-        # to rounding, and its to_dense is bitwise symmetric
+        # to rounding
         rng = np.random.default_rng(5)
         A = SparseMatrix.from_dense(_with_fill(rng, 30, 70, DENSE_FILL / 3))
         d = rng.uniform(0.01, 100.0, 70)
@@ -158,9 +177,8 @@ class TestFormNormalMatrix:
         expected = ((S + S.T) * 0.5).toarray()
         M = form_normal_matrix(A, d)
         assert M.plan.R.size == 30  # too small to split: the array is the whole M
-        dense = M.to_dense()
-        assert np.array_equal(dense, dense.T)
-        assert_allclose(dense, expected, rtol=1e-14, atol=1e-14 * np.abs(expected).max())
+        assert_allclose(M._array, np.tril(expected), rtol=1e-14,
+                        atol=1e-14 * np.abs(expected).max())
 
     def test_dimension_and_sign_errors(self):
         A = SparseMatrix.from_dense([[1.0, 1.0]])
@@ -181,28 +199,25 @@ class TestSplitNormalMatrix:
         rng = np.random.default_rng(seed)
         A = sparse_fill_A(rng, 500, 1100)
         d = rng.uniform(0.01, 100.0, 1100)
-        M = form_normal_matrix(A, d)
+        M, full = normal_matrix(A, d)
         assert 1 < M.plan.R.size < 500
-        return A, d, M, rng
+        return A, d, M, full, rng
 
     def test_reads_as_the_whole_matrix(self):
-        A, d, M, rng = self._split(5)
-        # to_dense is scipy's int32 product to rounding, bitwise symmetric
+        A, d, M, _, rng = self._split(5)
+        # the values of M are scipy's int32 product, the shape, nonzeros
+        # and diagonal those of the whole M
         B = sps.csc_matrix(A.to_dense() * d)
         S = B @ B.T
         expected = ((S + S.T) * 0.5).toarray()
-        dense = M.to_dense()
-        assert np.array_equal(dense, dense.T)
-        assert_allclose(dense, expected, rtol=1e-14, atol=1e-14 * np.abs(expected).max())
-        assert not M.to_dense().flags.writeable
-        assert (M.nrows, M.ncols) == (500, 500)
+        diagonal = M.plan.diagonal(M.lower)
+        assert_allclose(diagonal, np.diagonal(expected), rtol=1e-14)
+        assert M.diag_max == np.abs(diagonal).max()
+        assert M.nrows == 500
         assert M.nnz == np.count_nonzero(expected)
-        v = rng.standard_normal(500)
-        assert_allclose(M.matvec(v), expected @ v, rtol=1e-12, atol=1e-12)
 
     def test_array_is_the_schur_complement(self):
-        _, _, M, _ = self._split(6)
-        full = M.to_dense()
+        _, _, M, full, _ = self._split(6)
         eliminated, R = eliminated_rows(M.levels, 500)
         assert_array_equal(R, M.plan.R)
         S, E = eliminated[0], np.concatenate(eliminated)
@@ -210,7 +225,7 @@ class TestSplitNormalMatrix:
         # M_SS is diagonal: the rows of the first level share no column
         M_SS = full[np.ix_(S, S)]
         assert_array_equal(M_SS, np.diag(np.diagonal(M_SS)))
-        assert_array_equal(M.plan.diagonal(M.lower), np.diagonal(full))
+        assert_allclose(M.plan.diagonal(M.lower), np.diagonal(full), rtol=1e-14)
         C = M._array
         assert C.shape == (R.size, R.size)
         assert C.flags.f_contiguous and not C.flags.writeable
@@ -222,9 +237,9 @@ class TestSplitNormalMatrix:
     @pytest.mark.parametrize("sigma", [0.0, 0.5])
     def test_shifted_rebuild_is_bitwise_symmetric_in_either_order(self, sigma):
         # the rebuild at sigma gives one array whether it follows the
-        # rebuild at the other shift or not, and the whole matrix reads as
-        # bitwise symmetric
-        _, _, M, _ = self._split(7)
+        # rebuild at the other shift or not, and only its lower triangle
+        # is written, so the matrix it holds is symmetric bit for bit
+        _, _, M, dense, _ = self._split(7)
         plan, lower = M.plan, M.lower
         r = plan.R.size
         fresh = np.zeros((r, r), order="F")
@@ -235,8 +250,6 @@ class TestSplitNormalMatrix:
         plan.fill(again, lower, sigma)
         assert np.array_equal(fresh, again)
         assert not np.any(np.triu(fresh, 1))
-        dense = M.to_dense()
-        assert np.array_equal(dense, dense.T)
         if sigma == 0.0:
             assert np.array_equal(fresh, M._array)
         eliminated, R = eliminated_rows(levels, 500)
@@ -259,10 +272,9 @@ class TestSplitNormalMatrix:
         rng = np.random.default_rng(10)
         B = _with_fill(rng, 20, 45, DENSE_FILL / 3)
         B[3] = B[2]
-        M = form_normal_matrix(SparseMatrix.from_dense(B), rng.uniform(0.5, 2.0, 45))
+        M, dense = normal_matrix(B, rng.uniform(0.5, 2.0, 45))
         plan, lower = M.plan, M.lower
         assert plan.R.size < 20
-        dense = M.to_dense()
         f = cholesky_factorize(M)
         sigma = f.diag_regularization
         assert sigma > 0.0
@@ -275,11 +287,10 @@ class TestSplitNormalMatrix:
         assert_allclose(f.product(v), expected, rtol=0.0, atol=1e-13 * np.abs(expected).max())
 
     def test_spent_matrix_keeps_its_shape_only(self):
-        _, _, M, _ = self._split(8)
+        _, _, M, _, _ = self._split(8)
         cholesky_factorize(M)
-        assert (M.nrows, M.ncols) == (500, 500)
-        assert M.plan is None and M.lower is None
-        for read in (M.to_dense, lambda: M.matvec(np.ones(500)), lambda: M.nnz):
+        assert M.nrows == 500
+        for read in (lambda: M.nnz, M.take_array):
             with pytest.raises(RuntimeError):
                 read()
 
@@ -399,12 +410,8 @@ def test_plan_assembly_on_random_patterns():
         assert C.shape == (R.size, R.size) and C.flags.f_contiguous
         assert not np.any(np.triu(C, 1))
         assert_allclose(C, np.tril(expected), rtol=1e-14, atol=1e-14 * scale)
-        dense = M.to_dense()
-        assert np.array_equal(dense, dense.T)
-        assert_allclose(dense, full, rtol=1e-14, atol=1e-14 * scale)
-        assert M.nnz == np.count_nonzero(dense)
-        v = rng.standard_normal(m)
-        assert_allclose(M.matvec(v), full @ v, rtol=1e-13, atol=1e-13 * scale * np.abs(v).sum())
+        assert_allclose(plan.diagonal(M.lower), np.diagonal(full), rtol=1e-14)
+        assert M.nnz == np.count_nonzero(full)
 
     check()
     assert any(levels_taken)
@@ -436,9 +443,7 @@ def test_rounds_on_random_patterns(data):
     plan, lower = M.plan, M.lower
     full = (B * d) @ (B * d).T
     scale = max(np.abs(full).max(), 1.0)
-    dense = M.to_dense()
-    assert np.array_equal(dense, dense.T)
-    assert_allclose(dense, full, rtol=1e-14, atol=1e-14 * scale)
+    assert_allclose(plan.diagonal(lower), np.diagonal(full), rtol=1e-14, atol=1e-14 * scale)
 
     # M + sigma I is well conditioned, so every level's pivots are positive
     sigma = scale
@@ -497,12 +502,12 @@ def test_cancelled_entry_is_analysed_for_its_product_only(monkeypatch):
     assert len(calls) == 1
     cancelled = form_normal_matrix(A, np.ones(40))
     assert len(calls) == 2 and cancelled.plan is not plan and A._plan is plan
-    assert_array_equal(cancelled.to_dense(), np.diag([2.0, 2.0, 1.0]))
+    assert_array_equal(cancelled._array, np.diag([2.0, 2.0, 1.0]))
     d = np.ones(40)
     d[1] = 2.0
     M = form_normal_matrix(A, d)
     assert len(calls) == 2 and M.plan is plan
-    assert_array_equal(M.to_dense(), [[5.0, -3.0, 0.0], [-3.0, 5.0, 0.0], [0.0, 0.0, 1.0]])
+    assert_array_equal(M._array, [[5.0, 0.0, 0.0], [-3.0, 5.0, 0.0], [0.0, 0.0, 1.0]])
 
 
 def test_one_analysis_across_pd_and_primal(monkeypatch):
