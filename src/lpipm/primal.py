@@ -139,7 +139,7 @@ def refresh_cache(p: StandardLp, z) -> PreconditionerCache:
     # a stale factor errs at the size of the scaling change (>= _THETA); a
     # correct one at rounding level, whatever the condition number, so
     # 1e-8 separates the two by many orders of magnitude
-    if err > 1e-8:
+    if not err <= 1e-8:  # a NaN error fails too
         raise NumericalBreakdown(f"preconditioner probe failed (backward error {err:.2e})")
     return PreconditionerCache(z=z, factor=factor, d_sq=d_sq)
 

@@ -18,8 +18,10 @@ the same for every scaling ``D``, so ``A`` analyses it once, on its
 first assembly, into an :class:`AssemblyPlan` (George and Liu, *Computer
 Solution of Large Sparse Positive Definite Systems*, 1981), and each
 assembly does numeric work only: scipy's product for the values of
-``M``, and gathers into the lower triangle of a zero-filled array.  The
-plan also orders the elimination by rounds of multiple minimum-degree
+``M``, and gathers into one zero-filled buffer, where every entry and
+every product of a Schur update has one place: the lower triangle of
+the array at its head, or a slot after the array for an entry that a
+round eliminates.  The plan also orders the elimination by rounds of multiple minimum-degree
 elimination (Liu, ACM TOMS 11(2), 1985), all by one rule
 (:func:`_next_round`).  Each round takes an independent set ``S`` in the
 pattern of the matrix the rounds before it left, ``M`` itself for the
@@ -31,7 +33,9 @@ set is a set of rows of ``A`` whose column supports are pairwise
 disjoint.  A round is taken when it saves at least
 :data:`MIN_SAVED_FLOPS` of the dense factorization net of its gathers,
 at :data:`PAIR_FLOPS` flops a gather.  The array is only the Schur
-complement over the rows ``R`` that no round takes.
+complement over the rows ``R`` that no round takes, and each level of
+the factor keeps its coupling block in one pattern, read as ``W`` (CSC)
+and as ``W^T`` (CSR).
 """
 
 from __future__ import annotations
@@ -190,10 +194,6 @@ class SparseMatrix:
         )
         return SparseMatrix.from_scipy(coo)
 
-    @staticmethod
-    def identity(n) -> "SparseMatrix":
-        return SparseMatrix.from_scipy(sps.identity(n, format="csc"))
-
     # -- queries ------------------------------------------------------
 
     @property
@@ -326,33 +326,33 @@ class Level(NamedTuple):
     rows ``R`` that the next level, or the dense factor, takes.  Both are
     positions among the rows the level before kept (the rows of ``M``
     for the first level).  ``root`` holds the square roots of the pivots
-    of ``S`` and ``W`` (``|R| x |S|``, with its transpose ``W_T``, both
-    CSR) the coupling block: the entries of ``C_RS diag(root)^-1`` for
-    the matrix ``C`` that the level eliminates from."""
+    of ``S`` and ``W`` (``|R| x |S|``) the coupling block: the entries of
+    ``C_RS diag(root)^-1`` for the matrix ``C`` that the level eliminates
+    from.  ``W`` is CSC and its transpose ``W_T`` CSR on the same three
+    arrays, one pattern and one array of values."""
 
     S: np.ndarray
     R: np.ndarray
     root: np.ndarray
-    W: sps.csr_matrix
+    W: sps.csc_matrix
     W_T: sps.csr_matrix
 
 
 class _Round(NamedTuple):
     """The symbolic part of one :class:`Level` in an :class:`AssemblyPlan`.
 
-    The plan's slots hold the entries that each round eliminates: its
-    pivots, the diagonal entries of ``S``, from slot ``start`` on, and
-    then the entries of ``C_RS``, ordered by their row of ``S`` (``s``)
-    and then by their row of ``R``: the CSR order of ``W^T`` (``|S| x
-    |R|``, pattern ``t_ptr``, ``t_cols``).  ``w_order`` reorders them into
-    the CSR order of ``W`` (pattern ``w_ptr``, ``w_cols``).  The pairs of
-    the Schur update, ``W_is W_js`` with ``i >= j``, come entry by entry
-    of ``W^T``: those with ``(i, s)`` entry ``a`` are ``pair_ptr[a]`` up to
-    ``pair_ptr[a + 1]``; pair ``k`` has ``(j, s)`` entry ``pair_b[k]`` of
-    ``W^T``, and it lands in
-    destination ``pair_slot[k]``: the first ``to_slots.size`` are slots,
-    entries that a later round eliminates, and the others are the places
-    ``to_array`` in the F-ordered array."""
+    The round's slots in the plan's buffer hold the entries that it
+    eliminates: its pivots, the diagonal entries of ``S``, from place
+    ``start`` on, and then the entries of ``C_RS``, ordered by their row
+    of ``S`` (``s``) and then by their row of ``R``: the CSR order of
+    ``W^T`` (``|S| x |R|``, pattern ``t_ptr``, ``t_cols``), which is also
+    the CSC order of ``W``.  The pairs of the Schur update, ``W_is W_js``
+    with ``i >= j``, come entry by entry of ``W^T``: those with ``(i, s)``
+    entry ``a`` are ``pair_ptr[a]`` up to ``pair_ptr[a + 1]``; pair ``k``
+    has ``(j, s)`` entry ``pair_b[k]`` of ``W^T``, and it lands in
+    destination ``pair_dest[k]``, whose place in the buffer is
+    ``to[pair_dest[k]]``: in the array, or in the slot of an entry that a
+    later round eliminates."""
 
     S: np.ndarray
     R: np.ndarray
@@ -360,14 +360,10 @@ class _Round(NamedTuple):
     s: np.ndarray
     t_ptr: np.ndarray
     t_cols: np.ndarray
-    w_order: np.ndarray
-    w_ptr: np.ndarray
-    w_cols: np.ndarray
     pair_ptr: np.ndarray
     pair_b: np.ndarray
-    pair_slot: np.ndarray
-    to_slots: np.ndarray
-    to_array: np.ndarray
+    pair_dest: np.ndarray
+    to: np.ndarray
 
 
 class AssemblyPlan:
@@ -380,19 +376,21 @@ class AssemblyPlan:
     for the first (:func:`_next_round`), while one pays.  The other rows,
     ``R``, form the dense factor.  The values of ``M`` come from scipy's product
     ``B B^T`` with ``B = A D``; only the entries on and below its diagonal
-    are read, and the plan records where each one goes: an entry between
-    two rows of ``R`` to its place in the lower triangle of the F-ordered
-    ``|R| x |R|`` array that the factorization takes, any other to a slot,
-    and a diagonal entry also to the diagonal of ``M``.  Per round it holds
-    the fixed CSR patterns of its coupling block and the gather lists of
-    its Schur update, one pair of coupling entries per ``(i >= j, s)``.
-    Its memory is O(nnz(M) + those pairs).
+    are read.  An assembly writes into one flat buffer of ``size``
+    entries: its head is the F-ordered ``|R| x |R|`` array that the
+    factorization takes, and a slot follows it for every entry that a
+    round eliminates.  Every write has one place in the buffer: ``_dest``
+    gives each entry of ``M``'s lower triangle its place, in the lower
+    triangle of the array or in a slot, and each round gives each
+    destination of its Schur update its place.  Per round the plan holds
+    the fixed pattern of its coupling block and the gather lists of its
+    Schur update, one pair of coupling entries per ``(i >= j, s)``.  Its
+    memory is O(nnz(M) + those pairs).
     """
 
-    __slots__ = ("R", "_shape", "_values", "_row_idx", "_col_ptr",
+    __slots__ = ("R", "size", "_shape", "_values", "_row_idx", "_col_ptr",
                  "_col_of_entry", "_indptr", "_lower_src", "_lower_rows", "_diag_idx",
-                 "_diag_rows", "_rr", "_rr_dest", "_slot_src", "_slot_dest", "_nslots",
-                 "_rounds")
+                 "_diag_rows", "_dest", "_rounds")
 
     def __init__(self, A: SparseMatrix):
         self._shape, self._values = A.shape, A.values
@@ -464,60 +462,43 @@ class AssemblyPlan:
             del i, j
         del pattern
 
+        # the buffer: the r x r array, then the slots, numbered round by
+        # round as their keys were listed
         self.R = kept
         r = kept.size
-        dtype = _index_dtype(r * r)
+        keys = np.concatenate(keys + [np.empty(0, dtype=np.int64)])
+        order = np.argsort(keys)
+        keys = keys[order]
+        self.size = r * r + keys.size
+        dtype = _index_dtype(self.size)
+        order = order.astype(dtype) + r * r
         final = np.full(m, -1, dtype=dtype)
         final[kept] = np.arange(r, dtype=dtype)
-        fa, fb = final[rows], final[cols]
-        self._rounds = ()
-        if not rounds:
-            self._rr, self._rr_dest = None, fa + fb * r
-            return
-        here = (fa >= 0) & (fb >= 0)
-        self._rr, self._rr_dest = np.flatnonzero(here).astype(itype), fa[here] + fb[here] * r
 
-        # the slots are numbered round by round, as their keys were listed
-        keys = np.concatenate(keys)
-        order = np.argsort(keys)
-        keys, stype = keys[order], _index_dtype(keys.size)
-        order = order.astype(stype)
+        def place(row, col):
+            # the places of the entries (row, col), row >= col, in the buffer
+            fr, fc = final[row], final[col]
+            to = fr + fc * r
+            gone = (fr < 0) | (fc < 0)
+            to[gone] = order[np.searchsorted(keys, col[gone].astype(np.int64) * m + row[gone])]
+            return to
 
-        def slot(at):
-            return order[np.searchsorted(keys, at)]
-
-        self._nslots = keys.size
-        self._slot_src = gone = np.flatnonzero(~here).astype(itype)
-        self._slot_dest = slot(cols[gone].astype(np.int64) * m + rows[gone])
+        self._dest = place(rows, cols)
 
         def record(S_pos, R_pos, s, t_ptr, t_cols, g, start):
             # the pairs' destinations, distinct and ascending as g[b] m +
-            # g[a], the order of their places in a column-major array;
-            # those that a later round eliminates go to slots, first, the
-            # others to the array
+            # g[a], the order of their places in a column-major array
             per, pair_b = _pairs(t_ptr, s)
             places = g[pair_b] * m  # g's type holds m^2
             places += np.repeat(g, per)
-            dests, pair_slot = np.unique(places, return_inverse=True)
+            dests, pair_dest = np.unique(places, return_inverse=True)
             del places
-            pair_slot = pair_slot.astype(_index_dtype(dests.size))
             col, row = np.divmod(dests, m)
-            dr, dc = final[row], final[col]
-            in_array = (dr >= 0) & (dc >= 0)
-            out, into = np.flatnonzero(~in_array), np.flatnonzero(in_array)
-            if out.size:
-                renumber = np.empty(dests.size, dtype=pair_slot.dtype)
-                renumber[np.concatenate((out, into))] = np.arange(dests.size,
-                                                                  dtype=pair_slot.dtype)
-                pair_slot = renumber[pair_slot]
-            # W's CSR pattern, and the order of W^T's entries in it
-            W = _on_arrays(sps.csr_matrix, (S_pos.size, R_pos.size),
-                           np.arange(s.size, dtype=itype), t_cols, t_ptr).tocsc()
-            return _Round(S_pos, R_pos, start, s, t_ptr, t_cols, W.data, W.indptr, W.indices,
-                          _starts(per), pair_b, pair_slot, slot(dests[out]),
-                          dr[into] + dc[into] * r)
+            return _Round(S_pos, R_pos, start, s, t_ptr, t_cols, _starts(per), pair_b,
+                          pair_dest.astype(_index_dtype(dests.size)), place(row, col))
 
-        start = 0
+        self._rounds = ()
+        start = r * r
         for rd in rounds:
             rd = record(*rd, start)
             self._rounds += (rd,)
@@ -542,48 +523,39 @@ class AssemblyPlan:
         diag[self._diag_rows] = lower[self._diag_idx]
         return diag
 
-    def fill(self, out: np.ndarray, lower: np.ndarray, sigma: float) -> tuple[Level, ...] | None:
+    def fill(self, buf: np.ndarray, lower: np.ndarray, sigma: float) -> tuple[Level, ...] | None:
         """Write the lower triangle of the Schur complement ``C(sigma)`` of
-        ``M + sigma I`` over the rows ``R`` into the zero-filled, F-ordered
-        ``|R| x |R|`` array ``out``, and return the eliminated levels of
-        the factor at ``sigma``; without eliminated rows ``C(sigma)`` is
-        ``M + sigma I`` and there are no levels.  The strict upper triangle
-        stays zero.  A pivot that is not positive is not divided by: the
-        array is left incomplete and None returned."""
-        if not out.flags.f_contiguous:
-            raise ValueError("the array must be F-ordered")
-        r = out.shape[0]
-        flat = out.reshape(-1, order="F")  # a view, so the writes land in out
-        flat[self._rr_dest] = lower if self._rr is None else lower[self._rr]
+        ``M + sigma I`` over the rows ``R`` into the head of the zero-filled
+        buffer ``buf`` of :attr:`size` entries, the F-ordered ``|R| x |R|``
+        array, and return the eliminated levels of the factor at
+        ``sigma``; without eliminated rows ``C(sigma)`` is ``M + sigma I``
+        and there are no levels.  The strict upper triangle stays zero.  A
+        pivot that is not positive is not divided by: the buffer is left
+        incomplete and None returned."""
+        buf[self._dest] = lower
+        r = self.R.size
         if sigma != 0.0:
-            flat[::r + 1] += sigma
-        if not self._rounds:
-            return ()
-        slots = np.zeros(self._nslots)
-        slots[self._slot_dest] = lower[self._slot_src]
+            buf[:r * r:r + 1] += sigma
         levels = []
         for rd in self._rounds:
             entries = rd.start + rd.S.size
-            pivots = slots[rd.start:entries] + sigma
+            pivots = buf[rd.start:entries] + sigma
             if not np.all(pivots > 0.0):
                 return None
             root = np.sqrt(pivots)
-            w_t = slots[entries:entries + rd.s.size] / root[rd.s]
-            k = rd.to_slots.size
+            w_t = buf[entries:entries + rd.s.size] / root[rd.s]
             # each destination sums its products from zero in pair order, as
             # scipy's W W^T would, and its entry then drops by the sum
-            update = np.zeros(k + rd.to_array.size)
+            update = np.zeros(rd.to.size)
             for e in range(0, w_t.size, _ENTRIES):
                 ptr = rd.pair_ptr[e:e + _ENTRIES + 1]
                 products = np.repeat(w_t[e:e + _ENTRIES], np.diff(ptr))
                 products *= w_t[rd.pair_b[ptr[0]:ptr[-1]]]
-                np.add.at(update, rd.pair_slot[ptr[0]:ptr[-1]], products)
-            np.subtract.at(slots, rd.to_slots, update[:k])
-            np.subtract.at(flat, rd.to_array, update[k:])
+                np.add.at(update, rd.pair_dest[ptr[0]:ptr[-1]], products)
+            np.subtract.at(buf, rd.to, update)
             shape = (rd.R.size, rd.S.size)
             levels.append(Level(
-                rd.S, rd.R, root, _on_arrays(sps.csr_matrix, shape, w_t[rd.w_order], rd.w_cols,
-                                             rd.w_ptr),
+                rd.S, rd.R, root, _on_arrays(sps.csc_matrix, shape, w_t, rd.t_cols, rd.t_ptr),
                 _on_arrays(sps.csr_matrix, shape[::-1], w_t, rd.t_cols, rd.t_ptr),
             ))
         return tuple(levels)
@@ -600,7 +572,8 @@ class NormalMatrix:
     The matrix owns one array in the layout LAPACK's ``dpotrf`` reads:
     F-ordered, the lower triangle of ``M``, or of the Schur complement
     ``C`` over the rows ``R`` when the plan's rounds eliminate the others,
-    and a strict upper triangle of zeros.  ``levels`` are the eliminated
+    and a strict upper triangle of zeros.  On a sparse ``A`` it is the
+    head of the plan's buffer ``buf``.  ``levels`` are the eliminated
     levels of the factor (:meth:`AssemblyPlan.fill`), ``()`` without
     any, or None when one of their pivots is not positive; ``diag_max``
     is the largest ``|M_ii|`` over the whole ``M``.
@@ -609,17 +582,19 @@ class NormalMatrix:
     overwritten with the factor, and :meth:`refill` then rewrites it at
     a shift: from ``B = A D`` on a dense ``A``, and on a sparse one from
     ``plan`` and ``lower``, the values on and below the diagonal of
-    ``M`` in the plan's order.  ``nrows`` and ``nnz`` describe the whole
-    ``M``; ``nnz`` raises once the array is handed over.
+    ``M`` in the plan's order, into the whole buffer.  ``nrows`` and
+    ``nnz`` describe the whole ``M``; ``nnz`` raises once the array is
+    handed over.
     """
 
-    __slots__ = ("_array", "_taken", "_B", "plan", "lower", "levels", "diag_max", "nrows")
+    __slots__ = ("_array", "_taken", "_B", "_buf", "plan", "lower", "levels", "diag_max",
+                 "nrows")
 
     def __init__(self, array: np.ndarray, B: np.ndarray | None = None,
-                 plan: AssemblyPlan | None = None, lower: np.ndarray | None = None,
-                 levels: tuple[Level, ...] | None = ()):
+                 plan: AssemblyPlan | None = None, buf: np.ndarray | None = None,
+                 lower: np.ndarray | None = None, levels: tuple[Level, ...] | None = ()):
         array.flags.writeable = False
-        self._array, self._taken, self._B = array, False, B
+        self._array, self._taken, self._B, self._buf = array, False, B, buf
         self.plan, self.lower, self.levels = plan, lower, levels
         diag = np.diagonal(array) if plan is None else plan.diagonal(lower)
         self.diag_max = float(np.abs(diag).max(initial=0.0))
@@ -650,10 +625,10 @@ class NormalMatrix:
         sigma I``, or of its Schur complement ``C(sigma)``, and return the
         levels at ``sigma``: None when one of their pivots is not
         positive.  The strict upper triangle stays zero."""
-        a = self._array
         if self.plan is not None:
-            a.fill(0.0)
-            return self.plan.fill(a, self.lower, sigma)
+            self._buf.fill(0.0)  # the Schur updates' fill entries start at zero
+            return self.plan.fill(self._buf, self.lower, sigma)
+        a = self._array
         dsyrk(1.0, self._B, beta=0.0, c=a, lower=1, overwrite_c=1)
         a.reshape(-1, order="F")[::a.shape[0] + 1] += sigma
         return ()
@@ -670,9 +645,9 @@ def form_normal_matrix(A: SparseMatrix, d) -> NormalMatrix:
     without a copy, and the matrix keeps it for :meth:`NormalMatrix.refill`.
     A sparse ``A`` assembles from its :class:`AssemblyPlan`, analysed on
     the first assembly: scipy's sparse product gives the values of
-    ``M``, and gathers place those on and below the diagonal into a
-    zero-filled ``|R| x |R|`` array, less the Schur updates of the plan's
-    rounds of elimination.
+    ``M``, and gathers place those on and below the diagonal into the
+    plan's zero-filled buffer, less the Schur updates of its rounds of
+    elimination; the matrix's array is the buffer's ``|R| x |R|`` head.
     """
     d = np.asarray(d, dtype=np.float64)
     if d.shape != (A.ncols,):
@@ -686,5 +661,7 @@ def form_normal_matrix(A: SparseMatrix, d) -> NormalMatrix:
         return NormalMatrix(dsyrk(1.0, B, lower=1), B)
     plan, lower = A._plan.lower_values(d)
     r = plan.R.size
-    array = np.zeros((r, r), order="F")
-    return NormalMatrix(array, plan=plan, lower=lower, levels=plan.fill(array, lower, 0.0))
+    buf = np.zeros(plan.size)
+    levels = plan.fill(buf, lower, 0.0)
+    return NormalMatrix(buf[:r * r].reshape((r, r), order="F"), plan=plan, buf=buf,
+                        lower=lower, levels=levels)

@@ -381,6 +381,23 @@ class TestRefreshCache:
         with pytest.raises(NumericalBreakdown, match="probe failed"):
             refresh_cache(p, z)
 
+    def test_factor_with_a_nan_fails(self, monkeypatch):
+        # a NaN in L makes the backward error NaN, which is no pass
+        import lpipm.primal as primal
+
+        real = primal.cholesky_factorize
+
+        def poisoned(M):
+            f = real(M)
+            L = f.L.copy(order="F")
+            L[3, 2] = np.nan
+            return CholeskyFactor(L, f.diag_regularization, f.diag_max, f.levels)
+
+        monkeypatch.setattr(primal, "cholesky_factorize", poisoned)
+        p, z = self._near_singular()
+        with pytest.raises(NumericalBreakdown, match="probe failed"):
+            refresh_cache(p, z)
+
 
 class TestNormalSolver:
     def test_repair_leaves_small_coordinates_in_place(self):

@@ -399,7 +399,7 @@ class TestDualize:
 
     def test_self_dual_identity(self):
         c = np.array([1.0, 2.0])
-        p = SymmetricLp(A=SparseMatrix.identity(2), b=c.copy(), c=c.copy())
+        p = SymmetricLp(A=SparseMatrix.from_dense(np.eye(2)), b=c.copy(), c=c.copy())
         d = dualize(p)
         assert d.sense == "max"
         assert_array_equal(d.A.to_dense(), np.eye(2))

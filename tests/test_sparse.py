@@ -32,6 +32,15 @@ BOTH_KERNELS = pytest.mark.parametrize(
 )
 
 
+def _filled(plan, lower, sigma):
+    """A fresh buffer that ``plan`` filled at ``sigma``, its ``|R| x |R|``
+    head and the levels the fill returned."""
+    buf = np.zeros(plan.size)
+    levels = plan.fill(buf, lower, sigma)
+    r = plan.R.size
+    return buf, buf[:r * r].reshape((r, r), order="F"), levels
+
+
 def _with_fill(rng, m, n, fill):
     A = rng.standard_normal((m, n))
     A[rng.random((m, n)) >= fill] = 0.0
@@ -92,7 +101,7 @@ class TestSparseMatrix:
         assert_allclose(S.rmatvec(w), S.to_dense().T @ w, rtol=1e-13, atol=1e-13)
 
     def test_arrays_read_only(self):
-        S = SparseMatrix.identity(3)
+        S = SparseMatrix.from_dense(np.eye(3))
         with pytest.raises(ValueError):
             S.values[0] = 5.0
 
@@ -111,7 +120,7 @@ class TestFormNormalMatrix:
     row is eliminated, its strict upper triangle zero."""
 
     def test_identity_case(self):
-        A = SparseMatrix.identity(2)
+        A = SparseMatrix.from_dense(np.eye(2))
         M = form_normal_matrix(A, np.ones(2))
         assert_array_equal(M._array, np.eye(2))
 
@@ -241,13 +250,10 @@ class TestSplitNormalMatrix:
         # is written, so the matrix it holds is symmetric bit for bit
         _, _, M, dense, _ = self._split(7)
         plan, lower = M.plan, M.lower
-        r = plan.R.size
-        fresh = np.zeros((r, r), order="F")
-        levels = plan.fill(fresh, lower, sigma)
-        again = np.zeros((r, r), order="F")
-        plan.fill(again, lower, 0.5 - sigma)
-        again.fill(0.0)
-        plan.fill(again, lower, sigma)
+        _, fresh, levels = _filled(plan, lower, sigma)
+        buf, again, _ = _filled(plan, lower, 0.5 - sigma)
+        buf.fill(0.0)
+        plan.fill(buf, lower, sigma)
         assert np.array_equal(fresh, again)
         assert not np.any(np.triu(fresh, 1))
         if sigma == 0.0:
@@ -278,13 +284,25 @@ class TestSplitNormalMatrix:
         f = cholesky_factorize(M)
         sigma = f.diag_regularization
         assert sigma > 0.0
-        shifted = np.zeros((plan.R.size,) * 2, order="F")
-        plan.fill(shifted, lower, sigma)
+        shifted = _filled(plan, lower, sigma)[1]
         assert f.L.tobytes(order="F") == sla.cholesky(shifted, lower=True).tobytes(order="F")
         assert not np.any(np.triu(f.L, 1))
         v = rng.standard_normal(20)
         expected = dense @ v + sigma * v
         assert_allclose(f.product(v), expected, rtol=0.0, atol=1e-13 * np.abs(expected).max())
+
+    def test_one_buffer_and_one_coupling_pattern(self):
+        # each level's W and W_T share one array of values, and the factor
+        # lies in the plan's buffer, whose slots follow the |R| x |R| array
+        _, _, M, _, _ = self._split(9)
+        plan = M.plan
+        assert M.levels
+        for level in M.levels:
+            assert np.shares_memory(level.W.data, level.W_T.data)
+            assert level.W.indices is level.W_T.indices and level.W.indptr is level.W_T.indptr
+        f = cholesky_factorize(M)
+        assert f.L.base is not None and f.L.base.size == plan.size
+        assert plan.size > plan.R.size ** 2
 
     def test_spent_matrix_keeps_its_shape_only(self):
         _, _, M, _, _ = self._split(8)
@@ -448,12 +466,10 @@ def test_rounds_on_random_patterns(data):
     # M + sigma I is well conditioned, so every level's pivots are positive
     sigma = scale
     r = plan.R.size
-    C = np.zeros((r, r), order="F")
-    levels = plan.fill(C, lower, sigma)
+    _, C, levels = _filled(plan, lower, sigma)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lpipm.sparse, "_ENTRIES", data.draw(st.integers(1, 3), label="entries"))
-        in_parts = np.zeros((r, r), order="F")
-        plan.fill(in_parts, lower, sigma)
+        in_parts = _filled(plan, lower, sigma)[1]
     assert_array_equal(in_parts, C)
     eliminated, R = eliminated_rows(levels, m)
     assert_array_equal(R, plan.R)
