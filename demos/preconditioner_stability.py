@@ -49,5 +49,5 @@ with warnings.catch_warnings():
     warnings.simplefilter("ignore")
     res = L.primal_solve(problem, cfg, L.pd_starting_point(problem),
                          collect_iterates=True)
-rows = L.probe_spectra(problem, res.iterates[-5:], anchor=0)
+rows = L.probe_spectra(problem, res.iterates[-5:])
 print(L.spectra_csv(rows))

@@ -135,21 +135,19 @@ class CholeskyFactor:
         return v
 
     def _forward(self, b) -> np.ndarray:
-        """``L^-1 P b`` with the whole factor, in the permuted coordinates."""
-        if not self.levels:
-            return dtrsv(self.L, b, lower=1)
+        """``L^-1 P b`` with the whole factor, in the permuted coordinates.
+        Without levels ``b`` reaches ``dtrsv`` as the caller passed it, so
+        it is not overwritten."""
         parts = []
         for level in self.levels:
             y_S = b[level.S] / level.root
             b = b[level.R] - level.W @ y_S
             parts.append(y_S)
-        parts.append(dtrsv(self.L, b, overwrite_x=1, lower=1))
+        parts.append(dtrsv(self.L, b, lower=1))
         return np.concatenate(parts)
 
     def _backward(self, y) -> np.ndarray:
         """``P^T L^-T y`` with the whole factor, in ``M``'s coordinates."""
-        if not self.levels:
-            return dtrsv(self.L, y, lower=1, trans=1)
         end = y.size - self.L.shape[0]
         x_R = dtrsv(self.L, y[end:], lower=1, trans=1)
         for level in reversed(self.levels):

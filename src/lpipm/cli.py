@@ -50,14 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        "the measured complementarity; a damped step of "
                        "length alpha cuts by 1 - tau*alpha "
                        "(default 1/(10 sqrt(n)))")
-    solve.add_argument("--nu", type=float, default=1.0,
-                       help="threshold of the scaled distance: the primal "
-                       "engine's refresh trigger and delayed scaling point, "
-                       "and the hybrid's switch distance")
-    solve.add_argument("--switch-dist", type=float, default=1e-1,
-                       help="hybrid switch distance: the primal-dual step's "
-                       "thresholded distance must fall below it before the "
-                       "hybrid switches to the primal engine")
     solve.add_argument("--switch-budget", type=int, default=MIN_PCG_BUDGET,
                        help="hybrid switch budget: the PCG iterations one "
                        "solve on the primal-dual factor may take before it "
@@ -113,18 +105,14 @@ def _solve(args) -> SolveResult:
         result = pd_solve(problem, pd_cfg, trace_log=trace_log)
     elif args.algorithm in ("primal", "primal-exact"):
         mode = DELAYED_SCALING if args.algorithm == "primal" else EXACT
-        cfg = PrimalConfig(tau=args.tau, nu=args.nu, max_iter=args.max_iter,
-                           tol=args.tol, mode=mode)
+        cfg = PrimalConfig(tau=args.tau, max_iter=args.max_iter, tol=args.tol, mode=mode)
         result = primal_solve(problem, cfg, pd_starting_point(problem),
                               trace_log=trace_log)
     else:
-        primal_cfg = PrimalConfig(tau=args.tau, nu=args.nu, max_iter=args.max_iter,
+        primal_cfg = PrimalConfig(tau=args.tau, max_iter=args.max_iter,
                                   tol=args.tol, mode=DELAYED_SCALING)
-        policy = SwitchPolicy(
-            dist_threshold=args.switch_dist,
-            min_pcg_budget=args.switch_budget,
-        )
-        result = hybrid_solve(problem, pd_cfg, primal_cfg, policy,
+        result = hybrid_solve(problem, pd_cfg, primal_cfg,
+                              SwitchPolicy(min_pcg_budget=args.switch_budget),
                               trace_log=trace_log)
 
     if args.trace:
@@ -196,7 +184,7 @@ def run_cli(argv=None) -> int:
         result = primal_solve(std, cfg, pd_starting_point(std),
                               collect_iterates=True)
         window = result.iterates[-args.window:]
-        rows = probe_spectra(std, window, anchor=0, iters=args.iters)
+        rows = probe_spectra(std, window, iters=args.iters)
         csv_text = spectra_csv(rows)
         if args.trace:
             with open(args.trace, "w") as fh:

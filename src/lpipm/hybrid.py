@@ -2,18 +2,17 @@
 delayed-scaling primal engine reusing cached factorizations.
 
 The switch rule lives here whole.  After each primal-dual iteration the
-hook measures the step's nu-thresholded distance, with the primal
-engine's ``PrimalConfig.nu``, and reads the iteration's PCG budget: the
-PCG iterations one solve on its factor may take before it costs a
-quarter of a factorization, counted in flops (see
+hook measures the step's scaled distance, thresholded at
+:data:`~lpipm.scaling.NU` as the primal engine's are, and reads the
+iteration's PCG budget: the PCG iterations one solve on its factor may
+take before it costs a quarter of a factorization, counted in flops (see
 :func:`lpipm.face.pcg_budget`).  The primal engine pays for the
 factorizations it skips in PCG iterations, so where a factorization is
 worth fewer of them than ``min_pcg_budget``, pd keeps factoring, as its
 face projection does below :data:`~lpipm.face.MIN_PCG_BUDGET`.  The
-switch fires after
-``_WARMUP_ITERS`` iterations, once the distance drops below
-``dist_threshold`` while the budget reaches ``min_pcg_budget`` (both from
-the switch policy).  Both are counted, not timed, so the iterate
+switch fires after ``_WARMUP_ITERS`` iterations, once the distance
+drops to ``_SWITCH_DISTANCE`` while the budget reaches the policy's
+``min_pcg_budget``.  Both are counted, not timed, so the iterate
 sequence is reproducible; ``min_pcg_budget=0`` switches on the distance
 alone.
 
@@ -37,19 +36,17 @@ from .mehrotra import PdConfig, PdIterationInfo, pd_solve
 from .primal import DELAYED_SCALING, PrimalConfig, primal_solve, refresh_cache  # noqa: F401
 from .problem import StandardLp
 from .results import SolveResult, SolveStatus
-from .scaling import thresholded_distance
+from .scaling import NU, thresholded_distance
 
 _WARMUP_ITERS = 3  # primal-dual iterations before the switch may fire
+_SWITCH_DISTANCE = 0.1  # the largest step distance at which it fires
 
 
 @dataclass
 class SwitchPolicy:
-    dist_threshold: float = 1e-1
     min_pcg_budget: int = MIN_PCG_BUDGET
 
     def __post_init__(self):
-        if self.dist_threshold <= 0:
-            raise ValueError("switch distance threshold must be positive")
         if self.min_pcg_budget < 0:
             raise ValueError("switch PCG budget must not be negative")
 
@@ -68,10 +65,10 @@ def should_switch(k: int, distance: float, budget: int, policy: SwitchPolicy) ->
     ``budget``."""
     if k < _WARMUP_ITERS:
         return SwitchDecision(False, distance, budget, "warming up")
-    if distance > policy.dist_threshold:
+    if distance > _SWITCH_DISTANCE:
         return SwitchDecision(
             False, distance, budget,
-            f"step distance {distance:.3e} above {policy.dist_threshold:.1e}",
+            f"step distance {distance:.3e} above {_SWITCH_DISTANCE:.1e}",
         )
     if budget < policy.min_pcg_budget:
         return SwitchDecision(
@@ -97,9 +94,8 @@ def hybrid_solve(
     complementarity), and its first iteration factors at the switch
     point, and the trace shows it.  A primal-phase numerical failure,
     that first factorization's included, falls back to resuming
-    primal-dual once.
-    ``primal_cfg.nu`` sets the threshold of the switch distance as well
-    as the primal engine's."""
+    primal-dual once.  The switch distance is thresholded at
+    :data:`~lpipm.scaling.NU`, as the primal engine's distances are."""
     t_start = time.perf_counter()
     last: dict = {}  # on a switch, its decision and state
 
@@ -107,7 +103,7 @@ def hybrid_solve(
         x = info.state.x
         decision = should_switch(
             info.k,
-            thresholded_distance(x, info.x_prev, x, primal_cfg.nu),
+            thresholded_distance(x, info.x_prev, x, NU),
             info.pcg_budget,
             policy,
         )

@@ -34,7 +34,7 @@ from .errors import FactorizationFailed, NumericalBreakdown
 from .face import MIN_PCG_BUDGET, face_partition, pcg_budget, project_onto_face
 from .problem import IterateState, StandardLp, complementarity, convergence_metrics
 from .results import SolveResult, SolveStatus
-from .scaling import thresholded_distance
+from .scaling import NU, thresholded_distance
 from .sparse import form_normal_matrix
 from .trace import TraceRecord
 
@@ -360,7 +360,7 @@ def pd_solve(
                         step_norm=float(np.linalg.norm(st.x - x_prev)),
                         # a projected x has zeros: the row scales by the last interior x
                         thresholded_step=thresholded_distance(
-                            st.x, x_prev, st.x if projected is None else x_prev, 1.0
+                            st.x, x_prev, st.x if projected is None else x_prev, NU
                         ),
                         delta=None,
                         alpha=ap,

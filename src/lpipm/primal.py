@@ -25,10 +25,11 @@ the direction:
 * ``exact`` refreshes the cache at x every iteration, solves with its
   factor directly and scales at x.
 * ``delayed_scaling`` keeps the cached factorization as PCG
-  preconditioner, refreshes it when the iterate moves a nu-thresholded
-  scaled distance ``_THETA`` from the cache point, and scales at the
-  delayed scaling point, which keeps the cached factorization useful;
-  a row that has just refreshed solves with the new factor directly.
+  preconditioner, refreshes it when the iterate moves a scaled distance
+  ``_THETA`` from the cache point, thresholded at
+  :data:`~lpipm.scaling.NU`, and scales at the delayed scaling point,
+  which keeps the cached factorization useful; a row that has just
+  refreshed solves with the new factor directly.
 
 A PCG miss refreshes the cache at x and retries once, unless the cache
 is already fresh; then the miss is the attainable residual floor and the
@@ -60,7 +61,7 @@ from .problem import (
     convergence_metrics,
 )
 from .results import SolveResult, SolveStatus
-from .scaling import bound_scaling_diag, delayed_scaling_point, thresholded_distance
+from .scaling import NU, bound_scaling_diag, delayed_scaling_point, thresholded_distance
 from .sparse import form_normal_matrix
 from .trace import TraceRecord
 
@@ -84,10 +85,11 @@ _PREDICTOR_FRACTION = 0.9
 class PrimalConfig:
     """Settings of :func:`primal_solve`.  ``tau`` is the barrier cut of
     one full step, applied to the complementarity measured after the
-    step; the schedule is documented on :func:`primal_solve`."""
+    step; the schedule is documented on :func:`primal_solve`.  The
+    threshold of the delayed mode's scaled distances is no setting: it
+    is :data:`~lpipm.scaling.NU`, as in the hybrid's switch."""
 
     tau: float | None = None  # None: 1 / (10 sqrt(n))
-    nu: float = 1.0
     cg_tol: float = 1e-10
     max_iter: int = 100
     mode: str = EXACT
@@ -96,8 +98,8 @@ class PrimalConfig:
     def __post_init__(self):
         if self.tau is not None and not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
-        if self.nu <= 0.0 or self.tol <= 0.0 or self.cg_tol <= 0.0:
-            raise ValueError("nu, tol, cg_tol must be positive")
+        if self.tol <= 0.0 or self.cg_tol <= 0.0:
+            raise ValueError("tol, cg_tol must be positive")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
         if self.mode not in (EXACT, DELAYED_SCALING):
@@ -126,8 +128,7 @@ def refresh_cache(p: StandardLp, z) -> PreconditionerCache:
     by the norm."""
     z = np.asarray(z, dtype=np.float64).copy()
     d = bound_scaling_diag(z, p.u)
-    M = form_normal_matrix(p.A, d)
-    factor = cholesky_factorize(M)
+    factor = cholesky_factorize(form_normal_matrix(p.A, d))
     d_sq = d * d
     sigma = factor.diag_regularization
 
@@ -175,7 +176,7 @@ class NormalSolver:
             self._refresh(x)
 
     def _distance(self, x) -> float:
-        return thresholded_distance(x, self.cache.z, x, self.cfg.nu)
+        return thresholded_distance(x, self.cache.z, x, NU)
 
     def _refresh(self, x) -> None:
         self.factorizations += 1
@@ -193,7 +194,7 @@ class NormalSolver:
         """x itself, or in delayed mode the delayed scaling point: cached
         values on the large coordinates, current ones on the small."""
         if self.cfg.mode == DELAYED_SCALING:
-            return delayed_scaling_point(x, self.cache.z, self.cfg.nu)
+            return delayed_scaling_point(x, self.cache.z, NU)
         return x
 
     def at(self, w, max_iter: int | None = None) -> Callable[[np.ndarray], np.ndarray]:
@@ -553,7 +554,7 @@ def primal_solve(
                         e_d=e_d,
                         e_g=e_g,
                         step_norm=float(np.linalg.norm(st.x - x_start)),
-                        thresholded_step=thresholded_distance(st.x, x_start, st.x, 1.0),
+                        thresholded_step=thresholded_distance(st.x, x_start, st.x, NU),
                         delta=direction.delta,
                         alpha=alpha,
                         factorized=solver.factorizations > factorizations_before,

@@ -9,6 +9,8 @@ import numpy as np
 
 from .errors import InteriorityViolation
 
+NU = 1.0  # scaled distances measure x_j >= NU relative to x_j, the rest absolutely
+
 
 def thresholded_distance(y, z, x, nu: float) -> float:
     """Distance between y and z, scaled by 1/x_j on coordinates with

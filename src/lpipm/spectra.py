@@ -2,11 +2,12 @@
 
 For consecutive primal iterates the probe reports the generalized
 condition number of the current primal normal matrix preconditioned by
-the anchor iterate's factorization (the quantity the reuse strategy
-relies on staying small), with the condition number of the primal-dual
-normal matrix ``A X S^{-1} A^T`` alongside for contrast.  Only the
-anchor's normal matrix is assembled, to be factored; the probe applies
-each iterate's ``A D^2 A^T`` matrix-free, as ``v -> A (d^2 (A^T v))``.
+the factorization at the window's first iterate, the anchor (the
+quantity the reuse strategy relies on staying small), with the condition
+number of the primal-dual normal matrix ``A X S^{-1} A^T`` alongside for
+contrast.  Only the anchor's normal matrix is assembled, to be factored;
+the probe applies each iterate's ``A D^2 A^T`` matrix-free, as
+``v -> A (d^2 (A^T v))``.
 """
 
 from __future__ import annotations
@@ -33,21 +34,19 @@ class SpectraRow:
     kappa_pd: float
 
 
-def probe_spectra(p: StandardLp, states, anchor: int = 0, iters: int = 30) -> list:
-    """Condition probes over an iterate window.
+def probe_spectra(p: StandardLp, states, iters: int = 30) -> list:
+    """Condition probes over an iterate window, with ``iters`` Lanczos
+    steps each.
 
     ``states`` is a sequence of objects with ``x`` (and ``s``) arrays;
-    the anchor index selects which iterate's normal matrix becomes the
-    reused preconditioner.  Negative reduced costs (possible for primal
-    dual estimates) are floored away from zero before forming the
-    primal-dual normal matrix.
+    the first one's normal matrix becomes the reused preconditioner.
+    Negative reduced costs (possible for primal dual estimates) are
+    floored away from zero before forming the primal-dual normal matrix.
     """
     states = list(states)
     if not states:
         return []
-    if not 0 <= anchor < len(states):
-        raise ValueError("anchor index out of range")
-    anchor_x = np.asarray(states[anchor].x, dtype=np.float64)
+    anchor_x = np.asarray(states[0].x, dtype=np.float64)
     d_anchor = bound_scaling_diag(anchor_x, p.u)
     anchor_factor = cholesky_factorize(form_normal_matrix(p.A, d_anchor))
     A = p.A.to_dense()

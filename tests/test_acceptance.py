@@ -174,7 +174,7 @@ def test_criterion_06_preconditioner_reuse_regime():
                              collect_iterates=True)
         ok &= res.status == SolveStatus.OPTIMAL and res.e_g <= 1e-8
         window = res.iterates[-5:]
-        rows = L.probe_spectra(std, window, anchor=0)
+        rows = L.probe_spectra(std, window)
         kmax = max(r.kappa_reuse for r in rows)
         ok &= kmax <= 9.0 * 1.05
         # frozen-preconditioner CG on the window systems

@@ -381,6 +381,20 @@ class TestFactorSolve:
                 with pytest.raises(ValueError, match="expected 3"):
                     half_solve(wrong)
 
+    @pytest.mark.parametrize("split", [False, True], ids=["dense", "split"])
+    def test_solves_leave_their_rhs_unchanged(self, split):
+        # without levels the caller's rhs is itself the operand of the
+        # triangular solve, which must not overwrite it
+        rng = np.random.default_rng(41)
+        A = sparse_fill_A(rng, 500, 1100) if split else rng.standard_normal((40, 90))
+        f = cholesky_factorize(normal_matrix(A)[0])
+        assert bool(f.levels) == split
+        for method in (f.solve, f.half_solve, f.half_solve_transpose):
+            rhs = rng.standard_normal(f.dimension)
+            kept = rhs.copy()
+            method(rhs)
+            assert_array_equal(rhs, kept)
+
     def test_solve_identity_map_well_conditioned(self):
         rng = np.random.default_rng(5)
         for _ in range(10):

@@ -5,6 +5,7 @@ import pytest
 
 from lpipm import generate_instance, parse_certificate
 from lpipm.cli import run_cli
+from conftest import boxed_ranged_instance
 
 STATUS_RE = re.compile(
     r"^status=(Optimal|IterationLimit|NumericalFailure) "
@@ -109,6 +110,19 @@ class TestSolve:
         ref = inst.certificate.objective
         assert abs(obj - ref) <= 1e-6 * (1 + abs(ref))
 
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_dualize_keeps_bounds_and_ranges(self, tmp_path, capsys, seed):
+        # the symmetric form writes each finite upper bound as a row
+        path = tmp_path / "box.mps"
+        path.write_text(boxed_ranged_instance(seed).mps_text)
+        objectives = []
+        for route in ([], ["--dualize"]):
+            code, out, _ = _run(capsys, ["solve", str(path), "--algorithm", "pd", *route])
+            assert code == 0, out
+            objectives.append(float(out.split("objective=")[1].split()[0]))
+        primal, dual = objectives
+        assert abs(dual - primal) <= 1e-10 * (1 + abs(primal))
+
     def test_usage_error_exit_one(self, planted, capsys):
         code, _, _ = _run(capsys, ["solve"])  # missing input
         assert code == 1
@@ -118,6 +132,11 @@ class TestSolve:
         code, out, err = _run(capsys, ["solve", path, "--switch-budget", "-1"])
         assert code == 1
         assert out == "" and err.startswith("error:")
+        # the scaled-distance thresholds are constants, not options
+        for option in (["--nu", "1"], ["--switch-dist", "0.1"]):
+            code, out, err = _run(capsys, ["solve", path, *option])
+            assert code == 1
+            assert out == "" and "error: unrecognized arguments" in err
 
     def test_status_line_stable_across_runs(self, planted, capsys):
         # golden-style stability: everything except wall time is

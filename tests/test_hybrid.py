@@ -117,19 +117,18 @@ class TestHybridSolve:
         ref = inst.certificate.objective
         assert abs(res.objective - ref) <= 1e-8 * (1 + abs(ref))
 
-    def test_switch_distance_uses_the_primal_nu(self):
-        # nu above every coordinate: the thresholded distance is Euclidean
+    def test_switch_distance_is_the_rows_thresholded_step(self):
+        # the switch measures pd's step as its trace row does, at NU
         _, std = _planted()
         trace = TraceLog()
         res = hybrid_solve(
-            std, PdConfig(), PrimalConfig(tau=0.28, cg_tol=1e-12, nu=1e3),
+            std, PdConfig(), PrimalConfig(tau=0.28, cg_tol=1e-12),
             FORCED, trace_log=trace,
         )
         stats = res.phase_stats
         row = trace.records[stats["switch_iteration"] - 1]
         assert row.phase == "pd"
-        assert stats["switch_distance"] == row.step_norm
-        assert stats["switch_distance"] == pytest.approx(3.30e-4, rel=1e-3)
+        assert stats["switch_distance"] == row.thresholded_step
 
     # pd's complementarity rises once, at iteration 3, on this LP: a known
     # fault of the Mehrotra step, so the warning is expected here

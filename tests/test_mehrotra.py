@@ -314,6 +314,20 @@ class TestPdSolve:
         ref = inst.certificate.objective
         assert abs(res.objective - ref) <= 1e-8 * (1 + abs(ref))
 
+    def test_last_allowed_iteration_can_end_optimal(self):
+        # the loop runs out on the iteration that converges: the check
+        # after the loop, not the one at the top of the next iteration,
+        # reports it
+        std = to_standard_form(parse_mps(generate_instance(40, 100, 3).mps_text))
+        full = pd_solve(std, PdConfig())
+        assert full.status == SolveStatus.OPTIMAL and full.iterations == 8
+        res = pd_solve(std, PdConfig(max_iter=full.iterations))
+        assert res.status == SolveStatus.OPTIMAL
+        assert res.iterations == full.iterations
+        assert np.array_equal(res.x, full.x)
+        short = pd_solve(std, PdConfig(max_iter=full.iterations - 1))
+        assert short.status == SolveStatus.ITERATION_LIMIT
+
     def test_planted_instance_matches_certificate(self):
         inst = generate_instance(30, 60, seed=3)
         std = to_standard_form(parse_mps(inst.mps_text))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -468,8 +470,9 @@ class TestNormalSolver:
         rng = np.random.default_rng(37)
         p, st = feasible_instance(rng, 6, 14)
         far = st.x * rng.uniform(5.0, 50.0, 14)  # terrible preconditioner
-        # nu above every coordinate: the delayed point is far itself
-        cfg = PrimalConfig(mode=DELAYED_SCALING, nu=1e3, cg_tol=1e-15)
+        # NU above every coordinate: the delayed point is far itself
+        monkeypatch.setattr(primal, "NU", 1e3)
+        cfg = PrimalConfig(mode=DELAYED_SCALING, cg_tol=1e-15)
         solver = NormalSolver(p, cfg)
         solver.cache = refresh_cache(p, st.x)
         solver.direction(
@@ -839,6 +842,22 @@ class TestPrimalSolve:
         cfg = PrimalConfig(tau=0.01, max_iter=3, mode=EXACT, tol=1e-10)
         res = primal_solve(tiny_lp, cfg, start)
         assert res.status == SolveStatus.ITERATION_LIMIT
+
+    def test_last_allowed_iteration_can_end_optimal(self):
+        # the loop runs out on the iteration that converges: the check
+        # after the loop, not the one at the top of the next iteration,
+        # reports it
+        std = to_standard_form(parse_mps(generate_instance(40, 100, 3).mps_text))
+        cfg = PrimalConfig(tau=0.28, cg_tol=1e-12, mode=DELAYED_SCALING)
+        start = pd_starting_point(std)
+        full = primal_solve(std, cfg, start)
+        assert full.status == SolveStatus.OPTIMAL and full.iterations == 20
+        res = primal_solve(std, dataclasses.replace(cfg, max_iter=full.iterations), start)
+        assert res.status == SolveStatus.OPTIMAL
+        assert res.iterations == full.iterations
+        assert np.array_equal(res.x, full.x)
+        short = primal_solve(std, dataclasses.replace(cfg, max_iter=full.iterations - 1), start)
+        assert short.status == SolveStatus.ITERATION_LIMIT
 
     def test_bounded_variables_reach_active_bounds(self):
         # min -x1 - x2 s.t. x1 + x2 + x3 = 3, x1 <= 1, x2 <= 1: both

@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+import lpipm.hybrid
 import lpipm.mehrotra
 import lpipm.primal
 from lpipm import (
@@ -44,11 +45,11 @@ def _primal(mode):
     return run
 
 
-def _hybrid(min_pcg_budget, tau=0.28, **policy):
+def _hybrid(min_pcg_budget, tau=0.28):
     def run(p, trace):
         return hybrid_solve(
             p, PdConfig(), PrimalConfig(tau=tau, cg_tol=1e-12),
-            SwitchPolicy(min_pcg_budget=min_pcg_budget, **policy), trace_log=trace,
+            SwitchPolicy(min_pcg_budget=min_pcg_budget), trace_log=trace,
         )
 
     return run
@@ -58,11 +59,12 @@ _SOLVES = {
     "pd": lambda p, trace: pd_solve(p, PdConfig(), trace_log=trace),
     "primal-exact": _primal(EXACT),
     "primal-delayed": _primal(DELAYED_SCALING),
-    # "override-1" gates the switch at a budget no LP reaches and never
-    # switches; "override-100" turns the gate off: the distance alone decides
+    # "hybrid-never" gates the switch at a budget no LP reaches and never
+    # switches; the other hybrids turn the gate off: the distance alone
+    # decides, and "hybrid-early-switch" passes it at 10
     "hybrid-never": _hybrid(10**9),
     "hybrid-forced": _hybrid(0),
-    "hybrid-early-switch": _hybrid(0, tau=0.5, dist_threshold=10.0),
+    "hybrid-early-switch": _hybrid(0, tau=0.5),
     "hybrid-stalled-fallback": _hybrid(0),
 }
 _SWITCHING = {"hybrid-forced", "hybrid-early-switch", "hybrid-stalled-fallback"}
@@ -74,6 +76,8 @@ def test_factorized_rows_equal_reported_factorizations(instance, solve, monkeypa
     p = instance()
     if solve == "hybrid-stalled-fallback":
         monkeypatch.setattr(lpipm.primal, "ratio_test", lambda *args: 1e-5)
+    if solve == "hybrid-early-switch":
+        monkeypatch.setattr(lpipm.hybrid, "_SWITCH_DISTANCE", 10.0)
     trace = TraceLog()
     res = _SOLVES[solve](p, trace)
     assert res.factorizations > 0

@@ -24,7 +24,7 @@ class TestProbeSpectra:
         inst = generate_instance(6, 15, seed=21)
         std = to_standard_form(parse_mps(inst.mps_text))
         st = pd_starting_point(std)
-        rows = probe_spectra(std, [st, st, st], anchor=0)
+        rows = probe_spectra(std, [st, st, st])
         for r in rows:
             assert abs(r.kappa_reuse - 1.0) <= 1e-8
 
@@ -37,7 +37,7 @@ class TestProbeSpectra:
         res = primal_solve(std, cfg, pd_starting_point(std), collect_iterates=True)
         assert res.status == SolveStatus.OPTIMAL
         window = res.iterates[-5:]
-        rows = probe_spectra(std, window, anchor=0)
+        rows = probe_spectra(std, window)
         for r in rows:
             assert r.kappa_reuse <= 9.0 * 1.05
         # the primal-dual normal matrix degenerates on the same tail; the
