@@ -7,7 +7,7 @@ primal iterations near convergence to reuse cached normal-matrix
 factorizations (``hybrid_solve``).
 """
 
-from .cg import CgOutcome, generalized_condition_probe, pcg_solve
+from .cg import CgOutcome, pcg_solve
 from .cholesky import CholeskyFactor, cholesky_factorize, minimum_degree_ordering
 from .errors import (
     FactorizationFailed,
@@ -50,7 +50,7 @@ from .problem import (
 from .results import SolveResult, SolveStatus
 from .scaling import bound_scaling_diag, delayed_scaling_point, thresholded_distance
 from .sparse import NormalMatrix, SparseMatrix, form_normal_matrix
-from .spectra import SpectraRow, probe_spectra, spectra_csv
+from .spectra import SpectraRow, condition_number, probe_spectra, spectra_csv
 from .trace import (
     TraceLog,
     TraceRecord,

@@ -1,7 +1,7 @@
-"""Preconditioned conjugate gradient and a Lanczos condition probe.
+"""Preconditioned conjugate gradient.
 
-Both take the matrix as an operator ``apply_M`` and the preconditioner
-as a :class:`~lpipm.cholesky.CholeskyFactor`: neither assembles a matrix,
+It takes the matrix as an operator ``apply_M`` and the preconditioner
+as a :class:`~lpipm.cholesky.CholeskyFactor`: it assembles no matrix,
 so on ``M = A D^2 A^T`` the caller passes ``v -> A (d^2 (A^T v))``.
 """
 
@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .cholesky import CholeskyFactor
 from .errors import NumericalBreakdown
@@ -102,54 +101,3 @@ def pcg_solve(apply_M, precond: CholeskyFactor, rhs, rel_tol, max_iter) -> CgOut
     final = rhs - apply_M(x)
     rel = float(np.linalg.norm(final)) / denom
     return CgOutcome(x, iterations, rel, rel <= rel_tol)
-
-
-def generalized_condition_probe(apply_M, M2_factor: CholeskyFactor, iters: int = 30) -> float:
-    """Estimate the generalized condition number kappa(M2^{-1/2} M1 M2^{-1/2})
-    of the operator ``apply_M`` (``v -> M1 v``) against the factor of ``M2``.
-
-    Runs at most ``iters`` (at least 1) Lanczos steps with full
-    reorthogonalization on the symmetrically preconditioned operator;
-    the Ritz estimate is a lower bound of the true kappa.  A non-finite
-    value in a step raises :class:`NumericalBreakdown`, not numpy's
-    warning.
-    """
-    if iters < 1:
-        raise ValueError(f"iters must be at least 1, got {iters}")
-    n = M2_factor.dimension
-
-    def apply_C(v):
-        return M2_factor.half_solve(apply_M(M2_factor.half_solve_transpose(v)))
-
-    rng = np.random.default_rng(0x5EED)
-    q = rng.standard_normal(n)
-    q /= np.linalg.norm(q)
-    Q = [q]
-    alphas, betas = [], []
-    steps = min(int(iters), n)
-    for k in range(steps):
-        with np.errstate(invalid="ignore", over="ignore"):  # reported below
-            w = apply_C(Q[k])
-        if not np.all(np.isfinite(w)):
-            raise NumericalBreakdown("non-finite value in Lanczos iteration")
-        a = float(Q[k] @ w)
-        alphas.append(a)
-        w = w - a * Q[k]
-        if k > 0:
-            w = w - betas[-1] * Q[k - 1]
-        # full reorthogonalization keeps the Ritz extremes trustworthy
-        for qj in Q:
-            w -= (qj @ w) * qj
-        b = float(np.linalg.norm(w))
-        if b <= 1e-12 * max(abs(a), 1.0):
-            break
-        betas.append(b)
-        Q.append(w / b)
-
-    if len(alphas) == 1:
-        return 1.0
-    ev = sla.eigh_tridiagonal(
-        np.asarray(alphas), np.asarray(betas[: len(alphas) - 1]), eigvals_only=True
-    )
-    lo = max(float(ev[0]), np.finfo(np.float64).tiny)
-    return float(ev[-1]) / lo

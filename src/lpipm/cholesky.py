@@ -26,6 +26,8 @@ ordering of a sparse pattern.  The factorization does not use it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg.blas import dtrmv, dtrsv
 from scipy.linalg.lapack import dpotrf
@@ -111,12 +113,7 @@ class CholeskyFactor:
     is the whole factor.  ``L`` is LAPACK's column-major output,
     read-only, which the BLAS triangular solves read in place.
 
-    ``solve`` and ``product`` work in the coordinates of ``M``.  The
-    half-solves are a pair for symmetric preconditioning:
-    :meth:`half_solve` maps ``M``'s coordinates to the permuted ones and
-    :meth:`half_solve_transpose` maps them back, so
-    ``half_solve(X half_solve_transpose(v))`` applies ``L^-1 P X P^T L^-T``,
-    which is similar to ``(M + sigma I)^-1 X``.
+    ``solve`` and ``product`` work in the coordinates of ``M``.
     """
 
     __slots__ = ("L", "diag_regularization", "diag_max", "levels", "dimension")
@@ -162,16 +159,6 @@ class CholeskyFactor:
         """Solve ``(M + sigma I) x = rhs``."""
         return self._backward(self._forward(self._checked(rhs)))
 
-    def half_solve(self, rhs) -> np.ndarray:
-        """``L^-1 P rhs``: takes ``M``'s coordinates and returns the
-        permuted ones (used to symmetrize preconditioned operators)."""
-        return self._forward(self._checked(rhs))
-
-    def half_solve_transpose(self, rhs) -> np.ndarray:
-        """``P^T L^-T rhs``: takes the permuted coordinates and returns
-        ``M``'s."""
-        return self._backward(self._checked(rhs))
-
     def product(self, v) -> np.ndarray:
         """``P^T L L^T P v = (M + sigma I) v`` as the factor computes it."""
         return self._product(self._checked(v), 0)
@@ -208,7 +195,10 @@ def cholesky_factorize(M: NormalMatrix) -> CholeskyFactor:
     refill rebuilds every level and ``C`` at ``M + sigma I``, and
     ``max|M_ii|`` runs over the whole diagonal.  A pivot of a level that
     is not positive fails like a pivot of ``dpotrf``: the next shift is
-    tried, and the pivot is never divided by.
+    tried, and the pivot is never divided by.  A non-finite entry in a
+    column reaches that column's pivot, and ``dpotrf`` reports success
+    on a NaN one, so a factor whose diagonal is not finite raises
+    :class:`FactorizationFailed` at once.
     """
     levels = M.levels
     a = M.take_array()
@@ -220,6 +210,10 @@ def cholesky_factorize(M: NormalMatrix) -> CholeskyFactor:
         if levels is not None:  # None: a pivot of an eliminated level failed
             L, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
             if info == 0:
+                # dpotrf passes a NaN pivot, and no shift makes it finite;
+                # the finite pivots are positive, at most 1.4e154 each
+                if not math.isfinite(L.trace()):
+                    raise FactorizationFailed("non-finite pivot in the factorization")
                 L.flags.writeable = False
                 return CholeskyFactor(L, sigma, M.diag_max, levels)
         sigma = base if sigma == 0.0 else sigma * 10.0

@@ -11,7 +11,7 @@ import argparse
 import sys
 import time
 
-from .errors import ModelError, ParseError
+from .errors import ModelError, ParseError, SolverError
 from .face import MIN_PCG_BUDGET
 from .generator import generate_instance
 from .hybrid import SwitchPolicy, hybrid_solve
@@ -81,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     probe.add_argument("--tau", type=float, default=None)
     probe.add_argument("--window", type=int, default=5,
                        help="number of final iterates to probe")
-    probe.add_argument("--iters", type=int, default=30, help="Lanczos steps")
     probe.add_argument("--trace", default=None, help="write the CSV here")
     probe.add_argument("--quiet", action="store_true")
     return parser
@@ -174,8 +173,6 @@ def run_cli(argv=None) -> int:
         # probe
         if args.window < 1:
             raise ValueError(f"--window must be at least 1, got {args.window}")
-        if args.iters < 1:
-            raise ValueError(f"--iters must be at least 1, got {args.iters}")
         std = _load_standard(args.input)
         mode = DELAYED_SCALING if args.algorithm == "primal" else EXACT
         cfg = PrimalConfig(tau=args.tau, max_iter=args.max_iter,
@@ -184,7 +181,7 @@ def run_cli(argv=None) -> int:
         result = primal_solve(std, cfg, pd_starting_point(std),
                               collect_iterates=True)
         window = result.iterates[-args.window:]
-        rows = probe_spectra(std, window, iters=args.iters)
+        rows = probe_spectra(std, window)
         csv_text = spectra_csv(rows)
         if args.trace:
             with open(args.trace, "w") as fh:
@@ -202,6 +199,9 @@ def run_cli(argv=None) -> int:
     except (ParseError, ModelError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except SolverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main():

@@ -271,18 +271,19 @@ def pd_solve(
     from the rows already in ``trace_log``.
     """
     t_start = time.perf_counter()
-    st = (start or pd_starting_point(p)).copy()
-    st.mu = complementarity(p, st)
-
     factorizations = 0
     iterations = 0
     cg_iterations = 0
     status = SolveStatus.ITERATION_LIMIT
     message = ""
-    e_p, e_d, e_g = convergence_metrics(p, st)
     face = None  # the candidate face (B, U) of the previous iteration
+    nan = np.full(p.ncols, np.nan)  # the state reported if the start fails
+    st = IterateState(x=nan, y=np.full(p.nrows, np.nan), s=nan, mu=np.nan, w=nan, v=nan)
 
     try:
+        st = (start or pd_starting_point(p)).copy()
+        st.mu = complementarity(p, st)
+        e_p, e_d, e_g = convergence_metrics(p, st)
         for k in range(1, cfg.max_iter + 1):
             if max(e_p, e_d, e_g) <= cfg.tol:
                 status = SolveStatus.OPTIMAL

@@ -8,7 +8,6 @@ from conftest import normal_matrix
 from lpipm import (
     NumericalBreakdown,
     cholesky_factorize,
-    generalized_condition_probe,
     pcg_solve,
 )
 
@@ -191,57 +190,3 @@ class TestPcg:
                 pcg_solve(apply_M, precond, rhs, 1e-12, 20)
         assert str(info.value) == message
         assert info.value.iterations == iterations
-
-
-class TestConditionProbe:
-    def test_same_matrix_is_one(self):
-        rng = np.random.default_rng(10)
-        B = rng.standard_normal((8, 8))
-        M = B @ B.T + 8 * np.eye(8)
-        f = _factor(_spd(B))
-        assert abs(generalized_condition_probe(lambda v: M @ v, f, 30) - 1.0) <= 1e-8
-
-    def test_scalar_multiple_is_one(self):
-        rng = np.random.default_rng(11)
-        B = rng.standard_normal((8, 8))
-        M1 = 4.0 * (B @ B.T + 8 * np.eye(8))
-        f = _factor(_spd(B))
-        assert abs(generalized_condition_probe(lambda v: M1 @ v, f, 30) - 1.0) <= 1e-8
-
-    def test_diag_one_nine(self):
-        M1 = np.diag([1.0, 9.0])
-        f = _factor(np.eye(2))
-        kappa = generalized_condition_probe(lambda v: M1 @ v, f, 30)
-        assert abs(kappa - 9.0) <= 0.05 * 9.0
-
-    def test_nonfinite_breakdown(self):
-        M1 = np.array([[np.inf, 0.0], [0.0, 1.0]])
-        f = _factor(np.eye(2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # not numpy's warning of inf * 0
-            with pytest.raises(NumericalBreakdown):
-                generalized_condition_probe(lambda v: M1 @ v, f, 10)
-
-    def test_dimension_mismatch(self):
-        f = _factor(np.eye(3))
-        with pytest.raises(ValueError):
-            generalized_condition_probe(lambda v: np.eye(2) @ v, f, 10)
-
-    @pytest.mark.parametrize("iters", [0, -3])
-    def test_fewer_than_one_step_is_rejected(self, iters):
-        # used to run one Lanczos step, which reads kappa = 1 on any pair
-        f = _factor(np.eye(2))
-        with pytest.raises(ValueError, match="iters"):
-            generalized_condition_probe(lambda v: np.diag([1.0, 9.0]) @ v, f, iters)
-
-    def test_lower_bound_and_accuracy(self):
-        rng = np.random.default_rng(12)
-        n = 40
-        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        spectrum = np.concatenate([[0.5], np.linspace(1.0, 3.0, n - 2), [8.0]])
-        M = Q @ np.diag(spectrum) @ Q.T
-        f = _factor(np.eye(n))
-        kappa = generalized_condition_probe(lambda v: M @ v, f, 40)
-        true = 8.0 / 0.5
-        assert kappa <= true * (1 + 1e-9)   # Ritz values are interior
-        assert kappa >= true * 0.95         # and accurate for separated extremes

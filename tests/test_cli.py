@@ -3,7 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from lpipm import generate_instance, parse_certificate
+import lpipm.cli
+import lpipm.mehrotra
+from lpipm import FactorizationFailed, generate_instance, parse_certificate
 from lpipm.cli import run_cli
 from conftest import boxed_ranged_instance
 
@@ -137,6 +139,25 @@ class TestSolve:
             code, out, err = _run(capsys, ["solve", path, *option])
             assert code == 1
             assert out == "" and "error: unrecognized arguments" in err
+        # the probe is exact: it has no step count to set
+        code, out, err = _run(capsys, ["probe", path, "--tau", "0.28", "--iters", "30"])
+        assert code == 1
+        assert out == "" and "error: unrecognized arguments" in err
+
+    @pytest.mark.parametrize("algorithm", ["pd", "primal", "primal-exact", "hybrid"])
+    def test_failed_start_exit_three(self, planted, capsys, monkeypatch, algorithm):
+        # the primal engines take their start from the CLI, pd and the
+        # hybrid compute it in pd_solve: on every path a factorization
+        # that fails there is a numerical failure, not a traceback
+        def fail(p):
+            raise FactorizationFailed("non-finite pivot in the factorization")
+
+        monkeypatch.setattr(lpipm.cli, "pd_starting_point", fail)
+        monkeypatch.setattr(lpipm.mehrotra, "pd_starting_point", fail)
+        _, path = planted
+        code, out, err = _run(capsys, ["solve", path, "--algorithm", algorithm])
+        assert code == 3
+        assert "non-finite pivot in the factorization" in out + err
 
     def test_status_line_stable_across_runs(self, planted, capsys):
         # golden-style stability: everything except wall time is
@@ -209,8 +230,8 @@ class TestProbe:
         ["--window", "0"], ["--window", "-2"], ["--max-iter", "-1"], ["--iters", "0"],
     ])
     def test_out_of_range_count_is_usage_error(self, planted, capsys, argv):
-        # --window 0 used to probe every iterate, --window -2 to drop two,
-        # --iters 0 to run one Lanczos step and report every kappa as 1
+        # --window 0 used to probe every iterate, --window -2 to drop two;
+        # --iters, the step count of the old Lanczos probe, is no option
         _, path = planted
         code, out, err = _run(capsys, ["probe", path, "--tau", "0.28", *argv])
         assert code == 1

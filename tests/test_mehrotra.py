@@ -292,6 +292,16 @@ class TestPdSolve:
         assert abs(res.objective) <= 1e-9
         assert_allclose(res.x, [0.0, 2.0], atol=1e-8)
 
+    def test_failed_start_ends_numerical_failure(self):
+        # the start's factorization meets a NaN pivot: the solve reports
+        # it, with no iterate and no factorization counted
+        p = standard_lp_from_dense([[1.0, np.nan, 1.0], [0.5, 2.0, 1.0]], [1.0, 1.0], np.ones(3))
+        res = pd_solve(p, PdConfig())
+        assert res.status == SolveStatus.NUMERICAL_FAILURE
+        assert res.message == "non-finite pivot in the factorization"
+        assert res.iterations == res.factorizations == 0
+        assert np.all(np.isnan(res.x))
+
     def test_infeasible_instance_hits_limit(self):
         p = standard_lp_from_dense([[1.0, 1.0]], [-1.0], [1.0, 1.0])
         with np.errstate(over="ignore"), pytest.warns(UserWarning):

@@ -489,9 +489,8 @@ def test_rounds_on_random_patterns(data):
     x = np.linalg.solve(shifted, b)
     assert_allclose(f.product(b), shifted @ b, rtol=1e-13, atol=1e-13 * scale * np.abs(b).sum())
     assert_allclose(f.solve(b), x, rtol=1e-12, atol=1e-12 * np.abs(x).max())
-    z = f.half_solve(b)
-    assert_allclose(f.half_solve_transpose(z), x, rtol=1e-12, atol=1e-12 * np.abs(x).max())
-    assert z @ z == pytest.approx(b @ x, rel=1e-12)
+    assert_allclose(f.solve(f.product(b)), b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+    assert b @ f.solve(b) == pytest.approx(b @ x, rel=1e-12)
 
 
 def test_one_analysis_per_matrix_across_scalings(monkeypatch, rounds_always):

@@ -2,12 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from lpipm import (
     DELAYED_SCALING,
+    EXACT,
     IterateState,
     PrimalConfig,
     SolveStatus,
+    bound_scaling_diag,
     generate_instance,
     parse_mps,
     pd_starting_point,
@@ -40,9 +43,7 @@ class TestProbeSpectra:
         rows = probe_spectra(std, window)
         for r in rows:
             assert r.kappa_reuse <= 9.0 * 1.05
-        # the primal-dual normal matrix degenerates on the same tail; the
-        # probe is a lower bound, so assert the contrast rather than a
-        # particular magnitude
+        # the primal-dual normal matrix degenerates on the same tail
         assert rows[-1].kappa_pd > 100.0 * rows[-1].kappa_reuse
 
     def test_csv_output_shape(self):
@@ -69,3 +70,34 @@ class TestProbeSpectra:
             warnings.simplefilter("error")
             (row,) = probe_spectra(p, [st])
         assert row.kappa_pd == pytest.approx(8e16, rel=1e-6)
+
+    def test_kappa_reuse_is_the_pencils_exact_kappa(self):
+        # the exact kappa reaches 8162 here; a 30-step Lanczos lower bound
+        # stops near 2055
+        inst = generate_instance(150, 320, 301, density=1.0, spread=3.0)
+        std = to_standard_form(parse_mps(inst.mps_text))
+        cfg = PrimalConfig(tau=0.28, mode=DELAYED_SCALING, cg_tol=1e-12)
+        res = primal_solve(std, cfg, pd_starting_point(std), collect_iterates=True)
+        window = res.iterates[-15:]
+        A = std.A.to_dense()
+
+        def normal(st):
+            B = A * bound_scaling_diag(st.x, std.u)
+            return B @ B.T
+
+        M0 = normal(window[0])
+        for row, st in zip(probe_spectra(std, window), window):
+            ev = sla.eigh(normal(st), M0, eigvals_only=True)
+            assert row.kappa_reuse == pytest.approx(ev[-1] / ev[0], rel=1e-6)
+
+    def test_kappa_reuse_stays_finite_on_a_degenerate_path(self):
+        # the whole path of `lpipm probe --tau 0.28 --window 200`; the exact
+        # kappa reaches 1.7e19 here, and an estimate that divides by a
+        # floored smallest eigenvalue reads 1.6e308
+        inst = generate_instance(30, 70, 1, degenerate=True, density=1.0, spread=3.0)
+        std = to_standard_form(parse_mps(inst.mps_text))
+        cfg = PrimalConfig(tau=0.28, max_iter=200, tol=1e-8, mode=EXACT)
+        res = primal_solve(std, cfg, pd_starting_point(std), collect_iterates=True)
+        rows = probe_spectra(std, res.iterates[-200:])
+        assert len(rows) == len(res.iterates) > 50
+        assert all(np.isfinite(r.kappa_reuse) and r.kappa_reuse < 1e300 for r in rows)
