@@ -376,6 +376,13 @@ class TestFactorSolve:
 
     def test_dimension_mismatch(self):
         f = cholesky_factorize(normal_matrix(np.eye(3))[0])
+        with pytest.raises(ValueError):
+            f.solve(np.ones(4))
+
+    def test_solve_and_product_reject_a_wrong_length(self):
+        f = cholesky_factorize(normal_matrix(np.diag([2.0, 3.0, 4.0]))[0])
+        assert_allclose(f.solve(np.ones(3)), [1 / 4, 1 / 9, 1 / 16], rtol=1e-15)
+        assert_allclose(f.product(np.ones(3)), [4.0, 9.0, 16.0], rtol=1e-15)
         for method in (f.solve, f.product):
             for wrong in (np.ones(4), np.ones(2)):
                 with pytest.raises(ValueError, match="expected 3"):
