@@ -11,10 +11,9 @@ import numpy as np
 import lpipm as L
 
 A = L.SparseMatrix.from_dense([[1.0, 1.0]])
-rules = (("affine", 0.0, ((1.0, 0),)), ("affine", 0.0, ((1.0, 1),)))
 problem = L.StandardLp(
-    A=A, b=np.array([2.0]), c=np.array([1.0, 0.0]),
-    u=np.full(2, np.inf), recovery=L.RecoveryMap(rules, 0.0, "min"),
+    A=A, b=np.array([2.0]), c=np.array([1.0, 0.0]), u=np.full(2, np.inf),
+    recovery=L.RecoveryMap(np.zeros(2), np.arange(2), np.ones(2), 0.0, "min"),
 )
 
 mu0 = 1.0

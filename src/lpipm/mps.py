@@ -344,9 +344,10 @@ class _ColumnsReader:
         row_code = {name: i for i, name in enumerate(prob.row_names)}
         row_code.update({name: _FREE_ROW for name in self.known_rows if name not in row_code})
         row_code[prob.objective_name] = _OBJECTIVE_ROW
+        marker_like = [c for name, c in row_code.items() if name.upper() == _MARKER]
         while True:
             chunk = lines.take(_CHUNK_LINES)
-            end = self._read_chunk(chunk, lines.lineno - len(chunk), row_code)
+            end = self._read_chunk(chunk, lines.lineno - len(chunk), row_code, marker_like)
             if end < len(chunk):
                 lines.put_back(chunk[end:])
                 return
@@ -373,10 +374,11 @@ class _ColumnsReader:
         np.cumsum(col_ptr, out=col_ptr)
         return SparseMatrix(m, n, col_ptr, _join(rows, np.int64), _join(vals, np.float64))
 
-    def _read_chunk(self, chunk, offset, row_code) -> int:
+    def _read_chunk(self, chunk, offset, row_code, marker_like) -> int:
         """Read the lines of ``chunk``, the first of them line ``offset + 1``
         of the text, up to the first header line; return the index of that
-        header, or ``len(chunk)``."""
+        header, or ``len(chunk)``.  ``marker_like``: the codes of the rows
+        named like a marker, as a marker line's second token reads."""
         # a header is a line that is neither indented, blank nor a
         # comment; lines hold no "\n", so newlines count them
         text = "\n" + "\n".join(chunk)
@@ -420,7 +422,6 @@ class _ColumnsReader:
         codes = np.fromiter(
             map(row_code.get, tokens[odd], repeat(_UNKNOWN_ROW)), np.int64, odd.size
         )
-        marker_like = [c for name, c in row_code.items() if name.upper() == _MARKER]
         suspect = odd[((codes == _UNKNOWN_ROW) | np.isin(codes, marker_like)) & (place[odd] == 1)]
         suspect = suspect[counts[line_of[suspect]] >= 3]
         marker = np.zeros(counts.size, dtype=bool)

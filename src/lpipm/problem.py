@@ -1,9 +1,13 @@
-"""Standard-form conversion, dualization, residuals, and metrics."""
+"""Standard-form conversion, dualization, residuals, and metrics.
+
+The standard form (:class:`StandardLp`) holds arrays and no names; its
+:class:`RecoveryMap` maps a point back to the original columns."""
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 import scipy.sparse as sps
@@ -17,28 +21,35 @@ _EMPTY_ROW_TOL = 1e-9
 
 @dataclass(frozen=True)
 class RecoveryMap:
-    """Affine rules mapping a standard-form point back to the original
-    variables, plus the bookkeeping needed to undo the objective
-    transformations.
+    """The column map from a standard-form point back to the original
+    variables, and what undoes the objective's transformations.
 
-    Each rule is ``('const', value)`` or ``('affine', shift, terms)``
-    with ``terms`` a tuple of ``(coef, std_index)`` pairs (two terms for
-    split free variables, one otherwise).
+    ``shift`` is each original column's value at ``x_std = 0``; each
+    structural standard column adds ``sign`` (-1 when mirrored or the
+    negative half of a free column) times its value to its ``source``
+    column, and the slacks after them map to nothing.  Read-only arrays.
     """
 
-    rules: tuple
+    shift: np.ndarray
+    source: np.ndarray
+    sign: np.ndarray
     objective_constant: float
     sense: str  # sense of the original problem
 
+    def __post_init__(self):
+        for name, dtype in (("shift", np.float64), ("source", np.int64), ("sign", np.float64)):
+            arr = np.ascontiguousarray(getattr(self, name), dtype=dtype)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        if self.source.shape != self.sign.shape:
+            raise ValueError("inconsistent recovery-map dimensions")
+
     def apply(self, x_std) -> np.ndarray:
+        """The original variables at ``x_std``: ``shift`` plus the signed
+        structural columns, summed onto their sources in column order."""
         x_std = np.asarray(x_std, dtype=np.float64)
-        out = np.empty(len(self.rules))
-        for i, rule in enumerate(self.rules):
-            if rule[0] == "const":
-                out[i] = rule[1]
-            else:
-                _, shift, terms = rule
-                out[i] = shift + sum(coef * x_std[idx] for coef, idx in terms)
+        out = self.shift.copy()
+        np.add.at(out, self.source, self.sign * x_std[:self.source.size])
         return out
 
     def original_objective(self, min_objective_value) -> float:
@@ -49,15 +60,14 @@ class RecoveryMap:
 @dataclass(frozen=True)
 class StandardLp:
     """``min <c, x>  s.t.  A x = b,  0 <= x <= u`` with u possibly infinite;
-    ``bounded`` holds the indices of the finite entries of u, read-only."""
+    ``bounded`` holds the indices of the finite entries of u, read-only.
+    ``recovery`` maps a point back to the LP it was converted from."""
 
     A: SparseMatrix
     b: np.ndarray
     c: np.ndarray
     u: np.ndarray
-    recovery: RecoveryMap
-    row_names: tuple = ()
-    col_names: tuple = ()
+    recovery: RecoveryMap = field(compare=False)
     bounded: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
@@ -128,9 +138,10 @@ def to_standard_form(p: LpProblem) -> StandardLp:
 
     Inequality rows get slack columns (with finite slack bounds encoding
     RANGES), finite lower bounds are shifted to zero, free variables are
-    split, upper-bound-only variables are mirrored, and fixed variables
-    are eliminated.  Column order is deterministic: original columns,
-    then split negative parts, then slacks in row order.
+    split, upper-bound-only variables are mirrored, and fixed and empty
+    variables are eliminated.  Column order is deterministic: original
+    columns, then split negative parts, then slacks in row order, as the
+    recovery map's ``source`` records.
 
     The standard-form ``A`` is built in one pass over the arrays of
     ``p.A``, so set-up holds one more copy of ``A``, not a chain of them.
@@ -141,15 +152,12 @@ def to_standard_form(p: LpProblem) -> StandardLp:
             f"coefficient matrix is {p.A.nrows}x{p.A.ncols}, expected {m_orig}x{n_orig}"
         )
     sign = 1.0 if p.sense == "min" else -1.0
-    row_index = {name: i for i, name in enumerate(p.row_names)}
-    b = np.zeros(m_orig)
-    for name, val in p.rhs.items():
-        b[row_index[name]] = val
+    b = _by_name(p.rhs, p.row_names, 0.0)
 
     # per-original-column data in the minimization convention
-    cmin = sign * np.array([p.objective.get(name, 0.0) for name in p.col_names])
-    bounds = np.array([p.bounds_of(name) for name in p.col_names], dtype=np.float64)
-    lo, up = bounds.reshape(n_orig, 2).T
+    cmin = sign * _by_name(p.objective, p.col_names, 0.0)
+    lo = _by_name(p.lower, p.col_names, 0.0)
+    up = _by_name(p.upper, p.col_names, np.inf)
     crossed = np.flatnonzero(lo > up)
     if crossed.size:
         j = crossed[0]
@@ -192,24 +200,6 @@ def to_standard_form(p: LpProblem) -> StandardLp:
     split = np.flatnonzero(free)
     source = np.concatenate([first, split])
     col_sign = np.concatenate([np.where(mirror[first], -1.0, 1.0), -np.ones(split.size)])
-    std_index = np.cumsum(kept) - 1
-    minus_index = first.size + np.cumsum(free) - 1
-    rules, names, minus_names = [], [], []
-    for j, name in enumerate(p.col_names):
-        idx = int(std_index[j])
-        if not kept[j]:
-            rules.append(("const", float(shift[j])))
-        elif lower[j]:
-            rules.append(("affine", float(lo[j]), ((1.0, idx),)))
-            names.append(name)
-        elif mirror[j]:
-            rules.append(("affine", float(up[j]), ((-1.0, idx),)))
-            names.append(name + "-")
-        else:
-            rules.append(("affine", 0.0, ((1.0, idx), (-1.0, int(minus_index[j])))))
-            names.append(name + "+")
-            minus_names.append(name + "-")
-    names += minus_names
 
     # rows: slack columns for inequalities, RANGES as slack upper bounds
     in_kept = p.A.row_idx[np.repeat(kept, np.diff(p.A.col_ptr))]
@@ -223,12 +213,11 @@ def to_standard_form(p: LpProblem) -> StandardLp:
             warnings.warn(f"dropping empty row {name!r}", stacklevel=2)
             continue
         raise ModelError(f"empty row {name!r} is infeasible (rhs {b[r]})")
-    keep = np.flatnonzero(nonempty)
-    m = keep.size
+    m = np.count_nonzero(nonempty)
 
-    rtype = np.array([p.row_types[name] for name in p.row_names], dtype="<U1")
-    ranged = np.array([name in p.ranges for name in p.row_names], dtype=bool)
-    rng = np.array([p.ranges.get(name, 0.0) for name in p.row_names], dtype=np.float64)
+    rtype = np.fromiter(map(p.row_types.__getitem__, p.row_names), "<U1", m_orig)
+    ranged = np.fromiter(map(p.ranges.__contains__, p.row_names), bool, m_orig)
+    rng = _by_name(p.ranges, p.row_names, 0.0)
     # a zero range pins the row to equality; an E row with a range
     # reaches above its rhs for a positive range, below it otherwise
     slacked = nonempty & ~(ranged & (rng == 0.0)) & ((rtype != "E") | ranged)
@@ -237,7 +226,6 @@ def to_standard_form(p: LpProblem) -> StandardLp:
         (rtype == "G") | ((rtype == "E") & (rng > 0)), -1.0, 1.0
     )[slack_rows]
     slack_u = np.where(ranged, np.abs(rng), np.inf)[slack_rows]
-    names += [p.row_names[r] + ".slack" for r in slack_rows.tolist()]
 
     n = source.size + slack_rows.size
     if m > n:
@@ -245,17 +233,13 @@ def to_standard_form(p: LpProblem) -> StandardLp:
     A = _standard_matrix(p.A, kept, mirror, free, slack_rows, slack_coef, nonempty)
     c = np.concatenate([cmin[source] * col_sign, np.zeros(slack_rows.size)])
     u = np.concatenate([np.where(lower, up - lo, np.inf)[source], slack_u])
+    recovery = RecoveryMap(shift, source, col_sign, const_min, p.sense)
+    return StandardLp(A=A, b=b[nonempty], c=c, u=u, recovery=recovery)
 
-    recovery = RecoveryMap(tuple(rules), const_min, p.sense)
-    return StandardLp(
-        A=A,
-        b=b[keep],
-        c=c,
-        u=u,
-        recovery=recovery,
-        row_names=tuple(p.row_names[r] for r in keep.tolist()),
-        col_names=tuple(names),
-    )
+
+def _by_name(values: dict, names: list, default: float) -> np.ndarray:
+    """``values[name]`` for each of ``names``, ``default`` where absent."""
+    return np.fromiter(map(values.get, names, repeat(default)), np.float64, len(names))
 
 
 def _standard_matrix(A, kept, mirror, free, slack_rows, slack_coef, nonempty) -> SparseMatrix:
@@ -364,23 +348,22 @@ def to_symmetric_form(std: StandardLp) -> SymmetricLp:
 
 def symmetric_to_standard(p: SymmetricLp) -> StandardLp:
     """Attach inequality slacks so either symmetric orientation becomes
-    ``min`` standard form. For a ``max`` problem the objective is negated
-    and the recovery map undoes the negation."""
+    ``min`` standard form.  The recovery map is the identity on the first
+    n columns, the slacks following them map to nothing, and for a
+    ``max`` problem the map undoes the objective's negation."""
     m, n = p.A.shape
     slack_sign = -1.0 if p.sense == "min" else 1.0
     A_std = sps.hstack(
         [p.A.to_scipy(), slack_sign * sps.identity(m, format="csc")], format="csc"
     )
     c_std = np.concatenate([p.c if p.sense == "min" else -p.c, np.zeros(m)])
-    rules = tuple(("affine", 0.0, ((1.0, j),)) for j in range(n))
-    recovery = RecoveryMap(rules, 0.0, p.sense)
+    recovery = RecoveryMap(np.zeros(n), np.arange(n), np.ones(n), 0.0, p.sense)
     return StandardLp(
         A=SparseMatrix.from_scipy(A_std),
         b=p.b.copy(),
         c=c_std,
         u=np.full(n + m, np.inf),
         recovery=recovery,
-        col_names=tuple(f"x{j}" for j in range(n)) + tuple(f"w{i}" for i in range(m)),
     )
 
 

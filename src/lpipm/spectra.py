@@ -8,7 +8,8 @@ number of the primal-dual normal matrix ``A X S^{-1} A^T`` alongside for
 contrast.  Both columns are exact, from singular values
 (:func:`condition_number`): no normal matrix is formed, so a condition
 number past ``1/eps``, where the eigenvalues of ``A D^2 A^T`` round to
-zero, is still read.
+zero, is still read.  Both are read on a maximal set of independent rows
+of ``A``, so a repeated or a zero row changes neither.
 """
 
 from __future__ import annotations
@@ -47,6 +48,17 @@ def condition_number(B, R=None) -> float:
     return float(sv[0] / sv[-1]) ** 2
 
 
+def _independent_rows(A: np.ndarray) -> np.ndarray:
+    """``A`` cut to a maximal set of independent rows, kept in order (one
+    pivoted QR of ``A^T``, with ``generate_instance``'s rank cut); a
+    full-rank ``A`` as it is.  On the range of ``A`` the pencil
+    ``(A D_j^2 A^T, A D_0^2 A^T)`` is the kept rows' pencil."""
+    R, piv = sla.qr(A.T, pivoting=True, mode="r")
+    diag = np.abs(np.diagonal(R))
+    rank = np.count_nonzero(diag > diag[0] * max(A.shape) * np.finfo(np.float64).eps)
+    return A if rank == A.shape[0] else A[np.sort(piv[:rank])]
+
+
 def probe_spectra(p: StandardLp, states) -> list:
     """Exact condition numbers over an iterate window.
 
@@ -54,12 +66,13 @@ def probe_spectra(p: StandardLp, states) -> list:
     the first one's primal normal matrix ``A D_0^2 A^T`` is the anchor,
     factored once by QR.  Negative reduced costs (possible for primal
     dual estimates) are floored away from zero before forming the
-    primal-dual scaling.
+    primal-dual scaling.  A rank-deficient ``A`` is probed on a maximal
+    set of its independent rows (:func:`_independent_rows`).
     """
     states = list(states)
     if not states:
         return []
-    A = p.A.to_dense()
+    A = _independent_rows(p.A.to_dense())
     R = np.linalg.qr((A * bound_scaling_diag(states[0].x, p.u)).T, mode="r")
 
     rows = []

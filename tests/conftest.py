@@ -55,14 +55,13 @@ def random_full_rank(rng, m, n, density=1.0) -> np.ndarray:
 
 def standard_lp_from_dense(A, b, c, u=None) -> StandardLp:
     A = np.asarray(A, dtype=np.float64)
-    m, n = A.shape
-    rules = tuple(("affine", 0.0, ((1.0, j),)) for j in range(n))
+    n = A.shape[1]
     return StandardLp(
         A=SparseMatrix.from_dense(A),
         b=np.asarray(b, dtype=np.float64),
         c=np.asarray(c, dtype=np.float64),
         u=np.full(n, np.inf) if u is None else np.asarray(u, dtype=np.float64),
-        recovery=RecoveryMap(rules, 0.0, "min"),
+        recovery=RecoveryMap(np.zeros(n), np.arange(n), np.ones(n), 0.0, "min"),
     )
 
 

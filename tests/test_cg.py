@@ -53,6 +53,11 @@ class _Precond:
 
 
 class TestPcg:
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-12])
+    def test_rejects_a_tolerance_that_is_not_positive(self, rel_tol):
+        with pytest.raises(ValueError, match="rel_tol must be positive"):
+            pcg_solve(lambda v: v, _factor(np.eye(2)), np.ones(2), rel_tol, 10)
+
     def test_identity_one_iteration(self):
         f = _factor(np.eye(4))
         r = np.array([1.0, -2.0, 3.0, 0.5])

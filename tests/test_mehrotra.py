@@ -280,6 +280,15 @@ class TestMehrotraStep:
 
 
 class TestPdSolve:
+    @pytest.mark.parametrize("make, message", [
+        (lambda: PdConfig(tol=0.0), "tol must be positive"),
+        (lambda: pd_starting_point(standard_lp_from_dense(np.zeros((0, 2)), [], [1.0, 1.0])),
+         "no rows"),
+    ], ids=["tol", "no_rows"])
+    def test_rejects_invalid_input(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_config_rejects_negative_max_iter(self):
         with pytest.raises(ValueError, match="max_iter"):
             PdConfig(max_iter=-1)

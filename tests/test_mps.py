@@ -129,6 +129,51 @@ class TestParse:
         with pytest.raises(TypeError, match="list"):
             parse_mps(MINIMAL.splitlines(keepends=True))
 
+    def test_rhs_and_ranges_on_the_objective_and_a_free_row(self):
+        # RHS on the objective row is its negated constant; RANGES there,
+        # and RHS and RANGES on a free N row, are dropped
+        text = MINIMAL.replace(" N  COST", " N  COST\n N  FREE").replace(
+            "    RHS  R1  2.0", "    RHS  R1  2.0  COST  1.5\n    RHS  FREE  3.0"
+        ).replace("ENDATA", "RANGES\n    RNG  FREE  1.0  COST  4.0\n    RNG  R1  0.5\nENDATA")
+        p = parse_mps(text)
+        assert p.objective_constant == -1.5
+        assert p.rhs == {"R1": 2.0}
+        assert p.ranges == {"R1": 0.5}
+
+    @pytest.mark.parametrize("word, sense", [
+        ("MIN", "min"), ("minimize", "min"), ("MAXIMIZE", "max"),
+    ])
+    def test_objsense_words(self, word, sense):
+        text = MINIMAL.replace("ROWS", f"OBJSENSE\n    {word}\nROWS")
+        assert parse_mps(text).sense == sense
+
+    def test_pl_and_bv(self):
+        text = MINIMAL.replace(
+            "ENDATA", "BOUNDS\n UP BND  X1  4.0\n PL BND  X1\n BV BND  X2\nENDATA"
+        )
+        p = parse_mps(text)
+        assert p.bounds_of("X1") == (0.0, np.inf)
+        assert p.bounds_of("X2") == (0.0, 1.0)
+
+    @pytest.mark.parametrize("old, new, line, message", [
+        ("\nRHS\n", "\nRHSIDE\n", 8, "unknown section header 'RHSIDE'"),
+        ("TOY\n", "TOY\n    X1  R1  1.0\n", 2, "outside any section"),
+        ("ROWS", "OBJSENSE\n    UP\nROWS", 3, "unknown objective sense 'UP'"),
+        (" E  R1", " E  R1  R2", 4, "ROWS line must be"),
+        (" E  R1", " Q  R1", 4, "unknown row type 'Q'"),
+        (" E  R1", " E  R1\n L  R1", 5, "duplicate row name 'R1'"),
+        (" E  R1", " E  COST\n E  R1", 4, "duplicate row name 'COST'"),
+        ("RHS  R1  2.0", "RHS  R9  2.0", 9, "undeclared row 'R9'"),
+        ("ENDATA", "BOUNDS\n UP BND  X1\nENDATA", 11, "UP bound needs"),
+        ("ENDATA", "BOUNDS\n FR BND\nENDATA", 11, "FR bound needs"),
+        ("ENDATA", "BOUNDS\n UP BND  X9  1.0\nENDATA", 11, "undeclared column 'X9'"),
+    ])
+    def test_malformed_line_is_named(self, old, new, line, message):
+        assert old in MINIMAL
+        with pytest.raises(ParseError, match=message) as err:
+            parse_mps(MINIMAL.replace(old, new, 1))
+        assert err.value.line == line
+
     def test_free_row_entries_dropped(self):
         text = MINIMAL.replace(" N  COST", " N  COST\n N  FREE").replace(
             "    X2  R1  1.0", "    X2  R1  1.0  FREE  9.0"
@@ -162,6 +207,19 @@ class TestWrite:
         assert p2.bounds_of("A") == (0.0, 2.0)
         assert np.isneginf(p2.bounds_of("B")[0])
         assert p2.bounds_of("C") == (0.5, 0.5)
+
+
+    def test_sense_constant_and_lower_bounds_round_trip(self):
+        text = (
+            MINIMAL.replace("ROWS", "OBJSENSE\n    MAX\nROWS")
+            .replace("RHS  R1  2.0", "RHS  R1  2.0  COST  -0.75")
+            .replace("ENDATA", "BOUNDS\n MI BND  X1\n UP BND  X1  3.0\n LO BND  X2  -2.5\nENDATA")
+        )
+        p = parse_mps(write_mps(parse_mps(text)))
+        assert p.sense == "max"
+        assert p.objective_constant == 0.75
+        assert p.bounds_of("X1") == (-np.inf, 3.0)
+        assert p.bounds_of("X2") == (-2.5, np.inf)
 
 
 COLUMNS_FIXTURE = """NAME          FIX

@@ -705,11 +705,22 @@ class TestMonitoredInvariants:
 class TestPrimalSolve:
     @pytest.mark.parametrize("field, value", [
         ("max_iter", -1), ("cg_tol", 0.0), ("cg_tol", -1e-10),
+        ("tau", 0.0), ("tau", 1.0), ("tau", -0.5), ("mode", "newton"),
     ])
     def test_config_rejects_out_of_range_values(self, field, value):
         # PrimalConfig(cg_tol=0) used to fail only at the first PCG solve
         with pytest.raises(ValueError, match=field):
             PrimalConfig(**{field: value})
+
+    @pytest.mark.parametrize("x, message", [
+        ([1.0, 0.0], "x > 0"), ([-1.0, 3.0], "x > 0"), ([1.5, 0.5], "x < u"), ([2.0, 0.5], "x < u"),
+    ])
+    def test_rejects_a_start_outside_the_box(self, x, message):
+        p = standard_lp_from_dense([[1.0, 1.0]], [2.0], [1.0, 0.0], u=[1.5, np.inf])
+        start = IterateState(x=np.array(x), y=np.zeros(1), s=np.ones(2), mu=1.0,
+                             w=np.zeros(2), v=np.zeros(2))
+        with pytest.raises(ValueError, match=message):
+            primal_solve(p, PrimalConfig(), start)
 
     def test_tracks_closed_form_central_path(self, tiny_lp):
         mu0 = 1.0

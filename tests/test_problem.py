@@ -9,6 +9,7 @@ from lpipm import (
     IterateState,
     LpProblem,
     ModelError,
+    RecoveryMap,
     SparseMatrix,
     SymmetricLp,
     convergence_metrics,
@@ -103,6 +104,45 @@ class TestToStandardForm:
         with pytest.raises(ModelError):
             to_standard_form(p)
 
+    @pytest.mark.parametrize("rtype, rhs, width, feasible", [
+        ("L", 1.0, 2.0, True),  # [-1, 1] holds 0
+        ("L", -1.0, -0.5, False),  # [-1.5, -1]
+        ("G", -1.0, 2.0, True),  # [-1, 1]
+        ("G", 1.0, -0.5, False),  # [1, 1.5]
+    ])
+    def test_empty_ranged_row(self, rtype, rhs, width, feasible):
+        p = build(f" E  R1\n {rtype}  R2\n",
+                  "    X1  COST  1.0  R1  1.0\n    X2  R1  1.0\n",
+                  f"    RHS  R1  2.0\n    RHS  R2  {rhs}\n", f"RANGES\n    RNG  R2  {width}\n")
+        if not feasible:
+            with pytest.raises(ModelError, match="empty row 'R2' is infeasible"):
+                to_standard_form(p)
+            return
+        with pytest.warns(UserWarning, match="dropping empty row 'R2'"):
+            std = to_standard_form(p)
+        assert std.nrows == 1 and std.ncols == 2
+
+    @pytest.mark.parametrize("cost, bounds, pinned", [
+        (1.0, " LO BND  XE  -1.0\n", -1.0),  # cost up: at its lower bound
+        (1.0, " MI BND  XE\n UP BND  XE  5.0\n", "is unbounded below"),
+        (-1.0, " UP BND  XE  3.0\n", 3.0),  # cost down: at its upper bound
+        (-1.0, "", "makes the problem unbounded"),
+        (0.0, " LO BND  XE  2.0\n UP BND  XE  5.0\n", 2.0),  # no cost: a finite bound
+        (0.0, " MI BND  XE\n UP BND  XE  5.0\n", 5.0),
+        (0.0, " FR BND  XE\n", 0.0),  # free: at zero
+    ])
+    def test_empty_column_pinned_at_its_best_bound(self, cost, bounds, pinned):
+        p = build(" E  R1\n", f"    X1  COST  1.0  R1  1.0\n    XE  COST  {cost}\n",
+                  "    RHS  R1  2.0\n", "BOUNDS\n" + bounds if bounds else "")
+        if isinstance(pinned, str):
+            with pytest.raises(ModelError, match=f"empty column 'XE' {pinned}"):
+                to_standard_form(p)
+            return
+        std = to_standard_form(p)
+        assert std.ncols == 1
+        assert_array_equal(std.recovery.shift, [0.0, pinned])
+        assert std.recovery.objective_constant == cost * pinned
+
     def test_bad_bound_pair(self):
         p = build(" E  R1\n", "    X1  COST  1.0  R1  1.0\n", "    RHS  R1  2.0\n")
         p.lower["X1"] = 3.0
@@ -139,7 +179,8 @@ class TestToStandardForm:
         p = build(" L  R1\n", "    X1  COST  1.0  R1  1.0\n", "    RHS  R1  3.0\n",
                   "RANGES\n    RNG  R1  0.0\n")
         std = to_standard_form(p)
-        assert std.col_names == ("X1",)
+        assert std.ncols == 1  # X1, and no slack
+        assert_array_equal(std.recovery.source, [0])
         assert_array_equal(std.b, [3.0])
 
     def test_round_trip_feasibility(self):
@@ -366,13 +407,39 @@ def test_every_kind_of_column_and_row():
     p = parse_mps(EVERY_KIND)
     with pytest.warns(UserWarning, match="dropping empty row 'R2'"):
         std = to_standard_form(p)
-    assert std.row_names == ("R1", "R3", "R4")
-    assert std.col_names == ("XS", "XM-", "XF+", "XP", "XF-", "R1.slack", "R3.slack", "R4.slack")
+    # rows R1, R3 and R4, each rhs less the shifted columns' activity
+    assert_array_equal(std.b, [2.5, -1.0, -10.0])
+    # columns XS, XM mirrored, XF's positive half, XP, XF's negative
+    # half, then the slacks of R1, R3 and R4, which map to nothing
+    assert_array_equal(std.recovery.source, [0, 1, 2, 5, 2])
+    assert_array_equal(std.recovery.sign, [1.0, -1.0, 1.0, 1.0, -1.0])
+    # XX fixed at 2, XE empty and pinned at its lower bound
+    assert_array_equal(std.recovery.shift, [1.0, 4.0, 0.0, 2.0, -1.0, 0.0])
+    assert_array_equal(std.recovery.apply(np.arange(1.0, 9.0)), [2.0, 2.0, -2.0, 2.0, -1.0, 4.0])
+    for arr in (std.recovery.shift, std.recovery.source, std.recovery.sign):
+        assert not arr.flags.writeable
     assert_array_equal(std.A.to_dense(), [
         [1.5, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0],
         [2.0, 0.0, 1.0, 0.25, -1.0, 0.0, -1.0, 0.0],
         [0.0, -3.0, -2.0, 1.0, 2.0, 0.0, 0.0, 1.0],
     ])
+
+
+_ROW = SparseMatrix.from_dense([[1.0, 1.0]])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: standard_lp_from_dense([[1.0, 1.0]], [1.0, 2.0], [1.0, 1.0]), "standard-form"),
+    (lambda: standard_lp_from_dense([[1.0, 1.0]], [1.0], [1.0]), "standard-form"),
+    (lambda: standard_lp_from_dense([[1.0, 1.0]], [1.0], [1.0, 1.0], u=[1.0]), "standard-form"),
+    (lambda: RecoveryMap(np.zeros(2), np.arange(2), np.ones(3), 0.0, "min"), "recovery-map"),
+    (lambda: SymmetricLp(A=_ROW, b=np.ones(2), c=np.ones(2)), "symmetric-form"),
+    (lambda: SymmetricLp(A=_ROW, b=np.ones(1), c=np.ones(3)), "symmetric-form"),
+    (lambda: SymmetricLp(A=_ROW, b=np.ones(1), c=np.ones(2), sense="maximize"), "sense"),
+], ids=["b", "c", "u", "recovery", "symmetric_b", "symmetric_c", "symmetric_sense"])
+def test_inconsistent_forms_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def _feasible_point(std, rng):

@@ -170,6 +170,20 @@ class TestBoundScalingDiag:
             bound_scaling_diag(np.array([2.0]), np.array([2.0]))
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: thresholded_distance(np.ones(2), np.ones(3), np.ones(2), 1.0),
+     ValueError, "equal length"),
+    (lambda: thresholded_distance(np.ones(2), np.ones(2), np.array([1.0, 0.0]), 1.0),
+     InteriorityViolation, "x > 0"),
+    (lambda: delayed_scaling_point(np.array([2.0, 0.5]), np.array([0.0, 1.0]), 1.0),
+     InteriorityViolation, "stay positive"),
+    (lambda: bound_scaling_diag(np.ones(2), np.ones(3)), ValueError, "matching lengths"),
+], ids=["distance_lengths", "distance_x", "delayed_point", "diag_lengths"])
+def test_invalid_input_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestShiftedScalingLemma:
     """Scaled-projection surrogates stay within 3 beta of the true
     projection when the scaling points are close in scaled distance."""

@@ -77,6 +77,17 @@ class TestSparseMatrix:
         with pytest.raises(ValueError):
             SparseMatrix(2, 2, np.array([0, 2, 1]), np.array([0, 1]), np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("col_ptr, row_idx, values, message", [
+        ([0, 1], [0], [1.0], "length ncols \\+ 1"),
+        ([1, 1, 2], [0, 1], [1.0, 1.0], "endpoints"),
+        ([0, 1, 2], [0, 1], [1.0], "length mismatch"),
+        ([0, 1, 2], [0, 2], [1.0, 1.0], "out of range"),
+        ([0, 1, 2], [0, 1], [1.0, 0.0], "explicit zeros"),
+    ])
+    def test_rejects_a_non_canonical_form(self, col_ptr, row_idx, values, message):
+        with pytest.raises(ValueError, match=message):
+            SparseMatrix(2, 2, np.array(col_ptr), np.array(row_idx), np.array(values))
+
     def test_rejects_unsorted_rows(self):
         with pytest.raises(ValueError):
             SparseMatrix(3, 1, np.array([0, 2]), np.array([2, 1]), np.array([1.0, 1.0]))

@@ -10,6 +10,8 @@ from lpipm import (
     IterateState,
     PrimalConfig,
     SolveStatus,
+    SparseMatrix,
+    StandardLp,
     bound_scaling_diag,
     generate_instance,
     parse_mps,
@@ -101,3 +103,27 @@ class TestProbeSpectra:
         rows = probe_spectra(std, res.iterates[-200:])
         assert len(rows) == len(res.iterates) > 50
         assert all(np.isfinite(r.kappa_reuse) and r.kappa_reuse < 1e300 for r in rows)
+
+    @pytest.mark.parametrize("extra_row", ["repeat", "zero"])
+    def test_dependent_rows_leave_both_columns_unchanged(self, extra_row):
+        # `generate 20 50 --seed 3` with its first row repeated read
+        # kappa_reuse 2e31-8e32 and kappa_pd 7e47-1e50, rounding noise of a
+        # singular pencil, where its twin reads 1.0000000-1.0000002 and
+        # 425.9; with a zero row the anchor's QR was singular and raised
+        inst = generate_instance(20, 50, seed=3)
+        std = to_standard_form(parse_mps(inst.mps_text))
+        res = primal_solve(std, PrimalConfig(tau=0.28, mode=EXACT), pd_starting_point(std),
+                           collect_iterates=True)
+        window = res.iterates[-5:]
+        A = std.A.to_dense()
+        row, rhs = (A[0], std.b[0]) if extra_row == "repeat" else (np.zeros(std.ncols), 0.0)
+        dependent = StandardLp(
+            A=SparseMatrix.from_dense(np.vstack([A, row])), b=np.append(std.b, rhs),
+            c=std.c, u=std.u, recovery=std.recovery,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = probe_spectra(dependent, window)
+        for mine, twin in zip(got, probe_spectra(std, window), strict=True):
+            assert mine.kappa_reuse == pytest.approx(twin.kappa_reuse, rel=1e-6)
+            assert mine.kappa_pd == pytest.approx(twin.kappa_pd, rel=1e-6)
