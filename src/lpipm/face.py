@@ -18,7 +18,8 @@ Math. Prog. 1993).  When ``A_B`` is square and nonsingular this is
 basis.  Near the face ``A D^2 A^T`` is close to ``A D_B^2 A^T``, so the
 factor the engine has just built preconditions both systems almost
 exactly, and PCG solves each in a few iterations without slicing or
-densifying ``A_B``.
+densifying ``A_B``, on the engine's :class:`~lpipm.primal.NormalSolver`,
+which holds that factor and counts the iterations.
 
 A projection is worth trying only when its PCG can cost less than a
 factorization: :func:`pcg_budget` gives the iterations one solve may
@@ -27,13 +28,11 @@ take, and an engine skips the try below :data:`MIN_PCG_BUDGET`.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
-from .cg import pcg_solve
 from .cholesky import CholeskyFactor
 from .errors import NumericalBreakdown
+from .primal import NormalSolver
 from .problem import IterateState, StandardLp, complementarity, convergence_metrics
 
 # the last iterates of a path take 2 to 5 PCG iterations per face system;
@@ -44,15 +43,6 @@ MIN_PCG_BUDGET = 4
 # tol 1e-10, 1e-3 at up to 1e-12 for at most two more PCG iterations a try;
 # the acceptance test, not this share, decides whether the point is optimal
 _CG_TOL_SHARE = 1e-3
-
-
-class FaceProjection(NamedTuple):
-    """Outcome of one try: ``state`` is the projected point when it passed
-    every check and None otherwise; ``cg_iterations`` is the PCG work of
-    the try, accepted or not."""
-
-    state: IterateState | None
-    cg_iterations: int
 
 
 def pcg_budget(factor: CholeskyFactor, nnz: int) -> int:
@@ -81,56 +71,49 @@ def face_partition(p: StandardLp, st: IterateState, d2: np.ndarray):
 
 def project_onto_face(
     p: StandardLp,
-    factor: CholeskyFactor,
+    solver: NormalSolver,
     d2: np.ndarray,
     basic: np.ndarray,
     at_upper: np.ndarray,
     max_iter: int,
     tol: float,
-) -> FaceProjection:
-    """Project onto the face ``(basic, at_upper)`` (see the module
-    docstring) with PCG on ``A D_B^2 A^T``, preconditioned by ``factor``
-    of ``A D^2 A^T``, at most ``max_iter`` iterations per system.
+) -> IterateState | None:
+    """The projection onto the face ``(basic, at_upper)`` (see the module
+    docstring), or None when it is rejected.  Both systems run on
+    ``solver``'s PCG, preconditioned by the factor of ``A D^2 A^T`` it
+    holds, to a relative residual of ``_CG_TOL_SHARE * tol`` in at most
+    ``max_iter`` iterations each.
 
     The point is accepted when ``x_B`` lies strictly inside its box,
     ``s_N >= 0``, ``v >= 0`` and every convergence metric is at most
-    ``tol``.  Each system is solved to a relative residual of
-    ``_CG_TOL_SHARE * tol``.  A PCG breakdown, as on a singular face, is
-    a rejection; the iterations of a system that broke down count."""
+    ``tol``.  A PCG breakdown, as on a singular face, is a rejection."""
     A, n = p.A, p.ncols
     d2_B = np.where(basic, d2, 0.0)
     cg_tol = _CG_TOL_SHARE * tol
 
-    def apply(v):
-        return A.matvec(d2_B * A.rmatvec(v))
-
     x = np.zeros(n)
     x[at_upper] = p.u[at_upper]
-    cg_iterations = 0
     try:
-        t = pcg_solve(apply, factor, p.b - A.matvec(x), cg_tol, max_iter)
-        cg_iterations += t.iterations
+        t = solver.pcg(d2_B, p.b - A.matvec(x), cg_tol, max_iter)
         x[basic] = (d2_B * A.rmatvec(t.solution))[basic]
         x_B = x[basic]
         if not np.all(x_B > 0.0) or not np.all(x_B < p.u[basic]):
-            return FaceProjection(None, cg_iterations)
-        dual = pcg_solve(apply, factor, A.matvec(d2_B * p.c), cg_tol, max_iter)
-        cg_iterations += dual.iterations
-    except NumericalBreakdown as exc:
-        return FaceProjection(None, cg_iterations + exc.iterations)
+            return None
+        y = solver.pcg(d2_B, A.matvec(d2_B * p.c), cg_tol, max_iter).solution
+    except NumericalBreakdown:
+        return None
 
-    y = dual.solution
     s = p.c - A.rmatvec(y)
     v = np.zeros(n)
     v[at_upper] = -s[at_upper]
     s[basic | at_upper] = 0.0
     if np.any(s < 0.0) or np.any(v < 0.0):
-        return FaceProjection(None, cg_iterations)
+        return None
     w = np.zeros(n)
     fi = p.bounded
     w[fi] = p.u[fi] - x[fi]
     st = IterateState(x=x, y=y, s=s, mu=0.0, w=w, v=v)
     st.mu = complementarity(p, st)
     if max(convergence_metrics(p, st)) > tol:
-        return FaceProjection(None, cg_iterations)
-    return FaceProjection(st, cg_iterations)
+        return None
+    return st

@@ -2,7 +2,8 @@
 
 Normal-equations form: one factorization of ``A D^2 A^T`` per iteration
 (``d^2 = 1/(s/x + v/w)``, which is ``x/s`` off the bounded coordinates) shared
-by the affine predictor and the corrector solve.  Each iteration hands
+by the affine predictor and the corrector solve, on a
+:class:`~lpipm.primal.NormalSolver` that counts it.  Each iteration hands
 the driver hook the PCG budget of its factor (see
 :func:`lpipm.face.pcg_budget`), the counted price of a factorization in
 PCG iterations; the hybrid controller's switch rule reads it.  The wall
@@ -16,9 +17,9 @@ preconditioned by the factor it has just built (see :mod:`lpipm.face`).
 The starting point is Mehrotra's least-squares point with the bound
 pair ``(w, v)`` inside both least-squares problems, from one
 factorization of ``A H A^T`` (``H`` = 1/2 on the bounded coordinates,
-1 elsewhere) that a solve does not count; Mehrotra's shifts run over
-both pairs, and ``w = u - x`` exactly.  Without finite bounds it is the
-textbook start on ``A A^T``."""
+1 elsewhere) on a solver of its own, which a solve does not count;
+Mehrotra's shifts run over both pairs, and ``w = u - x`` exactly.
+Without finite bounds it is the textbook start on ``A A^T``."""
 
 from __future__ import annotations
 
@@ -29,13 +30,16 @@ from typing import Callable
 
 import numpy as np
 
-from .cholesky import CholeskyFactor, cholesky_factorize
+# cholesky_factorize and form_normal_matrix are not called here; perfbench/
+# tracing.py wraps these names in lpipm.mehrotra and fails without them
+from .cholesky import CholeskyFactor, cholesky_factorize  # noqa: F401
 from .errors import FactorizationFailed, NumericalBreakdown
 from .face import MIN_PCG_BUDGET, face_partition, pcg_budget, project_onto_face
+from .primal import NormalSolver
 from .problem import IterateState, StandardLp, complementarity, convergence_metrics
 from .results import SolveResult, SolveStatus
 from .scaling import NU, thresholded_distance
-from .sparse import form_normal_matrix
+from .sparse import form_normal_matrix  # noqa: F401
 from .trace import TraceRecord
 
 _SIGMA_MIN = 1e-8
@@ -125,7 +129,7 @@ def _least_squares_point(p: StandardLp):
     h[fi] = 0.5
     hu = np.zeros(n)
     hu[fi] = 0.5 * p.u[fi]
-    factor = cholesky_factorize(form_normal_matrix(p.A, np.sqrt(h)))
+    factor = NormalSolver(p).factorize(np.sqrt(h))  # a solver of its own: uncounted
     x_tilde = h * p.A.rmatvec(factor.solve(p.b - p.A.matvec(hu)))
     x_tilde[fi] += hu[fi]
     y_tilde = factor.solve(p.A.matvec(h * p.c))
@@ -268,12 +272,12 @@ def pd_solve(
     ``Halted`` (the hybrid controller switches engines this way).  Its
     ``state`` is the live state, which the next iteration changes, so a
     hook that keeps states keeps copies.  Trace rows are numbered on
-    from the rows already in ``trace_log``.
+    from the rows already in ``trace_log``; a row's ``cg_iters`` is what
+    the solver's PCG count grew by in that row.
     """
     t_start = time.perf_counter()
-    factorizations = 0
+    solver = NormalSolver(p)
     iterations = 0
-    cg_iterations = 0
     status = SolveStatus.ITERATION_LIMIT
     message = ""
     face = None  # the candidate face (B, U) of the previous iteration
@@ -293,23 +297,22 @@ def pd_solve(
             d2 = _scaling_sq(st, p.bounded)
             if np.any(d2 <= 0.0) or not np.all(np.isfinite(d2)):
                 raise NumericalBreakdown("primal-dual scaling left positivity")
-            factorizations += 1  # counted whether or not it succeeds
-            factor = cholesky_factorize(form_normal_matrix(p.A, np.sqrt(d2)))
+            solver.factorize(np.sqrt(d2))
             t_factor = time.perf_counter() - t0
 
             t1 = time.perf_counter()
             x_prev = st.x
+            cg_before, projected = solver.cg_iterations, None
             # a projection is tried once B holds for a second iteration,
             # and only where its PCG can cost less than a factorization
-            projected, cg_iters = None, 0
-            budget = pcg_budget(factor, p.A.nnz)
+            budget = pcg_budget(solver.cache.factor, p.A.nnz)
             if budget >= MIN_PCG_BUDGET:
                 prev_face, face = face, face_partition(p, st, d2)
                 if prev_face is not None and np.array_equal(prev_face[0], face[0]):
-                    projected, cg_iters = project_onto_face(
-                        p, factor, d2, *face, max_iter=budget, tol=cfg.tol
+                    projected = project_onto_face(
+                        p, solver, d2, *face, max_iter=budget, tol=cfg.tol
                     )
-                    cg_iterations += cg_iters
+            cg_iters = solver.cg_iterations - cg_before
             if projected is not None:
                 st, ap = projected, 1.0
                 message = (
@@ -317,8 +320,7 @@ def pd_solve(
                     f"columns after {cg_iters} PCG iterations"
                 )
             else:
-                step = mehrotra_step(p, st, factor, d2, cfg.tol)
-                del factor  # one m x m array at a time: gone before the next assembly
+                step = mehrotra_step(p, st, solver.cache.factor, d2, cfg.tol)
                 ap, ad = step.alpha_p, step.alpha_d
                 saved = st.copy()
                 mu_prev = st.mu
@@ -397,8 +399,8 @@ def pd_solve(
         e_d=e_d,
         e_g=e_g,
         iterations=iterations,
-        factorizations=factorizations,
-        cg_iterations=cg_iterations,
+        factorizations=solver.factorizations,
+        cg_iterations=solver.cg_iterations,
         wall_s=time.perf_counter() - t_start,
         message=message,
     )

@@ -1,4 +1,4 @@
-"""Primal barrier engine.
+"""Primal barrier engine, and the normal-equation service of every engine.
 
 Both modes run the same iteration:
 
@@ -50,7 +50,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cg import pcg_solve
+from .cg import CgOutcome, pcg_solve
 from .cholesky import CholeskyFactor, cholesky_factorize
 from .errors import FactorizationFailed, InteriorityViolation, NumericalBreakdown
 from .problem import (
@@ -111,12 +111,12 @@ class PrimalConfig:
 
 @dataclass
 class PreconditionerCache:
-    """Snapshot point z, the squared scaling ``d_sq`` at z and the
-    factorization of its normal matrix ``A D_z^2 A^T``."""
+    """The factorization of ``A D_z^2 A^T``, with its point z and squared
+    scaling ``d_sq``; both are None after :meth:`NormalSolver.factorize`."""
 
-    z: np.ndarray
+    z: np.ndarray | None
     factor: CholeskyFactor
-    d_sq: np.ndarray
+    d_sq: np.ndarray | None
 
 
 def refresh_cache(p: StandardLp, z) -> PreconditionerCache:
@@ -132,11 +132,9 @@ def refresh_cache(p: StandardLp, z) -> PreconditionerCache:
     d_sq = d * d
     sigma = factor.diag_regularization
 
-    probe_rng = np.random.default_rng(0xCACE)
-    v = probe_rng.standard_normal(p.nrows)
+    v = np.random.default_rng(0xCACE).standard_normal(p.nrows)
     Mv = p.A.matvec(d_sq * p.A.rmatvec(v)) + sigma * v
-    LLv = factor.product(v)
-    err = np.linalg.norm(LLv - Mv) / ((factor.diag_max + sigma) * np.linalg.norm(v))
+    err = np.linalg.norm(factor.product(v) - Mv) / ((factor.diag_max + sigma) * np.linalg.norm(v))
     # a stale factor errs at the size of the scaling change (>= _THETA); a
     # correct one at rounding level, whatever the condition number, so
     # 1e-8 separates the two by many orders of magnitude
@@ -146,27 +144,51 @@ def refresh_cache(p: StandardLp, z) -> PreconditionerCache:
 
 
 class NormalSolver:
-    """Solves the normal equations ``A D_w^2 A^T t = r`` of one primal
-    solve and owns its refresh policy.
+    """The one place where an engine factors ``A D^2 A^T`` or runs PCG on
+    it, and the one count of that work.
 
-    Its one factor is that of its :class:`PreconditionerCache`, which
-    solves directly wherever the scaling point is the cache point.  In
-    ``exact`` mode the cache is refreshed at x every iteration, so it
-    always is.  In ``delayed_scaling`` mode the factor elsewhere
-    preconditions PCG, and the cache is refreshed when the thresholded
-    distance reaches ``_THETA`` and once after a PCG miss.
-    ``factorizations`` and ``cg_iterations`` count all the work it did;
-    a factorization counts when it is requested, also when it raises or
-    fails its probe.
+    Its one factor is its cache's, which :meth:`pcg` preconditions with.
+    :meth:`factorize` and a refresh drop it before they assemble the
+    next, so one m x m array lives at a time unless a caller keeps one.
+    ``factorizations`` counts every factorization requested, one that
+    raises or fails its probe included; ``cg_iterations`` counts every
+    PCG iteration, a breakdown's included.
+
+    With ``cfg`` it runs the primal engine's refresh rule: the cache,
+    refreshed at a point by :func:`refresh_cache`, solves directly at its
+    point and elsewhere preconditions PCG.  ``exact`` mode refreshes at x
+    every iteration; ``delayed_scaling`` mode when the thresholded
+    distance reaches ``_THETA``, and once after a PCG miss.
     """
 
-    def __init__(self, p: StandardLp, cfg: PrimalConfig):
+    def __init__(self, p: StandardLp, cfg: PrimalConfig | None = None):
         self.p = p
         self.cfg = cfg
         self.cache: PreconditionerCache | None = None
         self.factorizations = 0
         self.cg_iterations = 0
-        self.converged = True  # every PCG run since the last reset converged
+        self.converged = True  # every PCG run of at() since the last reset converged
+
+    def factorize(self, d) -> CholeskyFactor:
+        """Factor ``A D^2 A^T`` at the scaling ``d``; hold and return it."""
+        self.factorizations += 1
+        self.cache = None
+        factor = cholesky_factorize(form_normal_matrix(self.p.A, d))
+        self.cache = PreconditionerCache(z=None, factor=factor, d_sq=None)
+        return factor
+
+    def pcg(self, d_sq, rhs, tol: float, max_iter: int) -> CgOutcome:
+        """PCG on ``A diag(d_sq) A^T t = rhs`` preconditioned by the factor."""
+        A = self.p.A
+        try:
+            outcome = pcg_solve(
+                lambda v: A.matvec(d_sq * A.rmatvec(v)), self.cache.factor, rhs, tol, max_iter
+            )
+        except NumericalBreakdown as exc:
+            self.cg_iterations += exc.iterations
+            raise
+        self.cg_iterations += outcome.iterations
+        return outcome
 
     def update(self, x) -> None:
         """Refresh the cache on schedule: every iteration in exact mode,
@@ -180,8 +202,6 @@ class NormalSolver:
 
     def _refresh(self, x) -> None:
         self.factorizations += 1
-        # one m x m array at a time: the old factor goes before the next is
-        # assembled; a failed refresh ends the solve, so nothing reads None
         self.cache = None
         self.cache = refresh_cache(self.p, x)
 
@@ -200,26 +220,16 @@ class NormalSolver:
     def at(self, w, max_iter: int | None = None) -> Callable[[np.ndarray], np.ndarray]:
         """``rhs -> (A D_w^2 A^T)^{-1} rhs``: the cached factor's solve
         when the cache sits at w (every exact-mode row, and a delayed row
-        that has just refreshed), else PCG on the matrix-free operator
-        preconditioned with the cache, with at most ``max_iter``
-        iterations (default ``_CG_MAX_ITER``)."""
+        that has just refreshed), else :meth:`pcg` at w to ``cg_tol``,
+        with at most ``max_iter`` iterations (default ``_CG_MAX_ITER``)."""
         if np.array_equal(w, self.cache.z):
             return self.cache.factor.solve
-        A = self.p.A
         d = bound_scaling_diag(w, self.p.u)
         d_sq = d * d
         budget = _CG_MAX_ITER if max_iter is None else max_iter
 
-        def apply_M(vec):
-            return A.matvec(d_sq * A.rmatvec(vec))
-
         def solve(rhs):
-            try:
-                outcome = pcg_solve(apply_M, self.cache.factor, rhs, self.cfg.cg_tol, budget)
-            except NumericalBreakdown as exc:
-                self.cg_iterations += exc.iterations
-                raise
-            self.cg_iterations += outcome.iterations
+            outcome = self.pcg(d_sq, rhs, self.cfg.cg_tol, budget)
             self.converged = self.converged and outcome.converged
             return outcome.solution
 
@@ -291,12 +301,13 @@ def ratio_test(x, dx, fraction: float, u) -> float:
 def feasibility_repair(p: StandardLp, dx_raw, zeta=None, aat_factor: CholeskyFactor = None) -> np.ndarray:
     """Least-norm correction removing the constraint-space error of an
     inexact step: ``dx - A^T (A A^T)^{-1} zeta`` with ``zeta = A dx`` by
-    default."""
+    default.  Without ``aat_factor``, a :class:`NormalSolver` of its own
+    factors ``A A^T``."""
     dx_raw = np.asarray(dx_raw, dtype=np.float64)
     if zeta is None:
         zeta = p.A.matvec(dx_raw)
     if aat_factor is None:
-        aat_factor = cholesky_factorize(form_normal_matrix(p.A, np.ones(p.ncols)))
+        aat_factor = NormalSolver(p).factorize(np.ones(p.ncols))
     return dx_raw - p.A.rmatvec(aat_factor.solve(zeta))
 
 

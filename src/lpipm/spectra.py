@@ -67,12 +67,15 @@ def probe_spectra(p: StandardLp, states) -> list:
     factored once by QR.  Negative reduced costs (possible for primal
     dual estimates) are floored away from zero before forming the
     primal-dual scaling.  A rank-deficient ``A`` is probed on a maximal
-    set of its independent rows (:func:`_independent_rows`).
+    set of its independent rows (:func:`_independent_rows`); an ``A``
+    without a nonzero row has none, and raises ``ValueError``.
     """
     states = list(states)
     if not states:
         return []
     A = _independent_rows(p.A.to_dense())
+    if not A.size:
+        raise ValueError("problem has no nonzero row: its normal matrix is zero")
     R = np.linalg.qr((A * bound_scaling_diag(states[0].x, p.u)).T, mode="r")
 
     rows = []

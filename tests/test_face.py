@@ -6,6 +6,7 @@ import pytest
 
 import lpipm.mehrotra
 from lpipm import (
+    NormalSolver,
     PdConfig,
     PrimalConfig,
     SolveStatus,
@@ -19,7 +20,7 @@ from lpipm import (
     to_standard_form,
 )
 from lpipm.cli import run_cli
-from lpipm.face import FaceProjection, face_partition, pcg_budget, project_onto_face
+from lpipm.face import face_partition, pcg_budget, project_onto_face
 from lpipm.mehrotra import _scaling_sq
 from conftest import standard_lp_from_dense
 
@@ -33,10 +34,14 @@ def _late_iterates(p):
 
 
 def _project(p, st, max_iter=50, face=None):
+    """The projected state (None when rejected) and the PCG iterations the
+    solver counted for it."""
     d2 = _scaling_sq(st, p.bounded)
-    factor = cholesky_factorize(form_normal_matrix(p.A, np.sqrt(d2)))
+    solver = NormalSolver(p)
+    solver.factorize(np.sqrt(d2))
     basic, at_upper = face_partition(p, st, d2) if face is None else face
-    return project_onto_face(p, factor, d2, basic, at_upper, max_iter=max_iter, tol=1e-10)
+    state = project_onto_face(p, solver, d2, basic, at_upper, max_iter=max_iter, tol=1e-10)
+    return state, solver.cg_iterations
 
 
 def test_late_pd_iterate_projects_to_the_certificate_vertex():
@@ -48,14 +53,14 @@ def test_late_pd_iterate_projects_to_the_certificate_vertex():
     assert np.flatnonzero(basic).tolist() == sorted(inst.certificate.basis)
     assert not at_upper.any()
 
-    proj = _project(p, st)
-    assert proj.state is not None
-    assert 0 < proj.cg_iterations <= 2 * 50
+    state, cg_iterations = _project(p, st)
+    assert state is not None
+    assert 0 < cg_iterations <= 2 * 50
     ref = inst.certificate.objective
-    assert abs(p.objective_value(proj.state.x) - ref) <= 1e-12 * (1.0 + abs(ref))
-    np.testing.assert_allclose(proj.state.x, inst.x_star, rtol=1e-10, atol=1e-12)
-    assert np.all(proj.state.x[~basic] == 0.0)
-    assert proj.state.mu == 0.0
+    assert abs(p.objective_value(state.x) - ref) <= 1e-12 * (1.0 + abs(ref))
+    np.testing.assert_allclose(state.x, inst.x_star, rtol=1e-10, atol=1e-12)
+    assert np.all(state.x[~basic] == 0.0)
+    assert state.mu == 0.0
 
 
 def test_upper_bound_active_at_the_optimum():
@@ -70,15 +75,15 @@ def test_upper_bound_active_at_the_optimum():
     assert basic.tolist() == [False, False, True]
     assert at_upper.tolist() == [True, True, False]
 
-    proj = _project(p, st)
-    assert proj.state is not None
-    x, v = proj.state.x, proj.state.v
+    state, _ = _project(p, st)
+    assert state is not None
+    x, v = state.x, state.v
     np.testing.assert_array_equal(x[at_upper], p.u[at_upper])
     np.testing.assert_allclose(x, [1.0, 1.0, 1.0], rtol=1e-12)
     assert np.all(v[at_upper] > 0.0)
     np.testing.assert_allclose(v, [1.0, 1.0, 0.0], atol=1e-12)
-    assert np.all(proj.state.w[at_upper] == 0.0)
-    assert np.all(proj.state.s[at_upper] == 0.0)
+    assert np.all(state.w[at_upper] == 0.0)
+    assert np.all(state.s[at_upper] == 0.0)
 
 
 def test_rank_deficient_face_is_rejected():
@@ -88,9 +93,9 @@ def test_rank_deficient_face_is_rejected():
     )
     st = lpipm.mehrotra.pd_starting_point(p)
     face = (np.array([True, True, False]), np.zeros(3, dtype=bool))
-    proj = _project(p, st, face=face)
-    assert proj.state is None
-    assert proj.cg_iterations >= 1  # the run that broke down counts
+    state, cg_iterations = _project(p, st, face=face)
+    assert state is None
+    assert cg_iterations >= 1  # the run that broke down counts
 
 
 def test_nonpositive_basic_value_is_rejected(monkeypatch):
@@ -102,8 +107,7 @@ def test_nonpositive_basic_value_is_rejected(monkeypatch):
         lambda *args: pytest.fail("a point with x_B <= 0 reached the metrics"),
     )
     face = (np.array([False, True]), np.zeros(2, dtype=bool))
-    proj = _project(p, st, face=face)
-    assert proj == FaceProjection(None, 1)
+    assert _project(p, st, face=face) == (None, 1)
 
 
 @pytest.fixture(scope="module")
@@ -140,9 +144,7 @@ def test_pd_ends_by_projection_with_fewer_factorizations(gated_lp, monkeypatch):
     assert abs(p.original_objective(res.x) - ref) <= 1e-8 * (1.0 + abs(ref))
     assert max(res.e_p, res.e_d, res.e_g) <= 1e-10
 
-    monkeypatch.setattr(
-        lpipm.mehrotra, "project_onto_face", lambda *args, **kw: FaceProjection(None, 0)
-    )
+    monkeypatch.setattr(lpipm.mehrotra, "project_onto_face", lambda *args, **kw: None)
     rejected = pd_solve(p, PdConfig())
     assert rejected.status == SolveStatus.OPTIMAL
     assert rejected.message == ""

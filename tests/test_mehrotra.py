@@ -389,9 +389,10 @@ class TestPdSolve:
             prev = it.x
 
     def test_failed_factorization_is_counted(self, monkeypatch):
-        import lpipm.mehrotra as mehrotra
+        import lpipm.primal as primal
 
-        real = mehrotra.cholesky_factorize
+        # pd factors through its NormalSolver, which calls primal's binding
+        real = primal.cholesky_factorize
         calls = []
 
         def third_fails(M):
@@ -403,7 +404,7 @@ class TestPdSolve:
         inst = generate_instance(30, 70, 1, density=1.0, spread=3.0)
         std = to_standard_form(parse_mps(inst.mps_text))
         start = pd_starting_point(std)  # its A A^T factor is not counted
-        monkeypatch.setattr(mehrotra, "cholesky_factorize", third_fails)
+        monkeypatch.setattr(primal, "cholesky_factorize", third_fails)
         res = pd_solve(std, PdConfig(), start=start)
         assert res.status == SolveStatus.NUMERICAL_FAILURE
         assert len(calls) == res.factorizations == 3

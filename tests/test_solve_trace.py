@@ -113,6 +113,40 @@ def test_rows_sum_to_the_counts_when_pd_projects(gated_lp, solve):
     assert sum(r.cg_iters for r in pd_rows) > 0
 
 
+@pytest.mark.parametrize("solve", ["pd", "hybrid-forced"])
+def test_reported_work_is_the_work_observed(gated_lp, solve, monkeypatch):
+    """Every factorization and PCG run goes through the NormalSolver, the
+    one caller of primal's ``cholesky_factorize`` and ``pcg_solve``: what
+    those see is what the result and its trace report, plus pd's start,
+    which no solve counts.  pd ends by projection on the gated LP; the
+    forced hybrid switches on the planted one."""
+    factorizations, pcg_iterations = 0, []
+    real_factorize, real_pcg = lpipm.primal.cholesky_factorize, lpipm.primal.pcg_solve
+
+    def counting_factorize(M):
+        nonlocal factorizations
+        factorizations += 1
+        return real_factorize(M)
+
+    def counting_pcg(*args):
+        out = real_pcg(*args)
+        pcg_iterations.append(out.iterations)
+        return out
+
+    monkeypatch.setattr(lpipm.primal, "cholesky_factorize", counting_factorize)
+    monkeypatch.setattr(lpipm.primal, "pcg_solve", counting_pcg)
+    p = gated_lp if solve == "pd" else _planted()
+    trace = TraceLog()
+    res = _SOLVES[solve](p, trace)
+    assert res.status == SolveStatus.OPTIMAL
+    if solve == "pd":
+        assert res.message.startswith("ended by projection")
+    else:
+        assert res.phase_stats["switch_iteration"] is not None
+    assert sum(pcg_iterations) == res.cg_iterations == sum(r.cg_iters for r in trace) > 0
+    assert factorizations == res.factorizations + 1
+
+
 def test_untraced_solves_skip_trace_only_values(monkeypatch):
     """The step lengths are read by the trace row only; an untraced solve
     never computes them."""

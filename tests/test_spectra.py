@@ -104,6 +104,16 @@ class TestProbeSpectra:
         assert len(rows) == len(res.iterates) > 50
         assert all(np.isfinite(r.kappa_reuse) and r.kappa_reuse < 1e300 for r in rows)
 
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_no_nonzero_row_is_rejected(self, rows):
+        # every row of A is dependent: no row is left to probe on, and the
+        # condition numbers raised IndexError on empty singular values
+        p = standard_lp_from_dense(np.zeros((rows, 3)), np.zeros(rows), np.ones(3))
+        st = IterateState(x=np.ones(3), y=np.zeros(rows), s=np.ones(3), mu=1.0,
+                          w=np.zeros(3), v=np.zeros(3))
+        with pytest.raises(ValueError, match="no nonzero row"):
+            probe_spectra(p, [st, st])
+
     @pytest.mark.parametrize("extra_row", ["repeat", "zero"])
     def test_dependent_rows_leave_both_columns_unchanged(self, extra_row):
         # `generate 20 50 --seed 3` with its first row repeated read
