@@ -1,24 +1,32 @@
 """Dense LAPACK Cholesky factorization of the normal matrices.
 
-:func:`cholesky_factorize` factors ``M + sigma I`` with LAPACK ``dpotrf``,
+:func:`cholesky_factorize` factors ``M + sigma I`` with LAPACK ``potrf``,
 escalating the diagonal shift ``sigma`` when ``M`` is not numerically
 positive definite.  It factors in place, in one buffer that becomes the
 dense factor ``L``: a :class:`NormalMatrix` hands its own array over,
-already in the layout ``dpotrf`` reads on either assembly path
+already in the layout ``potrf`` reads on either assembly path
 (:mod:`lpipm.sparse`): F-ordered, a lower triangle, and a strict upper
-triangle of zeros, which ``dpotrf`` leaves as it is, so the factor needs
+triangle of zeros, which ``potrf`` leaves as it is, so the factor needs
 no zeroing and no copy is made.  A retry has the matrix refill the
 array at the next shift (:meth:`NormalMatrix.refill`).
 
+The array's precision picks the routine: ``dpotrf`` on a double array,
+``spotrf`` on a single one, which the primal engine's refresh assembles
+where single precision pays (:func:`lpipm.sparse.single_pays`).  The
+shift escalation and the check of the pivots are the same for both.  A
+single factor applies ``strsv`` and ``strmv`` to its dense block, and
+its solves and products still take and return double vectors.
+
 On a sparse ``A`` the plan's rounds of elimination may take rows ahead
-of ``dpotrf``, each round an independent set in the pattern the rounds
-before it left, taken by one rule: when it saves ``dpotrf`` at least
+of ``potrf``, each round an independent set in the pattern the rounds
+before it left, taken by one rule: when it saves ``potrf`` at least
 :data:`~lpipm.sparse.MIN_SAVED_FLOPS` net of its gathers.  The array is
-then the Schur complement they leave over the other rows, ``dpotrf``
+then the Schur complement they leave over the other rows, ``potrf``
 factors only that block, and the factor keeps, level by level, the
 diagonal pivots of each round's rows and its sparse coupling block
-beside ``L``.  Apart from that the order is the natural one: a dense
-factor does the same flops in any order.
+beside ``L``, in double whatever the block's precision.  Apart from that
+the order is the natural one: a dense factor does the same flops in any
+order.
 
 :func:`minimum_degree_ordering` computes a symmetric minimum-degree
 ordering of a sparse pattern.  The factorization does not use it.
@@ -29,8 +37,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.blas import dtrmv, dtrsv
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.blas import dtrmv, dtrsv, strmv, strsv
+from scipy.linalg.lapack import dpotrf, spotrf
 
 from .errors import FactorizationFailed
 from .sparse import NormalMatrix, SparseMatrix
@@ -111,12 +119,18 @@ class CholeskyFactor:
     complement over the rows no level eliminates (see
     :mod:`lpipm.sparse`).  Without levels ``P`` is the identity and ``L``
     is the whole factor.  ``L`` is LAPACK's column-major output,
-    read-only, which the BLAS triangular solves read in place.
+    read-only, which the BLAS triangular solves read in place.  ``L``
+    is double or, on a ``single`` factor, single precision; the levels
+    are double either way.  A single factor is a preconditioner: its
+    solve is accurate to about ``kappa(M) u`` with ``u`` its
+    :attr:`unit_roundoff`.
 
-    ``solve`` and ``product`` work in the coordinates of ``M``.
+    ``solve`` and ``product`` work in the coordinates of ``M``, and take
+    and return double vectors whatever the precision of ``L``.
     """
 
-    __slots__ = ("L", "diag_regularization", "diag_max", "levels", "dimension")
+    __slots__ = ("L", "diag_regularization", "diag_max", "levels", "dimension", "single",
+                 "_trsv", "_trmv")
 
     def __init__(self, L: np.ndarray, diag_regularization: float, diag_max: float, levels=()):
         self.L = L
@@ -124,6 +138,21 @@ class CholeskyFactor:
         self.diag_max = diag_max
         self.levels = levels
         self.dimension = L.shape[0] + sum(level.S.size for level in levels)
+        self.single = L.dtype == np.float32
+        self._trsv, self._trmv = (strsv, strmv) if self.single else (dtrsv, dtrmv)
+
+    @property
+    def unit_roundoff(self) -> float:
+        """The unit roundoff of ``L``'s precision."""
+        return float(np.finfo(self.L.dtype).eps) / 2.0
+
+    def _on_block(self, kernel, v, **kwargs) -> np.ndarray:
+        """A BLAS triangular ``kernel`` of ``L`` on the double ``v`` in
+        ``L``'s precision, returned in double; on a double ``L`` the
+        kernel reads ``v`` as it is."""
+        if self.single:
+            return kernel(self.L, v.astype(np.float32), lower=1, **kwargs).astype(np.float64)
+        return kernel(self.L, v, lower=1, **kwargs)
 
     def _checked(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
@@ -133,20 +162,20 @@ class CholeskyFactor:
 
     def _forward(self, b) -> np.ndarray:
         """``L^-1 P b`` with the whole factor, in the permuted coordinates.
-        Without levels ``b`` reaches ``dtrsv`` as the caller passed it, so
-        it is not overwritten."""
+        Without levels a double ``b`` reaches ``dtrsv`` as the caller
+        passed it, so it is not overwritten."""
         parts = []
         for level in self.levels:
             y_S = b[level.S] / level.root
             b = b[level.R] - level.W @ y_S
             parts.append(y_S)
-        parts.append(dtrsv(self.L, b, lower=1))
+        parts.append(self._on_block(self._trsv, b))
         return np.concatenate(parts)
 
     def _backward(self, y) -> np.ndarray:
         """``P^T L^-T y`` with the whole factor, in ``M``'s coordinates."""
         end = y.size - self.L.shape[0]
-        x_R = dtrsv(self.L, y[end:], lower=1, trans=1)
+        x_R = self._on_block(self._trsv, y[end:], trans=1)
         for level in reversed(self.levels):
             start = end - level.S.size
             x = np.empty(end - start + x_R.size)
@@ -166,9 +195,9 @@ class CholeskyFactor:
     def _product(self, v, k) -> np.ndarray:
         """The product with the factor of levels ``k`` on, ``v`` in the
         coordinates of the rows level ``k`` starts from."""
-        L = self.L
         if k == len(self.levels):
-            return dtrmv(L, dtrmv(L, v, lower=1, trans=1), lower=1, overwrite_x=1)
+            return self._on_block(self._trmv, self._on_block(self._trmv, v, trans=1),
+                                  overwrite_x=1)
         level = self.levels[k]
         v_R = v[level.R]
         u_S = level.root * v[level.S] + level.W_T @ v_R
@@ -179,7 +208,8 @@ class CholeskyFactor:
 
 
 def cholesky_factorize(M: NormalMatrix) -> CholeskyFactor:
-    """Factorize a normal matrix, escalating a diagonal shift on failure.
+    """Factorize a normal matrix, escalating a diagonal shift on failure,
+    with ``dpotrf`` or ``spotrf`` as its array is double or single.
 
     The first attempt uses sigma = 0.  If the matrix is not numerically
     positive definite, sigma starts at ``1e-12 * max|M_ii|`` and grows
@@ -194,24 +224,28 @@ def cholesky_factorize(M: NormalMatrix) -> CholeskyFactor:
     ``C`` they leave; the shift applies to the whole ``M``, so each
     refill rebuilds every level and ``C`` at ``M + sigma I``, and
     ``max|M_ii|`` runs over the whole diagonal.  A pivot of a level that
-    is not positive fails like a pivot of ``dpotrf``: the next shift is
+    is not positive fails like a pivot of ``potrf``: the next shift is
     tried, and the pivot is never divided by.  A non-finite entry in a
-    column reaches that column's pivot, and ``dpotrf`` reports success
+    column reaches that column's pivot, and ``potrf`` reports success
     on a NaN one, so a factor whose diagonal is not finite raises
-    :class:`FactorizationFailed` at once.
+    :class:`FactorizationFailed` at once.  In single precision a shift
+    below half an ulp of the diagonal is lost in rounding, so there the
+    escalation may take more retries.
     """
     levels = M.levels
     a = M.take_array()
+    potrf = spotrf if a.dtype == np.float32 else dpotrf
     base = _REG_BASE_SCALE * (M.diag_max if M.diag_max > 0 else 1.0)
     sigma = 0.0
     for _ in range(_MAX_REG_RETRIES + 1):
         if sigma != 0.0:
             levels = M.refill(sigma)
         if levels is not None:  # None: a pivot of an eliminated level failed
-            L, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
+            L, info = potrf(a, lower=1, clean=0, overwrite_a=1)
             if info == 0:
-                # dpotrf passes a NaN pivot, and no shift makes it finite;
+                # potrf passes a NaN pivot, and no shift makes it finite;
                 # the finite pivots are positive, at most 1.4e154 each
+                # (1.8e19 in single precision)
                 if not math.isfinite(L.trace()):
                     raise FactorizationFailed("non-finite pivot in the factorization")
                 L.flags.writeable = False

@@ -10,12 +10,14 @@ Both modes run the same iteration:
    normal matrix on schedule, at the predicted point;
 3. the Newton direction is :func:`projected_direction`, computed through
    that solver at the scaling point: by the cached factor's solve where
-   the cache sits at that point, else by PCG; off the feasible path its
+   the cache sits at that point and its factor is double, else by PCG
+   preconditioned by that factor; off the feasible path its
    solve carries ``-r_p``, which makes it the infeasible-start Newton
    step with ``A dx = -r_p``;
 4. a feasibility repair, scaled by the cache point, restores
-   ``A dx = -r_p`` (0 on the feasible path); after a direct solve it is
-   one step of iterative refinement;
+   ``A dx = -r_p`` (0 on the feasible path) by one solve with the
+   cached factor; after a direct solve it is one step of iterative
+   refinement;
 5. the next barrier target is chosen from the step just taken: its
    length and the complementarity it reached (see :func:`primal_solve`).
 
@@ -23,17 +25,29 @@ The two modes differ only inside the solver and in the scaling point of
 the direction:
 
 * ``exact`` refreshes the cache at x every iteration, solves with its
-  factor directly and scales at x.
+  factor, directly on a double one, and scales at x.
 * ``delayed_scaling`` keeps the cached factorization as PCG
   preconditioner, refreshes it when the iterate moves a scaled distance
   ``_THETA`` from the cache point, thresholded at
   :data:`~lpipm.scaling.NU`, and scales at the delayed scaling point,
   which keeps the cached factorization useful; a row that has just
-  refreshed solves with the new factor directly.
+  refreshed solves with the new factor, directly on a double one.
 
-A PCG miss refreshes the cache at x and retries once, unless the cache
-is already fresh; then the miss is the attainable residual floor and the
-repair keeps the step usable.
+A refresh factors in single precision when the flops of its dense
+factor exceed those of its assembly (:func:`~lpipm.sparse.single_pays`;
+sparse_wide's, not dense_tail's), and in double otherwise; no other
+factorization in the package is single.  A single factor is only ever a
+preconditioner, corrected by PCG in double, also at its own point,
+where it takes a few iterations (Carson and Higham, SIAM J. Sci.
+Comput. 40(2), 2018).  Its probe's bound scales with the square root of
+its unit roundoff.  When single precision stops serving, which the
+solver sees as a single factor that fails, needs a shift, fails its
+probe or misses while fresh, the solver refactors in double and stays
+there.
+
+A PCG miss refreshes the cache at x and retries, unless the cache is
+already fresh and double; then the miss is the attainable residual
+floor and the repair keeps the step usable.
 
 The state always carries the bound pair ``(w, v)``, zero off the bounded
 coordinates, so an unbounded problem runs the same code with an empty
@@ -62,7 +76,7 @@ from .problem import (
 )
 from .results import SolveResult, SolveStatus
 from .scaling import NU, bound_scaling_diag, delayed_scaling_point, thresholded_distance
-from .sparse import form_normal_matrix
+from .sparse import form_normal_matrix, single_pays
 from .trace import TraceRecord
 
 EXACT = "exact"
@@ -75,10 +89,19 @@ _STEP_FRACTION = 0.9995  # share of the distance to the boundary taken
 # end the solve as stalled
 _STALL_ALPHA = 1e-3
 _STALL_STEPS = 4
-# PCG iterations of one Newton solve; the tangent predictor gets half
+# PCG iterations of one solve, a Newton solve's or the tangent predictor's
 _CG_MAX_ITER = 200
 # the tangent predictor takes this share of its step to the boundary
 _PREDICTOR_FRACTION = 0.9
+# the probe's bound on a double factor's backward error, scaled by the
+# square root of the unit roundoff for a single one
+_PROBE_BOUND = 1e-8
+_DOUBLE_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
+# PCG iterations that a single-precision factor may take at its own
+# point, where it preconditions the matrix it factors: on sparse_wide
+# (cg_tol 1e-12) it converges there in 2 or 3 throughout the solve, and
+# on degenerate LPs the last refreshes need 7 to 11 as kappa u grows
+_SINGLE_ITERS = 4
 
 
 @dataclass
@@ -119,26 +142,35 @@ class PreconditionerCache:
     d_sq: np.ndarray | None
 
 
-def refresh_cache(p: StandardLp, z) -> PreconditionerCache:
-    """Factorize the normal matrix at z and verify the factor with one
-    random probe of its backward error against the matrix-free operator:
+def refresh_cache(p: StandardLp, z, single: bool = False) -> PreconditionerCache:
+    """Factorize the normal matrix at z, in single precision with
+    ``single``, and verify the factor with one random probe of its
+    backward error against the matrix-free operator:
     ``||L L^T v - M v|| / ((max_i M_ii + sigma) ||v||)``, with ``M``
     including the factor's diagonal shift ``sigma``.  ``max_i M_ii`` is
     at most ``||M||``, so the probe is at least as strict as one scaled
-    by the norm."""
+    by the norm.  The bound is ``1e-8 sqrt(u / u_64)`` for the factor's
+    unit roundoff ``u``: 1e-8 on a double factor, 2.3e-4 on a single
+    one.  A single-precision factor that needed a shift raises
+    :class:`FactorizationFailed`: its shift was escalated past what
+    rounding in single precision explains."""
     z = np.asarray(z, dtype=np.float64).copy()
     d = bound_scaling_diag(z, p.u)
-    factor = cholesky_factorize(form_normal_matrix(p.A, d))
+    factor = cholesky_factorize(form_normal_matrix(p.A, d, single))
     d_sq = d * d
     sigma = factor.diag_regularization
+    if factor.single and sigma != 0.0:
+        raise FactorizationFailed(f"single-precision factor needed a shift of {sigma:.2e}")
 
     v = np.random.default_rng(0xCACE).standard_normal(p.nrows)
     Mv = p.A.matvec(d_sq * p.A.rmatvec(v)) + sigma * v
     err = np.linalg.norm(factor.product(v) - Mv) / ((factor.diag_max + sigma) * np.linalg.norm(v))
     # a stale factor errs at the size of the scaling change (>= _THETA); a
-    # correct one at rounding level, whatever the condition number, so
-    # 1e-8 separates the two by many orders of magnitude
-    if not err <= 1e-8:  # a NaN error fails too
+    # correct one at rounding level u, whatever the condition number, so
+    # a bound near sqrt(u) separates the two by many orders of magnitude:
+    # 1e-8 in double, 2.3e-4 in single
+    bound = _PROBE_BOUND * math.sqrt(factor.unit_roundoff / _DOUBLE_ROUNDOFF)
+    if not err <= bound:  # a NaN error fails too
         raise NumericalBreakdown(f"preconditioner probe failed (backward error {err:.2e})")
     return PreconditionerCache(z=z, factor=factor, d_sq=d_sq)
 
@@ -159,6 +191,16 @@ class NormalSolver:
     point and elsewhere preconditions PCG.  ``exact`` mode refreshes at x
     every iteration; ``delayed_scaling`` mode when the thresholded
     distance reaches ``_THETA``, and once after a PCG miss.
+
+    A refresh factors in single precision where that pays
+    (:func:`~lpipm.sparse.single_pays`), the one place in the package
+    that does.  A single factor only preconditions: at its own point it
+    runs PCG too, at most ``_SINGLE_ITERS`` iterations.  ``single`` is
+    the precision of the next refresh, and it turns to double for good
+    when a single factor fails, needs a shift or fails its probe, or
+    misses while fresh: once ``kappa u`` in single precision is no
+    longer small, a single factor costs more PCG than its
+    factorization saves.  :meth:`factorize`, pd's, is always double.
     """
 
     def __init__(self, p: StandardLp, cfg: PrimalConfig | None = None):
@@ -168,6 +210,9 @@ class NormalSolver:
         self.factorizations = 0
         self.cg_iterations = 0
         self.converged = True  # every PCG run of at() since the last reset converged
+        # the precision of the next refresh: single while it pays, double
+        # for good from the first single factor that does not serve
+        self.single = cfg is not None and single_pays(p.A)
 
     def factorize(self, d) -> CholeskyFactor:
         """Factor ``A D^2 A^T`` at the scaling ``d``; hold and return it."""
@@ -201,8 +246,19 @@ class NormalSolver:
         return thresholded_distance(x, self.cache.z, x, NU)
 
     def _refresh(self, x) -> None:
+        """Refresh the cache at x, in single precision while
+        :attr:`single` holds.  A single factor that fails, needs a shift
+        or fails its probe is redone in double, both counted, and turns
+        :attr:`single` off for good."""
         self.factorizations += 1
         self.cache = None
+        if self.single:
+            try:
+                self.cache = refresh_cache(self.p, x, single=True)
+                return
+            except (FactorizationFailed, NumericalBreakdown):
+                self.single = False
+                self.factorizations += 1
         self.cache = refresh_cache(self.p, x)
 
     def _cache_is_fresh(self, x) -> bool:
@@ -217,16 +273,20 @@ class NormalSolver:
             return delayed_scaling_point(x, self.cache.z, NU)
         return x
 
-    def at(self, w, max_iter: int | None = None) -> Callable[[np.ndarray], np.ndarray]:
+    def at(self, w) -> Callable[[np.ndarray], np.ndarray]:
         """``rhs -> (A D_w^2 A^T)^{-1} rhs``: the cached factor's solve
         when the cache sits at w (every exact-mode row, and a delayed row
-        that has just refreshed), else :meth:`pcg` at w to ``cg_tol``,
-        with at most ``max_iter`` iterations (default ``_CG_MAX_ITER``)."""
+        that has just refreshed) and its factor is double, else
+        :meth:`pcg` at w to ``cg_tol``, with at most ``_CG_MAX_ITER``
+        iterations, or ``_SINGLE_ITERS`` where a single factor
+        preconditions the very matrix it factors."""
+        budget = _CG_MAX_ITER
         if np.array_equal(w, self.cache.z):
-            return self.cache.factor.solve
+            if not self.cache.factor.single:
+                return self.cache.factor.solve
+            budget = _SINGLE_ITERS
         d = bound_scaling_diag(w, self.p.u)
         d_sq = d * d
-        budget = _CG_MAX_ITER if max_iter is None else max_iter
 
         def solve(rhs):
             outcome = self.pcg(d_sq, rhs, self.cfg.cg_tol, budget)
@@ -238,30 +298,40 @@ class NormalSolver:
     def direction(self, x, step):
         """Return ``step(w, self.at(w))`` with w the scaling point of x.
         After a PCG miss the cache is refreshed at x and the step
-        recomputed, unless the cache is already fresh; right after a
-        refresh it is, so this retries at most once."""
+        recomputed, unless the cache is already fresh and double: a miss
+        on a fresh single factor switches the solver to double for good
+        (:meth:`_refresh`).  Right after a refresh the cache is fresh, so
+        this retries at most twice."""
         while True:
             self.converged = True
             w = self.scaling_point(x)
             out = step(w, self.at(w))
-            if self.converged or self._cache_is_fresh(x):
+            if self.converged:
                 return out
+            if self._cache_is_fresh(x):
+                if not self.cache.factor.single:
+                    return out
+                self.single = False
             self._refresh(x)
 
     def predictor(self, x, step):
         """``step(w, solve)`` at the scaling point w of x on the standing
-        cache, never refreshed, with half the PCG budget; None after a
-        PCG miss."""
+        cache, never refreshed; None after a PCG miss."""
         self.converged = True
         w = self.scaling_point(x)
-        out = step(w, self.at(w, _CG_MAX_ITER // 2))
+        out = step(w, self.at(w))
         return out if self.converged else None
 
     def repair(self, dx, r_p=None) -> np.ndarray:
         """Feasibility repair of a step, restoring ``A dx = -r_p`` (0 when
         ``r_p`` is None) to the accuracy of one solve with the cached
         factor; after a direct solve on that factor it is one step of
-        iterative refinement.
+        iterative refinement.  A single factor keeps a share of about
+        ``kappa u`` of the error, in single precision, of steps that PCG
+        already solved to ``cg_tol``: on sparse_wide's instances (seeds
+        1, 4 and 7) ``e_p`` stays at or below 1.4e-15 once on the
+        feasible path, as with a double factor, against the path's
+        ``_FEASIBLE_PATH_TOL`` of 1e-12.
 
         The error ``zeta = A dx + r_p`` is removed in the metric of the
         cache point: ``dx - D_z^2 A^T F^{-1} zeta``, with ``F`` the cached
@@ -435,10 +505,9 @@ def primal_solve(
     target ``mu``, lowered by the tangent predictor.  In the delayed
     mode, on the feasible path and once a cache stands, the predictor
     solves :func:`affine_direction` with ``mu_c``, the target of the
-    previous step, on that cache without refreshing it and with half the
-    PCG budget.  It takes ``gamma = 0.9 min(1, step to the boundary)``
-    along the repaired direction and targets ``min(mu, (1 - gamma)
-    mu_c)``.  A PCG miss skips it (``gamma = 0``); ``exact`` mode and
+    previous step, on that cache without refreshing it.  It takes
+    ``gamma = 0.9 min(1, step to the boundary)`` along the repaired
+    direction and targets ``min(mu, (1 - gamma) mu_c)``.  A PCG miss skips it (``gamma = 0``); ``exact`` mode and
     infeasible steps take none.  ``mu_c`` is a target, never the
     measured complementarity, which the split dual estimate can drive
     below zero on boxed problems.  The trace row's ``predictor_step``

@@ -9,19 +9,22 @@ through scipy's sparse kernels.
 :func:`form_normal_matrix` returns ``M = A D^2 A^T`` as a
 :class:`NormalMatrix`, the one-shot input of the dense LAPACK
 factorization in :mod:`lpipm.cholesky`, which factors it in its own
-array.  Both paths give that array one layout, the one ``dpotrf``
-reads: F-ordered, a lower triangle, and a strict upper triangle of
-zeros, and :meth:`NormalMatrix.refill` rewrites it at a diagonal shift.
-On the dense path it is the lower triangle of the m x m ``M``, from one
-BLAS SYRK of ``B = A D``.  On the sparse path the pattern of ``M`` is
-the same for every scaling ``D``, so ``A`` analyses it once, on its
-first assembly, into an :class:`AssemblyPlan` (George and Liu, *Computer
-Solution of Large Sparse Positive Definite Systems*, 1981), and each
-assembly does numeric work only: scipy's product for the values of
-``M``, and gathers into one zero-filled buffer, where every entry and
-every product of a Schur update has one place: the lower triangle of
-the array at its head, or a slot after the array for an entry that a
-round eliminates.  The plan also orders the elimination by rounds of multiple minimum-degree
+array.  Both paths give that array one layout, the one LAPACK's
+``potrf`` reads: F-ordered, a lower triangle, and a strict upper
+triangle of zeros, and :meth:`NormalMatrix.refill` rewrites it at a
+diagonal shift.  The array is double, or single where the caller asks
+for it (the primal engine's refresh, where :func:`single_pays`); it is
+then the only single array of the assembly.  On the dense path it is
+the lower triangle of the m x m ``M``, from one BLAS SYRK of ``B = A
+D``.  On the sparse path the pattern of ``M`` is the same for every
+scaling ``D``, so ``A`` analyses it once, on its first assembly, into an
+:class:`AssemblyPlan` (George and Liu, *Computer Solution of Large
+Sparse Positive Definite Systems*, 1981), and each assembly does
+numeric work only: scipy's product for the values of ``M``, and gathers
+into two zero-filled arrays, where every entry and every product of a
+Schur update has one place: the lower triangle of the head, the array
+that is factored, or a double slot for an entry that a round
+eliminates.  The plan also orders the elimination by rounds of multiple minimum-degree
 elimination (Liu, ACM TOMS 11(2), 1985), all by one rule
 (:func:`_next_round`).  Each round takes an independent set ``S`` in the
 pattern of the matrix the rounds before it left, ``M`` itself for the
@@ -47,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sps
-from scipy.linalg.blas import dsyrk
+from scipy.linalg.blas import dsyrk, ssyrk
 
 # Fill nnz / (m n) from which A keeps a dense copy.  Per iteration an
 # engine assembles once and applies A and A^T a few (pd) to a few dozen
@@ -341,7 +344,7 @@ class Level(NamedTuple):
 class _Round(NamedTuple):
     """The symbolic part of one :class:`Level` in an :class:`AssemblyPlan`.
 
-    The round's slots in the plan's buffer hold the entries that it
+    The round's slots in the plan's slot array hold the entries that it
     eliminates: its pivots, the diagonal entries of ``S``, from place
     ``start`` on, and then the entries of ``C_RS``, ordered by their row
     of ``S`` (``s``) and then by their row of ``R``: the CSR order of
@@ -350,9 +353,10 @@ class _Round(NamedTuple):
     with ``i >= j``, come entry by entry of ``W^T``: those with ``(i, s)``
     entry ``a`` are ``pair_ptr[a]`` up to ``pair_ptr[a + 1]``; pair ``k``
     has ``(j, s)`` entry ``pair_b[k]`` of ``W^T``, and it lands in
-    destination ``pair_dest[k]``, whose place in the buffer is
-    ``to[pair_dest[k]]``: in the array, or in the slot of an entry that a
-    later round eliminates."""
+    destination ``pair_dest[k]``.  The destinations are distinct, and the
+    first ``in_head`` of them lie in the head: destination ``t`` is entry
+    ``to[t]`` of the flat head for ``t < in_head``, and otherwise the
+    slot ``to[t]`` of an entry that a later round eliminates."""
 
     S: np.ndarray
     R: np.ndarray
@@ -364,6 +368,7 @@ class _Round(NamedTuple):
     pair_b: np.ndarray
     pair_dest: np.ndarray
     to: np.ndarray
+    in_head: int
 
 
 class AssemblyPlan:
@@ -376,21 +381,24 @@ class AssemblyPlan:
     for the first (:func:`_next_round`), while one pays.  The other rows,
     ``R``, form the dense factor.  The values of ``M`` come from scipy's product
     ``B B^T`` with ``B = A D``; only the entries on and below its diagonal
-    are read.  An assembly writes into one flat buffer of ``size``
-    entries: its head is the F-ordered ``|R| x |R|`` array that the
-    factorization takes, and a slot follows it for every entry that a
-    round eliminates.  Every write has one place in the buffer: ``_dest``
-    gives each entry of ``M``'s lower triangle its place, in the lower
-    triangle of the array or in a slot, and each round gives each
-    destination of its Schur update its place.  Per round the plan holds
-    the fixed pattern of its coupling block and the gather lists of its
-    Schur update, one pair of coupling entries per ``(i >= j, s)``.  Its
-    memory is O(nnz(M) + those pairs).
+    are read, the ``_in_head`` of them that land in the head first.  An
+    assembly writes into two zero-filled arrays: the head, the F-ordered
+    ``|R| x |R|`` array that the factorization takes, in single or double
+    precision, and a double array of ``slots``, one for every entry that
+    a round eliminates.  Every write has one place: ``_dest`` gives each
+    entry of ``M``'s lower triangle its place, in the lower triangle of
+    the head or in a slot, and each round gives each destination of its
+    Schur update its place.  Per round the plan holds the fixed pattern
+    of its coupling block and the gather lists of its Schur update, one
+    pair of coupling entries per ``(i >= j, s)``.  Its memory is
+    O(nnz(M) + those pairs).  ``flops`` prices an assembly: the
+    multiply-adds of scipy's product, ``sum_k nnz_k^2`` over the columns
+    of ``A``, and the pairs of the rounds' Schur updates.
     """
 
-    __slots__ = ("R", "size", "_shape", "_values", "_row_idx", "_col_ptr",
+    __slots__ = ("R", "slots", "flops", "_shape", "_values", "_row_idx", "_col_ptr",
                  "_col_of_entry", "_indptr", "_lower_src", "_lower_rows", "_diag_idx",
-                 "_diag_rows", "_dest", "_rounds")
+                 "_diag_rows", "_dest", "_in_head", "_rounds")
 
     def __init__(self, A: SparseMatrix):
         self._shape, self._values = A.shape, A.values
@@ -423,15 +431,13 @@ class AssemblyPlan:
         cols = np.repeat(np.arange(m, dtype=itype), np.diff(indptr))
         src = np.flatnonzero(indices >= cols).astype(itype)
         rows, cols = indices[src].astype(itype), cols[src]
-        self._indptr, self._lower_src, self._lower_rows = indptr, src, rows
-        diag = np.flatnonzero(rows == cols).astype(itype)
-        self._diag_idx, self._diag_rows = diag, rows[diag]
+        self._indptr = indptr
 
         # each round works on the pattern of the matrix the rounds before
         # it left, between the rows not yet eliminated
         pattern = np.zeros((m, m), dtype=bool)
         pattern[rows, cols] = pattern[cols, rows] = True
-        gtype = _index_dtype(m * m)
+        gtype = _index_dtype(2 * m * m)
         kept = np.arange(m)  # the rows no round has taken
         rounds, keys = [], []
         while (S := _next_round(pattern, kept.size)).size:
@@ -462,47 +468,65 @@ class AssemblyPlan:
             del i, j
         del pattern
 
-        # the buffer: the r x r array, then the slots, numbered round by
-        # round as their keys were listed
+        # the slots, numbered round by round as their keys were listed
         self.R = kept
         r = kept.size
         keys = np.concatenate(keys + [np.empty(0, dtype=np.int64)])
         order = np.argsort(keys)
         keys = keys[order]
-        self.size = r * r + keys.size
-        dtype = _index_dtype(self.size)
-        order = order.astype(dtype) + r * r
+        self.slots = keys.size
+        dtype = _index_dtype(max(r * r, keys.size))
+        order = order.astype(dtype)
         final = np.full(m, -1, dtype=dtype)
         final[kept] = np.arange(r, dtype=dtype)
 
         def place(row, col):
-            # the places of the entries (row, col), row >= col, in the buffer
+            # the places of the entries (row, col), row >= col: an index
+            # into the head, or for an entry that a round eliminates a slot
             fr, fc = final[row], final[col]
             to = fr + fc * r
             gone = (fr < 0) | (fc < 0)
             to[gone] = order[np.searchsorted(keys, col[gone].astype(np.int64) * m + row[gone])]
             return to
 
+        # the entries of M's lower triangle, those that land in the head first
+        eliminated = final < 0
+        gone = eliminated[rows] | eliminated[cols]
+        first = np.argsort(gone, kind="stable")
+        self._in_head = int(gone.size - np.count_nonzero(gone))
+        del gone
+        src, rows, cols = src[first], rows[first], cols[first]
+        del first
         self._dest = place(rows, cols)
+        self._lower_src, self._lower_rows = src, rows
+        diag = np.flatnonzero(rows == cols).astype(itype)
+        self._diag_idx, self._diag_rows = diag, rows[diag]
 
         def record(S_pos, R_pos, s, t_ptr, t_cols, g, start):
             # the pairs' destinations, distinct and ascending as g[b] m +
-            # g[a], the order of their places in a column-major array
+            # g[a], the order of their places in a column-major array, with
+            # m^2 added outside the head, so that the head's come first
             per, pair_b = _pairs(t_ptr, s)
-            places = g[pair_b] * m  # g's type holds m^2
-            places += np.repeat(g, per)
+            a, b = np.repeat(g, per), g[pair_b]
+            places = b * m  # g's type holds 2 m^2
+            places += a
+            places[eliminated[a] | eliminated[b]] += m * m
+            del a, b
             dests, pair_dest = np.unique(places, return_inverse=True)
             del places
-            col, row = np.divmod(dests, m)
+            col, row = np.divmod(dests % (m * m), m)
             return _Round(S_pos, R_pos, start, s, t_ptr, t_cols, _starts(per), pair_b,
-                          pair_dest.astype(_index_dtype(dests.size)), place(row, col))
+                          pair_dest.astype(_index_dtype(dests.size)), place(row, col),
+                          int(np.searchsorted(dests, m * m)))
 
         self._rounds = ()
-        start = r * r
+        start = 0
         for rd in rounds:
             rd = record(*rd, start)
             self._rounds += (rd,)
             start += rd.S.size + rd.s.size
+        counts = np.diff(self._col_ptr).astype(np.int64)
+        self.flops = int(counts @ counts) + sum(rd.pair_b.size for rd in self._rounds)
 
     def lower_values(self, d: np.ndarray) -> tuple["AssemblyPlan", np.ndarray]:
         """The values on and below the diagonal of ``A diag(d^2) A^T`` in
@@ -523,36 +547,45 @@ class AssemblyPlan:
         diag[self._diag_rows] = lower[self._diag_idx]
         return diag
 
-    def fill(self, buf: np.ndarray, lower: np.ndarray, sigma: float) -> tuple[Level, ...] | None:
+    def fill(self, head: np.ndarray, slots: np.ndarray, lower: np.ndarray,
+             sigma: float) -> tuple[Level, ...] | None:
         """Write the lower triangle of the Schur complement ``C(sigma)`` of
-        ``M + sigma I`` over the rows ``R`` into the head of the zero-filled
-        buffer ``buf`` of :attr:`size` entries, the F-ordered ``|R| x |R|``
-        array, and return the eliminated levels of the factor at
-        ``sigma``; without eliminated rows ``C(sigma)`` is ``M + sigma I``
-        and there are no levels.  The strict upper triangle stays zero.  A
-        pivot that is not positive is not divided by: the buffer is left
-        incomplete and None returned."""
-        buf[self._dest] = lower
+        ``M + sigma I`` over the rows ``R`` into the zero-filled flat
+        ``head``, the F-ordered ``|R| x |R|`` array, and return the
+        eliminated levels of the factor at ``sigma``; without eliminated
+        rows ``C(sigma)`` is ``M + sigma I`` and there are no levels.  The
+        strict upper triangle stays zero.  The head may be single
+        precision; the zero-filled double ``slots`` and the levels are
+        double whatever it is, and each value the head receives is
+        rounded to it as it lands.  A pivot that is not positive is not
+        divided by: the arrays are left incomplete and None returned."""
+        h = self._in_head
+        head[self._dest[:h]] = lower[:h]
+        slots[self._dest[h:]] = lower[h:]
         r = self.R.size
         if sigma != 0.0:
-            buf[:r * r:r + 1] += sigma
+            head[::r + 1] += sigma
         levels = []
         for rd in self._rounds:
             entries = rd.start + rd.S.size
-            pivots = buf[rd.start:entries] + sigma
+            pivots = slots[rd.start:entries] + sigma
             if not np.all(pivots > 0.0):
                 return None
             root = np.sqrt(pivots)
-            w_t = buf[entries:entries + rd.s.size] / root[rd.s]
+            w_t = slots[entries:entries + rd.s.size] / root[rd.s]
             # each destination sums its products from zero in pair order, as
-            # scipy's W W^T would, and its entry then drops by the sum
+            # scipy's W W^T would, and its entry then drops by the sum,
+            # rounded first to the head's precision: ufunc.at runs its fast
+            # loop only on operands of one type
             update = np.zeros(rd.to.size)
             for e in range(0, w_t.size, _ENTRIES):
                 ptr = rd.pair_ptr[e:e + _ENTRIES + 1]
                 products = np.repeat(w_t[e:e + _ENTRIES], np.diff(ptr))
                 products *= w_t[rd.pair_b[ptr[0]:ptr[-1]]]
                 np.add.at(update, rd.pair_dest[ptr[0]:ptr[-1]], products)
-            np.subtract.at(buf, rd.to, update)
+            k = rd.in_head
+            np.subtract.at(head, rd.to[:k], update[:k].astype(head.dtype, copy=False))
+            np.subtract.at(slots, rd.to[k:], update[k:])
             shape = (rd.R.size, rd.S.size)
             levels.append(Level(
                 rd.S, rd.R, root, _on_arrays(sps.csc_matrix, shape, w_t, rd.t_cols, rd.t_ptr),
@@ -569,32 +602,34 @@ class NormalMatrix:
     """Symmetric ``M = A D^2 A^T`` as :func:`form_normal_matrix` assembles
     it, the one-shot operand of :func:`lpipm.cholesky.cholesky_factorize`.
 
-    The matrix owns one array in the layout LAPACK's ``dpotrf`` reads:
+    The matrix owns one array in the layout LAPACK's ``potrf`` reads:
     F-ordered, the lower triangle of ``M``, or of the Schur complement
     ``C`` over the rows ``R`` when the plan's rounds eliminate the others,
-    and a strict upper triangle of zeros.  On a sparse ``A`` it is the
-    head of the plan's buffer ``buf``.  ``levels`` are the eliminated
-    levels of the factor (:meth:`AssemblyPlan.fill`), ``()`` without
-    any, or None when one of their pivots is not positive; ``diag_max``
-    is the largest ``|M_ii|`` over the whole ``M``.
+    and a strict upper triangle of zeros; it is single or double
+    precision, and the factor takes its precision.  On a sparse ``A``
+    it is the plan's head, beside the double ``slots``.  ``levels`` are
+    the eliminated levels of the factor (:meth:`AssemblyPlan.fill`),
+    ``()`` without any, or None when one of their pivots is not
+    positive; ``diag_max`` is the largest ``|M_ii|`` over the whole
+    ``M``.
 
     The array is read-only until :meth:`take_array` hands it over to be
     overwritten with the factor, and :meth:`refill` then rewrites it at
     a shift: from ``B = A D`` on a dense ``A``, and on a sparse one from
     ``plan`` and ``lower``, the values on and below the diagonal of
-    ``M`` in the plan's order, into the whole buffer.  ``nrows`` and
-    ``nnz`` describe the whole ``M``; ``nnz`` raises once the array is
-    handed over.
+    ``M`` in the plan's order, into the head and the slots.  ``nrows``
+    and ``nnz`` describe the whole ``M``; ``nnz`` raises once the array
+    is handed over.
     """
 
-    __slots__ = ("_array", "_taken", "_B", "_buf", "plan", "lower", "levels", "diag_max",
+    __slots__ = ("_array", "_taken", "_B", "_slots", "plan", "lower", "levels", "diag_max",
                  "nrows")
 
     def __init__(self, array: np.ndarray, B: np.ndarray | None = None,
-                 plan: AssemblyPlan | None = None, buf: np.ndarray | None = None,
+                 plan: AssemblyPlan | None = None, slots: np.ndarray | None = None,
                  lower: np.ndarray | None = None, levels: tuple[Level, ...] | None = ()):
         array.flags.writeable = False
-        self._array, self._taken, self._B, self._buf = array, False, B, buf
+        self._array, self._taken, self._B, self._slots = array, False, B, slots
         self.plan, self.lower, self.levels = plan, lower, levels
         diag = np.diagonal(array) if plan is None else plan.diagonal(lower)
         self.diag_max = float(np.abs(diag).max(initial=0.0))
@@ -625,29 +660,56 @@ class NormalMatrix:
         sigma I``, or of its Schur complement ``C(sigma)``, and return the
         levels at ``sigma``: None when one of their pivots is not
         positive.  The strict upper triangle stays zero."""
-        if self.plan is not None:
-            self._buf.fill(0.0)  # the Schur updates' fill entries start at zero
-            return self.plan.fill(self._buf, self.lower, sigma)
         a = self._array
-        dsyrk(1.0, self._B, beta=0.0, c=a, lower=1, overwrite_c=1)
+        if self.plan is not None:
+            head = a.reshape(-1, order="F")  # a view: the head is F-contiguous
+            head.fill(0.0)  # the Schur updates' fill entries start at zero
+            self._slots.fill(0.0)
+            return self.plan.fill(head, self._slots, self.lower, sigma)
+        _syrk(a.dtype)(1.0, self._B, beta=0.0, c=a, lower=1, overwrite_c=1)
         a.reshape(-1, order="F")[::a.shape[0] + 1] += sigma
         return ()
 
 
-def form_normal_matrix(A: SparseMatrix, d) -> NormalMatrix:
+def _syrk(dtype):
+    """BLAS SYRK of this precision."""
+    return ssyrk if dtype == np.float32 else dsyrk
+
+
+def single_pays(A: SparseMatrix) -> bool:
+    """Whether a factor of ``A D^2 A^T`` is to be taken in single
+    precision: when the flops of its dense block's factorization,
+    ``r^3 / 3`` for its order ``r``, exceed those of its assembly.  On
+    the sparse path those are the plan's :attr:`AssemblyPlan.flops`, and
+    ``r`` the number of rows its rounds leave; on the dense path they are
+    the SYRK's ``m^2 n`` against ``r = m``, which with ``n >= m`` always
+    exceed ``m^3 / 3``.  Where the assembly costs more, single precision
+    would halve the smaller part of a factorization's work and cost
+    PCG iterations for it."""
+    plan = A._plan
+    if plan is None:
+        return A.nrows ** 3 / 3 > A.nrows ** 2 * A.ncols
+    return plan.R.size ** 3 / 3 > plan.flops
+
+
+def form_normal_matrix(A: SparseMatrix, d, single: bool = False) -> NormalMatrix:
     """Assemble ``M = A @ diag(d**2) @ A.T`` for
     :func:`lpipm.cholesky.cholesky_factorize`, which overwrites the
-    matrix's fresh array with the factor.
+    matrix's fresh array with the factor; in single precision with
+    ``single``.
 
     A dense ``A`` gives the lower triangle of ``B B^T``, ``B = A
     diag(d)``, in one BLAS SYRK, which leaves the strict upper triangle
     zero; ``B`` is F-ordered, as ``A``'s dense copy is, so SYRK reads it
     without a copy, and the matrix keeps it for :meth:`NormalMatrix.refill`.
+    In single precision ``B`` is rounded first and SYRK runs in single.
     A sparse ``A`` assembles from its :class:`AssemblyPlan`, analysed on
     the first assembly: scipy's sparse product gives the values of
     ``M``, and gathers place those on and below the diagonal into the
-    plan's zero-filled buffer, less the Schur updates of its rounds of
-    elimination; the matrix's array is the buffer's ``|R| x |R|`` head.
+    plan's zero-filled head and slots, less the Schur updates of its
+    rounds of elimination; the matrix's array is the head, of ``|R| x
+    |R|`` entries, and in single precision it is the only array that is:
+    the product, the slots and the levels stay double.
     """
     d = np.asarray(d, dtype=np.float64)
     if d.shape != (A.ncols,):
@@ -655,13 +717,15 @@ def form_normal_matrix(A: SparseMatrix, d) -> NormalMatrix:
     if np.any(d <= 0.0) or not np.all(np.isfinite(d)):
         raise ValueError("scaling entries must be strictly positive and finite")
 
+    dtype = np.float32 if single else np.float64
     dense = A._dense
     if dense is not None:
-        B = dense * d
-        return NormalMatrix(dsyrk(1.0, B, lower=1), B)
+        B = (dense * d).astype(dtype, copy=False)
+        return NormalMatrix(_syrk(dtype)(1.0, B, lower=1), B)
     plan, lower = A._plan.lower_values(d)
     r = plan.R.size
-    buf = np.zeros(plan.size)
-    levels = plan.fill(buf, lower, 0.0)
-    return NormalMatrix(buf[:r * r].reshape((r, r), order="F"), plan=plan, buf=buf,
+    head = np.zeros(r * r, dtype=dtype)
+    slots = np.zeros(plan.slots)
+    levels = plan.fill(head, slots, lower, 0.0)
+    return NormalMatrix(head.reshape((r, r), order="F"), plan=plan, slots=slots,
                         lower=lower, levels=levels)

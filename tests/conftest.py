@@ -8,7 +8,16 @@ import numpy as np
 import pytest
 
 import lpipm.sparse
-from lpipm import IterateState, RecoveryMap, SparseMatrix, StandardLp, form_normal_matrix
+from lpipm import (
+    IterateState,
+    RecoveryMap,
+    SparseMatrix,
+    StandardLp,
+    form_normal_matrix,
+    generate_instance,
+    parse_mps,
+    to_standard_form,
+)
 
 
 def dense_projection(B: np.ndarray) -> np.ndarray:
@@ -131,6 +140,14 @@ def eliminated_rows(levels, m):
         eliminated.append(rows[level.S])
         rows = rows[level.R]
     return eliminated, rows
+
+
+@pytest.fixture(scope="module")
+def wide_lp():
+    """A 600 x 1320 LP with 4 nonzeros per column (seed 7): ``A D^2 A^T``
+    is assembled sparse and takes no round of elimination, and a primal
+    refresh factors it in single precision."""
+    return to_standard_form(parse_mps(generate_instance(600, 1320, 7, density=4 / 600).mps_text))
 
 
 @pytest.fixture

@@ -414,6 +414,108 @@ class TestFactorSolve:
             assert_allclose(f.solve(rhs), v, rtol=1e-10, atol=1e-12)
 
 
+# unit roundoff of single precision
+_U32 = 2.0 ** -24
+
+
+def _single_case(kind, rng):
+    """``(A, d, M)`` with ``M`` assembled in single precision: split (a
+    sparse ``A`` whose rounds leave levels beside the dense block),
+    unsplit (a sparse ``A`` too small for a round) or dense (SYRK)."""
+    if kind == "split":
+        A = sparse_fill_A(rng, 500, 1100)
+    elif kind == "unsplit":
+        A = sparse_fill_A(rng, 60, 130)
+    else:
+        A = SparseMatrix.from_dense(rng.standard_normal((40, 90)))
+    d = rng.uniform(0.5, 2.0, A.ncols)
+    M = form_normal_matrix(A, d, single=True)
+    assert bool(M.levels) == (kind == "split")
+    assert (M.plan is None) == (kind == "dense")
+    return A, d, M
+
+
+SINGLE_KINDS = pytest.mark.parametrize("kind", ["split", "unsplit", "dense"])
+
+
+class TestSingleFactor:
+    """A factor whose dense block is single precision: the whole factor of
+    an unsplit normal matrix, or the block beside the double levels of a
+    split one.  ``solve`` and ``product`` read and return double."""
+
+    @SINGLE_KINDS
+    def test_solve_and_product_match_numpy_to_single_precision(self, kind):
+        rng = np.random.default_rng(51)
+        A, d, M = _single_case(kind, rng)
+        B = A.to_dense() * d
+        dense = B @ B.T
+        norm = np.linalg.norm(dense, 2)
+        f = cholesky_factorize(M)
+        assert f.single and f.L.dtype == np.float32
+        assert f.unit_roundoff == _U32
+        assert f.diag_regularization == 0.0
+        assert all(level.root.dtype == level.W.dtype == np.float64 for level in f.levels)
+        b = rng.standard_normal(f.dimension)
+        kept = b.copy()
+        y, x = f.product(b), f.solve(b)
+        assert y.dtype == x.dtype == np.float64
+        assert_array_equal(b, kept)
+        assert np.linalg.norm(y - dense @ b) <= 10 * _U32 * norm * np.linalg.norm(b)
+        assert np.linalg.norm(dense @ x - b) <= 10 * _U32 * norm * np.linalg.norm(x)
+        assert_allclose(x, np.linalg.solve(dense, b), rtol=0.0,
+                        atol=1e-4 * np.abs(x).max())
+
+    @pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
+    def test_shift_escalates_on_a_singular_matrix(self, split, monkeypatch):
+        # rows 1 and 3 are equal with squared norm 9 and share no column
+        # with rows 0 and 2, so the pivot of row 3 is 9 - 3 * 3 = 0 exactly
+        # and the unshifted attempt fails; in single precision each shift
+        # below half an ulp of 9 (4.8e-7) is lost in rounding, so the
+        # shift escalates from its first value, 1e-12 * 100.  Split, a
+        # round takes rows 0 and 2 and leaves the pair to the single block
+        if split:
+            monkeypatch.setattr(lpipm.sparse, "MIN_SAVED_FLOPS", 0.0)
+            monkeypatch.setattr(lpipm.sparse, "PAIR_FLOPS", 5.0)
+        m, n = 4, 200
+        B = np.zeros((m, n))
+        B[1, :3] = B[3, :3] = [1.0, 2.0, 2.0]
+        B[0, 3], B[2, 4] = 2.0, 10.0
+        M = form_normal_matrix(SparseMatrix.from_dense(B), np.ones(n), single=True)
+        if split:
+            (S,), R = eliminated_rows(M.levels, m)
+            assert_array_equal(S, [0, 2])
+            assert_array_equal(R, [1, 3])
+        else:
+            assert not M.levels
+        f = cholesky_factorize(M)
+        assert f.single
+        sigma = f.diag_regularization
+        assert 1e-7 <= sigma <= 1e-5  # escalated four decades and more
+        shifted = B @ B.T + sigma * np.eye(m)
+        v = np.random.default_rng(52).standard_normal(m)
+        assert_allclose(f.product(v), shifted @ v, rtol=0.0,
+                        atol=10 * _U32 * np.abs(shifted).max() * np.abs(v).max())
+
+    @SINGLE_KINDS
+    def test_nan_pivot_fails(self, kind):
+        # a NaN in the block reaches its column's pivot, and spotrf
+        # reports success on a NaN pivot, with info 0
+        _, _, M = _single_case(kind, np.random.default_rng(53))
+        M._array.flags.writeable = True
+        M._array[-1, -2] = np.nan
+        with pytest.raises(FactorizationFailed, match="non-finite pivot"):
+            cholesky_factorize(M)
+
+    @SINGLE_KINDS
+    def test_solve_and_product_reject_a_wrong_length(self, kind):
+        _, _, M = _single_case(kind, np.random.default_rng(54))
+        f = cholesky_factorize(M)
+        for method in (f.solve, f.product):
+            for wrong in (np.ones(f.dimension + 1), np.ones(f.dimension - 1)):
+                with pytest.raises(ValueError, match=f"expected {f.dimension}"):
+                    method(wrong)
+
+
 class TestOrdering:
     def test_cached_per_pattern(self):
         rng = np.random.default_rng(6)

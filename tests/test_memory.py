@@ -6,7 +6,9 @@ above the level at entry counts every array and string a call makes.
 Every factorization lives in one m x m array, built after the previous
 factor is released: two m x m arrays alive at once, an old factor beside
 a new one or a copy made for LAPACK, put the peak of a solve above
-2 x 8m² bytes.  On a dense ``A`` the assembly holds ``B = A D`` and the
+2 x 8m² bytes.  Where the primal refresh factors in single precision,
+its array is 4m² bytes, and no double m x m array is made beside it.
+On a dense ``A`` the assembly holds ``B = A D`` and the
 array SYRK writes, and a shifted retry rewrites that array in place.
 On a sparse ``A`` the assembly holds, beside that
 array, the sparse product ``M = A D^2 A^T`` and a plan of a few int32
@@ -20,7 +22,6 @@ copies of ``A``, put its peak above twice the text.
 import tracemalloc
 
 import numpy as np
-import pytest
 
 from lpipm import (
     DELAYED_SCALING,
@@ -37,22 +38,18 @@ from lpipm import (
     primal_solve,
     to_standard_form,
 )
+from lpipm.sparse import single_pays
 
 # one m x m array plus the vectors and sparse products of the solve
 PEAK_BOUND = 1.5
+# one single-precision m x m array (half of 8m²) plus the same
+SINGLE_PEAK_BOUND = 0.75
 # share of B = A D and the m x m array that one dense assembly may hold
 DENSE_ASSEMBLY_BOUND = 1.05
 # bytes per entry of A D^2 A^T that one assembly may hold beside its
 # array: 12 for scipy's product (a value and an int32 index), 4 per int32
 # array of the plan, and the analysis's temporaries on the first assembly
 ASSEMBLY_BYTES_PER_ENTRY = 24
-
-
-@pytest.fixture(scope="module")
-def wide_lp():
-    # sparse fill, 4 nonzeros per column: A D^2 A^T is assembled sparse
-    gen = generate_instance(600, 1320, 7, density=4 / 600)
-    return to_standard_form(parse_mps(gen.mps_text))
 
 
 def _traced_peak(run):
@@ -86,6 +83,19 @@ def test_delayed_primal_holds_one_factorization(wide_lp):
     assert result.status == SolveStatus.OPTIMAL
     assert result.factorizations > 1  # the cache was refreshed
     assert peak <= PEAK_BOUND * 8 * m * m, f"peak {peak / (8 * m * m):.2f} x 8m²"
+
+
+def test_single_refresh_holds_no_double_array(wide_lp):
+    # the refresh factors wide_lp in single precision (sparse.single_pays):
+    # its head is 4m² bytes, and no double m x m array is made beside it,
+    # so the peak stays below SINGLE_PEAK_BOUND x 8m²
+    m = wide_lp.nrows
+    start = pd_starting_point(wide_lp)
+    cfg = PrimalConfig(tau=0.28, cg_tol=1e-12, mode=DELAYED_SCALING)
+    result, peak = _traced_peak(lambda: primal_solve(wide_lp, cfg, start))
+    assert result.status == SolveStatus.OPTIMAL
+    assert single_pays(wide_lp.A)
+    assert peak <= SINGLE_PEAK_BOUND * 8 * m * m, f"peak {peak / (8 * m * m):.2f} x 8m²"
 
 
 def test_setup_holds_the_text_about_once():

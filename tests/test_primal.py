@@ -29,6 +29,7 @@ from lpipm import (
     thresholded_distance,
     to_standard_form,
 )
+from lpipm.sparse import single_pays
 from conftest import (
     boxed_ranged_instance,
     dense_primal_direction,
@@ -77,10 +78,17 @@ def pcg_direction(p, x, w, mu, cache, cg_tol, cg_max_iter=200):
     given cache, with at most ``cg_max_iter`` PCG iterations, repaired as
     the engine repairs it; returns the step and the solver (for its
     convergence flag and counts)."""
+    import lpipm.primal as primal
+
     cfg = PrimalConfig(mode=DELAYED_SCALING, cg_tol=cg_tol)
     solver = NormalSolver(p, cfg)
     solver.cache = cache
-    d = projected_direction(p, x, w, mu, np.zeros(p.nrows), solver.at(w, cg_max_iter))
+    budget, primal._CG_MAX_ITER = primal._CG_MAX_ITER, cg_max_iter
+    try:
+        solve = solver.at(w)
+    finally:
+        primal._CG_MAX_ITER = budget
+    d = projected_direction(p, x, w, mu, np.zeros(p.nrows), solve)
     return solver.repair(d.dx), solver
 
 
@@ -576,14 +584,17 @@ class TestNormalSolver:
         assert res.cg_iterations == sum(observed)
 
     def test_no_pcg_run_spends_its_budget_at_the_floor(self, monkeypatch):
+        # each run against its own budget, the one a Newton solve and the
+        # tangent predictor share: a run that reaches the attainable floor
+        # stops there, and no run, the predictor's included, spends it
         import lpipm.primal as primal
 
-        observed = []
+        runs = []
         real_pcg = primal.pcg_solve
 
-        def counting_pcg(*args, **kwargs):
-            out = real_pcg(*args, **kwargs)
-            observed.append(out.iterations)
+        def counting_pcg(apply_M, precond, rhs, rel_tol, max_iter):
+            out = real_pcg(apply_M, precond, rhs, rel_tol, max_iter)
+            runs.append((out, max_iter))
             return out
 
         monkeypatch.setattr(primal, "pcg_solve", counting_pcg)
@@ -592,7 +603,151 @@ class TestNormalSolver:
         cfg = PrimalConfig(tau=0.28, mode=DELAYED_SCALING, cg_tol=1e-14)
         res = primal_solve(p, cfg, start)
         assert res.status == SolveStatus.OPTIMAL
-        assert max(observed) < primal._CG_MAX_ITER
+        assert any(not out.converged for out, _ in runs)  # the floor is reached
+        spent = [(out.iterations, budget) for out, budget in runs if out.iterations >= budget]
+        assert not spent, f"runs that spent their budget: {spent}"
+
+
+class TestSinglePrecisionRefresh:
+    """A primal refresh factors in single precision where its dense
+    factor's flops exceed its assembly's (:func:`lpipm.sparse.single_pays`),
+    and in double for good from the first single factor that does not
+    serve."""
+
+    @staticmethod
+    def _recording_refresh(monkeypatch):
+        """The precision of every factor that a refresh returns."""
+        import lpipm.primal as primal
+
+        dtypes = []
+        real = primal.refresh_cache
+
+        def recording(*args, **kwargs):
+            cache = real(*args, **kwargs)
+            dtypes.append(cache.factor.L.dtype)
+            return cache
+
+        monkeypatch.setattr(primal, "refresh_cache", recording)
+        return dtypes
+
+    def test_rule_picks_single_on_wide_lp_and_double_on_every_dense_lp(self, wide_lp):
+        assert single_pays(wide_lp.A)
+        assert wide_lp.A._plan.R.size ** 3 / 3 > wide_lp.A._plan.flops
+        for mode in (EXACT, DELAYED_SCALING):
+            assert NormalSolver(wide_lp, PrimalConfig(mode=mode)).single
+        assert not NormalSolver(wide_lp).single  # pd and the repairs: double
+        inst = generate_instance(30, 70, 1, density=1.0, spread=3.0)
+        dense = [
+            to_standard_form(parse_mps(inst.mps_text)),
+            to_standard_form(parse_mps(boxed_ranged_instance().mps_text)),
+            feasible_instance(np.random.default_rng(1), 40, 90)[0],
+            feasible_instance(np.random.default_rng(2), 40, 41)[0],
+        ]
+        for p in dense:
+            # the SYRK's m^2 n flops are at least m^3 > m^3 / 3
+            assert p.A._dense is not None and p.ncols >= p.nrows
+            assert not single_pays(p.A)
+            for mode in (EXACT, DELAYED_SCALING):
+                assert not NormalSolver(p, PrimalConfig(mode=mode)).single
+
+    def test_delayed_primal_keeps_the_iterations_of_a_double_refresh(self, wide_lp,
+                                                                      monkeypatch):
+        import lpipm.primal as primal
+
+        dtypes = self._recording_refresh(monkeypatch)
+        start = pd_starting_point(wide_lp)
+        cfg = PrimalConfig(tau=0.28, cg_tol=1e-12, mode=DELAYED_SCALING)
+        single = primal_solve(wide_lp, cfg, start)
+        assert set(dtypes) == {np.dtype(np.float32)}
+        dtypes.clear()
+        monkeypatch.setattr(primal, "single_pays", lambda A: False)
+        double = primal_solve(wide_lp, cfg, start)
+        assert set(dtypes) == {np.dtype(np.float64)}
+        assert single.status == double.status == SolveStatus.OPTIMAL
+        assert single.iterations == double.iterations
+        assert single.factorizations == double.factorizations
+        # a single factor runs PCG at its own point, where a double one solves
+        assert single.cg_iterations > double.cg_iterations
+
+    def test_probe_passes_a_single_factor_and_fails_one_off_by_1e_3(self, wide_lp,
+                                                                     monkeypatch):
+        import lpipm.primal as primal
+
+        z = pd_starting_point(wide_lp).x
+        cache = refresh_cache(wide_lp, z, single=True)
+        assert cache.factor.single and not cache.factor.levels
+        real = primal.cholesky_factorize
+
+        def off(M):
+            # the factor of M + 1e-3 max_i M_ii I, claiming no shift: the
+            # probe's backward error is 1e-3
+            f = real(M)
+            L = f.L.astype(np.float64)
+            shifted = L @ L.T + 1e-3 * f.diag_max * np.eye(L.shape[0])
+            return CholeskyFactor(np.asfortranarray(np.linalg.cholesky(shifted), np.float32),
+                                  0.0, f.diag_max)
+
+        monkeypatch.setattr(primal, "cholesky_factorize", off)
+        with pytest.raises(NumericalBreakdown, match="probe failed"):
+            refresh_cache(wide_lp, z, single=True)
+
+    @pytest.mark.parametrize("fails", ["always", "once"])
+    def test_failed_single_factor_is_redone_in_double(self, wide_lp, monkeypatch, fails):
+        # spotrf fails every attempt, or only the unshifted one, so that
+        # the single factor needs a shift: either way the refresh is
+        # redone in double, both factorizations count, and every later
+        # refresh is double
+        import lpipm.cholesky
+
+        real = lpipm.cholesky.spotrf
+        calls = []
+
+        def failing(a, **kwargs):
+            calls.append(a.shape)
+            if fails == "always" or len(calls) == 1:
+                return a, 1
+            return real(a, **kwargs)
+
+        monkeypatch.setattr(lpipm.cholesky, "spotrf", failing)
+        dtypes = self._recording_refresh(monkeypatch)
+        solver = NormalSolver(wide_lp, PrimalConfig(mode=DELAYED_SCALING))
+        assert solver.single
+        x = pd_starting_point(wide_lp).x
+        solver.update(x)
+        assert len(calls) == (lpipm.cholesky._MAX_REG_RETRIES + 1 if fails == "always" else 2)
+        assert solver.factorizations == 2
+        assert not solver.single and not solver.cache.factor.single
+        solver.update(2.0 * x)
+        assert solver.factorizations == 3
+        assert dtypes == [np.dtype(np.float64)] * 2
+        assert len(calls) == (lpipm.cholesky._MAX_REG_RETRIES + 1 if fails == "always" else 2)
+
+    def test_degenerate_lp_switches_to_double_for_good(self, monkeypatch):
+        # near the optimum of a degenerate LP kappa u reaches 1 in single
+        # precision: a single factor misses at its own point, and the solve
+        # refactors in double from then on
+        import lpipm.primal as primal
+
+        solvers = []
+
+        class Recording(primal.NormalSolver):
+            def __init__(self, *args):
+                super().__init__(*args)
+                solvers.append((self, self.single))
+
+        monkeypatch.setattr(primal, "NormalSolver", Recording)
+        dtypes = self._recording_refresh(monkeypatch)
+        inst = generate_instance(300, 660, 1, degenerate=True, density=4 / 300)
+        p = to_standard_form(parse_mps(inst.mps_text))
+        cfg = PrimalConfig(tau=0.28, cg_tol=1e-12, mode=DELAYED_SCALING)
+        res = primal_solve(p, cfg, pd_starting_point(p))
+        assert res.status == SolveStatus.OPTIMAL
+        ((solver, started_single),) = solvers
+        assert started_single and not solver.single
+        switch = dtypes.index(np.dtype(np.float64))
+        assert switch > 0
+        assert set(dtypes[:switch]) == {np.dtype(np.float32)}
+        assert set(dtypes[switch:]) == {np.dtype(np.float64)}
 
 
 def _delayed_bound_setup(rng, m, n):

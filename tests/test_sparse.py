@@ -33,12 +33,13 @@ BOTH_KERNELS = pytest.mark.parametrize(
 
 
 def _filled(plan, lower, sigma):
-    """A fresh buffer that ``plan`` filled at ``sigma``, its ``|R| x |R|``
-    head and the levels the fill returned."""
-    buf = np.zeros(plan.size)
-    levels = plan.fill(buf, lower, sigma)
+    """Fresh arrays that ``plan`` filled at ``sigma``: the flat head and the
+    slots, the head as the ``|R| x |R|`` array and the levels the fill
+    returned."""
     r = plan.R.size
-    return buf, buf[:r * r].reshape((r, r), order="F"), levels
+    head, slots = np.zeros(r * r), np.zeros(plan.slots)
+    levels = plan.fill(head, slots, lower, sigma)
+    return (head, slots), head.reshape((r, r), order="F"), levels
 
 
 def _with_fill(rng, m, n, fill):
@@ -262,9 +263,10 @@ class TestSplitNormalMatrix:
         _, _, M, dense, _ = self._split(7)
         plan, lower = M.plan, M.lower
         _, fresh, levels = _filled(plan, lower, sigma)
-        buf, again, _ = _filled(plan, lower, 0.5 - sigma)
-        buf.fill(0.0)
-        plan.fill(buf, lower, sigma)
+        (head, slots), again, _ = _filled(plan, lower, 0.5 - sigma)
+        head.fill(0.0)
+        slots.fill(0.0)
+        plan.fill(head, slots, lower, sigma)
         assert np.array_equal(fresh, again)
         assert not np.any(np.triu(fresh, 1))
         if sigma == 0.0:
@@ -302,18 +304,24 @@ class TestSplitNormalMatrix:
         expected = dense @ v + sigma * v
         assert_allclose(f.product(v), expected, rtol=0.0, atol=1e-13 * np.abs(expected).max())
 
-    def test_one_buffer_and_one_coupling_pattern(self):
+    @pytest.mark.parametrize("single", [False, True], ids=["double", "single"])
+    def test_factor_in_the_head_and_one_coupling_pattern(self, single):
         # each level's W and W_T share one array of values, and the factor
-        # lies in the plan's buffer, whose slots follow the |R| x |R| array
-        _, _, M, _, _ = self._split(9)
+        # lies in the plan's |R| x |R| head, in its precision, while the
+        # slots and the levels stay double
+        rng = np.random.default_rng(9)
+        M = form_normal_matrix(sparse_fill_A(rng, 500, 1100), rng.uniform(0.5, 2.0, 1100),
+                               single)
         plan = M.plan
-        assert M.levels
+        assert M.levels and plan.slots > 0
         for level in M.levels:
             assert np.shares_memory(level.W.data, level.W_T.data)
             assert level.W.indices is level.W_T.indices and level.W.indptr is level.W_T.indptr
+            assert level.root.dtype == level.W.dtype == np.float64
+        assert M._slots.dtype == np.float64
         f = cholesky_factorize(M)
-        assert f.L.base is not None and f.L.base.size == plan.size
-        assert plan.size > plan.R.size ** 2
+        assert f.L.dtype == (np.float32 if single else np.float64)
+        assert f.L.base is not None and f.L.base.size == plan.R.size ** 2
 
     def test_spent_matrix_keeps_its_shape_only(self):
         _, _, M, _, _ = self._split(8)

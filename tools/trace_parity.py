@@ -22,6 +22,7 @@ traces and ``x``.  Each line ends with every engine's counts
 (iterations/factorizations/PCG iterations), to read a difference by.
 
     python tools/trace_parity.py --seeds 1 4 7
+    python tools/trace_parity.py --seeds 1 --workloads sparse_wide
     python tools/trace_parity.py --smoke
 """
 
@@ -103,11 +104,14 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
     parser.add_argument("--smoke", action="store_true",
                         help="the benchmark's smoke-size families")
+    parser.add_argument("--workloads", nargs="+", choices=sorted(workloads.FAMILIES),
+                        default=sorted(workloads.FAMILIES), metavar="WORKLOAD",
+                        help="the workloads to run (default: all of them)")
     args = parser.parse_args(argv)
 
     engines = _engines()
     for seed in args.seeds:
-        for workload in sorted(workloads.FAMILIES):
+        for workload in sorted(args.workloads):
             for k, inst in enumerate(workloads.build(workload, seed, smoke=args.smoke)):
                 std = to_standard_form(parse_mps(inst.mps_text))
                 digests, counts = [], []
